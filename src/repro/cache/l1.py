@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 
 @dataclass
@@ -50,16 +50,14 @@ class L1Cache:
             raise ValueError("associativity must be positive")
         self.assoc = assoc
         self.num_sets = max(1, capacity_words // assoc)
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        # Sets are created on first install (None until then).
+        self._sets: List[Optional[OrderedDict]] = [None] * self.num_sets
         self.stats = L1Stats()
-
-    def _set_of(self, address: int) -> OrderedDict:
-        return self._sets[address % self.num_sets]
 
     def lookup_load(self, address: int) -> bool:
         """True on hit (the load is satisfied locally)."""
-        tag_set = self._set_of(address)
-        if address in tag_set:
+        tag_set = self._sets[address % self.num_sets]
+        if tag_set is not None and address in tag_set:
             tag_set.move_to_end(address)
             self.stats.load_hits += 1
             return True
@@ -69,13 +67,16 @@ class L1Cache:
     def note_store(self, address: int) -> None:
         """Write-through: refresh LRU if present, never allocate."""
         self.stats.stores += 1
-        tag_set = self._set_of(address)
-        if address in tag_set:
+        tag_set = self._sets[address % self.num_sets]
+        if tag_set is not None and address in tag_set:
             tag_set.move_to_end(address)
 
     def install(self, address: int) -> None:
         """Fill on load-reply return."""
-        tag_set = self._set_of(address)
+        index = address % self.num_sets
+        tag_set = self._sets[index]
+        if tag_set is None:
+            tag_set = self._sets[index] = OrderedDict()
         if address in tag_set:
             tag_set.move_to_end(address)
             return
@@ -85,9 +86,11 @@ class L1Cache:
         self.stats.installs += 1
 
     def contains(self, address: int) -> bool:
-        return address in self._set_of(address)
+        tag_set = self._sets[address % self.num_sets]
+        return tag_set is not None and address in tag_set
 
     def reset(self) -> None:
         for tag_set in self._sets:
-            tag_set.clear()
+            if tag_set is not None:
+                tag_set.clear()
         self.stats = L1Stats()

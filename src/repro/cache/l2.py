@@ -85,8 +85,8 @@ class L2Slice:
         self.channel_index = channel_index
         self.mapper = mapper
         # sets[i]: OrderedDict mapping line address -> dirty flag (LRU order,
-        # least recently used first).
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        # least recently used first), or None until the set's first install.
+        self._sets: List[Optional[OrderedDict]] = [None] * self.num_sets
         self.mshrs = MSHRFile(mshr_capacity)
         self.stats = L2Stats()
 
@@ -95,8 +95,6 @@ class L2Slice:
     def line_of(self, address: int) -> int:
         return address // self.line_bytes
 
-    def _set_of(self, line: int) -> OrderedDict:
-        return self._sets[line % self.num_sets]
 
     # -- main lookup -------------------------------------------------------
 
@@ -119,7 +117,7 @@ class L2Slice:
         accesses[kid] = accesses.get(kid, 0) + 1
 
         if not request.is_load:  # store (PIM rejected above)
-            if line in tag_set:
+            if tag_set is not None and line in tag_set:
                 tag_set.move_to_end(line)
                 tag_set[line] = True  # now dirty
                 stats.store_hits += 1
@@ -130,7 +128,7 @@ class L2Slice:
             return LookupResult.STORE_FORWARD
 
         # Loads.
-        if line in tag_set:
+        if tag_set is not None and line in tag_set:
             tag_set.move_to_end(line)
             stats.load_hits += 1
             hits = stats.kernel_hits
@@ -159,7 +157,10 @@ class L2Slice:
         """
         line = fill.l2_line
         waiting = self.mshrs.release(line)
-        tag_set = self._set_of(line)
+        index = line % self.num_sets
+        tag_set = self._sets[index]
+        if tag_set is None:
+            tag_set = self._sets[index] = OrderedDict()
         writeback: Optional[Request] = None
         if line not in tag_set:
             if len(tag_set) >= self.assoc:
@@ -199,10 +200,12 @@ class L2Slice:
 
     def contains(self, address: int) -> bool:
         line = self.line_of(address)
-        return line in self._set_of(line)
+        tag_set = self._sets[line % self.num_sets]
+        return tag_set is not None and line in tag_set
 
     def reset(self) -> None:
         for tag_set in self._sets:
-            tag_set.clear()
+            if tag_set is not None:
+                tag_set.clear()
         self.mshrs = MSHRFile(self.mshrs.capacity)
         self.stats = L2Stats()

@@ -18,12 +18,12 @@ Handles are recycled through a free list.  Two lifetimes exist:
   released when it leaves the NoC (MC ingress, or an L2 hit/merge).
   The pool's steady-state size is therefore bounded by the total ring
   capacity, and the free list churns constantly.
-* **Pinned** (replay-recycled requests): the handle stays bound to the
-  recorded request across kernel launches — the routing columns are
-  immutable for a recorded request, so a later flight reuses the handle
-  with zero column writes (only the flight timestamp is refreshed).
-  When the replay cache rebuilds a dirty request it transfers the
-  handle to the fresh object (see ``replay.WarpProgramCache``).
+* **Pinned** (recycled requests of looping kernels): the handle stays
+  bound to the recorded request across kernel launches — the routing
+  columns are immutable for a recorded request, so a later flight
+  reuses the handle with zero column writes (only the flight timestamp
+  is refreshed).  When recycling rebuilds a dirty request it transfers
+  the handle to the fresh object (see ``replay.ReplayKernelInstance``).
 
 Columns are typed ``array('q')`` (C ``int64``) so a compiled kernel can
 read them through the buffer protocol without marshalling.
@@ -123,7 +123,7 @@ class RequestArrays:
     def transfer(self, h: int, request: Request) -> None:
         """Re-point a pinned handle at a rebuilt request object.
 
-        Used by the replay cache when a recorded request is rebuilt
+        Used by request recycling when a recorded request is rebuilt
         fresh: the record (and therefore every column) is unchanged, so
         only the object column needs the new reference.
         """

@@ -1,111 +1,66 @@
-"""Warp-program record/replay cache for looping kernels.
+"""Request recycling for replayed warp programs (SoA backend).
 
-The co-execution methodology re-launches each kernel in a loop, and
-``KernelInstance.warp_program`` deliberately seeds each warp's RNG
-independently of the launch number — every launch replays the *same*
-request trace.  The object engine still pays the full generation cost
-(numpy RNG draws, address encoding, dataclass construction overhead)
-on every launch; under the SoA backend the first launch records each
-warp's phases and later launches replay them, rebuilding only the
-:class:`~repro.request.Request` objects (which are mutated in flight
-and must be fresh per launch).
+Both engines record each warp program once and replay it on every later
+launch through the shared trace cache (:mod:`repro.gpu.warp_traces`).
+A replay still builds one :class:`~repro.request.Request` per recorded
+request, because requests are mutated in flight.  Rebuilding ~170k
+dataclass instances per co-run is itself a measurable slice of the SoA
+hot path, so for looping kernels this module goes one step further and
+reuses the request objects of the previous launch.
 
-Recording is exact: a replayed phase carries requests with the same
-type/address/kernel_id/pim_op/size and the same pre-decoded
-channel/bank/row/column, constructed in the same order and at the same
-point in the generator protocol (lazily, as each phase is requested),
-so global request-id consumption and RNG-free behaviour match the
-original stream.  Only the synthetic spec classes are cached — their
-programs depend solely on ``(seed, spec name, sm_slot, warp)``; unknown
-user specs fall back to normal generation.
-
-Request recycling
------------------
-Rebuilding ~170k dataclass instances per co-run is itself a measurable
-slice of the SoA hot path, so each cached phase carries a *slot*
-(``[live_count, phase]``) shared by its request objects.  The engine
-returns every finished request to its slot; when the count reaches
-zero the next launch re-yields the *same* ``Phase`` object.  Per
-request, reuse is decided by where it travelled: a request that
-entered a memory controller's MEM queue may survive as a stale
-tombstone reference in the queue's lazy index deques, so its object is
-abandoned to the garbage collector and rebuilt from its record (same
-fields, fresh identity); PIM requests (popped physically) and requests
-that never reached a controller (L2 hits / MSHR merges) are reused in
-place, refreshing only the per-flight fields a later stage reads
-before writing (the global request id, to keep id consumption
-identical to the object engine, and the ``cycle_created`` stamp
-guard).  Telemetry reads every hop timestamp, so enabling telemetry
-turns recycling off and drops the existing slots.
+Each phase of a looping kernel carries a *slot* (``[live_count,
+phase]``) shared by its request objects.  The engine returns every
+finished request to its slot; when the count reaches zero the next
+launch re-yields the *same* ``Phase`` object.  Per request, reuse is
+decided by where it travelled: a request that entered a memory
+controller's MEM queue may survive as a stale tombstone reference in
+the queue's lazy index deques, so its object is abandoned to the
+garbage collector and rebuilt from its record (same fields, fresh
+identity); PIM requests (popped physically) and requests that never
+reached a controller (L2 hits / MSHR merges) are reused in place,
+refreshing only the per-flight fields a later stage reads before
+writing (the global request id, to keep id consumption identical to the
+object engine, and the ``cycle_created`` stamp guard).  Telemetry reads
+every hop timestamp, so enabling telemetry turns recycling off and
+drops the existing slots.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from repro.gpu.kernel import KernelInstance, Phase, WarpProgram
 from repro import request as _request_mod
-from repro.request import Request
-from repro.workloads.synthetic import GPUKernelProfile, PIMGemvKernel, PIMStreamKernel
+from repro.gpu.kernel import KernelInstance, Phase, WarpProgram
+from repro.gpu.warp_traces import PhaseRecord, build_request
 
-#: Spec classes whose warp programs are launch-invariant by construction.
-#: Exact-type match (not isinstance): a subclass may override
-#: ``warp_program`` with launch-dependent behaviour.
-REPLAYABLE_SPECS = (GPUKernelProfile, PIMStreamKernel, PIMGemvKernel)
-
-#: One recorded request: constructor fields + pre-decoded address fields.
-_RequestRecord = Tuple[object, int, int, object, int, int, int, int, int]
-
-#: One recorded phase: (compute_cycles, wait_for_replies, requests).
-_PhaseRecord = Tuple[int, bool, Tuple[_RequestRecord, ...]]
+#: One program's slots, one ``[live_count, phase]`` per phase.
+_ProgramSlots = List[list]
 
 
-def _record_request(request: Request) -> _RequestRecord:
-    return (
-        request.type,
-        request.address,
-        request.kernel_id,
-        request.pim_op,
-        request.size,
-        request.channel,
-        request.bank,
-        request.row,
-        request.column,
-    )
+class RequestRecycler:
+    """Per-system recycling slots, keyed by launch key and kernel id.
 
-
-def _replay_request(record: _RequestRecord) -> Request:
-    rtype, address, kernel_id, pim_op, size, channel, bank, row, column = record
-    request = Request(type=rtype, address=address, kernel_id=kernel_id, pim_op=pim_op, size=size)
-    request.channel, request.bank, request.row, request.column = channel, bank, row, column
-    return request
-
-
-class WarpProgramCache:
-    """Per-system cache of recorded warp programs.
-
-    Keyed by ``(kernel_id, sm_slot, warp)`` — the full determinant of a
-    synthetic warp program for a fixed system seed.  A recording is only
-    replayed once marked complete (the original generator was exhausted);
-    a warp abandoned mid-program (never happens in normal runs, but
-    cheap to guard) is simply re-recorded on the next launch.
+    The kernel id is part of the key because reused requests keep the
+    ``kernel_id`` they were built with.
     """
 
     def __init__(self) -> None:
-        self._programs: Dict[Tuple[int, int, int], List[_PhaseRecord]] = {}
-        self._complete: Dict[Tuple[int, int, int], bool] = {}
-        # Per-program recycling slots, parallel to ``_programs[key]``:
-        # ``[live_count, phase]`` or None (recycling off when recorded).
-        self._phase_slots: Dict[Tuple[int, int, int], List[Optional[list]]] = {}
-        #: Master switch for request recycling (see module docstring).
-        #: Cleared (never re-set) when telemetry needs fresh stamps.
+        self._slots: Dict[tuple, Dict[Tuple[int, int], _ProgramSlots]] = {}
+        #: Master switch (see module docstring).  Cleared, never re-set,
+        #: when telemetry needs fresh stamps.
         self.recycle = True
         #: Optional RequestArrays (engine_soa.handles) of the owning
-        #: system: replayed requests pin their NoC handle across
+        #: system: recycled requests pin their NoC handle across
         #: launches, so a rebuilt request inherits the handle of the
         #: object it replaces (the record — and therefore every pool
         #: column — is identical; only the object pointer moves).
         self.pool = None
+
+    def slots_for(self, key: tuple) -> Dict[Tuple[int, int], _ProgramSlots]:
+        slots = self._slots.get(key)
+        if slots is None:
+            slots = self._slots[key] = {}
+        return slots
 
     def disable_recycling(self) -> None:
         """Stop reusing request objects and drop the existing slots.
@@ -116,43 +71,63 @@ class WarpProgramCache:
         orphaned) slots; the counts decay harmlessly.
         """
         self.recycle = False
-        self._phase_slots = {}
+        self._slots = {}
 
-    def program(self, key: Tuple[int, int, int], factory) -> WarpProgram:
-        if self._complete.get(key):
-            return self._replay(key, self._programs[key])
-        return self._record(key, factory())
 
-    def _record(self, key: Tuple[int, int, int], source: WarpProgram) -> Iterator[Phase]:
-        phases: List[_PhaseRecord] = []
-        slots: List[Optional[list]] = []
-        self._programs[key] = phases
-        self._phase_slots[key] = slots
-        self._complete[key] = False
+class ReplayKernelInstance(KernelInstance):
+    """Kernel instance of a looping kernel whose requests are recycled.
+
+    Programs come from the shared trace cache like any instance's; the
+    first launch in a system gives each phase a slot, later launches
+    reuse the slotted phases whose requests have all finished.
+    """
+
+    def __init__(self, spec, ctx, kernel_id: int, seed: int, traces, recycler: RequestRecycler) -> None:
+        super().__init__(spec, ctx, kernel_id, seed=seed, traces=traces)
+        self._recycler = recycler
+        self._slots = (
+            recycler.slots_for((self.trace_key, kernel_id))
+            if self.trace_table is not None
+            else None
+        )
+
+    def warp_program(self, sm_slot: int, warp: int) -> WarpProgram:
+        slots = self._slots
+        if slots is None or not self._recycler.recycle:
+            return super().warp_program(sm_slot, warp)
+        key = (sm_slot, warp)
+        phases = self.trace_table.get(key)
+        program_slots = slots.get(key)
+        if phases is not None and program_slots is not None:
+            self.traces.hits += 1
+            return self._recycled(phases, program_slots)
+        return self._slotted(super().warp_program(sm_slot, warp), slots, key)
+
+    def _slotted(self, source: WarpProgram, slots: dict, key: Tuple[int, int]) -> Iterator[Phase]:
+        recycler = self._recycler
+        program_slots: _ProgramSlots = []
         for phase in source:
-            phases.append(
-                (
-                    phase.compute_cycles,
-                    phase.wait_for_replies,
-                    tuple(_record_request(r) for r in phase.requests),
-                )
-            )
-            if self.recycle:
+            if recycler.recycle:
                 slot = [len(phase.requests), phase]
                 for request in phase.requests:
                     request._slot = slot
-                slots.append(slot)
-            else:
-                slots.append(None)
+                program_slots.append(slot)
             yield phase
-        self._complete[key] = True
+        if recycler.recycle:
+            slots[key] = program_slots
 
-    def _replay(self, key: Tuple[int, int, int], phases: List[_PhaseRecord]) -> Iterator[Phase]:
-        slots = self._phase_slots.get(key) if self.recycle else None
-        index = 0
-        for compute_cycles, wait_for_replies, records in phases:
-            slot = slots[index] if slots is not None else None
-            if slot is not None and slot[0] == 0:
+    def _recycled(
+        self, phases: Tuple[PhaseRecord, ...], program_slots: _ProgramSlots
+    ) -> Iterator[Phase]:
+        recycler = self._recycler
+        kernel_id = self.kernel_id
+        for index, (compute_cycles, wait_for_replies, records) in enumerate(phases):
+            if not recycler.recycle:
+                requests = [build_request(r, kernel_id) for r in records]
+                yield Phase(compute_cycles, requests, wait_for_replies)
+                continue
+            slot = program_slots[index]
+            if slot[0] == 0:
                 # Every request of the previous launch's phase finished:
                 # reuse the phase.  Requests that entered a MEM controller
                 # queue may survive as stale tombstone references in its
@@ -165,11 +140,11 @@ class WarpProgramCache:
                 requests = phase.requests
                 slot[0] = len(requests)
                 ids = _request_mod._request_ids
-                pool = self.pool
+                pool = recycler.pool
                 pool_objs = pool.objs if pool is not None else None
                 for idx, request in enumerate(requests):
                     if request.mc_seq >= 0 and not request.is_pim:
-                        fresh = _replay_request(records[idx])
+                        fresh = build_request(records[idx], kernel_id)
                         fresh._slot = slot
                         if pool_objs is not None:
                             h = request._handle
@@ -180,36 +155,12 @@ class WarpProgramCache:
                     else:
                         request.id = next(ids)
                         request.cycle_created = -1
-                index += 1
                 yield phase
                 continue
-            requests = [_replay_request(r) for r in records]
-            phase = Phase(
-                compute_cycles=compute_cycles,
-                requests=requests,
-                wait_for_replies=wait_for_replies,
-            )
-            if slots is not None:
-                slot = [len(requests), phase]
-                for request in requests:
-                    request._slot = slot
-                slots[index] = slot
-            index += 1
+            requests = [build_request(r, kernel_id) for r in records]
+            phase = Phase(compute_cycles, requests, wait_for_replies)
+            slot = [len(requests), phase]
+            for request in requests:
+                request._slot = slot
+            program_slots[index] = slot
             yield phase
-
-
-class ReplayKernelInstance(KernelInstance):
-    """Kernel instance whose warp programs go through a replay cache.
-
-    The cache is shared across launches of the same kernel (it lives on
-    the system, keyed by kernel id), so the second and later launches of
-    a looping kernel skip RNG and address-encoding work entirely.
-    """
-
-    def __init__(self, spec, ctx, kernel_id: int, seed: int, cache: WarpProgramCache) -> None:
-        super().__init__(spec, ctx, kernel_id, seed=seed)
-        self._cache = cache
-
-    def warp_program(self, sm_slot: int, warp: int) -> WarpProgram:
-        key = (self.kernel_id, sm_slot, warp)
-        return self._cache.program(key, lambda: super(ReplayKernelInstance, self).warp_program(sm_slot, warp))

@@ -26,9 +26,8 @@ than plain FR-FCFS — falls back to the inherited object implementation
 mid-flight.  The object and SoA backends therefore produce byte-identical
 ``SimResult``/store fingerprints (``tests/test_engine_soa.py``).
 
-Warp programs of looping synthetic kernels are additionally wrapped in a
-record/replay cache (:mod:`repro.engine_soa.replay`): relaunches skip
-RNG draws and address encoding.
+Looping kernels additionally recycle the request objects of replayed
+warp programs across relaunches (:mod:`repro.engine_soa.replay`).
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from repro.engine_soa.kernels import load_kernels
 from repro.engine_soa.ring import HandleRing
 from repro.sim.activeset import DenseIndexSet
 from repro.engine_soa.primitives import warp_ready_batch
-from repro.engine_soa.replay import REPLAYABLE_SPECS, ReplayKernelInstance, WarpProgramCache
+from repro.engine_soa.replay import ReplayKernelInstance, RequestRecycler
 from repro.gpu.kernel import KernelInstance, LaunchContext
 from repro.gpu.sm import SM
 from repro.request import Mode, Request, RequestType
@@ -176,7 +175,7 @@ class SoAGPUSystem(GPUSystem):
         self._ba = BankArrays(config.num_channels, num_banks)
         self._timings = config.timings
         self._vc1 = config.num_virtual_channels == 1
-        self._warp_cache = WarpProgramCache()
+        self._recycler = RequestRecycler()
         # Per-controller fused-path eligibility: plain FR-FCFS (subclasses
         # like FRFCFSCap override decide) and no refresh machinery.  The
         # telemetry gate is checked per call — it can be enabled later.
@@ -256,7 +255,7 @@ class SoAGPUSystem(GPUSystem):
         )
         if self._rings_on:
             self._pool = RequestArrays()
-            self._warp_cache.pool = self._pool
+            self._recycler.pool = self._pool
             self._sm_rings = [HandleRing(q.capacity, q.name) for q in self._sm_q0]
             self._in_rings = [HandleRing(q.capacity, q.name) for q in self._in_q0]
             self._dram_rings = [HandleRing(q.capacity, q.name) for q in self._dram_q0]
@@ -317,12 +316,11 @@ class SoAGPUSystem(GPUSystem):
     # -- kernel launch ----------------------------------------------------
 
     def _create_instance(self, run: KernelRun, ctx: LaunchContext) -> KernelInstance:
-        # Replay only pays off on relaunches, so gate on looping runs; the
-        # synthetic specs are launch-invariant by construction (the warp
-        # RNG is seeded without the launch id).
-        if run.loop and type(run.spec) in REPLAYABLE_SPECS:
+        # Recycling only pays off on relaunches (and pins a pool handle
+        # per request), so gate on looping runs.
+        if run.loop:
             return ReplayKernelInstance(
-                run.spec, ctx, run.kernel_id, seed=self.seed, cache=self._warp_cache
+                run.spec, ctx, run.kernel_id, self.seed, self.traces, self._recycler
             )
         return super()._create_instance(run, ctx)
 
@@ -924,7 +922,7 @@ class SoAGPUSystem(GPUSystem):
         telemetry = super().enable_telemetry(*args, **kwargs)
         # Telemetry folds per-request hop stamps into its accounting;
         # recycled requests would carry stale stamps from earlier flights.
-        self._warp_cache.disable_recycling()
+        self._recycler.disable_recycling()
         if self._rings_on:
             # Telemetry stages (and their buffer-watch hooks) work on the
             # BoundedQueues: migrate the in-flight handles back into the

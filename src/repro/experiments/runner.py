@@ -19,14 +19,17 @@ reuses them.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.core.policies import PolicySpec
 from repro.gpu.kernel import KernelSpec
+from repro.gpu.warp_traces import WarpTraceCache
 from repro.metrics.fairness import (
     collaborative_speedup,
     fairness_index,
@@ -40,6 +43,23 @@ from repro.workloads import get_gpu_kernel, get_pim_kernel, llm_kernels
 #: Policy used for standalone baselines (the paper's characterization runs
 #: use FR-FCFS; baselines must not depend on the policy under test).
 BASELINE_POLICY = PolicySpec("FR-FCFS")
+
+
+#: Requests simulated by finished systems after which a runner runs a
+#: full garbage collection before building the next system.  A finished
+#: system leaves ~0.5 MB of cyclic garbage, plus up to ~0.7 MB per
+#: thousand requests it simulated (SoA; the object engine leaves less).
+GC_AFTER_REQUESTS = 2048
+
+
+def _load_duration_cache(path: str) -> Dict[str, int]:
+    """Read a ``REPRO_CACHE`` duration file; unreadable counts as empty."""
+    try:
+        with open(path) as fh:
+            return {k: int(v) for k, v in json.load(fh).items()}
+    except (OSError, ValueError, AttributeError, TypeError) as exc:
+        print(f"warning: ignoring unreadable duration cache {path} ({exc})", file=sys.stderr)
+        return {}
 
 
 @dataclass(frozen=True)
@@ -187,23 +207,44 @@ class Runner:
         #: runner's in-memory cache), "hit" (result store), "miss" (fresh
         #: simulation), or None when no store is attached.
         self.store_last: Optional[str] = None
+        #: Warp programs recorded by any system this runner builds and
+        #: replayed by all of them (see repro.gpu.warp_traces): a sweep
+        #: or fabric worker shares traces across baselines and cells.
+        self.traces = WarpTraceCache()
+        self._uncollected_requests = 0
         self._standalone_cache: Dict[str, SimResult] = {}
         self._competitive_cache: Dict[Tuple[str, str, str, int], CompetitiveOutcome] = {}
         self._duration_cache: Dict[str, int] = {}
         self.cache_path = cache_path or os.environ.get("REPRO_CACHE")
         if self.cache_path and os.path.exists(self.cache_path):
-            with open(self.cache_path) as fh:
-                self._duration_cache = {k: int(v) for k, v in json.load(fh).items()}
+            self._duration_cache = _load_duration_cache(self.cache_path)
 
     # -- cache helpers ------------------------------------------------------
 
     def _save_cache(self) -> None:
+        # Write-then-rename: other runners (sweep workers) read the same
+        # path at construction and must never see a truncated file.
         if self.cache_path:
-            with open(self.cache_path, "w") as fh:
-                json.dump(self._duration_cache, fh)
+            tmp = f"{self.cache_path}.{os.getpid()}.tmp"
+            try:
+                with open(tmp, "w") as fh:
+                    json.dump(self._duration_cache, fh)
+                os.replace(tmp, self.cache_path)
+            finally:
+                if os.path.exists(tmp):  # the write failed part-way
+                    os.unlink(tmp)
 
     def _build_system(self, config: SystemConfig, policy: PolicySpec) -> GPUSystem:
         from repro.engine_soa import create_system
+
+        # Finished systems are cyclic garbage (stage tables and buffer
+        # hooks point back at them) that only a full collection frees.
+        # Collect once enough simulated work has piled up, so a worker
+        # holds a bounded amount of it whatever the collector's own
+        # thresholds do, without paying a full pass per tiny cell.
+        if self._uncollected_requests >= GC_AFTER_REQUESTS:
+            self._uncollected_requests = 0
+            gc.collect()
 
         system = create_system(
             config,
@@ -211,12 +252,18 @@ class Runner:
             backend=self.backend,
             seed=self.scale.seed,
             scale=self.scale.workload_scale,
+            traces=self.traces,
         )
         if self.perf is not None:
             system.perf = self.perf
         if self.watchdog_window is not None:
             system.enable_watchdog(self.watchdog_window)
         return system
+
+    def _simulate(self, system: GPUSystem, max_cycles: int) -> SimResult:
+        result = system.run(max_cycles=max_cycles)
+        self._uncollected_requests += sum(k.requests_injected for k in result.kernels.values())
+        return result
 
     def _standalone_key(self, label: str, sms: int, num_vcs: int) -> str:
         s = self.scale
@@ -255,7 +302,7 @@ class Runner:
                 return result
         system = self._build_system(self.scale.config(num_vcs), BASELINE_POLICY)
         system.add_kernel(spec, num_sms=sms)
-        result = system.run(max_cycles=self.scale.max_cycles)
+        result = self._simulate(system, self.scale.max_cycles)
         if not result.all_completed:
             raise RuntimeError(f"standalone run {label} did not complete in budget")
         self._standalone_cache[key] = result
@@ -316,7 +363,7 @@ class Runner:
         gpu_run = system.add_kernel(get_gpu_kernel(gid), num_sms=s.gpu_sms_corun, loop=True)
         pim_run = system.add_kernel(get_pim_kernel(pid), num_sms=s.pim_sms, loop=True)
         budget = min(s.max_cycles, s.starvation_factor * max(gpu_alone, pim_alone))
-        result = system.run(max_cycles=budget)
+        result = self._simulate(system, budget)
 
         gpu_first = result.kernels[gpu_run.kernel_id].first_duration
         pim_first = result.kernels[pim_run.kernel_id].first_duration
@@ -384,7 +431,7 @@ class Runner:
         big_run = system.add_kernel(get_gpu_kernel(gid_big), num_sms=s.gpu_sms_corun, loop=True)
         system.add_kernel(get_gpu_kernel(gid_small), num_sms=s.pim_sms, loop=True)
         budget = min(s.max_cycles, s.starvation_factor * big_alone)
-        result = system.run(max_cycles=budget)
+        result = self._simulate(system, budget)
         first = result.kernels[big_run.kernel_id].first_duration
         return big_alone / (first if first else result.cycles)
 
@@ -405,7 +452,7 @@ class Runner:
         system.add_kernel(qkv, num_sms=s.gpu_sms_corun)
         system.add_kernel(mha, num_sms=s.pim_sms)
         budget = min(s.max_cycles, s.starvation_factor * (gpu_alone + pim_alone))
-        result = system.run(max_cycles=budget)
+        result = self._simulate(system, budget)
         concurrent = result.cycles if result.all_completed else budget
         return CollaborativeOutcome(
             policy=policy.label(),

@@ -103,23 +103,45 @@ class KernelInstance:
     (the co-execution methodology) replays the same trace, and standalone
     and contended runs of the same kernel see identical request streams —
     a prerequisite for meaningful speedup comparisons.
+
+    With a ``traces`` cache (:class:`repro.gpu.warp_traces.WarpTraceCache`)
+    that invariance is exploited: each program is recorded the first time
+    it is generated and replayed on every later launch with the same
+    inputs.
     """
 
     _next_launch = 0
 
     def __init__(
-        self, spec: KernelSpec, ctx: LaunchContext, kernel_id: int, seed: int = 0
+        self,
+        spec: KernelSpec,
+        ctx: LaunchContext,
+        kernel_id: int,
+        seed: int = 0,
+        traces=None,
     ) -> None:
         self.spec = spec
         self.ctx = ctx
         self.kernel_id = kernel_id
         self.seed = seed
+        self.traces = traces
+        #: Launch key and recorded-program table in ``traces`` (both None
+        #: without a cache or for a spec that is not replayable).
+        self.trace_key = traces.key(spec, ctx, seed) if traces is not None else None
+        self.trace_table = traces.table(self.trace_key) if traces is not None else None
         self.launch_id = KernelInstance._next_launch
         KernelInstance._next_launch += 1
         self.cycle_launched: Optional[int] = None
         self.cycle_finished: Optional[int] = None
 
     def warp_program(self, sm_slot: int, warp: int) -> WarpProgram:
+        table = self.trace_table
+        if table is not None:
+            return self.traces.program(table, sm_slot, warp, self.kernel_id, self.generate)
+        return self.generate(sm_slot, warp)
+
+    def generate(self, sm_slot: int, warp: int) -> WarpProgram:
+        """Generate this warp's program from the spec (no replay)."""
         # Seed by the *spec name*, not the kernel id: the same kernel must
         # replay the same trace regardless of the order kernels were added
         # to a system (standalone vs co-execution runs).

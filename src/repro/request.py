@@ -152,11 +152,12 @@ class Request:
     # issue path); False for MEM requests.  Filled in __post_init__.
     pim_dram: bool = field(init=False, default=False)
 
-    # Recycling slot (SoA replay cache): ``[live_count, phase]`` shared by
-    # every request of one replayed phase.  The SoA engine returns finished
-    # requests to the slot; when the count hits zero the next launch reuses
-    # the phase's request objects instead of rebuilding them.  ``None``
-    # outside the replay path (object engine, writebacks, user traces).
+    # Recycling slot (repro.engine_soa.replay): ``[live_count, phase]``
+    # shared by every request of one phase of a looping kernel.  The SoA
+    # engine returns finished requests to the slot; when the count hits
+    # zero the next launch reuses the phase's request objects instead of
+    # rebuilding them.  ``None`` outside recycling (object engine,
+    # non-looping kernels, writebacks, user traces).
     _slot: Optional[list] = field(init=False, default=None, repr=False)
 
     # Handle into the SoA engine's pooled RequestArrays (see

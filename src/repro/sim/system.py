@@ -53,6 +53,7 @@ from repro.dram.channel import Channel
 from repro.dram.storage import DataStore
 from repro.gpu.kernel import KernelInstance, KernelSpec, LaunchContext
 from repro.gpu.sm import SM
+from repro.gpu.warp_traces import WarpTraceCache
 from repro.noc.islip import ISlipArbiter
 from repro.noc.mesh import MeshFabric
 from repro.noc.vc import VCBuffer
@@ -103,11 +104,16 @@ class GPUSystem:
         functional: bool = False,
         scale: float = 1.0,
         fast_forward: Optional[bool] = None,
+        traces: Optional[WarpTraceCache] = None,
     ) -> None:
         self.config = config
         self.policy_spec = policy
         self.seed = seed
         self.scale = scale
+        #: Recorded warp programs (see repro.gpu.warp_traces): relaunches
+        #: replay instead of regenerating.  A Runner passes one cache to
+        #: every system it builds; a system built alone gets its own.
+        self.traces = traces if traces is not None else WarpTraceCache()
         self.mapper = config.mapper
         self.store = DataStore() if functional else None
         self.fast_forward = (
@@ -289,11 +295,11 @@ class GPUSystem:
     def _create_instance(self, run: KernelRun, ctx: LaunchContext) -> KernelInstance:
         """Materialize the kernel instance for a (re-)launch.
 
-        Subclasses may substitute an instance with identical semantics
-        (the SoA backend wraps warp programs in a record/replay cache for
-        looping kernels).
+        Warp programs go through the system's trace cache.  Subclasses
+        may substitute an instance with identical semantics (the SoA
+        backend recycles request objects across loop relaunches).
         """
-        return KernelInstance(run.spec, ctx, run.kernel_id, seed=self.seed)
+        return KernelInstance(run.spec, ctx, run.kernel_id, seed=self.seed, traces=self.traces)
 
     def _launch(self, run: KernelRun) -> None:
         ctx = LaunchContext(

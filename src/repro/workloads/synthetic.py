@@ -17,6 +17,7 @@ Two families are provided:
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
@@ -64,6 +65,29 @@ def make_pim_request(
 # ---------------------------------------------------------------------------
 # GPU (load/store) kernels
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=256)
+def _hot_region(
+    name: str, hot_words: int, footprint_rows: int, num_channels: int, banks: int, columns: int
+) -> Tuple[Tuple[int, int, int, int], ...]:
+    """A kernel's hot region: a small *kernel-wide* set of words that will
+    live in L2 — shared across warps so reuse actually accumulates (shared
+    read-only data, the usual source of GPU L2 hits).
+
+    Seeded by the kernel name alone, so it is the same for every warp and
+    launch and is computed once per distinct set of inputs.
+    """
+    hot_rng = np.random.default_rng(zlib.crc32(name.encode()))
+    return tuple(
+        (
+            int(hot_rng.integers(num_channels)),
+            int(hot_rng.integers(banks)),
+            int(hot_rng.integers(footprint_rows)),
+            int(hot_rng.integers(columns)),
+        )
+        for _ in range(hot_words)
+    )
 
 
 @dataclass
@@ -128,20 +152,9 @@ class GPUKernelProfile(KernelSpec):
         total = ctx.scaled(self.accesses_per_warp)
         columns = ctx.mapper.num_columns
 
-        # Hot region: a small *kernel-wide* set of words that will live in
-        # L2 — shared across warps so reuse actually accumulates (shared
-        # read-only data, the usual source of GPU L2 hits).
-        hot_rng = np.random.default_rng(zlib.crc32(self.name.encode()))
-        hot: List[Tuple[int, int, int, int]] = []
-        for i in range(self.hot_words):
-            hot.append(
-                (
-                    int(hot_rng.integers(ctx.num_channels)),
-                    int(hot_rng.integers(banks)),
-                    int(hot_rng.integers(self.footprint_rows)),
-                    int(hot_rng.integers(columns)),
-                )
-            )
+        hot = _hot_region(
+            self.name, self.hot_words, self.footprint_rows, ctx.num_channels, banks, columns
+        )
 
         channel = int(rng.integers(ctx.num_channels))
         bank = int(rng.integers(banks))

@@ -46,6 +46,17 @@ class TestL1Cache:
         assert not l1.contains(5)
         assert l1.stats.accesses == 0
 
+    def test_sets_allocated_on_first_install(self):
+        l1 = L1Cache(capacity_words=16, assoc=4)
+        allocated = lambda: sum(tag_set is not None for tag_set in l1._sets)
+        assert not l1.lookup_load(5)
+        l1.note_store(5)
+        assert not l1.contains(5)
+        l1.reset()
+        assert allocated() == 0
+        l1.install(5)
+        assert allocated() == 1 and l1.contains(5)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             L1Cache(capacity_words=2, assoc=4)

@@ -170,6 +170,18 @@ class TestEviction:
         assert not l2.contains(10)
         assert l2.stats.accesses == 0
 
+    def test_sets_allocated_on_first_install(self):
+        l2 = make_slice(words=64, assoc=4)
+        allocated = lambda: sum(tag_set is not None for tag_set in l2._sets)
+        l2.lookup(store(3))
+        assert not l2.contains(3)
+        l2.reset()
+        assert allocated() == 0
+        fill = load(3)
+        l2.lookup(fill)
+        l2.install(fill)
+        assert allocated() == 1 and l2.contains(3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             L2Slice(slice_bytes=2, assoc=4, line_bytes=1, mshr_capacity=1)
