@@ -35,7 +35,12 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import PolicySpec
-from repro.experiments.runner import CompetitiveOutcome, ExperimentScale, Runner
+from repro.experiments.runner import (
+    CompetitiveOutcome,
+    ExperimentScale,
+    Runner,
+    competitive_key,
+)
 from repro.resilience import faults as fault_injection
 from repro.resilience.supervisor import (
     FATAL_KINDS,
@@ -90,21 +95,8 @@ def make_tasks(
 
 def task_store_key(scale: ExperimentScale, task: GridTask) -> str:
     """Content address of one grid cell, computable without a Runner."""
-    from repro.store import competitive_payload, fingerprint
-    from repro.workloads import get_gpu_kernel, get_pim_kernel
-
-    return fingerprint(
-        competitive_payload(
-            scale,
-            scale.config(task.num_vcs),
-            task.gpu_id,
-            task.pim_id,
-            task.policy_name,
-            dict(task.policy_params),
-            task.num_vcs,
-            gpu_spec=get_gpu_kernel(task.gpu_id),
-            pim_spec=get_pim_kernel(task.pim_id),
-        )
+    return competitive_key(
+        scale, task.gpu_id, task.pim_id, task.policy, task.num_vcs
     )
 
 
@@ -519,6 +511,11 @@ def run_grid_resumable(
             finally:
                 _WORKER_RUNNER = None
         else:
+            # Workers fork from this process: loading the engine's numpy
+            # here (systems load it on first build) shares one import
+            # among all of them instead of paying it in each.
+            import numpy  # noqa: F401
+
             supervisor = Supervisor(
                 _run_task,
                 max_workers=max_workers,

@@ -159,6 +159,23 @@ class CollaborativeOutcome:
     pim_standalone: int
 
 
+def competitive_key(
+    scale: ExperimentScale, gid: str, pid: str, policy: PolicySpec, num_vcs: int
+) -> str:
+    """Content address of one competitive grid cell, computable without a Runner."""
+    from repro.store import store_key
+
+    return store_key(
+        "competitive",
+        scale,
+        num_vcs,
+        policy=policy,
+        workloads={"gpu_workload": get_gpu_kernel(gid), "pim_workload": get_pim_kernel(pid)},
+        gpu=gid,
+        pim=pid,
+    )
+
+
 class Runner:
     """Executes and caches the paper's experiment types."""
 
@@ -266,22 +283,22 @@ class Runner:
         return result
 
     def _standalone_key(self, label: str, sms: int, num_vcs: int) -> str:
+        """Key of a baseline in the in-memory and ``REPRO_CACHE`` duration
+        caches: every scale field a standalone run depends on."""
         s = self.scale
         refresh = "|refresh" if s.refresh_enabled else ""
         return (
-            f"{label}|sms={sms}|vc={num_vcs}|ch={s.num_channels}"
+            f"{label}|sms={sms}|vc={num_vcs}|ch={s.num_channels}|q={s.noc_queue_size}"
             f"|scale={s.workload_scale}|seed={s.seed}{refresh}"
         )
 
     # -- standalone runs ---------------------------------------------------
 
     def _standalone_store_key(self, label: str, spec: KernelSpec, sms: int, num_vcs: int) -> str:
-        from repro.store import fingerprint, standalone_payload
+        from repro.store import store_key
 
-        return fingerprint(
-            standalone_payload(
-                self.scale, self.scale.config(num_vcs), label, spec, sms, num_vcs
-            )
+        return store_key(
+            "standalone", self.scale, num_vcs, label=label, sms=sms, workloads={"workload": spec}
         )
 
     def _run_standalone(self, label: str, spec: KernelSpec, sms: int, num_vcs: int) -> SimResult:
@@ -402,21 +419,7 @@ class Runner:
         self, gid: str, pid: str, policy: PolicySpec, num_vcs: int
     ) -> str:
         """Content address of one competitive grid cell (see repro.store)."""
-        from repro.store import competitive_payload, fingerprint
-
-        return fingerprint(
-            competitive_payload(
-                self.scale,
-                self.scale.config(num_vcs),
-                gid,
-                pid,
-                policy.name,
-                policy.params,
-                num_vcs,
-                gpu_spec=get_gpu_kernel(gid),
-                pim_spec=get_pim_kernel(pid),
-            )
-        )
+        return competitive_key(self.scale, gid, pid, policy, num_vcs)
 
     def gpu_pair(self, gid_big: str, gid_small: str, policy: PolicySpec = BASELINE_POLICY) -> float:
         """Speedup of ``gid_big`` on the co-run SMs while ``gid_small`` runs

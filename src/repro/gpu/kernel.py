@@ -16,8 +16,6 @@ import zlib
 from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional
 
-import numpy as np
-
 from repro.request import Request
 
 
@@ -142,6 +140,8 @@ class KernelInstance:
 
     def generate(self, sm_slot: int, warp: int) -> WarpProgram:
         """Generate this warp's program from the spec (no replay)."""
+        import numpy as np
+
         # Seed by the *spec name*, not the kernel id: the same kernel must
         # replay the same trace regardless of the order kernels were added
         # to a system (standalone vs co-execution runs).

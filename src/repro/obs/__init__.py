@@ -31,39 +31,41 @@ journal events (:mod:`repro.obs.server`, wired to
 See ``docs/observability.md`` for the architecture and a walkthrough.
 """
 
-from repro.obs.events import EventRing, TraceEvent
-from repro.obs.histogram import LogHistogram
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry, get_registry
-from repro.obs.server import StatusServer
-from repro.obs.status import (
-    STATUS_FILENAME,
-    StatusPublisher,
-    read_status,
-    status_path,
-    validate_status,
-)
-from repro.obs.telemetry import HOP_STAGES, STAGE_ORDER, Telemetry
-from repro.obs.trace import build_trace, validate_trace, write_stats, write_trace
+from importlib import import_module
 
-__all__ = [
-    "EventRing",
-    "TraceEvent",
-    "LogHistogram",
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
-    "get_registry",
-    "StatusServer",
-    "STATUS_FILENAME",
-    "StatusPublisher",
-    "read_status",
-    "status_path",
-    "validate_status",
-    "HOP_STAGES",
-    "STAGE_ORDER",
-    "Telemetry",
-    "build_trace",
-    "validate_trace",
-    "write_stats",
-    "write_trace",
-]
+#: Export name -> defining submodule.  Resolved on first access (PEP 562),
+#: so importing one submodule — the engine imports ``repro.obs.events`` —
+#: does not load the others (``server`` pulls in the stdlib HTTP stack).
+_EXPORTS = {
+    "EventRing": "events",
+    "TraceEvent": "events",
+    "LogHistogram": "histogram",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "MetricsRegistry": "metrics",
+    "get_registry": "metrics",
+    "StatusServer": "server",
+    "STATUS_FILENAME": "status",
+    "StatusPublisher": "status",
+    "read_status": "status",
+    "status_path": "status",
+    "validate_status": "status",
+    "HOP_STAGES": "telemetry",
+    "STAGE_ORDER": "telemetry",
+    "Telemetry": "telemetry",
+    "build_trace": "trace",
+    "validate_trace": "trace",
+    "write_stats": "trace",
+    "write_trace": "trace",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

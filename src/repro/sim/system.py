@@ -42,8 +42,6 @@ import os
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.cache.l1 import L1Cache
 from repro.cache.l2 import L2Slice, LookupResult
 from repro.config import SystemConfig
@@ -106,6 +104,12 @@ class GPUSystem:
         fast_forward: Optional[bool] = None,
         traces: Optional[WarpTraceCache] = None,
     ) -> None:
+        # numpy seeds the warp RNGs.  It loads with the first system a
+        # process builds rather than with ``import repro``, so processes
+        # that only read results (warm sweeps, merges, store maintenance)
+        # never pay for it.
+        import numpy  # noqa: F401
+
         self.config = config
         self.policy_spec = policy
         self.seed = seed
@@ -302,6 +306,8 @@ class GPUSystem:
         return KernelInstance(run.spec, ctx, run.kernel_id, seed=self.seed, traces=self.traces)
 
     def _launch(self, run: KernelRun) -> None:
+        import numpy as np
+
         ctx = LaunchContext(
             mapper=self.mapper,
             num_channels=self.config.num_channels,

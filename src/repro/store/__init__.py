@@ -17,7 +17,9 @@ from repro.store.fingerprint import (
     code_version,
     competitive_payload,
     fingerprint,
+    source_digest,
     standalone_payload,
+    store_key,
     workload_descriptor,
 )
 
@@ -33,6 +35,8 @@ __all__ = [
     "code_version",
     "competitive_payload",
     "fingerprint",
+    "source_digest",
     "standalone_payload",
+    "store_key",
     "workload_descriptor",
 ]

@@ -19,10 +19,17 @@ which drives every rule here:
   ``ExperimentScale``, kernel specs) carry their defaults in their
   fields, so plain field extraction already canonicalizes them.
 * **Code is part of the key.**  Simulator changes change results, so
-  :func:`code_version` — a digest of every ``repro`` source file, or the
-  ``REPRO_CODE_VERSION`` override — is folded into every key.  Entries
-  written by older code become unreachable (and are reaped by
-  ``repro store gc``) instead of serving stale results.
+  :func:`code_version` — a digest of every ``repro`` source file (Python
+  and C), or the ``REPRO_CODE_VERSION`` override — is folded into every
+  key.  Entries written by older code become unreachable (and are reaped
+  by ``repro store gc``) instead of serving stale results.
+
+Every store key in the code base comes from :func:`store_key`.  It
+builds the same bytes :func:`fingerprint` would hash for
+:func:`competitive_payload` / :func:`standalone_payload`, but from the
+canonical JSON of each part (scale, configuration, policy, kernel
+specs), memoized by value: a grid of hundreds of cells canonicalizes
+each distinct part once.
 """
 
 from __future__ import annotations
@@ -35,8 +42,9 @@ import json
 import math
 import os
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, Mapping, Optional
 
 #: Environment override for the code-version key component (tests, or
 #: deployments that pin a release id instead of hashing sources).
@@ -125,17 +133,30 @@ def checksum(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _source_version() -> str:
-    """Digest of every ``repro`` source file (name + content)."""
-    root = Path(__file__).resolve().parents[1]
+#: Files under the package root whose content feeds the simulation: the
+#: Python modules and the C source the SoA backend compiles at run time.
+SOURCE_PATTERNS = ("*.py", "*.c")
+
+#: Root of the ``repro`` package (the directory hashed by :func:`code_version`).
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+
+def source_digest(root: Path) -> str:
+    """Digest of every source file under ``root`` (name + content)."""
+    paths = sorted({path for pattern in SOURCE_PATTERNS for path in root.rglob(pattern)})
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    for path in paths:
         digest.update(path.relative_to(root).as_posix().encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())
         digest.update(b"\0")
     return digest.hexdigest()[:16]
+
+
+@lru_cache(maxsize=1)
+def _source_version() -> str:
+    """Digest of the installed ``repro`` sources, computed once per process."""
+    return source_digest(PACKAGE_ROOT)
 
 
 def code_version() -> str:
@@ -236,3 +257,130 @@ def competitive_payload(
     if pim_spec is not None:
         payload["pim_workload"] = workload_descriptor(pim_spec)
     return payload
+
+
+# ---------------------------------------------------------------------------
+# store keys
+# ---------------------------------------------------------------------------
+
+
+def value_key(value):
+    """A hashable stand-in for ``value``, equal only for values whose
+    canonical forms are equal.
+
+    Types are part of the key: ``1``, ``1.0`` and ``True`` compare (and
+    hash) equal in Python but canonicalize differently, as do ``0.0`` and
+    ``-0.0``.  Dataclasses (frozen configurations and mutable kernel
+    specs alike) key by exact type plus field values, never by identity,
+    so a mutated spec gets a new key and an equal copy the same one.
+    Raises ``TypeError`` for anything else, which :func:`store_key` then
+    canonicalizes unmemoized.
+    """
+    cls = type(value)
+    if cls is float:  # repr tells -0.0 from 0.0, as the JSON does
+        return (cls, repr(value))
+    if value is None or cls in (bool, int, str) or isinstance(value, enum.Enum):
+        return (cls, value)
+    if cls in (tuple, list):
+        return (cls, tuple(value_key(item) for item in value))
+    if cls is dict:
+        return (cls, frozenset((value_key(k), value_key(v)) for k, v in value.items()))
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        if not dataclasses.is_dataclass(cls):
+            raise TypeError(f"no value key for {cls.__name__}")
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    return (cls, tuple(value_key(getattr(value, name)) for name in names))
+
+
+#: Field names per dataclass type, for :func:`value_key`.
+_FIELD_NAMES: Dict[type, tuple] = {}
+
+
+#: Canonical JSON of key parts, by (part, value key).  Bounded: cleared
+#: whole when full, which costs a process only re-canonicalization.
+_PART_MEMO: Dict[tuple, str] = {}
+_PART_MEMO_LIMIT = 4096
+
+
+def _part_json(memo_key: Optional[tuple], build: Callable[[], object]) -> str:
+    """Canonical JSON of ``build()``, memoized under ``memo_key`` (None: not memoizable)."""
+    if memo_key is None:
+        return canonical_json(build())
+    text = _PART_MEMO.get(memo_key)
+    if text is None:
+        if len(_PART_MEMO) >= _PART_MEMO_LIMIT:
+            _PART_MEMO.clear()
+        text = _PART_MEMO[memo_key] = canonical_json(build())
+    return text
+
+
+def _scalar_json(value) -> str:
+    """:func:`canonical_json` of ``value``, without the tree walk for a
+    plain ``str`` or ``int`` (the JSON encoder's own spelling of both)."""
+    cls = type(value)
+    if cls is str:
+        return _json_str(value)
+    if cls is int:
+        return int.__repr__(value)
+    return canonical_json(value)
+
+
+def _memo_key(part: str, *values) -> Optional[tuple]:
+    try:
+        return (part, *(value_key(value) for value in values))
+    except TypeError:
+        return None
+
+
+def store_key(
+    kind: str,
+    scale,
+    num_vcs: int,
+    policy=None,
+    workloads: Optional[Mapping[str, object]] = None,
+    **fields,
+) -> str:
+    """The store key of one simulation, from memoized canonical parts.
+
+    ``scale`` is an ``ExperimentScale`` (its ``config(num_vcs)`` is the
+    system configuration), ``policy`` a ``PolicySpec``-like object with
+    ``name`` and ``params``, ``workloads`` maps payload names to kernel
+    specs, and ``fields`` are the remaining scalar payload entries.  The
+    result is byte-identical to ``fingerprint(payload)`` of the payload
+    :func:`competitive_payload` or :func:`standalone_payload` builds for
+    the same inputs::
+
+        store_key("competitive", scale, vcs, policy=spec, gpu=gid, pim=pid,
+                  workloads={"gpu_workload": gpu_spec, "pim_workload": pim_spec})
+        store_key("standalone", scale, vcs, label=label, sms=sms,
+                  workloads={"workload": spec})
+    """
+    scale_key = _memo_key("scale", scale)
+    config_key = scale_key and ("config", scale_key[1], type(num_vcs), num_vcs)
+    parts = {
+        "kind": _scalar_json(kind),
+        "schema": _scalar_json(STORE_SCHEMA),
+        "code": _scalar_json(code_version()),
+        "scale": _part_json(scale_key, lambda: scale),
+        "config": _part_json(config_key, lambda: scale.config(num_vcs)),
+        "num_vcs": _scalar_json(num_vcs),
+    }
+    for name, value in fields.items():
+        parts[name] = _scalar_json(value)
+    if policy is not None:
+        from repro.core.policies import _REGISTRY
+
+        policy_key = _memo_key("policy", policy.name, policy.params)
+        if policy_key is not None:
+            # The registered factory's signature supplies the defaults.
+            policy_key += (_REGISTRY.get(policy.name),)
+        parts["policy"] = _part_json(
+            policy_key, lambda: canonical_policy(policy.name, policy.params)
+        )
+    for name, spec in (workloads or {}).items():
+        parts[name] = _part_json(
+            _memo_key("workload", spec), lambda: workload_descriptor(spec)
+        )
+    text = "{" + ",".join(f"{_json_str(name)}:{parts[name]}" for name in sorted(parts)) + "}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -22,8 +22,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.gpu.kernel import KernelSpec, LaunchContext, Phase
 from repro.pim.isa import PIMOp, PIMOpKind
 from repro.request import Request, RequestType
@@ -78,6 +76,8 @@ def _hot_region(
     Seeded by the kernel name alone, so it is the same for every warp and
     launch and is computed once per distinct set of inputs.
     """
+    import numpy as np
+
     hot_rng = np.random.default_rng(zlib.crc32(name.encode()))
     return tuple(
         (

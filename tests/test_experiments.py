@@ -1,5 +1,7 @@
 """Tests for the experiment runner, figure harnesses, and sweeps."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.policies import PolicySpec
@@ -114,6 +116,24 @@ class TestRunner:
         r2 = Runner(TINY, cache_path=path)
         key = r2._standalone_key("G17", TINY.gpu_sms_full, 1)
         assert r2._duration_cache[key] == duration
+
+    def test_disk_cache_keys_separate_queue_sizes(self, tmp_path):
+        """Runners sharing a duration file but not a NoC queue size (the
+        Fig 14b sweep) must not share standalone baselines."""
+        from repro.workloads import get_pim_kernel
+
+        path = str(tmp_path / "cache.json")
+        spec = get_pim_kernel("P2")
+        small, large = (
+            Runner(replace(TINY, noc_queue_size=size), cache_path=path) for size in (8, 32)
+        )
+        keys = [r._standalone_key("P2", TINY.pim_sms, 1) for r in (small, large)]
+        assert keys[0] != keys[1]
+        small.standalone_duration("P2", spec, TINY.pim_sms, 1)
+        large = Runner(large.scale, cache_path=path)
+        assert keys[1] not in large._duration_cache
+        large.standalone_duration("P2", spec, TINY.pim_sms, 1)
+        assert set(Runner(TINY, cache_path=path)._duration_cache) == set(keys)
 
 
 class TestSweeps:
