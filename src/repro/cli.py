@@ -35,6 +35,7 @@ from repro.experiments import (
     fig14a_ablation,
     format_table,
 )
+from repro.resilience import Watchdog
 from repro.workloads import PIM_SUITE, RODINIA, pim_ids, rodinia_ids
 
 FIGURES = ("fig4", "fig5", "fig6", "fig8", "fig10", "fig11", "fig13", "fig14a")
@@ -46,15 +47,92 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1, help="simulation seed")
 
 
-def _runner(args) -> Runner:
-    return Runner(
-        ExperimentScale(
-            num_channels=args.channels,
-            workload_scale=args.scale,
-            seed=args.seed,
-            starvation_factor=15,
-        )
+def _scale(args) -> ExperimentScale:
+    return ExperimentScale(
+        num_channels=args.channels,
+        workload_scale=args.scale,
+        seed=args.seed,
+        starvation_factor=15,
     )
+
+
+def _runner(args) -> Runner:
+    return Runner(_scale(args))
+
+
+def _add_grid_args(parser: argparse.ArgumentParser) -> None:
+    """The grid and retry options ``sweep`` and ``fabric serve`` share."""
+    parser.add_argument("--gpus", nargs="*", choices=rodinia_ids())
+    parser.add_argument("--pims", nargs="*", choices=pim_ids())
+    parser.add_argument("--policies", nargs="*", choices=PAPER_POLICY_ORDER)
+    parser.add_argument(
+        "--vcs", nargs="*", type=int, default=[1, 2], choices=(1, 2),
+        help="VC configurations to include (default: 1 2)",
+    )
+    parser.add_argument(
+        "--retries",
+        type=int,
+        default=2,
+        help="re-attempts before a failing cell is quarantined (default: 2)",
+    )
+    parser.add_argument(
+        "--backoff",
+        type=float,
+        default=0.25,
+        metavar="SECONDS",
+        help="base retry backoff, doubled per attempt (0 disables; default: 0.25)",
+    )
+    _add_scale_args(parser)
+
+
+def _grid(args):
+    """``(scale, tasks, retry)`` from the options of :func:`_add_grid_args`."""
+    from repro.experiments import RetryPolicy, default_grid_tasks
+
+    tasks = default_grid_tasks(
+        gpu_subset=args.gpus or None,
+        pim_subset=args.pims or None,
+        policy_names=args.policies or None,
+        vc_configs=tuple(args.vcs),
+    )
+    try:
+        retry = RetryPolicy(retries=args.retries, backoff_base=args.backoff)
+    except ValueError as exc:
+        raise SystemExit(f"invalid retry settings: {exc}")
+    return _scale(args), tasks, retry
+
+
+def _positive(value) -> None:
+    if value <= 0:
+        raise ValueError("must be positive")
+
+
+def _non_negative(value) -> None:
+    if value < 0:
+        raise ValueError("must be >= 0")
+
+
+#: Dispatch flags checked before anything is dispatched, each with the
+#: check its dispatcher applies (the stall watchdog checks its own window).
+_SETTING_CHECKS = {
+    "--workers": _positive,
+    "--cell-timeout": _positive,
+    "--watchdog": Watchdog,
+    "--ttl": _positive,
+    "--resume-grace": _non_negative,
+}
+
+
+def _check_settings(args) -> None:
+    """Refuse a bad dispatch flag with one line that names it."""
+    for flag, check in _SETTING_CHECKS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None:
+            continue
+        try:
+            check(value)
+        except ValueError as exc:
+            raise SystemExit(f"invalid {flag} {value}: {exc}")
 
 
 def cmd_list(args) -> int:
@@ -358,32 +436,10 @@ def _announce_failures(report) -> None:
 
 def cmd_sweep(args) -> int:
     """Resumable, shardable benchmark-grid sweep through the result store."""
-    from repro.experiments import (
-        ExperimentScale,
-        RetryPolicy,
-        collect_from_store,
-        default_grid_tasks,
-        run_sweep,
-        sweep_rows,
-    )
+    from repro.experiments import collect_from_store, run_sweep, sweep_rows
 
-    scale = ExperimentScale(
-        num_channels=args.channels,
-        workload_scale=args.scale,
-        seed=args.seed,
-        starvation_factor=15,
-    )
-    tasks = default_grid_tasks(
-        gpu_subset=args.gpus or None,
-        pim_subset=args.pims or None,
-        policy_names=args.policies or None,
-        vc_configs=tuple(args.vcs),
-    )
+    scale, tasks, retry = _grid(args)
     shard = _parse_shard(args.shard)
-    try:
-        retry = RetryPolicy(retries=args.retries, backoff_base=args.backoff)
-    except ValueError as exc:
-        raise SystemExit(f"invalid retry settings: {exc}")
     faults = None
     if args.faults is not None:
         from repro.resilience import FaultPlan
@@ -534,25 +590,9 @@ def cmd_status(args) -> int:
 
 def cmd_fabric_serve(args) -> int:
     """Coordinate a distributed sweep: lease cells to fabric workers."""
-    from repro.experiments import ExperimentScale, RetryPolicy, default_grid_tasks
     from repro.fabric import FabricCoordinator, run_campaign
 
-    scale = ExperimentScale(
-        num_channels=args.channels,
-        workload_scale=args.scale,
-        seed=args.seed,
-        starvation_factor=15,
-    )
-    tasks = default_grid_tasks(
-        gpu_subset=args.gpus or None,
-        pim_subset=args.pims or None,
-        policy_names=args.policies or None,
-        vc_configs=tuple(args.vcs),
-    )
-    try:
-        retry = RetryPolicy(retries=args.retries, backoff_base=args.backoff)
-    except ValueError as exc:
-        raise SystemExit(f"invalid retry settings: {exc}")
+    scale, tasks, retry = _grid(args)
     coordinator = FabricCoordinator(
         scale,
         tasks,
@@ -607,19 +647,13 @@ def cmd_fabric_work(args) -> int:
     """Join a fabric campaign as a worker: lease, simulate, stream back."""
     import tempfile
 
-    from repro.experiments import RetryPolicy
     from repro.fabric import FabricError, FabricWorker
 
-    try:
-        retry = RetryPolicy(retries=args.retries, backoff_base=args.backoff)
-    except ValueError as exc:
-        raise SystemExit(f"invalid retry settings: {exc}")
     scratch = args.scratch_dir or tempfile.mkdtemp(prefix="repro-fabric-")
     worker = FabricWorker(
         args.id or f"worker-{os.getpid()}",
         args.connect,
         scratch,
-        retry=retry,
         token=args.token,
         crash_after_lease=args.crash_after_lease,
         watchdog_window=args.watchdog,
@@ -874,13 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run the benchmark grid through the resumable result store",
     )
-    sweep.add_argument("--gpus", nargs="*", choices=rodinia_ids())
-    sweep.add_argument("--pims", nargs="*", choices=pim_ids())
-    sweep.add_argument("--policies", nargs="*", choices=PAPER_POLICY_ORDER)
-    sweep.add_argument(
-        "--vcs", nargs="*", type=int, default=[1, 2], choices=(1, 2),
-        help="VC configurations to include (default: 1 2)",
-    )
+    _add_grid_args(sweep)
     sweep.add_argument("--workers", type=int, default=1, help="worker processes")
     sweep.add_argument(
         "--cache-dir",
@@ -925,19 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="kill and retry any cell exceeding this wall-clock budget",
     )
     sweep.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="re-attempts before a failing cell is quarantined (default: 2)",
-    )
-    sweep.add_argument(
-        "--backoff",
-        type=float,
-        default=0.25,
-        metavar="SECONDS",
-        help="base retry backoff, doubled per attempt (0 disables; default: 0.25)",
-    )
-    sweep.add_argument(
         "--strict",
         action="store_true",
         help="exit 2 if any cell was quarantined (default: degrade gracefully)",
@@ -964,7 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep runs (0 = ephemeral port; requires --cache-dir)",
     )
     sweep.add_argument("--out", default="-", help="table output file ('-' = stdout)")
-    _add_scale_args(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     status = sub.add_parser(
@@ -1003,13 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="coordinate a campaign: lease grid cells to workers over HTTP",
     )
-    serve.add_argument("--gpus", nargs="*", choices=rodinia_ids())
-    serve.add_argument("--pims", nargs="*", choices=pim_ids())
-    serve.add_argument("--policies", nargs="*", choices=PAPER_POLICY_ORDER)
-    serve.add_argument(
-        "--vcs", nargs="*", type=int, default=[1, 2], choices=(1, 2),
-        help="VC configurations to include (default: 1 2)",
-    )
+    _add_grid_args(serve)
     serve.add_argument(
         "--cache-dir", required=True, help="shared result-store root directory"
     )
@@ -1023,19 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         metavar="SECONDS",
         help="lease time-to-live; a worker silent this long forfeits its cell",
-    )
-    serve.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="re-leases before an expiring/failing cell is quarantined",
-    )
-    serve.add_argument(
-        "--backoff",
-        type=float,
-        default=0.25,
-        metavar="SECONDS",
-        help="base re-lease backoff, doubled per attempt (default: 0.25)",
     )
     serve.add_argument(
         "--linger",
@@ -1063,7 +1058,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="how long recovered in-flight leases wait to be re-presented "
         "via /resume before expiring (default: the lease TTL)",
     )
-    _add_scale_args(serve)
     serve.set_defaults(func=cmd_fabric_serve)
 
     work = fabric_sub.add_parser(
@@ -1078,19 +1072,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scratch-dir",
         default=None,
         help="local scratch store (default: a fresh temp directory)",
-    )
-    work.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="local re-attempts before reporting a cell failed (default: 2)",
-    )
-    work.add_argument(
-        "--backoff",
-        type=float,
-        default=0.25,
-        metavar="SECONDS",
-        help="base retry backoff, doubled per attempt (default: 0.25)",
     )
     work.add_argument(
         "--watchdog",
@@ -1150,6 +1131,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_settings(args)
     try:
         if not args.profile:
             try:

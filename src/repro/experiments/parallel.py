@@ -20,9 +20,10 @@ additionally share the legacy duration cache across workers.
 
 Execution is fault tolerant (see ``docs/resilience.md``): worker pools
 run under a :class:`repro.resilience.Supervisor` that survives worker
-death (``BrokenProcessPool`` → respawn), enforces per-cell wall-clock
-timeouts, retries failed cells with capped exponential backoff, and
-after repeated failure quarantines a cell to
+death (``BrokenProcessPool`` → respawn) and enforces per-cell wall-clock
+timeouts; both the pool and the in-process loop retry failed cells by
+the one :meth:`~repro.resilience.RetryPolicy.next_retry` rule (capped
+exponential backoff) and after repeated failure quarantine a cell to
 ``GridReport.failed_outcomes`` (journaled in the store) so one poisoned
 config cannot abort a thousand-cell campaign — the sweep completes every
 healthy cell and degrades gracefully.
@@ -43,12 +44,12 @@ from repro.experiments.runner import (
 )
 from repro.resilience import faults as fault_injection
 from repro.resilience.supervisor import (
-    FATAL_KINDS,
     CellFailure,
     RetryPolicy,
     Supervisor,
     classify_failure,
 )
+from repro.resilience.watchdog import Watchdog
 
 
 @dataclass(frozen=True)
@@ -264,56 +265,7 @@ def _run_task(task: GridTask) -> Dict:
     }
 
 
-def run_grid_parallel(
-    scale: ExperimentScale,
-    tasks: Sequence[GridTask],
-    max_workers: int = 4,
-    cache_path: Optional[str] = None,
-    collect_perf: bool = False,
-    store_dir: Optional[str] = None,
-    fresh: bool = False,
-    cell_timeout: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
-):
-    """Run tasks across processes; results come back in task order.
-
-    With ``collect_perf=True`` every worker times its engine stages and
-    the return value becomes ``(outcomes, EngineCounters)`` where the
-    counters are the merge of all per-task snapshots.  With ``store_dir``
-    set, cells are written through (and satisfied from) the
-    content-addressed result store — see :func:`run_grid_resumable` for
-    the sharded/abortable variant that also reports hit/miss counts.
-
-    This legacy entry point promises a complete, ordered outcome list,
-    so — unlike :func:`run_grid_resumable`, which degrades gracefully —
-    it raises ``RuntimeError`` if any cell was quarantined.
-    """
-    report = run_grid_resumable(
-        scale,
-        tasks,
-        max_workers=max_workers,
-        cache_path=cache_path,
-        collect_perf=collect_perf,
-        store_dir=store_dir,
-        fresh=fresh,
-        cell_timeout=cell_timeout,
-        retry=retry,
-    )
-    if report.failed_outcomes:
-        summary = ", ".join(
-            f"{f.label} ({f.kind})" for f in report.failed_outcomes[:5]
-        )
-        raise RuntimeError(
-            f"{len(report.failed_outcomes)} grid cell(s) failed after retries: {summary}"
-            + ("..." if len(report.failed_outcomes) > 5 else "")
-        )
-    outcomes = report.outcomes
-    if not collect_perf:
-        return outcomes
-    return outcomes, report.counters
-
-
-def run_grid_resumable(
+def run_sweep(
     scale: ExperimentScale,
     tasks: Sequence[GridTask],
     max_workers: int = 1,
@@ -329,7 +281,13 @@ def run_grid_resumable(
     watchdog: Optional[int] = None,
     status_interval: float = 1.0,
 ) -> GridReport:
-    """The resumable/sharded grid engine behind :func:`run_grid_parallel`.
+    """Run a (resumable, shardable) grid sweep over ``tasks``.
+
+    The one sweep entry point: the CLI, the sensitivity sweeps and the
+    benchmark all call it.  With ``max_workers > 1`` (or a cell timeout,
+    or a fault plan) cells run in a supervised process pool; otherwise
+    they run in this process.  With ``collect_perf=True`` every cell
+    times its engine stages and ``GridReport.counters`` merges them.
 
     Completed cells stream into the store as they finish, so aborting —
     via Ctrl-C, a crash, or the ``abort_after`` cell-count hook (which
@@ -341,12 +299,13 @@ def run_grid_resumable(
     Failure handling (see ``docs/resilience.md``): worker crashes,
     per-cell wall-clock timeouts (``cell_timeout`` seconds) and
     worker-raised exceptions are retried per ``retry``
-    (:class:`RetryPolicy`); cells that keep failing — or fail
+    (:meth:`RetryPolicy.next_retry`); cells that keep failing — or fail
     deterministically (config ``ValueError``, ``SimulationStalled``) —
     are quarantined into ``GridReport.failed_outcomes`` (journaled in
     the store when ``store_dir`` is set) and the sweep completes every
     healthy cell.  ``watchdog`` arms the in-engine stall detector with
-    the given cycle window; ``faults`` installs a test-only
+    the given cycle window (a bad window raises ``ValueError`` before
+    any cell runs); ``faults`` installs a test-only
     :class:`~repro.resilience.faults.FaultPlan` in every worker (also
     loadable via the ``REPRO_FAULTS`` environment variable).
 
@@ -362,7 +321,9 @@ def run_grid_resumable(
     store fingerprints to unarmed runs.
     """
     if max_workers < 1:
-        raise ValueError("max_workers must be positive")
+        raise ValueError(f"max_workers must be positive (got {max_workers})")
+    if watchdog is not None:
+        Watchdog(watchdog)  # the watchdog's own window check
     retry = retry or RetryPolicy()
     if faults is None:
         faults = fault_injection.load_env()
@@ -475,7 +436,8 @@ def run_grid_resumable(
                         except Exception as exc:
                             kind = classify_failure(exc)
                             attempts += 1
-                            if kind in FATAL_KINDS or attempts > retry.retries:
+                            event = retry.next_retry(task.label, attempts, kind, str(exc))
+                            if event is None:
                                 quarantine(
                                     CellFailure(
                                         index=position,
@@ -487,21 +449,11 @@ def run_grid_resumable(
                                     )
                                 )
                                 break
-                            delay = retry.delay(task.label, attempts)
-                            report.retry_events.append(
-                                {
-                                    "kind": "retry",
-                                    "label": task.label,
-                                    "attempt": attempts,
-                                    "failure": kind,
-                                    "delay": round(delay, 4),
-                                    "message": str(exc),
-                                }
-                            )
+                            report.retry_events.append(event)
                             if publisher is not None:
-                                publisher.record_retry(report.retry_events[-1])
-                            if delay > 0:
-                                time.sleep(delay)
+                                publisher.record_retry(event)
+                            if event["delay"] > 0:
+                                time.sleep(event["delay"])
                             continue
                         fold(position, record)
                         completed += 1

@@ -8,7 +8,7 @@ fairness/throughput for each point.
 
 Each sweep point is a competitive grid, expressed as
 :class:`~repro.experiments.parallel.GridTask` items and executed through
-:func:`~repro.experiments.parallel.run_grid_parallel`: with
+:func:`~repro.experiments.parallel.run_sweep`: with
 ``max_workers > 1`` the points fan out over worker processes that share
 standalone baselines through the runner's disk cache (``cache_path`` /
 ``REPRO_CACHE``); with the default ``max_workers=1`` the tasks run
@@ -22,14 +22,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import PAPER_POLICY_ORDER, PolicySpec
-from repro.experiments.parallel import (
-    GridReport,
-    GridTask,
-    make_tasks,
-    run_grid_parallel,
-    run_grid_resumable,
-)
-from repro.experiments.runner import CompetitiveOutcome, ExperimentScale, Runner
+from repro.experiments.parallel import GridTask, make_tasks, run_sweep
+from repro.experiments.runner import CompetitiveOutcome, Runner
 from repro.metrics.stats import arithmetic_mean
 
 #: The EXPERIMENTS.md "setup of record" subsets for the default benchmark
@@ -51,51 +45,6 @@ def default_grid_tasks(
         pim_subset or DEFAULT_PIM_SUBSET,
         policies,
         tuple(vc_configs),
-    )
-
-
-def run_sweep(
-    scale: ExperimentScale,
-    tasks: Sequence[GridTask],
-    store_dir: Optional[str] = None,
-    max_workers: int = 1,
-    shard: Optional[Tuple[int, int]] = None,
-    fresh: bool = False,
-    collect_perf: bool = False,
-    abort_after: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-    retry=None,
-    faults=None,
-    watchdog: Optional[int] = None,
-    status_interval: float = 1.0,
-) -> GridReport:
-    """Run a (resumable, shardable) sweep over ``tasks``.
-
-    Every completed cell is written through the content-addressed store
-    as it finishes, so an interrupted invocation resumes where it left
-    off and shards merge via
-    :func:`repro.experiments.parallel.collect_from_store`.  Failures are
-    retried and, if persistent, quarantined per ``retry`` /
-    ``cell_timeout`` (see :func:`~repro.experiments.parallel.run_grid_resumable`
-    and ``docs/resilience.md``); the report's ``failed_outcomes`` lists
-    what was given up on.  With ``store_dir`` set the run heartbeats a
-    live ``status.json`` into the store root every ``status_interval``
-    seconds (see ``docs/observability.md`` and ``repro status``).
-    """
-    return run_grid_resumable(
-        scale,
-        tasks,
-        max_workers=max_workers,
-        store_dir=store_dir,
-        shard=shard,
-        fresh=fresh,
-        collect_perf=collect_perf,
-        abort_after=abort_after,
-        cell_timeout=cell_timeout,
-        retry=retry,
-        faults=faults,
-        watchdog=watchdog,
-        status_interval=status_interval,
     )
 
 
@@ -132,16 +81,28 @@ def _run_point(
     max_workers: int,
     store_dir: Optional[str] = None,
 ) -> List[CompetitiveOutcome]:
-    """Run one sweep point's competitive grid (gpu x pim) for ``spec``."""
+    """Run one sweep point's competitive grid (gpu x pim) for ``spec``.
+
+    A point's mean needs every cell, so a quarantined cell raises
+    ``RuntimeError`` instead of degrading gracefully.
+    """
     tasks: List[GridTask] = make_tasks(gpu_subset, pim_subset, [spec], (num_vcs,))
     if max_workers > 1 or store_dir is not None:
-        return run_grid_parallel(
+        report = run_sweep(
             runner.scale,
             tasks,
             max_workers=max_workers,
             cache_path=runner.cache_path,
             store_dir=store_dir,
         )
+        failed = report.failed_outcomes
+        if failed:
+            summary = ", ".join(f"{f.label} ({f.kind})" for f in failed[:5])
+            raise RuntimeError(
+                f"{len(failed)} grid cell(s) failed after retries: {summary}"
+                + ("..." if len(failed) > 5 else "")
+            )
+        return report.outcomes
     return [
         runner.competitive(task.gpu_id, task.pim_id, task.policy, num_vcs=task.num_vcs)
         for task in tasks

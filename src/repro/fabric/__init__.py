@@ -6,7 +6,7 @@ with TTL + heartbeat renewal, fingerprint dedupe, checksum-verified
 streaming into the shared :class:`~repro.store.ResultStore`, the PR 8
 status/metrics surface aggregated across workers) and any number of
 :class:`FabricWorker` processes lease cells and stream results home.
-A fabric sweep and a single-process ``run_grid_resumable`` sweep over
+A fabric sweep and a single-process ``run_sweep`` over
 the same grid leave byte-identical stores behind.
 
 The coordinator is durable: every lease-state decision is written ahead

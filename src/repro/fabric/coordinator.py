@@ -4,7 +4,7 @@ The coordinator owns one campaign — a grid of
 :class:`~repro.experiments.parallel.GridTask` cells against one shared
 :class:`~repro.store.ResultStore` — and leases cells to worker processes
 over HTTP (:mod:`repro.fabric.protocol`).  It is the network-layer
-analogue of :func:`repro.experiments.parallel.run_grid_resumable`: the
+analogue of :func:`repro.experiments.parallel.run_sweep`: the
 same store, the same journal, the same ``status.json`` heartbeat schema,
 so a fabric sweep and a single-process sweep against the same grid leave
 byte-identical ``objects/`` trees behind (the property
@@ -13,11 +13,10 @@ byte-identical ``objects/`` trees behind (the property
 Cell lifecycle (the lease state machine; see ``docs/fabric.md``)::
 
     pending ──lease──▶ leased ──complete──▶ done
-       ▲                 │ │
-       │   TTL expiry /  │ └──fail──▶ failed (quarantined)
-       └── bad payload ──┘      (attempts left)  │
-             (attempts left)                     ▼
-                                   failed (attempts exhausted)
+       ▲                 │
+       │                 │ TTL expiry / bad payload / fail
+       │                 ▼
+       └─(attempts left)─┴─(fatal kind or attempts exhausted)─▶ quarantined
 
 * **Dedupe by fingerprint.**  Cells are grouped by their content address
   (:func:`~repro.experiments.parallel.task_store_key`); duplicate tasks
@@ -27,9 +26,13 @@ Cell lifecycle (the lease state machine; see ``docs/fabric.md``)::
 * **Lease TTL + heartbeats.**  Every lease carries a deadline; workers
   renew via ``POST /heartbeat``.  A dead or partitioned worker simply
   stops renewing, the lease expires, and the cell re-enters the queue
-  with one failure attempt charged — retried with the PR 5
-  :class:`~repro.resilience.RetryPolicy` backoff and quarantined when
-  attempts run out, mirroring the supervisor's timeout semantics.
+  with one failure attempt charged.
+* **One retry budget.**  Expiries, rejected payloads and worker ``/fail``
+  reports all go through :meth:`~repro.resilience.RetryPolicy.next_retry`,
+  the rule the local sweep applies: a re-lease after backoff, or
+  quarantine once the kind is deterministic or the leases run out.
+  Workers never retry on their own, so a cell runs at most
+  ``retries + 1`` times, as it does in a local sweep.
 * **Exactly-once accounting.**  Completions are accepted only for the
   currently live lease of a cell: stale (expired/re-leased) and
   duplicate completions are rejected and journaled, never stored twice.
@@ -73,7 +76,7 @@ from repro.fabric.protocol import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.status import StatusPublisher
-from repro.resilience.supervisor import FATAL_KINDS, RetryPolicy
+from repro.resilience.supervisor import RetryPolicy
 from repro.store import ResultStore, code_version
 
 _REASONS = {
@@ -406,11 +409,13 @@ class FabricCoordinator:
         self._check_complete()
 
     def _blame(self, group: _CellGroup, kind: str, message: str) -> None:
-        """One failure attempt: requeue with backoff or quarantine."""
-        if kind in FATAL_KINDS or group.attempts > self.retry.retries:
+        """One failure attempt (the current lease): re-lease with backoff
+        or quarantine."""
+        event = self.retry.next_retry(group.task.label, group.attempts, kind, message)
+        if event is None:
             self._quarantine(group, kind, message)
             return
-        delay = self.retry.delay(group.task.label, group.attempts)
+        delay = event["delay"]
         self.ledger.append(
             wal.OP_RETRY,
             epoch=self.epoch,
@@ -422,9 +427,7 @@ class FabricCoordinator:
         group.lease = None
         group.state = "pending"
         group.not_before = self._clock() + delay
-        self.publisher.record_retry(
-            {"kind": "retry", "label": group.task.label, "failure": kind}
-        )
+        self.publisher.record_retry(event)
         self._check_complete()
 
     def _finalize(self, state: str) -> None:
@@ -740,15 +743,7 @@ class FabricCoordinator:
             message=message,
             attempts=attempts if isinstance(attempts, int) else None,
         )
-        # The worker already burned its local retries (PR 5 policy), so a
-        # /fail is final for that worker; deterministic kinds quarantine
-        # immediately, transient kinds still get the coordinator's
-        # re-lease budget (another worker may lack the fault).
-        group.lease = None
-        if kind in FATAL_KINDS:
-            self._quarantine(group, kind, message)
-        else:
-            self._blame(group, kind, message)
+        self._blame(group, kind, message)
         return 200, {"accepted": True}
 
     def _handle_resume(self, body: Dict) -> Tuple[int, Dict]:

@@ -20,11 +20,13 @@ makes re-leases cheap: a cell this worker already simulated under a
 lost lease is a local cache hit the second time, and its documents are
 still pending, so the retry costs one HTTP round-trip.
 
-Failure handling follows the PR 5 supervisor split: transient kinds
-(``error``/``timeout``…) are retried locally with the
-:class:`~repro.resilience.RetryPolicy` backoff; deterministic kinds
-(:data:`~repro.resilience.supervisor.FATAL_KINDS`) or exhausted retries
-are reported via ``POST /fail`` and quarantined by the coordinator.
+A worker never retries a cell.  Any exception from the runner is
+classified (``error``/``config``/``stall``) and reported once via
+``POST /fail``; the coordinator owns the cell's one retry budget and
+decides — by the same :meth:`~repro.resilience.RetryPolicy.next_retry`
+rule a local sweep applies — whether it is re-leased after backoff or
+quarantined.  A cell therefore runs at most ``retries + 1`` times,
+fabric or local.
 
 **Coordinator loss is survivable.**  A worker does not die on
 disconnect: every coordinator-facing call retries behind a capped
@@ -69,7 +71,8 @@ from repro.fabric.protocol import (
     task_from_fields,
 )
 from repro.resilience.faults import CRASH_EXIT_CODE
-from repro.resilience.supervisor import FATAL_KINDS, RetryPolicy, classify_failure
+from repro.resilience.supervisor import classify_failure
+from repro.resilience.watchdog import Watchdog
 from repro.store import ResultStore, code_version
 
 
@@ -171,7 +174,6 @@ class FabricWorker:
         address: str,
         scratch_dir,
         *,
-        retry: Optional[RetryPolicy] = None,
         poll: float = 0.2,
         max_connect_failures: int = 25,
         heartbeat: bool = True,
@@ -183,10 +185,11 @@ class FabricWorker:
         watchdog_window: Optional[int] = None,
         sleep=time.sleep,
     ) -> None:
+        if watchdog_window is not None:
+            Watchdog(watchdog_window)  # the watchdog's own check, before any lease
         self.worker_id = worker_id
         self.client = FabricClient(address, token=token)
         self.scratch_dir = Path(scratch_dir)
-        self.retry = retry or RetryPolicy()
         self.poll = poll
         self.max_connect_failures = max_connect_failures
         self.heartbeat_enabled = heartbeat
@@ -342,33 +345,26 @@ class FabricWorker:
     # -- cell execution ----------------------------------------------------
 
     def _execute(self, task: GridTask, lease: Dict) -> None:
-        """Run one leased cell with local retries, then complete or fail."""
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                self.runner.competitive(
-                    task.gpu_id, task.pim_id, task.policy, num_vcs=task.num_vcs
-                )
-                break
-            except Exception as exc:  # noqa: BLE001 - classified below
-                kind = classify_failure(exc)
-                if kind in FATAL_KINDS or attempt > self.retry.retries:
-                    self.fails_reported += 1
-                    self._post_resilient(
-                        "/fail",
-                        {
-                            "worker": self.worker_id,
-                            "lease_id": lease["lease_id"],
-                            "key": lease["key"],
-                            "epoch": self.epoch,
-                            "kind": kind,
-                            "message": f"{type(exc).__name__}: {exc}",
-                            "attempts": attempt,
-                        },
-                    )
-                    return
-                self._sleep(self.retry.delay(task.label, attempt))
+        """Run one leased cell once, then complete it or report the failure."""
+        try:
+            self.runner.competitive(
+                task.gpu_id, task.pim_id, task.policy, num_vcs=task.num_vcs
+            )
+        except Exception as exc:  # noqa: BLE001 - the coordinator decides
+            self.fails_reported += 1
+            self._post_resilient(
+                "/fail",
+                {
+                    "worker": self.worker_id,
+                    "lease_id": lease["lease_id"],
+                    "key": lease["key"],
+                    "epoch": self.epoch,
+                    "kind": classify_failure(exc),
+                    "message": str(exc),
+                    "attempts": 1,
+                },
+            )
+            return
         resynced = False
         while True:
             documents = list(self.store.documents.values())

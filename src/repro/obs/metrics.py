@@ -16,7 +16,7 @@ memory stays bounded no matter how many samples a campaign records.
 
 Like every ``repro.obs`` hook the registry is zero-cost when unused: the
 engine's per-cycle path never touches it — only the sweep coordinator
-(:func:`repro.experiments.parallel.run_grid_resumable`) updates it, and
+(:func:`repro.experiments.parallel.run_sweep`) updates it, and
 only when a store directory (and therefore a heartbeat) is attached.
 ``get_registry()`` returns the process-wide default; instantiate
 :class:`MetricsRegistry` directly for an isolated one (tests do).

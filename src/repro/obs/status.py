@@ -3,7 +3,7 @@
 A running campaign used to be a black box until it finished; the
 heartbeat makes it observable from outside the process.  Whenever a
 store directory is attached to a sweep,
-:func:`repro.experiments.parallel.run_grid_resumable` keeps a
+:func:`repro.experiments.parallel.run_sweep` keeps a
 :class:`StatusPublisher` updated as cells complete, and the publisher
 writes ``status.json`` into the store root with the same durability rule
 as the store's objects — write a temp file, ``os.replace`` into place —

@@ -16,13 +16,14 @@ pool with the state machine described in ``docs/resilience.md``:
   (submission is capped at pool width, so a submitted cell is a running
   cell).  An expired cell is blamed, the pool is killed and respawned,
   and unexpired cells are requeued without blame.
-* **Retry with backoff.**  A blamed cell re-enters the queue after a
-  capped exponential backoff with deterministic jitter
-  (:meth:`RetryPolicy.delay` — same label + attempt, same delay, so
-  faulty sweeps replay identically).
-* **Quarantine.**  After ``retries`` failed re-attempts — or immediately
-  for deterministic failures (config ``ValueError``,
-  :class:`~repro.resilience.watchdog.SimulationStalled`) — the cell is
+* **Retry with backoff, or quarantine.**  Every blamed cell goes through
+  :meth:`RetryPolicy.next_retry`, the one retry rule the serial sweep
+  loop and the fabric coordinator apply too: it re-enters the queue
+  after a capped exponential backoff with deterministic jitter (same
+  label + attempt, same delay, so faulty sweeps replay identically)
+  or — after ``retries`` failed re-attempts, or at once for
+  deterministic failures (config ``ValueError``,
+  :class:`~repro.resilience.watchdog.SimulationStalled`) — it is
   poisoned: recorded as a :class:`CellFailure`, skipped, and the sweep
   completes every healthy cell (graceful degradation).
 """
@@ -37,10 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.resilience.watchdog import SimulationStalled
-
-#: Exception types that mark a cell as deterministically bad: retrying
-#: cannot help, so the cell is quarantined on the first failure.
-FATAL_TYPES: Tuple[type, ...] = (ValueError, SimulationStalled)
 
 
 @dataclass(frozen=True)
@@ -77,6 +74,26 @@ class RetryPolicy:
             return raw
         fraction = (zlib.crc32(f"{label}|{attempt}".encode()) % 10_000) / 10_000.0
         return raw * (1.0 - self.jitter + 2.0 * self.jitter * fraction)
+
+    def next_retry(self, label: str, attempts: int, kind: str, message: str) -> Optional[Dict]:
+        """The retry rule every dispatcher applies to a failed attempt.
+
+        ``attempts`` counts the cell's failed attempts so far, this one
+        included.  Returns ``None`` when the cell must be quarantined — a
+        deterministic failure kind (:data:`FATAL_KINDS`) or more than
+        ``retries`` failures — and otherwise the retry event to record,
+        whose ``delay`` is the backoff before the next attempt.
+        """
+        if kind in FATAL_KINDS or attempts > self.retries:
+            return None
+        return {
+            "kind": "retry",
+            "label": label,
+            "attempt": attempts,
+            "failure": kind,
+            "delay": round(self.delay(label, attempts), 4),
+            "message": message,
+        }
 
 
 @dataclass
@@ -164,7 +181,6 @@ class Supervisor:
         cell_timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         labeler: Callable[[object], str] = str,
-        fatal_types: Tuple[type, ...] = FATAL_TYPES,
         tick: float = 0.05,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
@@ -180,13 +196,13 @@ class Supervisor:
         self.cell_timeout = cell_timeout
         self.retry = retry or RetryPolicy()
         self.labeler = labeler
-        self.fatal_types = fatal_types
         self.tick = tick
         self._clock = clock
         self._sleep = sleep
         self.failures: List[CellFailure] = []
         self.events: List[Dict] = []
         self.respawns = 0
+        self._suspects = 0  # cells marked suspect and not yet resolved
         self.on_quarantine: Optional[Callable[[CellFailure], None]] = None
         #: Liveness hook: called once per scheduler tick with a snapshot
         #: of the in-flight cells — ``[{"label", "attempts", "seconds"}]``
@@ -227,30 +243,28 @@ class Supervisor:
 
     def _blame(self, pending: deque, cell: _Cell, kind: str, message: str, diagnostic=None) -> None:
         """One failure attempt for ``cell``: retry with backoff or quarantine."""
-        cell.suspect = False
+        self._resolve(cell)
         cell.attempts += 1
-        if kind in FATAL_KINDS or cell.attempts > self.retry.retries:
+        event = self.retry.next_retry(cell.label, cell.attempts, kind, message)
+        if event is None:
             self._quarantine(cell, kind, message, diagnostic)
             return
-        delay = self.retry.delay(cell.label, cell.attempts)
-        cell.not_before = self._clock() + delay
+        cell.not_before = self._clock() + event["delay"]
         pending.append(cell)
-        self.events.append(
-            {
-                "kind": "retry",
-                "label": cell.label,
-                "attempt": cell.attempts,
-                "failure": kind,
-                "delay": round(delay, 4),
-                "message": message,
-            }
-        )
+        self.events.append(event)
+
+    def _resolve(self, cell: _Cell) -> None:
+        """``cell`` finished or was blamed: it is no longer a suspect."""
+        if cell.suspect:
+            cell.suspect = False
+            self._suspects -= 1
 
     def _mark_suspects(self, pending: deque, cells: List[_Cell]) -> None:
         """Requeue an unattributable crash cohort, unblamed, for isolation."""
         for cell in cells:
             cell.not_before = 0.0
             cell.suspect = True
+            self._suspects += 1
             pending.appendleft(cell)
             self.events.append({"kind": "suspect", "label": cell.label, "failure": "crash"})
 
@@ -273,13 +287,12 @@ class Supervisor:
         )
         in_flight: Dict[object, _Cell] = {}
         pool: Optional[_PoolHandle] = None
+        self._suspects = 0
         try:
             while pending or in_flight:
                 # While any cell is suspect, run one cell at a time so a
                 # repeat crash is attributable (see _mark_suspects).
-                isolate = any(cell.suspect for cell in pending) or any(
-                    cell.suspect for cell in in_flight.values()
-                )
+                isolate = self._suspects > 0
                 window = 1 if isolate else self.max_workers
                 now = self._clock()
                 while pending and len(in_flight) < window:
@@ -316,7 +329,7 @@ class Supervisor:
                         result = future.result()
                     except BrokenExecutor:
                         crashed.append(cell)
-                    except self.fatal_types as exc:
+                    except Exception as exc:  # worker-raised, pool still healthy
                         self._blame(
                             pending,
                             cell,
@@ -324,10 +337,8 @@ class Supervisor:
                             str(exc),
                             diagnostic=getattr(exc, "diagnostic", None),
                         )
-                    except Exception as exc:  # worker-raised, pool still healthy
-                        self._blame(pending, cell, classify_failure(exc), str(exc))
                     else:
-                        cell.suspect = False
+                        self._resolve(cell)
                         on_result(cell.index, result)
                 if crashed:
                     # The break dooms everything still in flight too.

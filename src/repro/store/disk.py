@@ -74,7 +74,7 @@ class ResultStore:
     ``counters`` may be a :class:`repro.perf.counters.EngineCounters`;
     every hit/miss/write is then also recorded there (``store.hit`` …),
     which is how store activity rides the existing cross-worker counter
-    aggregation of ``run_grid_parallel(collect_perf=True)``.  Setting
+    aggregation of ``run_sweep(collect_perf=True)``.  Setting
     ``read_enabled=False`` turns every lookup into a miss while keeping
     writes — the ``--fresh`` sweep mode that recomputes but still
     repopulates the cache.

@@ -202,6 +202,28 @@ class TestCommands:
         with pytest.raises(SystemExit, match="retry"):
             main(["sweep", "--retries", "-1"])
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["sweep", "--workers", "0"], "--workers"),
+            (["sweep", "--cell-timeout", "0"], "--cell-timeout"),
+            (["sweep", "--cell-timeout", "-1"], "--cell-timeout"),
+            (["sweep", "--watchdog", "0"], "--watchdog"),
+            (["fabric", "serve", "--ttl", "0"], "--ttl"),
+            (["fabric", "serve", "--resume-grace", "-1"], "--resume-grace"),
+            (["fabric", "work", "--connect", "127.0.0.1:1", "--watchdog", "0"], "--watchdog"),
+        ],
+    )
+    def test_bad_dispatch_setting_refused_in_one_line(self, tmp_path, argv, flag):
+        if argv[:2] == ["fabric", "serve"]:
+            argv = argv + ["--cache-dir", str(tmp_path / "store")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"invalid {flag} ")
+        assert not (tmp_path / "store").exists()
+
     def test_keyboard_interrupt_exits_130(self, capsys, monkeypatch):
         import repro.experiments
 

@@ -3,7 +3,7 @@
 The acceptance story: a fabric sweep — coordinator plus several
 workers, one of which crashes mid-campaign and one of which abandons a
 lease — produces a merged store byte-identical to a single-process
-``run_grid_resumable`` over the same grid, with no cell accepted more
+``run_sweep`` over the same grid, with no cell accepted more
 than once per lease (proven from the journal), and a status document
 that stays schema-valid throughout the churn.  On top of that, the
 durability story: SIGKILL the coordinator while leases are provably
@@ -24,7 +24,7 @@ import time
 import pytest
 
 from repro.experiments import RetryPolicy
-from repro.experiments.parallel import grid_store_keys, run_grid_resumable
+from repro.experiments.parallel import grid_store_keys, run_sweep
 from repro.experiments.runner import Runner
 from repro.fabric import (
     FABRIC_SCHEMA,
@@ -85,7 +85,7 @@ class TestFabricEndToEnd:
         exactly once, status schema-valid under churn."""
         tasks = tiny_tasks()
         reference = tmp_path / "ref"
-        run_grid_resumable(TINY, tasks, store_dir=str(reference), max_workers=1)
+        run_sweep(TINY, tasks, store_dir=str(reference), max_workers=1)
 
         fabric = tmp_path / "fab"
         with CoordinatorThread(
@@ -132,7 +132,7 @@ class TestFabricEndToEnd:
     def test_warm_store_completes_without_workers(self, tmp_path):
         tasks = tiny_tasks()[:2]
         store = tmp_path / "store"
-        run_grid_resumable(TINY, tasks, store_dir=str(store), max_workers=1)
+        run_sweep(TINY, tasks, store_dir=str(store), max_workers=1)
         with CoordinatorThread(TINY, tasks, store) as coord:
             coord.wait(timeout=10)
             summary = coord.coordinator.summary()
@@ -378,7 +378,9 @@ class TestWorker:
             with pytest.raises(FabricProtocolError, match="schema mismatch"):
                 worker.run()
 
-    def test_worker_retries_transient_failures_locally(self, tmp_path):
+    def test_worker_failure_recovered_by_one_release(self, tmp_path):
+        """A worker runs each lease once and reports a failure; the
+        coordinator's re-lease is the retry."""
         tasks = tiny_tasks()[:1]
 
         class _Flaky:
@@ -394,20 +396,27 @@ class TestWorker:
                     raise FaultInjected("injected transient failure")
                 return self.inner.competitive(*args, **kwargs)
 
-        with CoordinatorThread(TINY, tasks, tmp_path / "s", ttl=30.0) as coord:
+        with CoordinatorThread(
+            TINY,
+            tasks,
+            tmp_path / "s",
+            ttl=30.0,
+            retry=RetryPolicy(retries=2, backoff_base=0.0),
+        ) as coord:
             worker = FabricWorker(
                 "w",
                 coord.address,
                 tmp_path / "scratch",
-                retry=RetryPolicy(retries=2, backoff_base=0.0),
                 runner_factory=lambda scale, store: _Flaky(scale, store),
             )
             summary = worker.run()
             coord.wait(timeout=10)
             key = coord.coordinator.cells[0].key
             stored = ResultStore(tmp_path / "s").get(key, kind="competitive")
-        assert summary["completed"] == 1 and summary["failed"] == 0
-        assert summary["leases"] == 1  # retried inside the lease, not via re-lease
+            failures = list(coord.coordinator.failures)
+        assert summary["completed"] == 1 and summary["failed"] == 1
+        assert summary["leases"] == 2  # the failed lease, then one re-lease
+        assert not failures
         assert stored is not None and stored["gpu_speedup"] > 0
 
     def test_worker_reports_deterministic_failures(self, tmp_path):
@@ -420,18 +429,24 @@ class TestWorker:
             def competitive(self, *args, **kwargs):
                 raise ValueError("bad cell configuration")
 
-        with CoordinatorThread(TINY, tasks, tmp_path / "s", ttl=30.0) as coord:
+        with CoordinatorThread(
+            TINY,
+            tasks,
+            tmp_path / "s",
+            ttl=30.0,
+            retry=RetryPolicy(retries=2, backoff_base=0.0),
+        ) as coord:
             worker = FabricWorker(
                 "w",
                 coord.address,
                 tmp_path / "scratch",
-                retry=RetryPolicy(retries=2, backoff_base=0.0),
                 runner_factory=lambda scale, store: _Broken(scale, store),
             )
             summary = worker.run()
             coord.wait(timeout=10)
             failures = list(coord.coordinator.failures)
         assert summary["failed"] == 1 and summary["completed"] == 0
+        assert summary["leases"] == 1
         assert failures[0]["kind"] == "config"  # ValueError -> no retries burned
 
 
@@ -465,7 +480,7 @@ class TestRecovery:
         zero accepted stale-epoch completions from the survivor."""
         tasks = tiny_tasks()
         reference = tmp_path / "ref"
-        run_grid_resumable(TINY, tasks, store_dir=str(reference), max_workers=1)
+        run_sweep(TINY, tasks, store_dir=str(reference), max_workers=1)
 
         fabric = tmp_path / "fab"
         gate = LeaseGate(hold=1)
@@ -698,7 +713,7 @@ class TestDrain:
         uninterrupted sweep."""
         tasks = tiny_tasks()
         reference = tmp_path / "ref"
-        run_grid_resumable(TINY, tasks, store_dir=str(reference), max_workers=1)
+        run_sweep(TINY, tasks, store_dir=str(reference), max_workers=1)
 
         fabric = tmp_path / "fab"
         gate = LeaseGate(hold=1)
@@ -776,7 +791,6 @@ class TestAuth:
                 "w",
                 coord.address,
                 tmp_path / "scratch",
-                retry=FAST,
                 poll=0.05,
                 token="sekrit",
             )
@@ -823,7 +837,6 @@ class TestHeartbeatResilience:
                 "w",
                 coord.address,
                 tmp_path / "scratch",
-                retry=FAST,
                 poll=0.05,
                 runner_factory=lambda scale, s: _Slow(scale, s),
             )

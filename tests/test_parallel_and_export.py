@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.policies import PolicySpec
 from repro.experiments import ExperimentScale
-from repro.experiments.parallel import GridTask, make_tasks, run_grid_parallel
+from repro.experiments.parallel import GridTask, make_tasks, run_sweep
 from repro.sim.export import (
     load_result_json,
     result_to_dict,
@@ -45,21 +45,21 @@ class TestMakeTasks:
 class TestRunGrid:
     def test_serial_worker(self):
         tasks = make_tasks(["G17"], ["P2"], [PolicySpec("F3FS")], (2,))
-        outcomes = run_grid_parallel(TINY, tasks, max_workers=1)
+        outcomes = run_sweep(TINY, tasks, max_workers=1).outcomes
         assert len(outcomes) == 1
         assert outcomes[0].gpu_id == "G17"
         assert outcomes[0].throughput > 0
 
     def test_parallel_workers_match_serial(self):
         tasks = make_tasks(["G17"], ["P1", "P2"], [PolicySpec("FR-FCFS")], (2,))
-        serial = run_grid_parallel(TINY, tasks, max_workers=1)
-        parallel = run_grid_parallel(TINY, tasks, max_workers=2)
+        serial = run_sweep(TINY, tasks, max_workers=1).outcomes
+        parallel = run_sweep(TINY, tasks, max_workers=2).outcomes
         assert [o.gpu_speedup for o in serial] == [o.gpu_speedup for o in parallel]
         assert [o.pim_speedup for o in serial] == [o.pim_speedup for o in parallel]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_grid_parallel(TINY, [], max_workers=0)
+            run_sweep(TINY, [], max_workers=0)
 
 
 def make_result():

@@ -7,6 +7,7 @@ fault-free — produces a merged table byte-identical to a clean run.
 """
 
 import json
+import threading
 import time
 
 import pytest
@@ -20,13 +21,9 @@ from repro.experiments import (
     collect_from_store,
     run_sweep,
 )
-from repro.experiments.parallel import (
-    GridTask,
-    make_tasks,
-    run_grid_parallel,
-    run_grid_resumable,
-    task_store_key,
-)
+from repro.experiments.parallel import GridTask, make_tasks, task_store_key
+from repro.experiments.runner import Runner
+from repro.experiments.sweep import sweep_f3fs_caps
 from repro.resilience import FaultInjected, FaultPlan, FaultSpec, Supervisor
 from repro.resilience import faults as fault_injection
 from repro.resilience.faults import corrupt_store_object
@@ -207,9 +204,7 @@ class TestFaultySweepEndToEnd:
     def test_transient_error_retries_to_success(self, tmp_path):
         tasks = tiny_tasks()[:2]
         faults = plan(tmp_path, {tasks[0].label: FaultSpec("error", times=2)})
-        report = run_grid_resumable(
-            TINY, tasks, max_workers=2, faults=faults, retry=FAST
-        )
+        report = run_sweep(TINY, tasks, max_workers=2, faults=faults, retry=FAST)
         assert report.completed == 2
         assert not report.failed_outcomes
         retried = [e for e in report.retry_events if e["kind"] == "retry"]
@@ -247,7 +242,7 @@ class TestFaultySweepEndToEnd:
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(p.to_payload()))
         monkeypatch.setenv("REPRO_FAULTS", str(path))
-        report = run_grid_resumable(TINY, tasks, retry=FAST)
+        report = run_sweep(TINY, tasks, retry=FAST)
         assert report.completed == 1
         assert len(report.retry_events) == 1
 
@@ -276,6 +271,54 @@ def _fault_driven(label):
     elif kind == "crash":
         fault_injection.crash_worker()
     return f"ok:{label}"
+
+
+def _crash_or_nap(label):
+    # Worker fn: crash if the installed plan says so, else nap briefly so
+    # cells overlap in the pool.
+    plan_ = fault_injection.active()
+    if plan_ is not None and plan_.claim(label) == "crash":
+        fault_injection.crash_worker()
+    time.sleep(0.3)
+    return f"ok:{label}"
+
+
+class TestSuspectIsolation:
+    def test_window_returns_to_max_workers_after_suspects_resolve(self, tmp_path):
+        """An unattributable crash isolates its cohort one cell at a time;
+        once every suspect has resolved the pool runs full width again."""
+        fault_plan = plan(tmp_path, {"a": FaultSpec("crash", times=1)})
+        timeline = []  # ("hb", in-flight labels) / ("ok", label), in order
+        supervisor = Supervisor(
+            _crash_or_nap,
+            max_workers=2,
+            retry=FAST,
+            tick=0.02,
+            initializer=_install_plan,
+            initargs=(fault_plan.to_payload(),),
+        )
+        supervisor.on_heartbeat = lambda cells: timeline.append(
+            ("hb", tuple(sorted(c["label"] for c in cells)))
+        )
+        # On a thread with a deadline: a suspect count that never drains
+        # keeps the pool in isolation forever, which must fail, not hang.
+        run = threading.Thread(
+            target=supervisor.run,
+            args=(list("abcdef"), lambda i, r: timeline.append(("ok", r.split(":")[1]))),
+            daemon=True,
+        )
+        run.start()
+        run.join(60)
+        assert not run.is_alive(), "suspect isolation never ended"
+        assert not supervisor.failures
+        suspects = {e["label"] for e in supervisor.events if e["kind"] == "suspect"}
+        assert suspects == {"a", "b"}  # the crash took both in-flight cells
+        resolved_at = max(
+            i for i, (event, label) in enumerate(timeline)
+            if event == "ok" and label in suspects
+        )
+        widths = [len(cells) for event, cells in timeline[resolved_at:] if event == "hb"]
+        assert max(widths) == 2
 
 
 class TestHeartbeatQuarantineInteraction:
@@ -359,7 +402,7 @@ class TestSerialQuarantine:
             policy_params=(("mem_cap", 0), ("pim_cap", 1)),
             num_vcs=1,
         )
-        report = run_grid_resumable(TINY, [bad, *good], retry=FAST)
+        report = run_sweep(TINY, [bad, *good], retry=FAST)
         assert report.completed == 1
         (failure,) = report.failed_outcomes
         assert isinstance(failure, CellFailure)
@@ -368,16 +411,17 @@ class TestSerialQuarantine:
         assert failure.index == 0
         assert "mem_cap" in failure.message
 
-    def test_legacy_entry_point_raises_on_failure(self):
-        bad = GridTask(
-            gpu_id="G17",
-            pim_id="P1",
-            policy_name="F3FS",
-            policy_params=(("mem_cap", 0), ("pim_cap", 1)),
-            num_vcs=1,
-        )
+    def test_sweep_point_raises_on_failure(self, tmp_path):
+        """A sensitivity-sweep point needs every cell for its mean, so a
+        quarantined cell raises instead of degrading gracefully."""
         with pytest.raises(RuntimeError, match="failed after retries"):
-            run_grid_parallel(TINY, [bad], max_workers=1)
+            sweep_f3fs_caps(
+                Runner(TINY),
+                [(0, 1)],  # mem_cap=0: a config error in every cell
+                ["G17"],
+                ["P1"],
+                store_dir=str(tmp_path / "s"),
+            )
 
 
 class TestConfigValidation:

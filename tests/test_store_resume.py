@@ -24,7 +24,7 @@ from repro.experiments import (
     shard_indices,
     sweep_rows,
 )
-from repro.experiments.parallel import make_tasks, run_grid_parallel
+from repro.experiments.parallel import make_tasks
 
 TINY = ExperimentScale(
     num_channels=4,
@@ -164,17 +164,17 @@ class TestShardMerge:
         assert total.calls.get("store.misses", 0) >= len(tasks)
         assert any(not stage.startswith("store.") for stage in total.calls)
 
-    def test_collect_perf_legacy_shape_still_works(self, tmp_path):
+    def test_collect_perf_counts_store_writes(self, tmp_path):
         tasks = tiny_tasks()[:1]
-        outcomes, counters = run_grid_parallel(
+        report = run_sweep(
             TINY,
             tasks,
             max_workers=1,
             collect_perf=True,
             store_dir=str(tmp_path / "s"),
         )
-        assert len(outcomes) == 1
-        assert counters.calls.get("store.writes", 0) >= 1
+        assert report.completed == 1
+        assert report.counters.calls.get("store.writes", 0) >= 1
 
 
 class TestWarmCache:
@@ -211,8 +211,8 @@ class TestWarmCache:
 
     def test_store_and_storeless_runs_agree(self, tmp_path):
         tasks = tiny_tasks()[:2]
-        plain = run_grid_parallel(TINY, tasks, max_workers=1)
-        stored = run_grid_parallel(
+        plain = run_sweep(TINY, tasks, max_workers=1).outcomes
+        stored = run_sweep(
             TINY, tasks, max_workers=1, store_dir=str(tmp_path / "s")
-        )
+        ).outcomes
         assert [asdict(a) for a in plain] == [asdict(b) for b in stored]

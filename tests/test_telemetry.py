@@ -445,26 +445,24 @@ class TestEngineCounters:
         assert runner.perf.calls  # stage counters populated
 
     def test_grid_parallel_collects_perf(self):
-        from repro.experiments import ExperimentScale, make_tasks, run_grid_parallel
+        from repro.experiments import ExperimentScale, make_tasks, run_sweep
 
         scale = ExperimentScale(
             num_channels=2, gpu_sms_full=3, gpu_sms_corun=2, pim_sms=1,
             workload_scale=0.05, max_cycles=400_000,
         )
         tasks = make_tasks(["G17"], ["P1"], [PolicySpec("FR-FCFS")], vc_configs=(1,))
-        outcomes, perf = run_grid_parallel(
-            scale, tasks, max_workers=1, collect_perf=True
-        )
-        assert len(outcomes) == 1
-        assert perf.total_seconds > 0
-        # Back-compat: the default return shape is a bare list.
-        plain = run_grid_parallel(scale, tasks, max_workers=1)
-        assert isinstance(plain, list) and len(plain) == 1
+        report = run_sweep(scale, tasks, max_workers=1, collect_perf=True)
+        assert report.completed == 1
+        assert report.counters.total_seconds > 0
+        # Without collect_perf the report carries no counters.
+        plain = run_sweep(scale, tasks, max_workers=1)
+        assert plain.counters is None and plain.completed == 1
 
     def test_grid_parallel_merges_perf_across_workers(self):
         """collect_perf across real worker processes: every worker's stage
         counters come home and merge into one EngineCounters."""
-        from repro.experiments import ExperimentScale, make_tasks, run_grid_parallel
+        from repro.experiments import ExperimentScale, make_tasks, run_sweep
 
         scale = ExperimentScale(
             num_channels=2, gpu_sms_full=3, gpu_sms_corun=2, pim_sms=1,
@@ -473,16 +471,14 @@ class TestEngineCounters:
         tasks = make_tasks(
             ["G17"], ["P1"], [PolicySpec("FR-FCFS")], vc_configs=(1, 2)
         )
-        outcomes, merged = run_grid_parallel(
-            scale, tasks, max_workers=2, collect_perf=True
-        )
-        assert len(outcomes) == 2
+        report = run_sweep(scale, tasks, max_workers=2, collect_perf=True)
+        merged = report.counters
+        assert report.completed == 2
         assert merged.total_seconds > 0
         # The merged counters cover both cells: at least as many stage
         # calls as either cell alone produces serially.
-        serial_outcomes, serial = run_grid_parallel(
-            scale, tasks[:1], max_workers=1, collect_perf=True
-        )
-        assert len(serial_outcomes) == 1
+        serial_report = run_sweep(scale, tasks[:1], max_workers=1, collect_perf=True)
+        serial = serial_report.counters
+        assert serial_report.completed == 1
         for stage, calls in serial.calls.items():
             assert merged.calls.get(stage, 0) >= calls

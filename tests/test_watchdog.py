@@ -167,6 +167,22 @@ class TestWatchdogObject:
         with pytest.raises(ValueError, match="watchdog window"):
             Watchdog(window)
 
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_dispatchers_refuse_bad_window_before_any_cell(self, tmp_path, window):
+        """A bad window is refused up front instead of quarantining every
+        cell as ``config`` and reporting an empty table."""
+        from repro.experiments import run_sweep
+        from repro.fabric import FabricWorker
+        from tests.test_store_resume import TINY, tiny_tasks
+
+        tasks = tiny_tasks()[:1]
+        store = tmp_path / "s"
+        with pytest.raises(ValueError, match="watchdog window"):
+            run_sweep(TINY, tasks, store_dir=str(store), watchdog=window)
+        assert not store.exists()  # nothing dispatched, nothing journaled
+        with pytest.raises(ValueError, match="watchdog window"):
+            FabricWorker("w", "127.0.0.1:1", tmp_path / "scratch", watchdog_window=window)
+
     def test_signature_moves_on_healthy_system(self):
         system = tiny_system()
         for run in system.runs:
