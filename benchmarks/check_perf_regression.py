@@ -15,13 +15,10 @@ the committed baseline in ``benchmarks/results/BENCH_engine.json``:
   that the dormant ``repro.obs`` hooks (``if telemetry is not None``
   along the request path, and the campaign metrics/heartbeat hooks —
   which live in the sweep coordinator, so a bench run never so much as
-  constructs a ``StatusPublisher``) cost nothing when off.  The gate
-  runs on *both* engine backends: the object run against the ``fast``
-  baseline and the SoA run against the ``soa`` baseline, each at 98%.
-  Because 2% is inside machine-to-machine noise, this gate compares
-  best-of-N against a baseline *regenerated on the same machine* (CI
-  reruns the perf smoke benchmark first, which rewrites
-  BENCH_engine.json).
+  constructs a ``StatusPublisher``) cost nothing when off.  Because 2%
+  is inside machine-to-machine noise, this gate compares best-of-N
+  against a baseline *regenerated on the same machine* (CI reruns the
+  perf smoke benchmark first, which rewrites BENCH_engine.json).
 * ``--check store`` holds the same run within ``STORE_THRESHOLD`` (2%)
   of the baseline: the result-store integration (``repro.store``) lives
   entirely in the experiment layer (Runner lookups before a system is
@@ -34,13 +31,6 @@ the committed baseline in ``benchmarks/results/BENCH_engine.json``:
   the fault-injection hooks (a single ``None`` check per cell, outside
   the engine entirely).  A regression here means resilience code leaked
   into the per-cycle path.
-* ``--check soa`` runs the same scenario under the struct-of-arrays
-  engine backend (``REPRO_ENGINE=soa`` equivalent) and fails below
-  ``SOA_THRESHOLD`` (90%) of the recorded SoA baseline
-  (``scenarios[...]["soa"]["cycles_per_sec"]`` in BENCH_engine.json,
-  written by ``repro bench --compare-soa``).  This is the guard the
-  ISSUE's vectorized core ships with: a change that quietly drops a
-  fused path back to the object implementation shows up as a 40%+ hit.
 * ``--check slots`` is a free (no measurement) structural guard: every
   hot-path record class must be ``__slots__``-only — an instance
   ``__dict__`` sneaking back in (a new attribute added outside
@@ -70,25 +60,18 @@ SCHEDULER_THRESHOLD = 0.70  # fail below 70% of the committed baseline
 TELEMETRY_THRESHOLD = 0.98  # dormant telemetry hooks must stay within 2%
 STORE_THRESHOLD = 0.98  # dormant result-store hooks must stay within 2%
 RESILIENCE_THRESHOLD = 0.98  # dormant watchdog/fault hooks must stay within 2%
-SOA_THRESHOLD = 0.90  # the SoA engine must stay within 10% of its baseline
 BASELINE_PATH = Path(__file__).parent / "results" / "BENCH_engine.json"
 REPEATS = 3  # best-of-N: the guard asks "can it still go fast", not "mean"
-# The SoA run warms up slowly (first run in a process is ~20% down while
-# numpy internals and the optional compiled kernels settle), so its 2%
-# telemetry gate needs more attempts to reach the machine's fast band.
-SOA_REPEATS = 5
 
 
 def check_slots() -> bool:
     """Every hot-path record class must be ``__slots__``-only."""
     from repro.cache.l2 import LookupResult
-    from repro.engine_soa.handles import RequestArrays
-    from repro.engine_soa.ring import HandleRing
     from repro.noc.queues import BoundedQueue
     from repro.request import Request
 
     ok = True
-    for cls in (Request, BoundedQueue, LookupResult, HandleRing, RequestArrays):
+    for cls in (Request, BoundedQueue, LookupResult):
         # A class (or any non-object base) without __slots__ carries a
         # '__dict__' descriptor in its class dict.
         has_dict = any(
@@ -103,14 +86,13 @@ def check_slots() -> bool:
     return ok
 
 
-def measure_best(repeats: int = REPEATS, backend: str = "object") -> float:
+def measure_best(repeats: int = REPEATS) -> float:
     best = 0.0
     for _ in range(repeats):
         payload = run_engine_bench(
             scenario_names=[SCENARIO],
             compare_naive=False,
             stage_breakdown=False,
-            backend=backend,
         )
         best = max(best, payload["scenarios"][SCENARIO]["fast"]["cycles_per_sec"])
     return best
@@ -120,7 +102,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--check",
-        choices=["scheduler", "telemetry", "store", "resilience", "soa", "slots", "all"],
+        choices=["scheduler", "telemetry", "store", "resilience", "slots", "all"],
         default="scheduler",
         help="which throughput floor(s) to enforce",
     )
@@ -143,53 +125,6 @@ def main(argv=None) -> int:
         if args.check == "slots":
             return 1 if failed else 0
         selected = [c for c in selected if c != "slots"]
-
-    soa_baseline = scenario_doc.get("soa", {}).get("cycles_per_sec")
-    soa_best = None  # measured at most once, shared by the soa/telemetry gates
-
-    def need_soa_baseline(gate: str) -> bool:
-        if soa_baseline is not None:
-            return False
-        print(
-            f"FAIL [{gate}]: no '{SCENARIO}' SoA baseline in {BASELINE_PATH} "
-            "(regenerate with: repro bench --compare-soa --out "
-            f"{BASELINE_PATH})"
-        )
-        return True
-
-    if "soa" in selected or args.check == "all":
-        if need_soa_baseline("soa"):
-            return 1
-        soa_best = measure_best(repeats=SOA_REPEATS, backend="soa")
-        floor = SOA_THRESHOLD * soa_baseline
-        ok = soa_best >= floor
-        failed = failed or not ok
-        print(
-            f"{'PASS' if ok else 'FAIL'} [soa]: {SCENARIO} "
-            f"best-of-{SOA_REPEATS} {soa_best:.1f} cyc/s vs SoA baseline "
-            f"{soa_baseline:.1f} (floor {floor:.1f} = {SOA_THRESHOLD:.0%})"
-        )
-        selected = [c for c in selected if c != "soa"]
-        if not selected:
-            return 1 if failed else 0
-
-    if "telemetry" in selected:
-        # The dormant-hook promise covers both backends; gate the SoA run
-        # too (reusing the soa gate's measurement under --check all).
-        if need_soa_baseline("telemetry"):
-            failed = True
-        else:
-            if soa_best is None:
-                soa_best = measure_best(repeats=SOA_REPEATS, backend="soa")
-            floor = TELEMETRY_THRESHOLD * soa_baseline
-            ok = soa_best >= floor
-            failed = failed or not ok
-            print(
-                f"{'PASS' if ok else 'FAIL'} [telemetry/soa]: {SCENARIO} "
-                f"best-of-{SOA_REPEATS} {soa_best:.1f} cyc/s vs SoA baseline "
-                f"{soa_baseline:.1f} (floor {floor:.1f} = "
-                f"{TELEMETRY_THRESHOLD:.0%})"
-            )
 
     try:
         baseline = scenario_doc["fast"]["cycles_per_sec"]

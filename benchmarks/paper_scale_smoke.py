@@ -7,18 +7,17 @@ per-channel and scale-free in the ratios that matter.  This smoke is the
 one place the *full* ``SystemConfig.paper()`` machine (Table I: 32
 channels x 16 banks, 80 SMs) is built and stepped — it guards the claim
 that the engine's per-cycle cost stays proportional to work, not machine
-size, and that nothing in the fused SoA pipeline breaks at 8x the SM
-count and 4x the channel count of the configs the tests sweep.
+size, and that nothing in the engine breaks at 8x the SM count and 4x
+the channel count of the configs the tests sweep.
 
 The scenario mirrors ``saturated_corun`` (both kernels looping, a
 GPU-heavy 8:2 SM split) so every channel sees mixed MEM+PIM traffic.
-Run under the SoA backend in CI (``REPRO_ENGINE=soa``); the window is
-deliberately short — this is a "does it complete" gate with a loose
-wall-clock ceiling, not a benchmark.
+The window is deliberately short — this is a "does it complete" gate
+with a loose wall-clock ceiling, not a benchmark.
 
 Usage::
 
-    REPRO_ENGINE=soa PYTHONPATH=src python benchmarks/paper_scale_smoke.py
+    PYTHONPATH=src python benchmarks/paper_scale_smoke.py
 
 Exit status 0 on success, 1 on failure.
 """
@@ -31,7 +30,7 @@ import time
 
 from repro.config import SystemConfig
 from repro.core.policies import PolicySpec
-from repro.engine_soa import backend_from_env, create_system, resolve_backend
+from repro.engine_soa import create_system
 from repro.request import reset_request_ids
 from repro.workloads import get_gpu_kernel, get_pim_kernel
 
@@ -54,28 +53,12 @@ def main(argv=None) -> int:
         default=DEFAULT_BUDGET,
         help="fail if the window takes longer than this",
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="engine backend (default: REPRO_ENGINE or object)",
-    )
     args = parser.parse_args(argv)
-    try:
-        backend = (
-            resolve_backend(args.backend, source="--backend value")
-            if args.backend is not None
-            else backend_from_env()
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
 
     reset_request_ids()
     config = SystemConfig.paper()
     gpu_sms = config.num_sms * 8 // 10  # the standard GPU-heavy 8:2 split
-    system = create_system(
-        config, PolicySpec("FR-FCFS"), backend=backend, seed=1, fast_forward=True
-    )
+    system = create_system(config, PolicySpec("FR-FCFS"), seed=1, fast_forward=True)
     system.add_kernel(get_gpu_kernel("G17"), num_sms=gpu_sms, loop=True)
     system.add_kernel(get_pim_kernel("P1"), num_sms=config.num_sms - gpu_sms, loop=True)
 
@@ -97,7 +80,7 @@ def main(argv=None) -> int:
         ok = False
     status = "PASS" if ok else "FAIL"
     print(
-        f"{status} [paper-scale/{backend}]: {config.num_channels}ch x "
+        f"{status} [paper-scale]: {config.num_channels}ch x "
         f"{config.num_sms}SM window of {result.cycles} cycles in {wall:.1f}s "
         f"({result.cycles / wall:,.0f} cyc/s; mem={issued}, pim={pim})"
     )

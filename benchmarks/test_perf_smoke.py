@@ -20,7 +20,7 @@ from repro.perf import run_engine_bench
 
 def test_engine_throughput(benchmark, results_dir):
     payload = benchmark.pedantic(
-        lambda: run_engine_bench(compare_naive=True, compare_soa=True),
+        lambda: run_engine_bench(compare_naive=True),
         rounds=1,
         iterations=1,
     )
@@ -33,23 +33,22 @@ def test_engine_throughput(benchmark, results_dir):
     saturated = scenarios["corun_saturated"]
     scheduler_bound = scenarios["saturated_corun"]
 
-    # Both engines simulated the same number of cycles (the bench itself
-    # asserts this; re-check the recorded payload).
+    # The fast and naive loops simulated the same number of cycles (the
+    # bench itself asserts this; re-check the recorded payload).
     assert horizon["fast"]["cycles"] == horizon["naive"]["cycles"]
 
     # The fixed-window co-run has a long quiescent tail: most of the
     # window must be jumped, not stepped.  steps_executed/cycles_skipped
-    # are engine bookkeeping, reported per backend under engine_meta
-    # (the backends legitimately disagree on them).
-    meta = horizon["engine_meta"]["object"]
+    # are engine bookkeeping, reported under engine_meta.
+    meta = horizon["engine_meta"]
     assert meta["cycles_skipped"] > horizon["fast"]["cycles"] // 2
-    assert set(horizon["engine_meta"]) == {"object", "soa"}
+    assert set(meta) == {"steps_executed", "cycles_skipped"}
 
     # The saturated co-runs never quiesce for long — (almost) nothing to
     # skip.  saturated_corun re-launches both kernels, so a handful of
     # single-cycle jumps can occur around launch boundaries.
-    assert saturated["engine_meta"]["object"]["cycles_skipped"] == 0
-    assert scheduler_bound["engine_meta"]["object"]["cycles_skipped"] < 100
+    assert saturated["engine_meta"]["cycles_skipped"] == 0
+    assert scheduler_bound["engine_meta"]["cycles_skipped"] < 100
 
     # Per-stage breakdown covers the whole pipeline.
     assert set(saturated["stages"]) == {
@@ -63,15 +62,6 @@ def test_engine_throughput(benchmark, results_dir):
         "sms",
         "kernel_completion",
     }
-
-    # The SoA engine simulated the same cycles and recorded its speedup
-    # (the baseline ``check_perf_regression --check soa`` guards).
-    for name, entry in scenarios.items():
-        assert entry["soa"]["cycles"] == entry["fast"]["cycles"], name
-        assert "speedup_vs_object" in entry["soa"], name
-    # The scheduler-bound scenario is the one the SoA core targets: it
-    # must actually be faster than the object engine, not just equal.
-    assert scheduler_bound["soa"]["speedup_vs_object"] > 1.0
 
     # Throughput sanity: both scenarios should simulate at least a few
     # thousand cycles per second on any host this runs on.

@@ -103,7 +103,7 @@ def _grid(args):
 
 
 def _positive(value) -> None:
-    if value <= 0:
+    if not value > 0:  # also refuses nan
         raise ValueError("must be positive")
 
 
@@ -112,9 +112,19 @@ def _non_negative(value) -> None:
         raise ValueError("must be >= 0")
 
 
-#: Dispatch flags checked before anything is dispatched, each with the
-#: check its dispatcher applies (the stall watchdog checks its own window).
+def _power_of_two(value) -> None:
+    if value < 1 or value & (value - 1):
+        raise ValueError("must be a power of two")
+
+
+#: Numeric flags checked before any command runs, each with the check the
+#: code it configures applies (the stall watchdog checks its own window).
 _SETTING_CHECKS = {
+    "--scale": _positive,
+    "--channels": _power_of_two,
+    "--seed": _non_negative,
+    "--sms": _positive,
+    "--max-cycles": _positive,
     "--workers": _positive,
     "--cell-timeout": _positive,
     "--watchdog": Watchdog,
@@ -124,7 +134,7 @@ _SETTING_CHECKS = {
 
 
 def _check_settings(args) -> None:
-    """Refuse a bad dispatch flag with one line that names it."""
+    """Refuse a bad numeric flag with one line that names it."""
     for flag, check in _SETTING_CHECKS.items():
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is None:
@@ -133,6 +143,16 @@ def _check_settings(args) -> None:
             check(value)
         except ValueError as exc:
             raise SystemExit(f"invalid {flag} {value}: {exc}")
+
+
+def _check_sm_split(scenario, sms: int) -> None:
+    """Refuse an ``--sms`` too small to give both scenario kernels an SM."""
+    from repro.perf.bench import sm_split
+
+    try:
+        sm_split(scenario, sms)
+    except ValueError as exc:
+        raise SystemExit(f"invalid --sms {sms}: {exc}")
 
 
 def cmd_list(args) -> int:
@@ -259,15 +279,9 @@ def cmd_figure(args) -> int:
 def cmd_bench(args) -> int:
     import json
 
-    from repro.engine_soa import backend_from_env, resolve_backend
     from repro.perf import SCENARIOS, resolve_scenario, run_engine_bench
 
     try:
-        backend = (
-            resolve_backend(args.backend, source="--backend value")
-            if args.backend is not None
-            else backend_from_env()
-        )
         names = list(args.scenarios or [])
         for name in args.scenario or []:
             resolve_scenario(name, source="--scenario value")
@@ -275,17 +289,17 @@ def cmd_bench(args) -> int:
                 names.append(name)
     except ValueError as exc:
         raise SystemExit(str(exc))
+    names = names or list(SCENARIOS)
+    for name in names:
+        _check_sm_split(SCENARIOS[name], args.sms)
     payload = run_engine_bench(
-        scenario_names=names or list(SCENARIOS),
+        scenario_names=names,
         channels=args.channels,
         sms=args.sms,
         scale=args.scale,
         seed=args.seed,
         compare_naive=args.compare,
         stage_breakdown=not args.no_stages,
-        backend=backend,
-        compare_soa=args.compare_soa,
-        stage_profile=args.stage_profile,
     )
     text = json.dumps(payload, indent=2)
     if args.out == "-":
@@ -299,21 +313,7 @@ def cmd_bench(args) -> int:
             line = f"  {name}: {fast['cycles_per_sec']:,.0f} cyc/s"
             if "speedup_vs_naive" in entry:
                 line += f" ({entry['speedup_vs_naive']}x vs naive loop)"
-            if "soa" in entry:
-                line += f" (SoA {entry['soa']['speedup_vs_object']}x vs object)"
             print(line)
-    if args.stage_profile:
-        for name, entry in payload["scenarios"].items():
-            profile = entry["engine_meta"][backend].get("stage_profile", [])
-            if not profile:
-                continue
-            print(f"  {name} stage profile ({backend} backend):", file=sys.stderr)
-            for row in profile:
-                print(
-                    f"    {row['stage']:20s} {row['seconds']:8.4f}s "
-                    f"{row['share']:6.1%}  ({row['calls']:,} calls)",
-                    file=sys.stderr,
-                )
     return 0
 
 
@@ -321,7 +321,6 @@ def cmd_trace(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.engine_soa import backend_from_env, resolve_backend
     from repro.experiments.figures import format_table
     from repro.obs.trace import validate_trace, write_stats, write_trace
     from repro.perf.bench import TRACE_SCENARIOS, build_scenario_system
@@ -329,15 +328,8 @@ def cmd_trace(args) -> int:
     from repro.core.policies import PolicySpec
 
     policy_name = _canonical_policy(args.policy)
-    try:
-        backend = (
-            resolve_backend(args.backend, source="--backend value")
-            if args.backend is not None
-            else backend_from_env()
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
     scenario = TRACE_SCENARIOS[args.scenario]
+    _check_sm_split(scenario, args.sms)
     system = build_scenario_system(
         scenario,
         channels=args.channels,
@@ -345,12 +337,11 @@ def cmd_trace(args) -> int:
         scale=args.scale,
         seed=args.seed,
         policy=PolicySpec(policy_name) if policy_name is not None else None,
-        backend=backend,
     )
     telemetry = system.enable_telemetry(
         ring_capacity=args.ring_capacity, timeline_interval=args.interval
     )
-    max_cycles = args.max_cycles or scenario.max_cycles
+    max_cycles = scenario.max_cycles if args.max_cycles is None else args.max_cycles
     result = system.run(max_cycles=max_cycles, until_all_complete_once=False)
 
     out = Path(args.out)
@@ -361,17 +352,12 @@ def cmd_trace(args) -> int:
             print(f"invalid trace: {error}", file=sys.stderr)
         return 1
     stats_path = out.with_name(out.stem + "_stats.json")
-    # The stats document carries the engine provenance next to the
-    # telemetry summary, so a trace is attributable to the backend that
-    # produced it (engine_meta mirrors BENCH_engine.json's per-backend
-    # bookkeeping keys).
+    # The stats document carries the engine bookkeeping next to the
+    # telemetry summary (engine_meta mirrors BENCH_engine.json's keys).
     stats = dict(result.telemetry)
-    stats["backend"] = backend
     stats["engine_meta"] = {
-        backend: {
-            "steps_executed": system.steps_executed,
-            "cycles_skipped": system.cycles_skipped,
-        }
+        "steps_executed": system.steps_executed,
+        "cycles_skipped": system.cycles_skipped,
     }
     write_stats(stats, stats_path)
 
@@ -379,8 +365,7 @@ def cmd_trace(args) -> int:
     print(
         f"trace written to {out} "
         f"({len(doc['traceEvents'])} events, {result.cycles} cycles, "
-        f"{len(telemetry.events)} ring events, {telemetry.events.evicted} evicted, "
-        f"{backend} backend)"
+        f"{len(telemetry.events)} ring events, {telemetry.events.evicted} evicted)"
     )
     print(f"stats written to {stats_path}")
     print(
@@ -837,33 +822,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--sms", type=int, default=10, help="number of SMs")
     bench.add_argument(
-        "--backend",
-        default=None,
-        help="engine backend for the timed runs: object | soa "
-        "(default: REPRO_ENGINE or object)",
-    )
-    bench.add_argument(
         "--compare",
         action="store_true",
         help="also time the naive cycle-by-cycle loop and report the speedup",
     )
     bench.add_argument(
-        "--compare-soa",
-        action="store_true",
-        help="also time the SoA engine per scenario and record its speedup "
-        "over the object run (object backend only)",
-    )
-    bench.add_argument(
         "--no-stages",
         action="store_true",
         help="skip the instrumented per-stage breakdown run",
-    )
-    bench.add_argument(
-        "--stage-profile",
-        action="store_true",
-        help="also run each scenario under the engine stage profiler and "
-        "record the ranked per-body attribution table (L2 tag/MSHR, DRAM "
-        "timing, completion/reply delivery, ...) in engine_meta",
     )
     bench.add_argument("--out", default="-", help="output JSON file ('-' = stdout)")
     _add_scale_args(bench)
@@ -894,12 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--ring-capacity", type=int, default=65536, help="event ring-buffer capacity"
-    )
-    trace.add_argument(
-        "--backend",
-        default=None,
-        help="engine backend for the traced run: object | soa "
-        "(default: REPRO_ENGINE or object); recorded in the stats JSON",
     )
     _add_scale_args(trace)
     trace.set_defaults(func=cmd_trace)

@@ -162,9 +162,6 @@ class MemoryController:
             if len(self.mem_queue) >= self.mem_queue_size:
                 self.stats.mem_rejected += 1
                 return False
-            # Stamp the arrival sequence before the append: indexed queue
-            # implementations (the SoA backend's per-bank head/hit caches)
-            # read ``mc_seq`` inside ``append``.
             request.mc_seq = self._next_seq
             self._next_seq += 1
             request.cycle_mc_arrival = cycle

@@ -1,88 +1,20 @@
-"""Struct-of-arrays engine backend and the backend selector.
+"""Compatibility entry point for building a simulated system.
 
-The object engine (:class:`repro.sim.system.GPUSystem`) is the reference
-implementation: every bank, queue, and warp is a Python object and each
-cycle walks them with method calls.  The SoA backend
-(:class:`repro.engine_soa.system.SoAGPUSystem`) keeps the *hot* per-cycle
-state — bank timing deadlines, row-buffer state, per-bank queue ages,
-warp readiness — in preallocated numpy arrays and replaces the three
-hottest loops (bank/channel state machines, the FR-FCFS pick, SM warp
-issue) with vectorized masks and argmin reductions.  Results are
-byte-identical to the object engine (``tests/test_engine_soa.py`` proves
-store fingerprints match across policies, telemetry, and fast-forward
-modes); only wall-clock time differs.
-
-Backend selection, in precedence order:
-
-1. an explicit ``backend=`` argument (``Runner(backend="soa")``,
-   ``create_system(..., backend="soa")``, ``repro bench --backend soa``);
-2. the ``REPRO_ENGINE`` environment variable (``object`` | ``soa``);
-3. the default, ``object``.
+The object engine (:class:`repro.sim.system.GPUSystem`) is the only
+engine.  This module stays because the figure-grid benchmark under
+``benchmarks/suite/`` imports ``create_system`` from here and wraps it
+for its ``sim`` spans; the experiment runner and ``repro.perf.bench``
+call it here so those spans see every system built.  New code should
+build :class:`~repro.sim.system.GPUSystem` directly.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 from repro.config import SystemConfig
 from repro.core.policies import PolicySpec
-
-#: Valid engine backend names, in documentation order.
-ENGINE_BACKENDS = ("object", "soa")
-
-#: Environment variable consulted when no explicit backend is passed.
-ENGINE_ENV = "REPRO_ENGINE"
-
-DEFAULT_BACKEND = "object"
+from repro.sim.system import GPUSystem
 
 
-def resolve_backend(value: str, source: str = "backend") -> str:
-    """Normalize and validate a backend name.
-
-    Raises ``ValueError`` naming the offending value and the valid
-    choices (the PR 5 convention for shard/config errors), with
-    ``source`` identifying where the bad value came from (a CLI flag,
-    the environment variable, a constructor argument).
-    """
-    normalized = str(value).strip().lower()
-    if normalized not in ENGINE_BACKENDS:
-        raise ValueError(
-            f"unknown {source} {value!r}: valid choices are "
-            + ", ".join(ENGINE_BACKENDS)
-        )
-    return normalized
-
-
-def backend_from_env(default: str = DEFAULT_BACKEND) -> str:
-    """The backend selected by ``REPRO_ENGINE`` (or ``default`` if unset)."""
-    raw = os.environ.get(ENGINE_ENV)
-    if raw is None or not raw.strip():
-        return default
-    return resolve_backend(raw, source=f"{ENGINE_ENV} value")
-
-
-def create_system(
-    config: SystemConfig,
-    policy: PolicySpec,
-    backend: Optional[str] = None,
-    **kwargs,
-):
-    """Build a simulated system under the selected engine backend.
-
-    ``backend`` (validated) beats ``REPRO_ENGINE`` beats the object
-    default; remaining keyword arguments are forwarded to the system
-    constructor unchanged.  Requesting ``soa`` without numpy installed
-    raises an ``ImportError`` explaining the dependency (numpy is a
-    declared dependency, so this only happens in stripped environments).
-    """
-    resolved = (
-        resolve_backend(backend) if backend is not None else backend_from_env()
-    )
-    if resolved == "soa":
-        from repro.engine_soa.system import SoAGPUSystem
-
-        return SoAGPUSystem(config, policy, **kwargs)
-    from repro.sim.system import GPUSystem
-
+def create_system(config: SystemConfig, policy: PolicySpec, **kwargs) -> GPUSystem:
+    """Build a :class:`GPUSystem`; keyword arguments go to its constructor."""
     return GPUSystem(config, policy, **kwargs)

@@ -48,7 +48,7 @@ BASELINE_POLICY = PolicySpec("FR-FCFS")
 #: Requests simulated by finished systems after which a runner runs a
 #: full garbage collection before building the next system.  A finished
 #: system leaves ~0.5 MB of cyclic garbage, plus up to ~0.7 MB per
-#: thousand requests it simulated (SoA; the object engine leaves less).
+#: thousand requests it simulated.
 GC_AFTER_REQUESTS = 2048
 
 
@@ -186,20 +186,8 @@ class Runner:
         perf_counters: bool = False,
         store=None,
         watchdog_window: Optional[int] = None,
-        backend: Optional[str] = None,
     ):
         self.scale = scale
-        #: Engine backend for every system this runner builds ("object" |
-        #: "soa"); None defers to REPRO_ENGINE / the object default at
-        #: build time.  Validated eagerly so a typo fails at construction
-        #: with the offending value and the valid choices.
-        from repro.engine_soa import resolve_backend
-
-        self.backend = (
-            resolve_backend(backend, source="Runner backend")
-            if backend is not None
-            else None
-        )
         #: With a window set, every system this runner builds gets a
         #: no-progress watchdog: a livelocked cell raises a structured
         #: SimulationStalled (quarantined by the sweep supervisor) instead
@@ -266,7 +254,6 @@ class Runner:
         system = create_system(
             config,
             policy,
-            backend=self.backend,
             seed=self.scale.seed,
             scale=self.scale.workload_scale,
             traces=self.traces,

@@ -181,7 +181,6 @@ class FabricWorker:
         crash_after_lease: Optional[int] = None,
         lease_hook: Optional[Callable] = None,
         runner_factory: Optional[Callable] = None,
-        backend: Optional[str] = None,
         watchdog_window: Optional[int] = None,
         sleep=time.sleep,
     ) -> None:
@@ -196,7 +195,6 @@ class FabricWorker:
         self.crash_after_lease = crash_after_lease
         self.lease_hook = lease_hook
         self.runner_factory = runner_factory
-        self.backend = backend
         self.watchdog_window = watchdog_window
         self._sleep = sleep
 
@@ -248,10 +246,7 @@ class FabricWorker:
             self.runner = self.runner_factory(scale, self.store)
         else:
             self.runner = Runner(
-                scale,
-                store=self.store,
-                backend=self.backend,
-                watchdog_window=self.watchdog_window,
+                scale, store=self.store, watchdog_window=self.watchdog_window
             )
         return grid
 

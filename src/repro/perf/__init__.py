@@ -7,7 +7,6 @@ active-set scheduling and event-driven fast-forwarding.
 """
 
 from repro.perf.counters import EngineCounters
-from repro.perf.profiler import STAGE_BODIES, StageProfiler
 from repro.perf.bench import (
     BenchScenario,
     SCENARIOS,
@@ -19,8 +18,6 @@ from repro.perf.bench import (
 
 __all__ = [
     "EngineCounters",
-    "STAGE_BODIES",
-    "StageProfiler",
     "BenchScenario",
     "SCENARIOS",
     "TRACE_SCENARIOS",

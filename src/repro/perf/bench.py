@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.core.policies import PolicySpec
-from repro.engine_soa import DEFAULT_BACKEND, create_system, resolve_backend
+from repro.engine_soa import create_system
 from repro.request import reset_request_ids
 from repro.sim.system import GPUSystem
 from repro.workloads import get_gpu_kernel, get_pim_kernel
@@ -97,8 +97,7 @@ def resolve_scenario(name: str, source: str = "scenario") -> str:
     """Validate a benchmark scenario name.
 
     Raises ``ValueError`` naming the offending value and the valid
-    choices (the same convention as ``resolve_backend``), with
-    ``source`` identifying where the bad value came from.
+    choices, with ``source`` identifying where the bad value came from.
     """
     if name not in SCENARIOS:
         raise ValueError(
@@ -129,6 +128,19 @@ TRACE_SCENARIOS: Dict[str, BenchScenario] = {
 }
 
 
+def sm_split(scenario: BenchScenario, sms: int) -> Tuple[int, int]:
+    """``(gpu_sms, pim_sms)`` for ``scenario`` on ``sms`` SMs.
+
+    Raises ``ValueError`` when either kernel would get no SM.
+    """
+    gpu_sms = scenario.gpu_sms if scenario.gpu_sms is not None else sms // 2
+    if not 0 < gpu_sms < sms:
+        raise ValueError(
+            f"scenario {scenario.name} needs at least {max(gpu_sms, 1) + 1} SMs"
+        )
+    return gpu_sms, sms - gpu_sms
+
+
 def build_scenario_system(
     scenario: BenchScenario,
     channels: int = 8,
@@ -137,51 +149,31 @@ def build_scenario_system(
     seed: int = 1,
     fast_forward: bool = True,
     policy: Optional[PolicySpec] = None,
-    backend: Optional[str] = None,
 ) -> GPUSystem:
     """Build the system for a scenario (``policy`` overrides the default).
 
     Shared by the benchmark harness and ``repro trace``; resets the global
     request-id counter so repeated builds are bit-reproducible.
-    ``backend`` selects the engine (object reference or SoA vectorized);
-    ``None`` defers to ``REPRO_ENGINE`` / the object default.
     """
     reset_request_ids()
     config = SystemConfig.scaled(num_channels=channels, num_sms=sms)
     if scenario.num_vcs != config.num_virtual_channels:
         config = config.replace(num_virtual_channels=scenario.num_vcs)
+    gpu_sms, pim_sms = sm_split(scenario, sms)
     system = create_system(
         config,
         policy if policy is not None else PolicySpec(scenario.policy),
-        backend=backend,
         seed=seed,
         scale=scale,
         fast_forward=fast_forward,
     )
-    gpu_sms = scenario.gpu_sms if scenario.gpu_sms is not None else sms // 2
     system.add_kernel(
         get_gpu_kernel(scenario.gpu_kernel), num_sms=gpu_sms, loop=scenario.loop_gpu
     )
     system.add_kernel(
-        get_pim_kernel(scenario.pim_kernel),
-        num_sms=sms - gpu_sms,
-        loop=scenario.loop_pim,
+        get_pim_kernel(scenario.pim_kernel), num_sms=pim_sms, loop=scenario.loop_pim
     )
     return system
-
-
-def _build_system(
-    scenario: BenchScenario,
-    channels: int,
-    sms: int,
-    scale: float,
-    seed: int,
-    fast_forward: bool,
-    backend: Optional[str] = None,
-) -> GPUSystem:
-    return build_scenario_system(
-        scenario, channels, sms, scale, seed, fast_forward=fast_forward, backend=backend
-    )
 
 
 def _timed_run(system: GPUSystem, max_cycles: int):
@@ -190,10 +182,7 @@ def _timed_run(system: GPUSystem, max_cycles: int):
     ``timing`` holds the comparable numbers (simulated cycles, wall
     seconds, throughput).  ``engine_meta`` holds ``steps_executed`` /
     ``cycles_skipped``, which are *engine* bookkeeping, not simulation
-    output — backends legitimately disagree on them (the SoA engine's
-    parked controllers no longer block quiescence, so it fast-forwards
-    cycles the object engine steps), so they are reported separately,
-    keyed per backend.
+    output, so they are reported apart from the timing.
     """
     start = time.perf_counter()
     result = system.run(max_cycles=max_cycles, until_all_complete_once=False)
@@ -218,9 +207,6 @@ def run_engine_bench(
     seed: int = 1,
     compare_naive: bool = False,
     stage_breakdown: bool = True,
-    backend: str = DEFAULT_BACKEND,
-    compare_soa: bool = False,
-    stage_profile: bool = False,
 ) -> Dict:
     """Run the engine benchmark and return the BENCH_engine.json payload.
 
@@ -230,65 +216,29 @@ def run_engine_bench(
     asserted to produce the same simulated cycle count — a cheap guard on
     top of the bit-exact equivalence suite in ``tests/test_fast_forward.py``.
 
-    ``backend`` selects the engine for the timed runs; ``compare_soa``
-    (object backend only) additionally times the SoA engine per scenario
-    and records it under the ``"soa"`` key with its speedup over the
-    object run — this is the baseline ``check_perf_regression --check
-    soa`` guards.  Both engines must simulate the same cycle count.
-
-    ``steps_executed`` / ``cycles_skipped`` are engine bookkeeping (they
-    legitimately differ between backends) and are reported under
-    ``entry["engine_meta"][<backend>]`` rather than inside the timing
-    dicts, so the ``fast`` / ``soa`` sections only carry numbers that
-    are actually comparable.
-
-    ``stage_profile`` (``repro bench --stage-profile``) runs each
-    scenario once more under a :class:`~repro.perf.profiler.StageProfiler`
-    and records the ranked per-body attribution table (L2 tag/MSHR, DRAM
-    timing, completion/reply delivery, ...) under
-    ``entry["engine_meta"][<backend>]["stage_profile"]`` — the data that
-    decides which Python body migrates to ``_kernels.c`` next.
+    ``steps_executed`` / ``cycles_skipped`` are engine bookkeeping and
+    are reported under ``entry["engine_meta"]`` rather than inside the
+    timing dicts, so the ``fast`` / ``naive`` sections only carry numbers
+    that are actually comparable.
     """
-    backend = resolve_backend(backend)
     names = [resolve_scenario(n) for n in (scenario_names or list(SCENARIOS))]
     payload: Dict = {
         "benchmark": "engine_throughput",
-        "backend": backend,
         "config": {"channels": channels, "sms": sms, "scale": scale, "seed": seed},
         "scenarios": {},
     }
     for name in names:
         scenario = SCENARIOS[name]
-        system = _build_system(
-            scenario, channels, sms, scale, seed, fast_forward=True, backend=backend
-        )
+        system = build_scenario_system(scenario, channels, sms, scale, seed, fast_forward=True)
         fast, fast_meta = _timed_run(system, scenario.max_cycles)
         entry: Dict = {
             "description": scenario.description,
             "fast": fast,
-            "engine_meta": {backend: fast_meta},
+            "engine_meta": fast_meta,
         }
 
-        if compare_soa and backend == "object":
-            soa_system = _build_system(
-                scenario, channels, sms, scale, seed, fast_forward=True, backend="soa"
-            )
-            soa, soa_meta = _timed_run(soa_system, scenario.max_cycles)
-            if soa["cycles"] != fast["cycles"]:  # pragma: no cover - guard
-                raise AssertionError(
-                    f"{name}: object run simulated {fast['cycles']} cycles, "
-                    f"SoA run {soa['cycles']}"
-                )
-            entry["soa"] = soa
-            entry["engine_meta"]["soa"] = soa_meta
-            entry["soa"]["speedup_vs_object"] = (
-                round(fast["wall_seconds"] / soa["wall_seconds"], 2)
-                if soa["wall_seconds"]
-                else 0.0
-            )
-
         if compare_naive:
-            naive_system = _build_system(
+            naive_system = build_scenario_system(
                 scenario, channels, sms, scale, seed, fast_forward=False
             )
             naive, _ = _timed_run(naive_system, scenario.max_cycles)
@@ -305,35 +255,14 @@ def run_engine_bench(
             )
 
         if stage_breakdown:
-            instrumented = _build_system(
-                scenario, channels, sms, scale, seed, fast_forward=True, backend=backend
+            instrumented = build_scenario_system(
+                scenario, channels, sms, scale, seed, fast_forward=True
             )
             counters = instrumented.enable_perf_counters()
             instrumented.run(
                 max_cycles=scenario.max_cycles, until_all_complete_once=False
             )
             entry["stages"] = counters.breakdown()
-
-        if stage_profile:
-            from repro.perf.profiler import StageProfiler
-
-            profiled = _build_system(
-                scenario, channels, sms, scale, seed, fast_forward=True, backend=backend
-            )
-            profiler = StageProfiler(profiled)
-            start = time.perf_counter()
-            profiled_result = profiled.run(
-                max_cycles=scenario.max_cycles, until_all_complete_once=False
-            )
-            profiled_wall = time.perf_counter() - start
-            if profiled_result.cycles != fast["cycles"]:  # pragma: no cover - guard
-                raise AssertionError(
-                    f"{name}: profiled run simulated {profiled_result.cycles} "
-                    f"cycles, unprofiled run {fast['cycles']}"
-                )
-            meta = entry["engine_meta"][backend]
-            meta["stage_profile"] = profiler.table()
-            meta["stage_profile_wall_seconds"] = round(profiled_wall, 4)
 
         payload["scenarios"][name] = entry
     return payload

@@ -87,14 +87,6 @@ class PIMExecutor:
         # Ops execute lock-step FCFS, so completion cycles are appended in
         # non-decreasing order: completion pops are always a prefix.
         self._in_flight: Deque[Tuple[int, "Request"]] = deque()
-        # Deferred issue-time effects for batch-issued ops (the SoA engine's
-        # ``_fused_pim`` drains a whole queue snapshot at once, but each
-        # op's stats and functional execution belong to its logical issue
-        # tick): one ``(tick, start, end, rf_only, switched, request)``
-        # entry per batch op, applied as the op completes (or, for ops cut
-        # by the simulation horizon, by ``flush_issue_stats``).  Empty for
-        # the object engine, whose ``issue`` commits immediately.
-        self._pending: Deque[Tuple[int, int, int, bool, bool, "Request"]] = deque()
         # Merged channel-wide busy intervals (each counts all banks busy).
         self.busy_intervals: List[Tuple[int, int]] = []
 
@@ -187,11 +179,6 @@ class PIMExecutor:
     def _switch_row(self, row: int, cycle: int, timings) -> int:
         """Precharge + activate all banks onto the new PIM row."""
         self.stats.row_switches += 1
-        return self._switch_row_rails(row, cycle, timings)
-
-    def _switch_row_rails(self, row: int, cycle: int, timings) -> int:
-        """The rail math of ``_switch_row`` without the stat (the SoA batch
-        defers stats to the op's logical issue tick; see ``_pending``)."""
         banks = self.channel.banks
         open_banks = [bank for bank in banks if bank.state.open_row is not None]
         if open_banks:
@@ -252,44 +239,14 @@ class PIMExecutor:
             if result is not None:
                 self.store.write(channel_index, bank_index, request.row, request.column, result)
 
-    def _apply_issue(self, entry) -> None:
-        """Commit one deferred batch op's issue-time effects (``_pending``)."""
-        tick, start, end, rf_only, switched, request = entry
-        stats = self.stats
-        stats.ops_executed += 1
-        if rf_only:
-            stats.rf_only_ops += 1
-        if switched:
-            stats.row_switches += 1
-        stats.busy_cycles += end - tick
-        self._note_busy(start, end)
-        if self.functional:
-            self._execute_functional(request)
-
-    def flush_issue_stats(self, final_cycle: int) -> None:
-        """Commit deferred effects for ops whose issue tick has been reached.
-
-        Called at result collection: in-flight batch ops issued at or
-        before ``final_cycle`` are observable (the object engine issued
-        them inside the simulated window); later ones are not.
-        """
-        pending = self._pending
-        while pending and pending[0][0] <= final_cycle:
-            self._apply_issue(pending.popleft())
-
     def pop_completed(self, cycle: int) -> List["Request"]:
         flight = self._in_flight
         if not flight or flight[0][0] > cycle:
             return []
         done: List["Request"] = []
-        pending = self._pending
         while flight and flight[0][0] <= cycle:
             end, req = flight.popleft()
             req.cycle_completed = end
-            # Batch ops pair 1:1 with pending entries (both FCFS); after a
-            # horizon flush the surplus flight entries carry none.
-            if len(pending) > len(flight):
-                self._apply_issue(pending.popleft())
             done.append(req)
         return done
 
@@ -302,5 +259,4 @@ class PIMExecutor:
         self.next_col = 0
         self.stats = PIMStats()
         self._in_flight.clear()
-        self._pending.clear()
         self.busy_intervals.clear()

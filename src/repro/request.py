@@ -152,20 +152,6 @@ class Request:
     # issue path); False for MEM requests.  Filled in __post_init__.
     pim_dram: bool = field(init=False, default=False)
 
-    # Recycling slot (repro.engine_soa.replay): ``[live_count, phase]``
-    # shared by every request of one phase of a looping kernel.  The SoA
-    # engine returns finished requests to the slot; when the count hits
-    # zero the next launch reuses the phase's request objects instead of
-    # rebuilding them.  ``None`` outside recycling (object engine,
-    # non-looping kernels, writebacks, user traces).
-    _slot: Optional[list] = field(init=False, default=None, repr=False)
-
-    # Handle into the SoA engine's pooled RequestArrays (see
-    # repro.engine_soa.handles); -1 when not bound.  Replay-recycled
-    # requests keep their handle across launches (pinned), everything
-    # else holds one only while inside the NoC hop rings.
-    _handle: int = field(init=False, default=-1, repr=False)
-
     def __post_init__(self) -> None:
         pim = self.type is RequestType.PIM
         if pim and self.pim_op is None:

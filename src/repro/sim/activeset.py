@@ -63,63 +63,3 @@ class OrderedIndexSet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OrderedIndexSet({self._order!r})"
-
-
-class DenseIndexSet:
-    """Flag-array drop-in for :class:`OrderedIndexSet` over ``range(n)``.
-
-    The SoA engine's fused stage loops visit their members with C-level
-    ``list.index(True, start)`` scans, so membership lives in a plain
-    list of flags: ``add``/``discard`` become single subscript stores —
-    which the fused loops inline as ``active._flags[key] = True``.  The
-    list carries one extra always-``True`` sentinel flag at index
-    ``size`` so a scan terminates without raising ``ValueError``:
-    ``index(True, k)`` returning ``size`` means "no member at or after
-    ``k``".  The full ``OrderedIndexSet`` API is kept so the
-    object-engine fallback paths (wake-heap drain, telemetry stages,
-    buffer watch hooks) work unchanged on either implementation.
-
-    Not for sparse/unbounded keys: every operation is O(n) or O(1) with
-    n the fixed universe size, which beats set-plus-sorted-list churn
-    only because n is a handful of dense indices.
-    """
-
-    __slots__ = ("_flags", "_size")
-
-    def __init__(self, size: int, items: Iterable[int] = ()) -> None:
-        self._size = size
-        self._flags: List[bool] = [False] * size + [True]
-        for key in items:
-            self._flags[key] = True
-
-    def add(self, key: int) -> None:
-        self._flags[key] = True
-
-    def discard(self, key: int) -> None:
-        self._flags[key] = False
-
-    def update(self, keys: Iterable[int]) -> None:
-        flags = self._flags
-        for key in keys:
-            flags[key] = True
-
-    def snapshot(self) -> List[int]:
-        """Ascending copy, safe to iterate while mutating the set."""
-        flags = self._flags
-        return [key for key in range(self._size) if flags[key]]
-
-    def __bool__(self) -> bool:
-        return self._flags.index(True) < self._size
-
-    def __len__(self) -> int:
-        return self._flags.count(True) - 1
-
-    def __contains__(self, key: int) -> bool:
-        return self._flags[key]
-
-    def __iter__(self) -> Iterator[int]:
-        flags = self._flags
-        return (key for key in range(self._size) if flags[key])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DenseIndexSet({self.snapshot()!r})"

@@ -296,15 +296,6 @@ class GPUSystem:
         self._awaiting_first += 1
         return run
 
-    def _create_instance(self, run: KernelRun, ctx: LaunchContext) -> KernelInstance:
-        """Materialize the kernel instance for a (re-)launch.
-
-        Warp programs go through the system's trace cache.  Subclasses
-        may substitute an instance with identical semantics (the SoA
-        backend recycles request objects across loop relaunches).
-        """
-        return KernelInstance(run.spec, ctx, run.kernel_id, seed=self.seed, traces=self.traces)
-
     def _launch(self, run: KernelRun) -> None:
         import numpy as np
 
@@ -319,7 +310,10 @@ class GPUSystem:
             rf_entries_per_bank=self.config.rf_entries_per_bank,
             kernel_id=run.kernel_id,
         )
-        run.instance = self._create_instance(run, ctx)
+        # Warp programs go through the system's trace cache.
+        run.instance = KernelInstance(
+            run.spec, ctx, run.kernel_id, seed=self.seed, traces=self.traces
+        )
         for slot, sm_index in enumerate(run.sm_indices):
             self.sms[sm_index].attach(run.instance, slot, self.cycle)
         self._sm_active.update(run.sm_indices)

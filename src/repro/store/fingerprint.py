@@ -133,9 +133,8 @@ def checksum(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-#: Files under the package root whose content feeds the simulation: the
-#: Python modules and the C source the SoA backend compiles at run time.
-SOURCE_PATTERNS = ("*.py", "*.c")
+#: Files under the package root whose content feeds the simulation.
+SOURCE_PATTERN = "*.py"
 
 #: Root of the ``repro`` package (the directory hashed by :func:`code_version`).
 PACKAGE_ROOT = Path(__file__).resolve().parents[1]
@@ -143,7 +142,7 @@ PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 def source_digest(root: Path) -> str:
     """Digest of every source file under ``root`` (name + content)."""
-    paths = sorted({path for pattern in SOURCE_PATTERNS for path in root.rglob(pattern)})
+    paths = sorted(root.rglob(SOURCE_PATTERN))
     digest = hashlib.sha256()
     for path in paths:
         digest.update(path.relative_to(root).as_posix().encode())

@@ -212,6 +212,13 @@ class TestCommands:
             (["fabric", "serve", "--ttl", "0"], "--ttl"),
             (["fabric", "serve", "--resume-grace", "-1"], "--resume-grace"),
             (["fabric", "work", "--connect", "127.0.0.1:1", "--watchdog", "0"], "--watchdog"),
+            (["run", "--scale", "-1"], "--scale"),
+            (["sweep", "--scale", "0"], "--scale"),
+            (["run", "--seed", "-1"], "--seed"),
+            (["bench", "--sms", "0"], "--sms"),
+            (["bench", "--sms", "1"], "--sms"),
+            (["bench", "--channels", "3"], "--channels"),
+            (["trace", "--sms", "8"], "--sms"),
         ],
     )
     def test_bad_dispatch_setting_refused_in_one_line(self, tmp_path, argv, flag):
@@ -223,6 +230,14 @@ class TestCommands:
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith(f"invalid {flag} ")
         assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("cycles", ["-5", "0"])
+    def test_trace_refuses_a_non_positive_horizon(self, tmp_path, cycles):
+        out = tmp_path / "trace.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "--max-cycles", cycles, "--out", str(out)])
+        assert excinfo.value.code == f"invalid --max-cycles {cycles}: must be positive"
+        assert not out.exists()
 
     def test_keyboard_interrupt_exits_130(self, capsys, monkeypatch):
         import repro.experiments

@@ -9,6 +9,7 @@ workers fork).  Each case runs in a fresh interpreter and checks
 ``sys.modules``, never timings.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -89,9 +90,33 @@ from repro.experiments import ExperimentScale
 
 assert "numpy" not in sys.modules
 scale = ExperimentScale(num_channels=4)
-create_system(scale.config(1), PolicySpec("FR-FCFS"), backend="object")
+create_system(scale.config(1), PolicySpec("FR-FCFS"))
 """
     assert "numpy" in loaded(body)
+
+
+def test_benchmark_warmup_builds_the_object_engine():
+    """The figure-grid benchmark's set-up snippet (``WARMUP`` in
+    ``benchmarks/suite/bench.py``) builds a system through
+    ``repro.engine_soa.create_system`` with ``REPRO_ENGINE=soa`` set; it
+    must get the one engine, a ``GPUSystem``, and be able to run it."""
+    source = (Path(__file__).resolve().parents[1] / "benchmarks/suite/bench.py").read_text()
+    warmup = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "WARMUP" for target in node.targets)
+    )
+    check = warmup + (
+        "from repro.sim.system import GPUSystem\n"
+        "assert type(system) is GPUSystem, type(system)\n"
+        "system.run(max_cycles=500)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC, "REPRO_ENGINE": "soa"}
+    proc = subprocess.run(
+        [sys.executable, "-c", check, "0.01"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pooled_sweep_loads_numpy_before_forking(warm_store):

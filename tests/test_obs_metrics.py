@@ -418,76 +418,3 @@ class TestSweepHeartbeat:
                 ["sweep", "--gpus", "G17", "--pims", "P1", "--policies",
                  "FR-FCFS", "--vcs", "1", "--serve-status", "0"]
             )
-
-
-# ---------------------------------------------------------------------------
-# Stage profiler
-# ---------------------------------------------------------------------------
-
-
-class TestStageProfiler:
-    def fingerprint(self, profile: bool, backend: str):
-        from repro.perf import SCENARIOS, StageProfiler, build_scenario_system
-
-        scenario = SCENARIOS["saturated_corun"]
-        system = build_scenario_system(
-            scenario, channels=2, sms=10, scale=0.05, backend=backend
-        )
-        profiler = StageProfiler(system) if profile else None
-        result = system.run(max_cycles=8_000, until_all_complete_once=False)
-        fingerprint = {
-            "cycles": result.cycles,
-            "issued": [
-                (c.stats.mem_issued, c.stats.pim_issued) for c in system.controllers
-            ],
-            "switches": result.mode_switches,
-            "replies": system.replies_sent,
-        }
-        return fingerprint, profiler
-
-    @pytest.mark.parametrize("backend", ["object", "soa"])
-    def test_bit_identical_and_ranked(self, backend):
-        plain, _ = self.fingerprint(profile=False, backend=backend)
-        profiled, profiler = self.fingerprint(profile=True, backend=backend)
-        assert profiled == plain
-        table = profiler.table()
-        assert table, "profiler measured nothing"
-        seconds = [row["seconds"] for row in table]
-        assert seconds == sorted(seconds, reverse=True)
-        assert all(
-            {"stage", "seconds", "calls", "share"} <= set(row) for row in table
-        )
-        assert sum(row["share"] for row in table) == pytest.approx(1.0, abs=0.01)
-        stages = {row["stage"] for row in table}
-        # Bodies shared by both backends are always attributed.
-        assert "l2_tag_mshr" in stages and "reply_delivery" in stages
-        if backend == "soa":
-            assert "warp_advance" in stages  # SoA fused body
-
-    def test_uninstall_restores_bound_methods(self):
-        from repro.perf import SCENARIOS, StageProfiler, build_scenario_system
-
-        system = build_scenario_system(
-            SCENARIOS["saturated_corun"], channels=2, sms=10, scale=0.05, backend="soa"
-        )
-        profiler = StageProfiler(system)
-        assert profiler._installed
-        wrapped = {id(getattr(h, a)) for h, a in profiler._installed}
-        profiler.uninstall()
-        assert profiler._installed == []
-        for slice_ in system.l2_slices:
-            assert "lookup" not in vars(slice_)
-            assert id(slice_.lookup) not in wrapped
-
-    def test_bench_payload_carries_profile(self):
-        from repro.perf import run_engine_bench
-
-        payload = run_engine_bench(
-            scenario_names=["saturated_corun"],
-            channels=2, sms=10, scale=0.05,
-            stage_breakdown=False, stage_profile=True, backend="soa",
-        )
-        meta = payload["scenarios"]["saturated_corun"]["engine_meta"]["soa"]
-        assert meta["stage_profile"]
-        assert meta["stage_profile_wall_seconds"] > 0
-        assert meta["stage_profile"][0]["seconds"] >= meta["stage_profile"][-1]["seconds"]

@@ -5,8 +5,7 @@ generated one: same phases, same request fields (with the replaying
 instance's ``kernel_id``), and the same consumption of the global
 request-id stream.  Only the three synthetic spec types are replayed;
 everything else is generated on every launch.  A ``Runner`` shares one
-cache across every system it builds, and the SoA backend's request
-recycling rides on the shared records.
+cache across every system it builds.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.core.policies import PolicySpec
-from repro.engine_soa import ENGINE_BACKENDS, create_system
+from repro.engine_soa import create_system
 from repro.experiments.runner import ExperimentScale, Runner
 from repro.gpu.kernel import KernelInstance, LaunchContext
 from repro.gpu.warp_traces import REPLAYABLE_SPECS, WarpTraceCache
@@ -186,11 +185,10 @@ def test_systems_of_one_runner_share_records():
     assert alone.traces is not runner.traces
 
 
-def _corun(backend, telemetry=False, traces=None):
+def _corun(telemetry=False):
     reset_request_ids()
     config = SystemConfig.scaled(num_channels=2, num_sms=3, noc_queue_size=16)
-    system = create_system(config, PolicySpec("FR-FCFS"), backend=backend, seed=2, scale=0.03,
-                           traces=traces)
+    system = create_system(config, PolicySpec("FR-FCFS"), seed=2, scale=0.03)
     system.add_kernel(RODINIA["G17"], num_sms=2, loop=True)
     system.add_kernel(PIM_SUITE["P1"], num_sms=1, loop=True)
     if telemetry:
@@ -200,24 +198,11 @@ def _corun(backend, telemetry=False, traces=None):
     return system, result
 
 
-@pytest.mark.parametrize("backend", ENGINE_BACKENDS)
-def test_telemetry_on_matches_off(backend):
-    system, off = _corun(backend)
+def test_telemetry_on_matches_off():
+    system, off = _corun()
     assert system.traces.hits > 0  # loop relaunches replayed
-    _, on = _corun(backend, telemetry=True)
+    _, on = _corun(telemetry=True)
     assert on == off
-
-
-@pytest.mark.parametrize("compiled", ("1", "0"))
-def test_soa_recycling_is_bit_identical(monkeypatch, compiled):
-    monkeypatch.setenv("REPRO_SOA_COMPILED", compiled)
-    _, reference = _corun("object")
-    shared = WarpTraceCache()
-    for _ in range(2):  # the second co-run replays every program from the first
-        system, result = _corun("soa", traces=shared)
-        assert result == reference
-        assert any(system._recycler._slots.values())  # recycling engaged
-    assert shared.hits > 0
 
 
 def test_unreadable_duration_cache_is_empty(tmp_path, capsys):
