@@ -91,7 +91,6 @@ def measure_best(repeats: int = REPEATS) -> float:
     for _ in range(repeats):
         payload = run_engine_bench(
             scenario_names=[SCENARIO],
-            compare_naive=False,
             stage_breakdown=False,
         )
         best = max(best, payload["scenarios"][SCENARIO]["fast"]["cycles_per_sec"])

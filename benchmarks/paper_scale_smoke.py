@@ -58,7 +58,7 @@ def main(argv=None) -> int:
     reset_request_ids()
     config = SystemConfig.paper()
     gpu_sms = config.num_sms * 8 // 10  # the standard GPU-heavy 8:2 split
-    system = create_system(config, PolicySpec("FR-FCFS"), seed=1, fast_forward=True)
+    system = create_system(config, PolicySpec("FR-FCFS"), seed=1)
     system.add_kernel(get_gpu_kernel("G17"), num_sms=gpu_sms, loop=True)
     system.add_kernel(get_pim_kernel("P1"), num_sms=config.num_sms - gpu_sms, loop=True)
 

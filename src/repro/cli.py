@@ -298,7 +298,6 @@ def cmd_bench(args) -> int:
         sms=args.sms,
         scale=args.scale,
         seed=args.seed,
-        compare_naive=args.compare,
         stage_breakdown=not args.no_stages,
     )
     text = json.dumps(payload, indent=2)
@@ -309,11 +308,7 @@ def cmd_bench(args) -> int:
             fh.write(text + "\n")
         print(f"benchmark written to {args.out}")
         for name, entry in payload["scenarios"].items():
-            fast = entry["fast"]
-            line = f"  {name}: {fast['cycles_per_sec']:,.0f} cyc/s"
-            if "speedup_vs_naive" in entry:
-                line += f" ({entry['speedup_vs_naive']}x vs naive loop)"
-            print(line)
+            print(f"  {name}: {entry['fast']['cycles_per_sec']:,.0f} cyc/s")
     return 0
 
 
@@ -352,14 +347,7 @@ def cmd_trace(args) -> int:
             print(f"invalid trace: {error}", file=sys.stderr)
         return 1
     stats_path = out.with_name(out.stem + "_stats.json")
-    # The stats document carries the engine bookkeeping next to the
-    # telemetry summary (engine_meta mirrors BENCH_engine.json's keys).
-    stats = dict(result.telemetry)
-    stats["engine_meta"] = {
-        "steps_executed": system.steps_executed,
-        "cycles_skipped": system.cycles_skipped,
-    }
-    write_stats(stats, stats_path)
+    write_stats(result.telemetry, stats_path)
 
     identity = result.telemetry["hop_identity"]
     print(
@@ -821,11 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a single scenario (repeatable; combines with --scenarios)",
     )
     bench.add_argument("--sms", type=int, default=10, help="number of SMs")
-    bench.add_argument(
-        "--compare",
-        action="store_true",
-        help="also time the naive cycle-by-cycle loop and report the speedup",
-    )
     bench.add_argument(
         "--no-stages",
         action="store_true",

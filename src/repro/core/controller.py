@@ -441,7 +441,7 @@ class MemoryController:
         return request
 
     def next_wake_cycle(self, cycle: int) -> int:
-        """Earliest cycle at which a future ``tick`` could act (fast-forward
+        """Earliest cycle at which a future ``tick`` could act (wake-heap
         contract).
 
         Only meaningful right after a ``tick(cycle)`` left the controller

@@ -43,7 +43,7 @@ class BLISS(SchedulingPolicy):
         # Clears are aligned to absolute clear_interval epochs (not to the
         # cycle of the previous clear) so that skipping idle decision
         # cycles — during which a clear is unobservable — cannot drift the
-        # schedule.  Part of the engine's fast-forward contract.
+        # schedule.  Part of the engine's wake-heap contract.
         epoch = cycle // self.clear_interval
         if epoch != self._last_epoch:
             if self.blacklist:

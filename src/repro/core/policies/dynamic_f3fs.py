@@ -71,7 +71,7 @@ class DynamicF3FS(F3FS):
         # rather than to the previous adaptation cycle, so skipping idle
         # decision cycles — during which the issued deltas are zero and an
         # adaptation is a no-op — cannot drift the schedule.  Part of the
-        # engine's fast-forward contract.
+        # engine's wake-heap contract.
         epoch = cycle // self.epoch
         if epoch != self._epoch_index:
             self._epoch_index = epoch

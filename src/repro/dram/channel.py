@@ -124,8 +124,8 @@ class Channel:
     def next_completion_cycle(self) -> Optional[int]:
         """Completion cycle of the earliest in-flight MEM request.
 
-        Fast-forward contract: no in-flight request completes before this,
-        so the engine may jump the clock up to (but not past) it.
+        No in-flight request completes before this, so the engine's
+        completion stage skips the channel until then.
         """
         return self._in_flight[0][0] if self._in_flight else None
 

@@ -64,7 +64,7 @@ class RefreshTimer:
     def next_due_cycle(self) -> int:
         """Cycle at which the next refresh obligation accrues.
 
-        Part of the engine's fast-forward contract: an idle controller with
+        Part of the engine's wake-heap contract: an idle controller with
         refresh enabled must wake no later than this cycle.
         """
         return self._next_due

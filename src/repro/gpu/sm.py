@@ -306,7 +306,7 @@ class SM:
         self._dirty = True
 
     def next_event_cycle(self) -> int:
-        """Fast-forward contract: earliest cycle a future ``step`` could act.
+        """Wake-heap contract: earliest cycle a future ``step`` could act.
 
         Valid when the SM is clean (``_dirty`` False): the in-step wake gate
         skips every cycle before ``_next_wake``, and pending L1-hit replies

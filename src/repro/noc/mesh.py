@@ -78,8 +78,6 @@ class MeshRouter:
             port: VCBuffer(buffer_size, num_vcs, name=f"r{node}/{port}")
             for port in PORTS
         }
-        # Rotating input-port service order (advanced every cycle).
-        self._rotation = 0
 
     def occupancy(self) -> int:
         return sum(len(buffer) for buffer in self.ports.values())
@@ -152,23 +150,30 @@ class MeshFabric:
 
     def step(
         self,
+        cycle: int,
         sm_buffers: Sequence[VCBuffer],
         channel_buffers: Sequence[VCBuffer],
     ) -> List[Tuple[int, Request]]:
-        """Advance every flit by at most one hop; returns ejections."""
-        moves = self._plan_moves(channel_buffers)
+        """Advance every flit by at most one hop; returns ejections.
+
+        The input-port arbitration order depends only on ``cycle``, so
+        skipping ``step`` on idle cycles cannot shift it.
+        """
+        moves = self._plan_moves(cycle, channel_buffers)
         ejected = self._apply_moves(moves, channel_buffers)
         self._inject(sm_buffers)
         return ejected
 
-    def _plan_moves(self, channel_buffers) -> List[Tuple[int, str, Request, str]]:
+    def _plan_moves(
+        self, cycle: int, channel_buffers
+    ) -> List[Tuple[int, str, Request, str]]:
         """Pick at most one flit per (router, output port), by RR."""
         moves: List[Tuple[int, str, Request, str]] = []
         # Capacity claims this cycle, so two flits don't target one slot.
         claimed: Dict[Tuple[int, str, bool], int] = {}
+        port_order = self._rr_ports(cycle)
         for router in self.routers:
             used_outputs = set()
-            port_order = self._rr_ports(router)
             for in_port in port_order:
                 buffer = router.ports[in_port]
                 if not buffer:
@@ -189,11 +194,11 @@ class MeshFabric:
                     break  # one flit per input port per cycle
         return moves
 
-    def _rr_ports(self, router: MeshRouter) -> List[str]:
-        # Serve input ports starting from a rotating offset to avoid
-        # systematically favoring one direction.
-        start = router._rotation
-        router._rotation = (router._rotation + 1) % len(PORTS)
+    @staticmethod
+    def _rr_ports(cycle: int) -> List[str]:
+        # Serve input ports starting from an offset that rotates with the
+        # clock, so no direction is systematically favoured.
+        start = cycle % len(PORTS)
         return [PORTS[(start + i) % len(PORTS)] for i in range(len(PORTS))]
 
     def _claim_key(self, node: int, direction: str, request: Request):

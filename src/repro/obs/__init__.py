@@ -13,8 +13,8 @@ hot-path hook is guarded by an ``is not None`` check — the same pattern as
   retaining per-request lists.
 * **Structured event tracing** (:mod:`repro.obs.events`): a bounded ring
   buffer of typed events — mode switches, CAP bypasses, refreshes, BLISS
-  blacklisting, Dyn-F3FS cap adaptations, fast-forward windows, kernel
-  launches/drains, NoC rejects.
+  blacklisting, Dyn-F3FS cap adaptations, kernel launches/drains, NoC
+  rejects.
 * **Export** (:mod:`repro.obs.trace`): a Chrome trace-event JSON writer
   (Perfetto / ``chrome://tracing`` loadable) plus the JSON stats summary
   attached to :class:`~repro.sim.results.SimResult`.

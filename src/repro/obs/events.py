@@ -23,7 +23,6 @@ REFRESH = "refresh"
 BLISS_BLACKLIST = "bliss_blacklist"
 BLISS_CLEAR = "bliss_clear"
 DYN_CAP_ADAPT = "dyn_cap_adapt"
-FAST_FORWARD = "fast_forward"
 KERNEL_LAUNCH = "kernel_launch"
 KERNEL_DRAIN = "kernel_drain"
 NOC_REJECT = "noc_reject"

@@ -116,27 +116,6 @@ def _instants(telemetry, num_channels: int) -> List[Dict]:
     return out
 
 
-def _global_instants(telemetry) -> List[Dict]:
-    """Fast-forward windows as global instants (they pause every track)."""
-    out: List[Dict] = []
-    for event in telemetry.events:
-        if event.kind != ev.FAST_FORWARD:
-            continue
-        record = {
-            "name": ev.FAST_FORWARD,
-            "cat": "engine",
-            "ph": "i",
-            "ts": event.cycle,
-            "pid": PID_CHANNELS,
-            "tid": 0,
-            "s": "g",
-        }
-        if event.data:
-            record["args"] = dict(event.data)
-        out.append(record)
-    return out
-
-
 def _kernel_slices(telemetry, num_sms: int, end_cycle: int) -> List[Dict]:
     slices: List[Dict] = []
     open_runs: Dict[int, Dict] = {}  # kernel_id -> {"cycle", "name", "sms"}
@@ -227,7 +206,6 @@ def build_trace(system) -> Dict:
     trace_events.extend(_mode_slices(telemetry, num_channels, end_cycle))
     trace_events.extend(_kernel_slices(telemetry, num_sms, end_cycle))
     trace_events.extend(_instants(telemetry, num_channels))
-    trace_events.extend(_global_instants(telemetry))
     trace_events.extend(_counter_tracks(telemetry, num_channels))
 
     return {

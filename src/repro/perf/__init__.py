@@ -3,7 +3,7 @@
 This package measures the *simulator itself* (wall-clock per engine stage,
 simulated cycles per second), not the simulated machine.  See
 ``docs/performance.md`` for how these numbers relate to the engine's
-active-set scheduling and event-driven fast-forwarding.
+active-set scheduling.
 """
 
 from repro.perf.counters import EngineCounters

@@ -1,11 +1,9 @@
 """Engine throughput benchmark (``repro bench``).
 
 Runs fixed co-run scenarios through :class:`~repro.sim.system.GPUSystem`
-and reports simulated cycles per wall-clock second, the amount of
-fast-forwarding, and (optionally) a per-stage wall-clock breakdown and a
-comparison against the naive non-fast-forwarding loop.  The output is the
-payload written to ``BENCH_engine.json`` by the CLI and the perf smoke
-benchmark.
+and reports simulated cycles per wall-clock second and (optionally) a
+per-stage wall-clock breakdown.  The output is the payload written to
+``BENCH_engine.json`` by the CLI and the perf smoke benchmark.
 
 Scenarios
 ---------
@@ -13,12 +11,10 @@ Scenarios
     A finite G10 (compute-heavy) x P1 (streaming PIM) co-run simulated
     for a fixed 100k-cycle horizon — the fixed-window methodology used by
     the paper's timeline figures.  Once both kernels complete, the tail
-    of the window is quiescent, which is exactly where event-driven
-    fast-forwarding pays off.
+    of the window is idle, so this tracks the cost of an empty step.
 ``corun_saturated``
     A memory-intensive G17 x looping P1 co-run that keeps every queue
-    busy; there is nothing to skip, so this tracks the engine's busy-path
-    (active-set) throughput.
+    busy, so this tracks the engine's busy-path (active-set) throughput.
 ``saturated_corun``
     The same pairing with *both* kernels looping and a GPU-heavy 8/2 SM
     split, so the MEM queues stay deep for the whole window.  This is the
@@ -66,7 +62,7 @@ SCENARIOS: Dict[str, BenchScenario] = {
             loop_pim=False,
             max_cycles=100_000,
             description="finite co-run over a fixed 100k-cycle window "
-            "(compute phases + quiescent tail: exercises fast-forwarding)",
+            "(compute phases + idle tail: exercises empty steps)",
         ),
         BenchScenario(
             name="corun_saturated",
@@ -147,7 +143,6 @@ def build_scenario_system(
     sms: int = 10,
     scale: float = 0.12,
     seed: int = 1,
-    fast_forward: bool = True,
     policy: Optional[PolicySpec] = None,
 ) -> GPUSystem:
     """Build the system for a scenario (``policy`` overrides the default).
@@ -165,7 +160,6 @@ def build_scenario_system(
         policy if policy is not None else PolicySpec(scenario.policy),
         seed=seed,
         scale=scale,
-        fast_forward=fast_forward,
     )
     system.add_kernel(
         get_gpu_kernel(scenario.gpu_kernel), num_sms=gpu_sms, loop=scenario.loop_gpu
@@ -176,27 +170,16 @@ def build_scenario_system(
     return system
 
 
-def _timed_run(system: GPUSystem, max_cycles: int):
-    """Time a run; returns ``(timing, engine_meta)``.
-
-    ``timing`` holds the comparable numbers (simulated cycles, wall
-    seconds, throughput).  ``engine_meta`` holds ``steps_executed`` /
-    ``cycles_skipped``, which are *engine* bookkeeping, not simulation
-    output, so they are reported apart from the timing.
-    """
+def _timed_run(system: GPUSystem, max_cycles: int) -> Dict:
+    """Time a run: simulated cycles, wall seconds and throughput."""
     start = time.perf_counter()
     result = system.run(max_cycles=max_cycles, until_all_complete_once=False)
     wall = time.perf_counter() - start
-    timing = {
+    return {
         "cycles": result.cycles,
         "wall_seconds": round(wall, 4),
         "cycles_per_sec": round(result.cycles / wall, 1) if wall else 0.0,
     }
-    meta = {
-        "steps_executed": system.steps_executed,
-        "cycles_skipped": system.cycles_skipped,
-    }
-    return timing, meta
 
 
 def run_engine_bench(
@@ -205,21 +188,12 @@ def run_engine_bench(
     sms: int = 10,
     scale: float = 0.12,
     seed: int = 1,
-    compare_naive: bool = False,
     stage_breakdown: bool = True,
 ) -> Dict:
     """Run the engine benchmark and return the BENCH_engine.json payload.
 
-    ``compare_naive`` re-runs each scenario with fast-forwarding disabled
-    (``fast_forward=False``) and reports the wall-clock speedup of the
-    event-driven engine over the cycle-by-cycle loop.  The two runs are
-    asserted to produce the same simulated cycle count — a cheap guard on
-    top of the bit-exact equivalence suite in ``tests/test_fast_forward.py``.
-
-    ``steps_executed`` / ``cycles_skipped`` are engine bookkeeping and
-    are reported under ``entry["engine_meta"]`` rather than inside the
-    timing dicts, so the ``fast`` / ``naive`` sections only carry numbers
-    that are actually comparable.
+    Each scenario's ``fast`` entry holds the timed run; with
+    ``stage_breakdown`` a second, instrumented run adds ``stages``.
     """
     names = [resolve_scenario(n) for n in (scenario_names or list(SCENARIOS))]
     payload: Dict = {
@@ -229,35 +203,14 @@ def run_engine_bench(
     }
     for name in names:
         scenario = SCENARIOS[name]
-        system = build_scenario_system(scenario, channels, sms, scale, seed, fast_forward=True)
-        fast, fast_meta = _timed_run(system, scenario.max_cycles)
+        system = build_scenario_system(scenario, channels, sms, scale, seed)
         entry: Dict = {
             "description": scenario.description,
-            "fast": fast,
-            "engine_meta": fast_meta,
+            "fast": _timed_run(system, scenario.max_cycles),
         }
 
-        if compare_naive:
-            naive_system = build_scenario_system(
-                scenario, channels, sms, scale, seed, fast_forward=False
-            )
-            naive, _ = _timed_run(naive_system, scenario.max_cycles)
-            if naive["cycles"] != fast["cycles"]:  # pragma: no cover - guard
-                raise AssertionError(
-                    f"{name}: fast run simulated {fast['cycles']} cycles, "
-                    f"naive run {naive['cycles']}"
-                )
-            entry["naive"] = naive
-            entry["speedup_vs_naive"] = (
-                round(naive["wall_seconds"] / fast["wall_seconds"], 2)
-                if fast["wall_seconds"]
-                else 0.0
-            )
-
         if stage_breakdown:
-            instrumented = build_scenario_system(
-                scenario, channels, sms, scale, seed, fast_forward=True
-            )
+            instrumented = build_scenario_system(scenario, channels, sms, scale, seed)
             counters = instrumented.enable_perf_counters()
             instrumented.run(
                 max_cycles=scenario.max_cycles, until_all_complete_once=False

@@ -65,7 +65,7 @@ def progress_signature(system) -> Tuple[int, ...]:
 
 def outstanding_work(system) -> bool:
     """Buffered or in-flight requests that should eventually retire."""
-    if system._backlog > 0:
+    if system.backlog() > 0:
         return True
     return any(count > 0 for count in system._kernel_inflight.values())
 
@@ -97,7 +97,7 @@ def stall_diagnostic(system, window: int) -> Dict:
     return {
         "cycle": cycle,
         "window": window,
-        "backlog": system._backlog,
+        "backlog": system.backlog(),
         "kernel_inflight": {str(k): v for k, v in system._kernel_inflight.items()},
         "replies_pending": len(heap),
         "next_reply_cycle": heap[0][0] if heap else None,
@@ -130,6 +130,7 @@ class Watchdog:
         signature = progress_signature(system)
         if signature == self._signature and outstanding_work(system):
             diagnostic = stall_diagnostic(system, self.window)
+            backlog = diagnostic["backlog"]
             if system.telemetry is not None:
                 from repro.obs import events as obs_events
 
@@ -137,11 +138,11 @@ class Watchdog:
                     cycle,
                     obs_events.WATCHDOG,
                     window=self.window,
-                    backlog=system._backlog,
+                    backlog=backlog,
                 )
             raise SimulationStalled(
                 f"no forward progress for {self.window} cycles at cycle {cycle} "
-                f"({system._backlog} buffered, "
+                f"({backlog} buffered, "
                 f"{sum(system._kernel_inflight.values())} in flight)",
                 diagnostic,
             )

@@ -15,30 +15,21 @@ baseline (PIM bursts head-of-line-block MEM requests); with ``2`` it is the
 **VC2** proposal (separate MEM/PIM queues at every hop, round-robin
 service, half capacity each).
 
-The engine is cycle-driven, processing stages downstream-first so a request
-moves at most one hop per cycle.  Two engine-level optimizations (see
-``docs/performance.md``) keep the per-cycle cost proportional to the amount
-of actual work instead of the machine size:
-
-* **Active-set scheduling** — every inter-stage buffer notifies the engine
-  on push/pop (``BoundedQueue.on_push``/``on_pop``), so each stage loop
-  visits only the channels/SMs that can make progress this cycle.
-  Controllers and SMs that sleep on a future self-event park on a wake
-  heap and leave the loops entirely.
-* **Event-driven fast-forwarding** — when the system is quiescent (no
-  buffered work, no active controller or SM), the clock jumps straight to
-  the earliest scheduled event (reply, DRAM/PIM completion, wake, refresh,
-  timeline sample).  Skipped cycles are provably no-ops, so results are
-  bit-identical to ticking through them (enforced by
-  ``tests/test_fast_forward.py``); set ``REPRO_FAST_FORWARD=0`` or pass
-  ``fast_forward=False`` to fall back to the naive loop.
+The engine is cycle-driven: ``run`` ticks ``step`` once per cycle,
+processing stages downstream-first so a request moves at most one hop per
+cycle.  Active-set scheduling (see ``docs/performance.md``) keeps the
+per-cycle cost proportional to the amount of actual work instead of the
+machine size: every inter-stage buffer notifies the engine on push/pop
+(``BoundedQueue.on_push``/``on_pop``), so each stage loop visits only the
+channels/SMs that can make progress this cycle.  Controllers and SMs that
+sleep on a future self-event park on a wake heap and leave the loops
+entirely.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,11 +57,6 @@ from repro.sim.results import KernelResult, SimResult
 WORD_BYTES = 32
 
 
-def _default_fast_forward() -> bool:
-    value = os.environ.get("REPRO_FAST_FORWARD", "1").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
-
 class KernelRun:
     """A kernel bound to a set of SMs, optionally re-launched in a loop."""
 
@@ -94,6 +80,10 @@ class KernelRun:
 class GPUSystem:
     """The complete simulated GPU + PIM-enabled memory system."""
 
+    #: The clock ticks every cycle, so nothing is ever skipped.  Kept only
+    #: because benchmarks/suite/traced.py reads it.
+    cycles_skipped = 0
+
     def __init__(
         self,
         config: SystemConfig,
@@ -101,7 +91,6 @@ class GPUSystem:
         seed: int = 0,
         functional: bool = False,
         scale: float = 1.0,
-        fast_forward: Optional[bool] = None,
         traces: Optional[WarpTraceCache] = None,
     ) -> None:
         # numpy seeds the warp RNGs.  It loads with the first system a
@@ -120,9 +109,6 @@ class GPUSystem:
         self.traces = traces if traces is not None else WarpTraceCache()
         self.mapper = config.mapper
         self.store = DataStore() if functional else None
-        self.fast_forward = (
-            _default_fast_forward() if fast_forward is None else fast_forward
-        )
 
         timings = config.timings
         vcs = config.num_virtual_channels
@@ -221,14 +207,10 @@ class GPUSystem:
         self.timeline = None  # optional metrics.timeline.TimelineSampler
 
         # -- active-set scheduling state (docs/performance.md) -------------
-        # Total items in watched buffers (SM outputs, interconnect->L2,
-        # L2->DRAM) plus pending writebacks; zero is a precondition for
-        # fast-forwarding.
         # Stage loops visit members in ascending order (iteration order is
         # simulated behaviour — it fixes reply sequence numbers), so the
         # active sets maintain that order incrementally instead of paying a
         # sorted() per stage per cycle.
-        self._backlog = 0
         self._l2_active = OrderedIndexSet()  # channels: input_buffers non-empty
         self._ingress_active = OrderedIndexSet()  # channels: dram_queues non-empty
         self._wb_active = OrderedIndexSet()  # channels: pending writebacks
@@ -251,8 +233,6 @@ class GPUSystem:
         # Optional repro.resilience.watchdog.Watchdog (no-progress guard);
         # dormant cost is one None check + one int compare per step.
         self.watchdog = None
-        self.steps_executed = 0
-        self.cycles_skipped = 0
         self._stages = (
             ("completions", self._stage_completions),
             ("replies", self._stage_replies),
@@ -267,15 +247,29 @@ class GPUSystem:
 
     def _watch_buffer(self, buffer: VCBuffer, active_set: OrderedIndexSet, key: int) -> None:
         def on_push() -> None:
-            self._backlog += 1
             active_set.add(key)
 
         def on_pop() -> None:
-            self._backlog -= 1
             if not buffer:
                 active_set.discard(key)
 
         buffer.watch(on_push, on_pop)
+
+    @property
+    def steps_executed(self) -> int:
+        """``step`` calls so far: one per cycle (read by
+        benchmarks/suite/traced.py)."""
+        return self.cycle
+
+    def backlog(self) -> int:
+        """Requests buffered between stages: SM outputs, interconnect->L2
+        and L2->DRAM queues, plus pending writebacks."""
+        return (
+            sum(len(buffer) for buffer in self.sm_buffers)
+            + sum(len(buffer) for buffer in self.input_buffers)
+            + sum(len(queue) for queue in self.dram_queues)
+            + sum(len(pending) for pending in self.writebacks)
+        )
 
     # -- kernel management -------------------------------------------------
 
@@ -366,7 +360,6 @@ class GPUSystem:
             waiting, writeback = self.l2_slices[ch].install(request)
             if writeback is not None:
                 self.writebacks[ch].append(writeback)
-                self._backlog += 1
                 self._wb_active.add(ch)
             for waiter in waiting:
                 self._schedule_reply(waiter, cycle + self.config.reply_latency)
@@ -481,7 +474,6 @@ class GPUSystem:
             queue = self.dram_queues[ch].queue(Mode.MEM)
             if not queue.full:
                 queue.try_push(pending.popleft())
-                self._backlog -= 1
                 if not pending:
                     active.discard(ch)
 
@@ -490,7 +482,7 @@ class GPUSystem:
             # The fabric must also run with empty SM buffers while flits
             # are still in flight between routers.
             if self._xbar_active or self.mesh.occupancy:
-                self.mesh.step(self.sm_buffers, self.input_buffers)
+                self.mesh.step(self.cycle, self.sm_buffers, self.input_buffers)
         elif self._xbar_active:
             self.crossbar.step(
                 self.sm_buffers, self.input_buffers, self._xbar_active.snapshot()
@@ -590,52 +582,7 @@ class GPUSystem:
         watchdog = self.watchdog
         if watchdog is not None and cycle >= watchdog.next_check:
             watchdog.scan(self)
-        self.steps_executed += 1
         self.cycle = cycle + 1
-
-    def _quiescent(self) -> bool:
-        """No buffered work and no component that can act next cycle."""
-        if self._backlog or self._mc_active or self._sm_active:
-            return False
-        return self.mesh is None or not self.mesh.occupancy
-
-    def _fast_forward_clock(self, limit: int) -> None:
-        """Jump the clock to the next scheduled event (system is quiescent).
-
-        Every skipped cycle would have been a no-op step: components only
-        act on buffered work (none — active sets empty), at a self-scheduled
-        wake (on the wake heap), or on a completion/reply event (bounded
-        below by the respective heads).  Timeline sampling caps the jump at
-        the next due sample so the sample series is unchanged.
-        """
-        cycle = self.cycle
-        target = limit
-        replies = self._reply_heap
-        if replies and replies[0][0] < target:
-            target = replies[0][0]
-        wakes = self._wake_heap
-        if wakes and wakes[0][0] < target:
-            target = wakes[0][0]
-        for ch in self._busy_channels:
-            head = self.channels[ch].next_completion_cycle()
-            if head is not None and head < target:
-                target = head
-            head = self.pim_execs[ch].next_completion_cycle()
-            if head is not None and head < target:
-                target = head
-        timeline = self.timeline
-        if timeline is not None:
-            remainder = cycle % timeline.interval
-            due = cycle if remainder == 0 else cycle + timeline.interval - remainder
-            if due < target:
-                target = due
-        if target > cycle:
-            self.cycles_skipped += target - cycle
-            self.cycle = target
-            if self.telemetry is not None:
-                self.telemetry.emit(
-                    cycle, obs_events.FAST_FORWARD, start=cycle, skipped=target - cycle
-                )
 
     def enable_watchdog(self, window: Optional[int] = None) -> "Watchdog":
         """Attach the no-forward-progress guard (see :mod:`repro.resilience`).
@@ -723,13 +670,10 @@ class GPUSystem:
             raise ValueError("no kernels added")
         for run in self.runs:
             self._launch(run)
-        fast = self.fast_forward
         while self.cycle < max_cycles:
             self.step()
             if until_all_complete_once and not self._awaiting_first:
                 break
-            if fast and self._quiescent():
-                self._fast_forward_clock(max_cycles)
         for controller in self.controllers:
             controller.finalize(self.cycle)
         return self._collect_results()

@@ -56,8 +56,8 @@ class TestMeshFabric:
         fabric, sms, channels = self.make()
         req = mem_request(channel=1)
         sms[0].try_push(req)
-        for _ in range(20):
-            fabric.step(sms, channels)
+        for cycle in range(20):
+            fabric.step(cycle, sms, channels)
             if channels[1]:
                 break
         assert channels[1].peek_next() is req
@@ -71,8 +71,8 @@ class TestMeshFabric:
             req = mem_request(channel)
             sent[channel] = req
             sms[sm_index].try_push(req)
-        for _ in range(30):
-            fabric.step(sms, channels)
+        for cycle in range(30):
+            fabric.step(cycle, sms, channels)
         for channel, req in sent.items():
             assert channels[channel].peek_next() is req
 
@@ -83,7 +83,7 @@ class TestMeshFabric:
         sms[0].try_push(req)
         cycles = 0
         while not channels[0]:
-            fabric.step(sms, channels)
+            fabric.step(cycles, sms, channels)
             cycles += 1
             assert cycles < 50
         min_hops = fabric.shape.width - 1 + fabric.shape.height - 1
@@ -95,8 +95,8 @@ class TestMeshFabric:
         channels[0].try_push(mem_request(0))  # full ejection buffer
         req = mem_request(channel=0)
         sms[0].try_push(req)
-        for _ in range(30):
-            fabric.step(sms, channels)
+        for cycle in range(30):
+            fabric.step(cycle, sms, channels)
         assert fabric.in_flight() == 1  # parked inside the mesh
 
     def test_vc2_pim_does_not_block_mem(self):
@@ -108,8 +108,8 @@ class TestMeshFabric:
         buffer_order = blocked_pim[:2] + [mem] + blocked_pim[2:]
         for req in buffer_order:
             sms[0].try_push(req)
-        for _ in range(60):
-            fabric.step(sms, channels)
+        for cycle in range(60):
+            fabric.step(cycle, sms, channels)
         # The MEM request reached its (separate) VC despite the PIM jam.
         assert len(channels[0].queue_for(mem)) == 1
 
@@ -126,8 +126,8 @@ class TestMeshFabric:
             req = mem_request(dest)
             pending.append((dest, req))
             sms[i % 4].try_push(req)
-        for _ in range(400):
-            fabric.step(sms, channels)
+        for cycle in range(400):
+            fabric.step(cycle, sms, channels)
             if all(not b for b in sms) and fabric.in_flight() == 0:
                 break
         assert fabric.in_flight() == 0
@@ -142,6 +142,33 @@ class TestMeshFabric:
             arrived[i] = items
         for dest, req in pending:
             assert req in arrived[dest]
+
+    def test_idle_steps_do_not_shift_arbitration(self):
+        """Arbitration is keyed to the cycle, not to the number of calls.
+
+        The engine skips the fabric on cycles with nothing to move, so
+        the same traffic offered at the same cycle must be served in the
+        same order whether or not ``step`` ran while the mesh was empty.
+        """
+        start = 3
+
+        def ejection_order(idle_steps):
+            fabric, sms, channels = self.make(num_sms=4, num_channels=1)
+            channels = [VCBuffer(64, 1)]
+            for cycle in range(start - idle_steps, start):
+                fabric.step(cycle, sms, channels)
+            for sm_index, buffer in enumerate(sms):
+                for k in range(4):
+                    request = mem_request(0)
+                    request.address = 100 * sm_index + k
+                    buffer.try_push(request)
+            order = []
+            for cycle in range(start, start + 80):
+                order += [r.address for _, r in fabric.step(cycle, sms, channels)]
+            assert len(order) == 16
+            return order
+
+        assert ejection_order(idle_steps=0) == ejection_order(idle_steps=start)
 
 
 class TestMeshSystem:

@@ -4,8 +4,7 @@ The store's contract is that *how* a grid gets computed — in one shot,
 interrupted and resumed, split across shards, serial or parallel — is
 invisible in the result: the merged table is byte-identical in every
 case.  These tests state that contract over the canonical sweep rows
-(JSON) and the formatted table (text), under both engine modes
-(``REPRO_FAST_FORWARD=0/1``).
+(JSON) and the formatted table (text).
 """
 
 import json
@@ -67,12 +66,8 @@ class TestShardIndices:
 
 
 class TestCrashResume:
-    @pytest.mark.parametrize("fast_forward", ["0", "1"])
-    def test_interrupted_then_resumed_is_byte_identical(
-        self, tmp_path, monkeypatch, fast_forward
-    ):
+    def test_interrupted_then_resumed_is_byte_identical(self, tmp_path):
         """Abort after 2 of 4 cells, resume, compare with uninterrupted."""
-        monkeypatch.setenv("REPRO_FAST_FORWARD", fast_forward)
         tasks = tiny_tasks()
 
         reference = run_sweep(TINY, tasks, store_dir=str(tmp_path / "ref"))
@@ -101,13 +96,9 @@ class TestCrashResume:
         with pytest.raises(KeyError):  # partial grids must not merge silently
             collect_from_store(TINY, tasks, store_dir)
 
-    @pytest.mark.parametrize("fast_forward", ["0", "1"])
-    def test_abort_within_shard_then_resume_and_merge(
-        self, tmp_path, monkeypatch, fast_forward
-    ):
+    def test_abort_within_shard_then_resume_and_merge(self, tmp_path):
         """SweepAborted mid-shard: the shard resumes on its own cells
         only, and the cross-shard merge is still byte-identical."""
-        monkeypatch.setenv("REPRO_FAST_FORWARD", fast_forward)
         tasks = tiny_tasks()
         reference = run_sweep(TINY, tasks, store_dir=str(tmp_path / "ref"))
 
