@@ -145,10 +145,15 @@ def _bad_config(label):
 
 
 class TestFaultySweepEndToEnd:
-    def test_crashes_and_hang_degrade_gracefully(self, tmp_path):
+    @pytest.mark.parametrize("fast_forward", ["0", "1"])
+    def test_crashes_and_hang_degrade_gracefully(
+        self, tmp_path, monkeypatch, fast_forward
+    ):
         """3 crash cells (one healing) + 1 permanent hang: healthy cells
         complete and match a clean run byte-for-byte; poisoned cells
-        quarantine; a fault-free resume recovers everything."""
+        quarantine; a fault-free resume recovers everything.  A stale
+        REPRO_FAST_FORWARD from older releases changes nothing."""
+        monkeypatch.setenv("REPRO_FAST_FORWARD", fast_forward)
         tasks = make_tasks(
             ["G17"], ["P1", "P2"], [PolicySpec("FR-FCFS"), PolicySpec("F3FS")], (1,)
         )

@@ -4,7 +4,9 @@ The store's contract is that *how* a grid gets computed — in one shot,
 interrupted and resumed, split across shards, serial or parallel — is
 invisible in the result: the merged table is byte-identical in every
 case.  These tests state that contract over the canonical sweep rows
-(JSON) and the formatted table (text).
+(JSON) and the formatted table (text), with a stale
+``REPRO_FAST_FORWARD=0/1`` from older releases in the environment (the
+engine no longer reads it, so it must change nothing).
 """
 
 import json
@@ -66,8 +68,12 @@ class TestShardIndices:
 
 
 class TestCrashResume:
-    def test_interrupted_then_resumed_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("fast_forward", ["0", "1"])
+    def test_interrupted_then_resumed_is_byte_identical(
+        self, tmp_path, monkeypatch, fast_forward
+    ):
         """Abort after 2 of 4 cells, resume, compare with uninterrupted."""
+        monkeypatch.setenv("REPRO_FAST_FORWARD", fast_forward)
         tasks = tiny_tasks()
 
         reference = run_sweep(TINY, tasks, store_dir=str(tmp_path / "ref"))
@@ -96,9 +102,13 @@ class TestCrashResume:
         with pytest.raises(KeyError):  # partial grids must not merge silently
             collect_from_store(TINY, tasks, store_dir)
 
-    def test_abort_within_shard_then_resume_and_merge(self, tmp_path):
+    @pytest.mark.parametrize("fast_forward", ["0", "1"])
+    def test_abort_within_shard_then_resume_and_merge(
+        self, tmp_path, monkeypatch, fast_forward
+    ):
         """SweepAborted mid-shard: the shard resumes on its own cells
         only, and the cross-shard merge is still byte-identical."""
+        monkeypatch.setenv("REPRO_FAST_FORWARD", fast_forward)
         tasks = tiny_tasks()
         reference = run_sweep(TINY, tasks, store_dir=str(tmp_path / "ref"))
 

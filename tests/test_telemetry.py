@@ -7,7 +7,8 @@ Three claims are covered:
   oldest-first with accounting.
 * **Zero observational cost** — enabling telemetry must not change the
   simulation: fingerprints (in the style of test_scheduler_equivalence)
-  are bit-identical with telemetry on vs off; and the six per-hop stages
+  are bit-identical with telemetry on vs off, with a stale
+  ``REPRO_FAST_FORWARD`` set or cleared; and the six per-hop stages
   telescope to ``Request.total_latency`` exactly (mean gap 0).
 * **Surface** — the Chrome trace-event export passes its own schema
   validator and contains mode slices, CAP-bypass instants, and queue
@@ -189,7 +190,11 @@ def run_corun(telemetry: bool):
 
 
 class TestTransparency:
-    def test_fingerprint_identical_on_off(self):
+    @pytest.mark.parametrize("fast_forward", ["1", "0"], ids=["ff", "noff"])
+    def test_fingerprint_identical_on_off(self, monkeypatch, fast_forward):
+        # The engine no longer reads REPRO_FAST_FORWARD; a value left over
+        # from older releases must not change either run.
+        monkeypatch.setenv("REPRO_FAST_FORWARD", fast_forward)
         _, _, on = run_corun(telemetry=True)
         _, _, off = run_corun(telemetry=False)
         assert on == off

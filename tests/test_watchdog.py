@@ -67,7 +67,11 @@ def livelock(system):
 
 
 class TestStallDetection:
-    def test_livelock_raises_within_two_windows(self):
+    @pytest.mark.parametrize("fast_forward", ["0", "1"])
+    def test_livelock_raises_within_two_windows(self, monkeypatch, fast_forward):
+        # The engine ticks every cycle whatever a stale REPRO_FAST_FORWARD
+        # says, so the checks fire on schedule either way.
+        monkeypatch.setenv("REPRO_FAST_FORWARD", fast_forward)
         system = tiny_system()
         system.enable_watchdog(WINDOW)
         livelock(system)
@@ -130,9 +134,11 @@ class TestHealthyRuns:
         assert result.all_completed
         assert watchdog.stalls_checked > 0
 
-    def test_bit_identical_with_watchdog_on_or_off(self, tmp_path):
+    @pytest.mark.parametrize("fast_forward", ["0", "1"])
+    def test_bit_identical_with_watchdog_on_or_off(self, tmp_path, monkeypatch, fast_forward):
         """Armed vs unarmed sweeps produce the same bytes AND the same
         store fingerprints (the window lives outside ExperimentScale)."""
+        monkeypatch.setenv("REPRO_FAST_FORWARD", fast_forward)
         from repro.experiments import run_sweep
         from tests.test_store_resume import TINY, table_bytes, tiny_tasks
 
