@@ -22,16 +22,12 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, List, Optional
 
 from repro.core.memq import BankIndexedMemQueue
-from repro.core.policies.base import SchedulingPolicy
+from repro.core.policies.base import NEVER, SchedulingPolicy
 from repro.dram.channel import Channel
 from repro.dram.refresh import RefreshTimer
 from repro.obs import events as obs_events
 from repro.pim.executor import PIMExecutor
 from repro.request import Mode, Request
-
-#: Sentinel "no self-scheduled event" wake cycle: the controller only needs
-#: attention again when an enqueue or completion marks it dirty.
-NEVER = 1 << 62
 
 
 @dataclass
@@ -402,10 +398,17 @@ class MemoryController:
 
         decision = self.policy.decide(self, cycle)
         if decision.kind == "idle":
-            self._next_wake = min(
-                self.channel.next_bank_event(cycle),
-                max(cycle + 1, self.pim_exec.busy_until),
-            )
+            # Sleep until the next event that can change the decision.
+            # Enqueues and completions mark the controller dirty; otherwise
+            # a decision changes only when a bank frees, the PIM executor
+            # frees (PIM mode: MEM-mode decisions never read it), refresh
+            # accrues an obligation, or the policy's epoch turns.
+            wake = self.channel.next_bank_event(cycle)
+            if self.mode is Mode.PIM:
+                wake = min(wake, max(cycle + 1, self.pim_exec.busy_until))
+            if self.refresh.enabled:
+                wake = min(wake, self.refresh.next_due_cycle())
+            self._next_wake = min(wake, self.policy.next_epoch_cycle(cycle))
             return None
         if decision.kind == "switch":
             self._begin_switch(decision.target, cycle)
@@ -447,10 +450,10 @@ class MemoryController:
         Only meaningful right after a ``tick(cycle)`` left the controller
         clean (``_dirty`` False).  Returns ``cycle + 1`` when the controller
         must keep ticking every cycle, a future cycle when it sleeps until a
-        self-scheduled event (bank timing, drain, refresh), or ``NEVER``
-        when only external work (enqueue/completion) can wake it.  Ticks in
-        between are exactly the ones the in-tick wake gate would skip, so
-        eliding them is behavior-preserving.
+        self-scheduled event (bank timing, drain, refresh, policy epoch), or
+        ``NEVER`` when only external work (enqueue/completion) can wake it.
+        Ticks in between are exactly the ones the in-tick wake gate would
+        skip, so eliding them is behavior-preserving.
         """
         wake = self._next_wake
         if wake > cycle + 1:

@@ -19,6 +19,7 @@ policies are free to keep per-channel state.
 from __future__ import annotations
 
 import abc
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -53,6 +54,11 @@ class Decision:
 
 IDLE = Decision.idle()
 
+#: Sentinel "no self-scheduled event" cycle: a component reporting it only
+#: needs attention again when an external event (an enqueue or a
+#: completion) wakes it.
+NEVER = 1 << 62
+
 
 class SchedulingPolicy(abc.ABC):
     """Base class for memory-controller scheduling policies."""
@@ -60,9 +66,21 @@ class SchedulingPolicy(abc.ABC):
     #: Registry name; subclasses must override.
     name: str = "abstract"
 
+    _controller_ref: Optional["weakref.ref[MemoryController]"] = None
+
     def attach(self, controller: "MemoryController") -> None:
-        """Called once when the policy is bound to its controller."""
-        self.controller = controller
+        """Called once when the policy is bound to its controller.
+
+        The policy keeps a weak reference: the controller owns the policy,
+        and a strong one back would make every system a reference cycle.
+        """
+        self._controller_ref = weakref.ref(controller)
+
+    @property
+    def controller(self) -> Optional["MemoryController"]:
+        """The attached controller (None before ``attach``)."""
+        ref = self._controller_ref
+        return ref() if ref is not None else None
 
     @abc.abstractmethod
     def decide(self, ctl: "MemoryController", cycle: int) -> Decision:
@@ -79,6 +97,18 @@ class SchedulingPolicy(abc.ABC):
     def on_enqueue(self, request: Request, cycle: int) -> None:
         """Called when a request enters the controller's queues."""
 
+    def next_epoch_cycle(self, cycle: int) -> int:
+        """First cycle after ``cycle`` at which time alone can change a
+        decision (wake-heap contract).
+
+        An idle controller sleeps until its next bank, refresh or enqueue
+        event, so a policy whose decisions depend on the cycle itself (an
+        epoch or interval boundary) must report the next such boundary
+        here.  The default, ``NEVER``, suits policies that read only the
+        queues, the banks and their own issue/switch counters.
+        """
+        return NEVER
+
     # -- telemetry -----------------------------------------------------------
 
     def emit_event(self, cycle: int, kind: str, **data) -> None:
@@ -87,7 +117,7 @@ class SchedulingPolicy(abc.ABC):
         No-op unless the controller has telemetry attached (see
         :mod:`repro.obs`), and safe on a detached policy instance.
         """
-        controller = getattr(self, "controller", None)
+        controller = self.controller
         if controller is None:
             return
         telemetry = controller.telemetry

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-from repro.core.policies.base import IDLE, Decision, SchedulingPolicy
+from repro.core.policies.base import IDLE, NEVER, Decision, SchedulingPolicy
 from repro.obs.events import BLISS_BLACKLIST, BLISS_CLEAR
 from repro.request import Mode, Request
 
@@ -39,11 +39,20 @@ class BLISS(SchedulingPolicy):
         self._streak_length = 0
         self._last_epoch = 0
 
+    def next_epoch_cycle(self, cycle: int) -> int:
+        # A clear can change the next decision (a blacklisted kernel's
+        # request may win again), so an idle controller must wake for it;
+        # clearing an empty blacklist changes nothing.
+        if not self.blacklist:
+            return NEVER
+        return (cycle // self.clear_interval + 1) * self.clear_interval
+
     def _maybe_clear(self, cycle: int) -> None:
         # Clears are aligned to absolute clear_interval epochs (not to the
-        # cycle of the previous clear) so that skipping idle decision
-        # cycles — during which a clear is unobservable — cannot drift the
-        # schedule.  Part of the engine's wake-heap contract.
+        # cycle of the previous clear), so the schedule does not depend on
+        # which cycles the controller happened to decide in.  A clear is
+        # observable, so an idle controller wakes at the next boundary
+        # (``next_epoch_cycle``).  Part of the engine's wake-heap contract.
         epoch = cycle // self.clear_interval
         if epoch != self._last_epoch:
             if self.blacklist:

@@ -66,12 +66,19 @@ class DynamicF3FS(F3FS):
         self._last_issued = {Mode.MEM: 0, Mode.PIM: 0}
         self.adjustments = 0  # exposed for tests/telemetry
 
+    def next_epoch_cycle(self, cycle: int) -> int:
+        return (cycle // self.epoch + 1) * self.epoch
+
     def decide(self, ctl, cycle):
         # Epochs are aligned to absolute cycle boundaries (cycle // epoch)
-        # rather than to the previous adaptation cycle, so skipping idle
-        # decision cycles — during which the issued deltas are zero and an
-        # adaptation is a no-op — cannot drift the schedule.  Part of the
-        # engine's wake-heap contract.
+        # rather than to the previous adaptation cycle.  At a boundary the
+        # issued deltas are the last epoch's, not zero, so an adaptation
+        # can move the CAPs and with them this very decision: an idle
+        # controller wakes at every boundary (``next_epoch_cycle``).  A
+        # controller that decides nothing across several boundaries (a
+        # switch drain) issues nothing in between either, so adapting once
+        # at its next decision gives the same CAPs.  Part of the engine's
+        # wake-heap contract.
         epoch = cycle // self.epoch
         if epoch != self._epoch_index:
             self._epoch_index = epoch

@@ -124,8 +124,8 @@ class Channel:
     def next_completion_cycle(self) -> Optional[int]:
         """Completion cycle of the earliest in-flight MEM request.
 
-        No in-flight request completes before this, so the engine's
-        completion stage skips the channel until then.
+        No in-flight request completes before this, so the engine queues
+        the channel on its completion heap for this cycle.
         """
         return self._in_flight[0][0] if self._in_flight else None
 

@@ -19,7 +19,6 @@ reuses them.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import sys
@@ -43,13 +42,6 @@ from repro.workloads import get_gpu_kernel, get_pim_kernel, llm_kernels
 #: Policy used for standalone baselines (the paper's characterization runs
 #: use FR-FCFS; baselines must not depend on the policy under test).
 BASELINE_POLICY = PolicySpec("FR-FCFS")
-
-
-#: Requests simulated by finished systems after which a runner runs a
-#: full garbage collection before building the next system.  A finished
-#: system leaves ~0.5 MB of cyclic garbage, plus up to ~0.7 MB per
-#: thousand requests it simulated.
-GC_AFTER_REQUESTS = 2048
 
 
 def _load_duration_cache(path: str) -> Dict[str, int]:
@@ -216,7 +208,6 @@ class Runner:
         #: replayed by all of them (see repro.gpu.warp_traces): a sweep
         #: or fabric worker shares traces across baselines and cells.
         self.traces = WarpTraceCache()
-        self._uncollected_requests = 0
         self._standalone_cache: Dict[str, SimResult] = {}
         self._competitive_cache: Dict[Tuple[str, str, str, int], CompetitiveOutcome] = {}
         self._duration_cache: Dict[str, int] = {}
@@ -242,15 +233,8 @@ class Runner:
     def _build_system(self, config: SystemConfig, policy: PolicySpec) -> GPUSystem:
         from repro.engine_soa import create_system
 
-        # Finished systems are cyclic garbage (stage tables and buffer
-        # hooks point back at them) that only a full collection frees.
-        # Collect once enough simulated work has piled up, so a worker
-        # holds a bounded amount of it whatever the collector's own
-        # thresholds do, without paying a full pass per tiny cell.
-        if self._uncollected_requests >= GC_AFTER_REQUESTS:
-            self._uncollected_requests = 0
-            gc.collect()
-
+        # A finished system holds no reference cycle, so dropping it frees
+        # it at once; no collection pass is needed between builds.
         system = create_system(
             config,
             policy,
@@ -263,11 +247,6 @@ class Runner:
         if self.watchdog_window is not None:
             system.enable_watchdog(self.watchdog_window)
         return system
-
-    def _simulate(self, system: GPUSystem, max_cycles: int) -> SimResult:
-        result = system.run(max_cycles=max_cycles)
-        self._uncollected_requests += sum(k.requests_injected for k in result.kernels.values())
-        return result
 
     def _standalone_key(self, label: str, sms: int, num_vcs: int) -> str:
         """Key of a baseline in the in-memory and ``REPRO_CACHE`` duration
@@ -306,7 +285,7 @@ class Runner:
                 return result
         system = self._build_system(self.scale.config(num_vcs), BASELINE_POLICY)
         system.add_kernel(spec, num_sms=sms)
-        result = self._simulate(system, self.scale.max_cycles)
+        result = system.run(max_cycles=self.scale.max_cycles)
         if not result.all_completed:
             raise RuntimeError(f"standalone run {label} did not complete in budget")
         self._standalone_cache[key] = result
@@ -367,7 +346,7 @@ class Runner:
         gpu_run = system.add_kernel(get_gpu_kernel(gid), num_sms=s.gpu_sms_corun, loop=True)
         pim_run = system.add_kernel(get_pim_kernel(pid), num_sms=s.pim_sms, loop=True)
         budget = min(s.max_cycles, s.starvation_factor * max(gpu_alone, pim_alone))
-        result = self._simulate(system, budget)
+        result = system.run(max_cycles=budget)
 
         gpu_first = result.kernels[gpu_run.kernel_id].first_duration
         pim_first = result.kernels[pim_run.kernel_id].first_duration
@@ -421,7 +400,7 @@ class Runner:
         big_run = system.add_kernel(get_gpu_kernel(gid_big), num_sms=s.gpu_sms_corun, loop=True)
         system.add_kernel(get_gpu_kernel(gid_small), num_sms=s.pim_sms, loop=True)
         budget = min(s.max_cycles, s.starvation_factor * big_alone)
-        result = self._simulate(system, budget)
+        result = system.run(max_cycles=budget)
         first = result.kernels[big_run.kernel_id].first_duration
         return big_alone / (first if first else result.cycles)
 
@@ -442,7 +421,7 @@ class Runner:
         system.add_kernel(qkv, num_sms=s.gpu_sms_corun)
         system.add_kernel(mha, num_sms=s.pim_sms)
         budget = min(s.max_cycles, s.starvation_factor * (gpu_alone + pim_alone))
-        result = self._simulate(system, budget)
+        result = system.run(max_cycles=budget)
         concurrent = result.cycles if result.all_completed else budget
         return CollaborativeOutcome(
             policy=policy.label(),

@@ -59,7 +59,7 @@ import signal
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.experiments.parallel import GridTask, grid_store_keys
@@ -194,6 +194,7 @@ class FabricCoordinator:
         self.drained = False
         self._lease_seq = 0
         self._server: Optional[asyncio.AbstractServer] = None
+        self._clients: Set[asyncio.Task] = set()  # running _handle_client tasks
         self._ticker: Optional[asyncio.Task] = None
         self._done_async: Optional[asyncio.Event] = None
         self.completed_event = threading.Event()
@@ -318,8 +319,13 @@ class FabricCoordinator:
         assert self._done_async is not None, "coordinator not started"
         await self._done_async.wait()
 
-    async def stop(self) -> None:
-        """Tear the server down; an unfinished campaign journals ``aborted``."""
+    async def _shutdown(self) -> None:
+        """Stop the ticker, close the server, and end open connections.
+
+        ``Server.wait_closed()`` does not wait for connection handlers on
+        Python 3.11, so the ones still running are cancelled and awaited
+        here; left alone they would be destroyed after the loop closes.
+        """
         if self._ticker is not None:
             self._ticker.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -329,6 +335,14 @@ class FabricCoordinator:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        clients = list(self._clients)
+        for task in clients:
+            task.cancel()
+        await asyncio.gather(*clients, return_exceptions=True)
+
+    async def stop(self) -> None:
+        """Tear the server down; an unfinished campaign journals ``aborted``."""
+        await self._shutdown()
         if self.state == "running":
             self._finalize("aborted")
         self.ledger.close()
@@ -338,15 +352,7 @@ class FabricCoordinator:
         stand-in.  No ``close`` ledger record, no ``aborted`` journal
         line: exactly the state a killed coordinator leaves behind, so
         recovery tests exercise the real replay path."""
-        if self._ticker is not None:
-            self._ticker.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._ticker
-            self._ticker = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._shutdown()
         self.ledger.close()
 
     def begin_drain(self, source: str = "request") -> None:
@@ -875,6 +881,14 @@ class FabricCoordinator:
     # -- HTTP plumbing ------------------------------------------------------
 
     async def _handle_client(self, reader: asyncio.StreamReader, writer) -> None:
+        task = asyncio.current_task()
+        self._clients.add(task)
+        try:
+            await self._serve_client(reader, writer)
+        finally:
+            self._clients.discard(task)
+
+    async def _serve_client(self, reader: asyncio.StreamReader, writer) -> None:
         try:
             request = await asyncio.wait_for(reader.readline(), timeout=30)
             if not request:

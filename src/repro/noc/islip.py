@@ -53,23 +53,26 @@ class ISlipArbiter:
             raise ValueError("input/output count mismatch")
 
         # Request phase: collect per-output proposals, remembering each
-        # input's preference rank for the accept phase.
+        # input's preference rank for the accept phase.  The credit check
+        # reads the target VC queue directly (the PIM VC is the last queue
+        # of a buffer, which under VC1 is the shared one).
+        num_inputs = self.num_inputs
+        num_outputs = self.num_outputs
         proposals: Dict[int, List[int]] = {}
         offered: Dict[int, List[Tuple[int, Request]]] = {}
-        candidates = range(self.num_inputs) if active_inputs is None else active_inputs
+        candidates = range(num_inputs) if active_inputs is None else active_inputs
         for i in candidates:
-            buffer = inputs[i]
-            if not buffer:
-                continue
-            heads = buffer.heads()
+            heads = inputs[i].heads()
             if not heads:
                 continue
             ranked = []
-            for rank, head in enumerate(heads):
+            for head in heads:
                 out = head.channel
-                if not 0 <= out < self.num_outputs:
+                if not 0 <= out < num_outputs:
                     raise ValueError(f"request targets unknown output {out}")
-                if not outputs[out].can_push(head):
+                queues = outputs[out]._queues
+                queue = queues[-1] if head.is_pim else queues[0]
+                if len(queue._items) >= queue.capacity:
                     continue
                 proposals.setdefault(out, []).append(i)
                 ranked.append((out, head))
@@ -78,30 +81,30 @@ class ISlipArbiter:
 
         # Grant phase: one grant per output, round-robin from the pointer.
         grants: Dict[int, List[int]] = {}  # input -> granted outputs
-        num_inputs = self.num_inputs
+        grant_ptr = self._grant_ptr
         for out, requesters in proposals.items():
-            pointer = self._grant_ptr[out]
             chosen = requesters[0]
-            best = (chosen - pointer) % num_inputs
-            for i in requesters[1:]:
-                distance = (i - pointer) % num_inputs
-                if distance < best:
-                    best = distance
-                    chosen = i
+            if len(requesters) > 1:
+                pointer = grant_ptr[out]
+                best = (chosen - pointer) % num_inputs
+                for i in requesters[1:]:
+                    distance = (i - pointer) % num_inputs
+                    if distance < best:
+                        best = distance
+                        chosen = i
             grants.setdefault(chosen, []).append(out)
 
         # Accept phase: each input takes the grant matching its most
         # preferred offered head.
         moved: List[Tuple[int, Request]] = []
-        for i, granted_outputs in grants.items():
-            granted = set(granted_outputs)
+        for i, granted in grants.items():
             for out, head in offered[i]:
                 if out in granted:
                     request = inputs[i].pop_matching(head)
                     if not outputs[out].try_push(request):  # pragma: no cover
                         raise RuntimeError(f"output {out} overflowed after grant")
-                    self._grant_ptr[out] = (i + 1) % self.num_inputs
+                    grant_ptr[out] = (i + 1) % num_inputs
                     moved.append((out, request))
-                    self.transfers += 1
                     break
+        self.transfers += len(moved)
         return moved

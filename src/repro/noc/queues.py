@@ -17,12 +17,13 @@ T = TypeVar("T")
 class BoundedQueue(Generic[T]):
     """FIFO with a hard capacity and occupancy statistics.
 
-    ``on_push`` / ``on_pop`` are optional zero-argument callbacks fired
-    after every successful push/pop; the simulation engine uses them to
-    maintain its per-stage active sets incrementally (see
-    ``docs/performance.md``).  ``on_reject`` fires on every push bounced
-    off a full queue; telemetry uses it to trace backpressure events
-    (``docs/observability.md``).
+    ``on_push`` / ``on_pop`` are optional zero-argument callbacks fired on
+    occupancy transitions only: ``on_push`` when a push makes an empty
+    queue non-empty, ``on_pop`` when a pop (or ``clear``) empties it.  The
+    simulation engine uses them to maintain its per-stage active sets
+    incrementally (see ``docs/performance.md``).  ``on_reject`` fires on
+    every push bounced off a full queue; telemetry uses it to trace
+    backpressure events (``docs/observability.md``).
     """
 
     __slots__ = (
@@ -80,9 +81,10 @@ class BoundedQueue(Generic[T]):
             return False
         items.append(item)
         self.pushes += 1
-        if len(items) > self.peak_occupancy:
-            self.peak_occupancy = len(items)
-        if self.on_push is not None:
+        occupancy = len(items)
+        if occupancy > self.peak_occupancy:
+            self.peak_occupancy = occupancy
+        if occupancy == 1 and self.on_push is not None:
             self.on_push()
         return True
 
@@ -97,14 +99,12 @@ class BoundedQueue(Generic[T]):
         if not self._items:
             raise IndexError("pop from empty queue")
         item = self._items.popleft()
-        if self.on_pop is not None:
+        if not self._items and self.on_pop is not None:
             self.on_pop()
         return item
 
     def clear(self) -> None:
-        if self.on_pop is not None:
-            while self._items:
-                self._items.popleft()
-                self.on_pop()
-        else:
+        if self._items:
             self._items.clear()
+            if self.on_pop is not None:
+                self.on_pop()

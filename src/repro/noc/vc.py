@@ -11,10 +11,18 @@ requests before the memory controller.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from functools import partial
+from typing import Callable, Deque, List, Optional
 
 from repro.noc.queues import BoundedQueue
 from repro.request import Mode, Request
+
+
+def _discard_unless_busy(active_set, key: int, sibling: Deque[Request]) -> None:
+    """VC2 pop hook: one VC just emptied; leave the set only if the other
+    VC is empty too."""
+    if not sibling:
+        active_set.discard(key)
 
 
 class VCBuffer:
@@ -41,19 +49,28 @@ class VCBuffer:
             ]
         self._rotation = 0  # index of the VC to serve next (VC2 only)
 
-    def watch(
-        self,
-        on_push: Optional[Callable[[], None]],
-        on_pop: Optional[Callable[[], None]],
-    ) -> None:
-        """Register occupancy callbacks on every underlying VC queue.
+    def watch(self, active_set, key: int) -> None:
+        """Keep ``key`` in ``active_set`` exactly while this buffer holds a
+        request.
 
-        The engine uses these to maintain active sets; direct pushes onto
-        ``queue(mode)`` (e.g. L2 writebacks) fire the same hooks.
+        ``active_set`` is any object with ``add``/``discard`` (the engine
+        passes its per-stage active sets).  The hooks fire only when a VC
+        queue turns non-empty or empty; under VC2 the pop hook also checks
+        the sibling VC.  They reference the set and the sibling's deque,
+        never the buffer, so a watched buffer holds no reference cycle.
+        Direct pushes onto ``queue(mode)`` (e.g. L2 writebacks) fire the
+        same hooks.
         """
-        for queue in self._queues:
+        on_push = partial(active_set.add, key)
+        if self.num_vcs == 1:
+            queue = self._queues[0]
             queue.on_push = on_push
-            queue.on_pop = on_pop
+            queue.on_pop = partial(active_set.discard, key)
+            return
+        mem, pim = self._queues
+        for queue, sibling in ((mem, pim), (pim, mem)):
+            queue.on_push = on_push
+            queue.on_pop = partial(_discard_unless_busy, active_set, key, sibling._items)
 
     def watch_rejects(self, on_reject: Optional[Callable[[], None]]) -> None:
         """Register a callback fired whenever a push bounces off a full VC.
@@ -111,12 +128,12 @@ class VCBuffer:
         if self.num_vcs == 1:
             queue = self._queues[0]._items
             return [queue[0]] if queue else []
-        ordered = []
-        for offset in range(self.num_vcs):
-            head = self._queues[(self._rotation + offset) % self.num_vcs].peek()
-            if head is not None:
-                ordered.append(head)
-        return ordered
+        rotation = self._rotation
+        first = self._queues[rotation]._items
+        second = self._queues[1 - rotation]._items
+        if first:
+            return [first[0], second[0]] if second else [first[0]]
+        return [second[0]] if second else []
 
     def pop_next(self) -> Optional[Request]:
         """Round-robin pop; advances the rotation past the served VC."""

@@ -19,17 +19,23 @@ The engine is cycle-driven: ``run`` ticks ``step`` once per cycle,
 processing stages downstream-first so a request moves at most one hop per
 cycle.  Active-set scheduling (see ``docs/performance.md``) keeps the
 per-cycle cost proportional to the amount of actual work instead of the
-machine size: every inter-stage buffer notifies the engine on push/pop
-(``BoundedQueue.on_push``/``on_pop``), so each stage loop visits only the
+machine size: every inter-stage buffer notifies the engine when it turns
+non-empty or empty (``VCBuffer.watch``), so each stage loop visits only the
 channels/SMs that can make progress this cycle.  Controllers and SMs that
 sleep on a future self-event park on a wake heap and leave the loops
-entirely.
+entirely, and DRAM/PIM completions come due from a heap of
+``(cycle, channel)`` entries instead of being polled.
+
+A finished system holds no reference cycle, so reference counting frees
+it as soon as the last outside reference goes; no garbage-collector pass
+is needed (``tests/test_system_lifetime.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -215,17 +221,20 @@ class GPUSystem:
         self._ingress_active = OrderedIndexSet()  # channels: dram_queues non-empty
         self._wb_active = OrderedIndexSet()  # channels: pending writebacks
         self._xbar_active = OrderedIndexSet()  # SMs: sm_buffers non-empty
-        self._busy_channels = OrderedIndexSet()  # channels with DRAM/PIM in flight
         self._mc_active = OrderedIndexSet(range(config.num_channels))
         self._sm_active = OrderedIndexSet()
         # Sleeping controllers (kind 0) / SMs (kind 1) with a self-scheduled
         # future event; entries are lazy-deleted (stale wakes are no-ops).
         self._wake_heap: List[Tuple[int, int, int]] = []
+        # (cycle, channel) entries: a channel's earliest DRAM/PIM completion
+        # is always among them.  Lazy: an entry may be stale or duplicated,
+        # and a due channel with nothing to complete is a no-op.
+        self._completion_heap: List[Tuple[int, int]] = []
         for ch in range(config.num_channels):
-            self._watch_buffer(self.input_buffers[ch], self._l2_active, ch)
-            self._watch_buffer(self.dram_queues[ch], self._ingress_active, ch)
+            self.input_buffers[ch].watch(self._l2_active, ch)
+            self.dram_queues[ch].watch(self._ingress_active, ch)
         for i, buffer in enumerate(self.sm_buffers):
-            self._watch_buffer(buffer, self._xbar_active, i)
+            buffer.watch(self._xbar_active, i)
 
         # -- observability (repro.perf / repro.obs) ------------------------
         self.perf = None  # optional repro.perf.counters.EngineCounters
@@ -233,27 +242,6 @@ class GPUSystem:
         # Optional repro.resilience.watchdog.Watchdog (no-progress guard);
         # dormant cost is one None check + one int compare per step.
         self.watchdog = None
-        self._stages = (
-            ("completions", self._stage_completions),
-            ("replies", self._stage_replies),
-            ("controllers", self._stage_controllers),
-            ("mc_ingress", self._stage_mc_ingress),
-            ("l2", self._stage_l2),
-            ("writebacks", self._stage_writebacks),
-            ("crossbar", self._stage_crossbar),
-            ("sms", self._stage_sms),
-            ("kernel_completion", self._stage_kernel_completion),
-        )
-
-    def _watch_buffer(self, buffer: VCBuffer, active_set: OrderedIndexSet, key: int) -> None:
-        def on_push() -> None:
-            active_set.add(key)
-
-        def on_pop() -> None:
-            if not buffer:
-                active_set.discard(key)
-
-        buffer.watch(on_push, on_pop)
 
     @property
     def steps_executed(self) -> int:
@@ -323,30 +311,35 @@ class GPUSystem:
 
     # -- per-cycle stages -----------------------------------------------------
 
+    def _schedule_completion(self, ch: int) -> None:
+        """Queue the channel's earliest in-flight DRAM/PIM completion."""
+        controller = self.controllers[ch]
+        due = controller.channel.next_completion_cycle()
+        pim_due = controller.pim_exec.next_completion_cycle()
+        if due is None or (pim_due is not None and pim_due < due):
+            due = pim_due
+        if due is not None:
+            heapq.heappush(self._completion_heap, (due, ch))
+
     def _stage_completions(self) -> None:
-        busy = self._busy_channels
-        if not busy:
-            return
+        heap = self._completion_heap
         cycle = self.cycle
-        for ch in busy.snapshot():
-            controller = self.controllers[ch]
-            # Nothing completes before the earliest in-flight entry, and the
-            # in-flight counts cannot change until something completes, so a
-            # channel whose next completion lies in the future can be skipped
-            # without touching it.
-            head = controller.channel.next_completion_cycle()
-            pim_head = controller.pim_exec.next_completion_cycle()
-            if (head is None or head > cycle) and (pim_head is None or pim_head > cycle):
-                if head is None and pim_head is None:
-                    busy.discard(ch)
-                continue
-            done = controller.pop_completed(cycle)
+        if not heap or heap[0][0] > cycle:
+            return
+        # Nothing completes before a channel's earliest in-flight entry, and
+        # every issue and completion pass queues that entry, so only the
+        # channels popped here can complete this cycle.  They are processed
+        # in ascending order (reply sequence numbers follow visit order).
+        due = {heapq.heappop(heap)[1]}
+        while heap and heap[0][0] <= cycle:
+            due.add(heapq.heappop(heap)[1])
+        for ch in sorted(due):
+            done = self.controllers[ch].pop_completed(cycle)
             if done:
                 self._mc_active.add(ch)  # pop_completed marked it dirty
                 for request in done:
                     self._handle_completion(ch, request, cycle)
-            if not controller.channel.mem_in_flight() and not controller.pim_exec.in_flight():
-                busy.discard(ch)
+            self._schedule_completion(ch)
 
     def _handle_completion(self, ch: int, request: Request, cycle: int) -> None:
         if request.is_writeback:
@@ -398,7 +391,7 @@ class GPUSystem:
         for ch in active.snapshot():
             controller = controllers[ch]
             if controller.tick(cycle) is not None:
-                self._busy_channels.add(ch)
+                self._schedule_completion(ch)
             if controller._dirty:
                 continue  # must re-evaluate next cycle
             wake = controller.next_wake_cycle(cycle)
@@ -575,9 +568,9 @@ class GPUSystem:
         else:
             clock = self.perf.clock
             add = self.perf.add
-            for name, stage in self._stages:
+            for name, method in _STAGES:
                 start = clock()
-                stage()
+                getattr(self, method)()
                 add(name, clock() - start)
         watchdog = self.watchdog
         if watchdog is not None and cycle >= watchdog.next_check:
@@ -650,8 +643,13 @@ class GPUSystem:
         return telemetry
 
     def _make_reject_emitter(self, ch: int):
+        # A weak reference: the buffers belong to the system, so a strong
+        # one would make every telemetry-enabled system a reference cycle.
+        system = weakref.ref(self)
+
         def on_reject() -> None:
-            self.telemetry.emit(self.cycle, obs_events.NOC_REJECT, channel=ch)
+            owner = system()
+            owner.telemetry.emit(owner.cycle, obs_events.NOC_REJECT, channel=ch)
 
         return on_reject
 
@@ -787,3 +785,23 @@ class GPUSystem:
         if self.telemetry is not None:
             result.telemetry = self.telemetry.summary()
         return result
+
+
+#: The per-cycle stages in order, as (counter name, method name) pairs, for
+#: the timed path of ``GPUSystem.step``.  Method names rather than bound
+#: methods: a table of bound methods kept on the system would be a
+#: reference cycle, and a name still resolves to a subclass's override.
+_STAGES = tuple(
+    (name, f"_stage_{name}")
+    for name in (
+        "completions",
+        "replies",
+        "controllers",
+        "mc_ingress",
+        "l2",
+        "writebacks",
+        "crossbar",
+        "sms",
+        "kernel_completion",
+    )
+)
