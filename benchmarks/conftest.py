@@ -24,18 +24,19 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import ExperimentScale, Runner
+from repro.experiments.figures import FIG13_GPU_SUBSET
+from repro.experiments.sweep import DEFAULT_GPU_SUBSET, DEFAULT_PIM_SUBSET
 from repro.workloads import pim_ids, rodinia_ids
 
 FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.12"))
 
-#: Kernel subsets for the default (quick) benchmark runs.  The GPU picks
-#: cover the paper's extremes: G6 low locality / high BLP, G17 high RBHR,
-#: G19 L2-filtered traffic; PIM picks cover STREAM (P1/P2) and GEMV (P7).
-GPU_SUBSET = rodinia_ids() if FULL else ["G6", "G17", "G19"]
-PIM_SUBSET = pim_ids() if FULL else ["P1", "P2", "P7"]
+#: Kernel subsets: the figures' defaults (see ``repro.experiments.sweep``
+#: and ``repro.experiments.figures``) unless ``REPRO_BENCH_FULL`` is set.
+GPU_SUBSET = rodinia_ids() if FULL else list(DEFAULT_GPU_SUBSET)
+PIM_SUBSET = pim_ids() if FULL else list(DEFAULT_PIM_SUBSET)
 #: Figure 13's GPU kernels (compute-intensive + memory-intensive picks).
-FIG13_GPUS = ("G10", "G6", "G11", "G17", "G19") if FULL else ("G10", "G6", "G17")
+FIG13_GPUS = ("G10", "G6", "G11", "G17", "G19") if FULL else FIG13_GPU_SUBSET
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

@@ -14,7 +14,7 @@
 from conftest import experiment_scale, write_result
 
 from repro.core.policies import PolicySpec
-from repro.experiments import Runner, competitive_policy, format_table
+from repro.experiments import Runner, format_table
 from repro.metrics import arithmetic_mean
 
 GPU_SUBSET = ["G17", "G19"]
@@ -32,7 +32,7 @@ def _grid(runner, spec, num_vcs=2):
 def test_extension_policies(runner, benchmark, results_dir):
     def run():
         specs = {
-            "F3FS": competitive_policy("F3FS"),
+            "F3FS": PolicySpec("F3FS"),
             "Dyn-F3FS": PolicySpec("Dyn-F3FS", initial_cap=64),
             "SMS": PolicySpec("SMS", batch_size=32),
         }
@@ -108,7 +108,7 @@ def test_mesh_topology(benchmark, results_dir):
 
 def test_refresh_perturbation(benchmark, results_dir):
     def run():
-        spec = competitive_policy("F3FS")
+        spec = PolicySpec("F3FS")
         rows = []
         for refresh in (False, True):
             runner = Runner(experiment_scale(refresh_enabled=refresh))

@@ -14,23 +14,17 @@ Paper shapes checked:
 
 from conftest import GPU_SUBSET, PIM_SUBSET, write_result
 
-from repro.experiments import fig4_characterization, format_table
+from repro.experiments import figure_table, format_table
 from repro.metrics import arithmetic_mean
 
 
 def test_fig04_characterization(runner, benchmark, results_dir):
-    data = benchmark.pedantic(
-        lambda: fig4_characterization(runner, GPU_SUBSET, PIM_SUBSET),
+    data, rows, columns = benchmark.pedantic(
+        lambda: figure_table("fig4", runner, GPU_SUBSET, PIM_SUBSET),
         rounds=1,
         iterations=1,
     )
-
-    rows = []
-    for group, kernels in data.items():
-        for kid, metrics in kernels.items():
-            rows.append({"group": group, "kernel": kid, **metrics})
-    table = format_table(rows, ["group", "kernel", "noc_rate", "mc_rate", "blp", "rbhr"])
-    write_result(results_dir, "fig04_characterization", table)
+    write_result(results_dir, "fig04_characterization", format_table(rows, columns))
 
     def mean(group, metric):
         return arithmetic_mean([m[metric] for m in data[group].values()])

@@ -9,10 +9,10 @@ GPU-co-runner loss is explained by the reduced SM count alone.
 
 from conftest import FULL, GPU_SUBSET, write_result
 
-from repro.experiments import fig5_corun_slowdown, format_table
-from repro.metrics import arithmetic_mean
+from repro.experiments import FIGURES, fig5_corun_slowdown, format_table
+from repro.experiments.figures import FIG5_GPU_CORUNNERS
 
-GPU_CORUNNERS = ("G4", "G6", "G15", "G17") if FULL else ("G6", "G15")
+GPU_CORUNNERS = ("G4", "G6", "G15", "G17") if FULL else FIG5_GPU_CORUNNERS
 
 
 def test_fig05_corun_slowdown(runner, benchmark, results_dir):
@@ -23,9 +23,10 @@ def test_fig05_corun_slowdown(runner, benchmark, results_dir):
         rounds=1,
         iterations=1,
     )
-
-    rows = [{"corunner": k, "avg_speedup": v} for k, v in data.items()]
-    write_result(results_dir, "fig05_corun_slowdown", format_table(rows, ["corunner", "avg_speedup"]))
+    fig5 = FIGURES["fig5"]
+    write_result(
+        results_dir, "fig05_corun_slowdown", format_table(fig5.rows(data), fig5.columns(GPU_SUBSET))
+    )
 
     # The PIM co-runner hurts far more than any GPU co-runner.
     gpu_interference = [data[g] for g in GPU_CORUNNERS]

@@ -11,26 +11,17 @@ MEM-First improving the most (2.87x on average).
 from conftest import GPU_SUBSET, PIM_SUBSET, write_result
 
 from repro.core.policies import PAPER_POLICY_ORDER
-from repro.experiments import fig6_mem_arrival, format_table
-from repro.metrics import arithmetic_mean
+from repro.experiments import figure_table, format_table
 
 
 def test_fig06_mem_arrival(runner, benchmark, results_dir):
-    data = benchmark.pedantic(
-        lambda: fig6_mem_arrival(runner, GPU_SUBSET, PIM_SUBSET),
+    _, rows, columns = benchmark.pedantic(
+        lambda: figure_table("fig6", runner, GPU_SUBSET, PIM_SUBSET),
         rounds=1,
         iterations=1,
     )
-
-    rows = []
-    means = {}
-    for num_vcs, policies in data.items():
-        for policy, per_gpu in policies.items():
-            mean_rate = arithmetic_mean(list(per_gpu.values()))
-            means[(num_vcs, policy)] = mean_rate
-            rows.append({"config": f"VC{num_vcs}", "policy": policy, **per_gpu, "mean": mean_rate})
-    columns = ["config", "policy", *GPU_SUBSET, "mean"]
     write_result(results_dir, "fig06_mem_arrival", format_table(rows, columns))
+    means = {(int(row["config"].removeprefix("VC")), row["policy"]): row["mean"] for row in rows}
 
     # VC1 degrades MEM arrival for every policy (normalized rate < 1).
     for policy in PAPER_POLICY_ORDER:

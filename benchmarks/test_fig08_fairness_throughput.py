@@ -13,7 +13,7 @@ averages per PIM kernel.  Paper shapes checked:
 
 from conftest import GPU_SUBSET, PIM_SUBSET, write_result
 
-from repro.experiments import fig8_fairness_throughput, format_table
+from repro.experiments import figure_table, format_table
 from repro.metrics import arithmetic_mean
 
 
@@ -22,21 +22,12 @@ def _policy_mean(data, num_vcs, policy, metric):
 
 
 def test_fig08_fairness_throughput(runner, benchmark, results_dir):
-    data = benchmark.pedantic(
-        lambda: fig8_fairness_throughput(runner, GPU_SUBSET, PIM_SUBSET),
+    data, rows, columns = benchmark.pedantic(
+        lambda: figure_table("fig8", runner, GPU_SUBSET, PIM_SUBSET),
         rounds=1,
         iterations=1,
     )
-
-    rows = []
-    for num_vcs, policies in data.items():
-        for policy, per_pim in policies.items():
-            for pid, metrics in per_pim.items():
-                rows.append({"config": f"VC{num_vcs}", "policy": policy, "pim": pid, **metrics})
-    table = format_table(
-        rows, ["config", "policy", "pim", "fairness", "throughput", "mem_speedup", "pim_speedup"]
-    )
-    write_result(results_dir, "fig08_fairness_throughput", table)
+    write_result(results_dir, "fig08_fairness_throughput", format_table(rows, columns))
 
     # Static-priority policies starve the deprioritized side.
     assert _policy_mean(data, 1, "PIM-First", "mem_speedup") < 0.15

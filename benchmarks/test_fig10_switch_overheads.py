@@ -12,24 +12,16 @@ latencies are tens of DRAM cycles.
 
 from conftest import GPU_SUBSET, PIM_SUBSET, write_result
 
-from repro.experiments import fig10_switch_overheads, format_table
+from repro.experiments import figure_table, format_table
 
 
 def test_fig10_switch_overheads(runner, benchmark, results_dir):
-    data = benchmark.pedantic(
-        lambda: fig10_switch_overheads(runner, GPU_SUBSET, PIM_SUBSET),
+    data, rows, columns = benchmark.pedantic(
+        lambda: figure_table("fig10", runner, GPU_SUBSET, PIM_SUBSET),
         rounds=1,
         iterations=1,
     )
-
-    rows = []
-    for num_vcs, policies in data.items():
-        for policy, metrics in policies.items():
-            rows.append({"config": f"VC{num_vcs}", "policy": policy, **metrics})
-    table = format_table(
-        rows, ["config", "policy", "switches_vs_fcfs", "conflicts_per_switch", "drain_latency"]
-    )
-    write_result(results_dir, "fig10_switch_overheads", table)
+    write_result(results_dir, "fig10_switch_overheads", format_table(rows, columns))
 
     for num_vcs in (1, 2):
         policies = data[num_vcs]

@@ -14,17 +14,14 @@ Ideal.  Paper shapes checked:
 
 from conftest import write_result
 
-from repro.experiments import fig11_llm_speedup, format_table
+from repro.experiments import figure_table, format_table
 
 
 def test_fig11_llm_speedup(runner, benchmark, results_dir):
-    data = benchmark.pedantic(lambda: fig11_llm_speedup(runner), rounds=1, iterations=1)
-
-    rows = []
-    for num_vcs, policies in data.items():
-        for policy, value in policies.items():
-            rows.append({"config": f"VC{num_vcs}", "policy": policy, "speedup": value})
-    write_result(results_dir, "fig11_llm_speedup", format_table(rows, ["config", "policy", "speedup"]))
+    data, rows, columns = benchmark.pedantic(
+        lambda: figure_table("fig11", runner), rounds=1, iterations=1
+    )
+    write_result(results_dir, "fig11_llm_speedup", format_table(rows, columns))
 
     for num_vcs in (1, 2):
         policies = data[num_vcs]

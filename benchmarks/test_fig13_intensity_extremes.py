@@ -10,9 +10,10 @@ much more.
 
 from conftest import FIG13_GPUS, PIM_SUBSET, write_result
 
-from repro.experiments import fig13_intensity_extremes, format_table
+from repro.experiments import figure_table, format_table
+from repro.experiments.figures import FIG13_POLICY_SUBSET
 
-POLICY_SUBSET = ["FR-FCFS", "FR-RR-FCFS", "G&I", "F3FS"]
+POLICY_SUBSET = list(FIG13_POLICY_SUBSET)
 
 
 def _spread(data, num_vcs, gid, metric):
@@ -21,24 +22,12 @@ def _spread(data, num_vcs, gid, metric):
 
 
 def test_fig13_intensity_extremes(runner, benchmark, results_dir):
-    data = benchmark.pedantic(
-        lambda: fig13_intensity_extremes(
-            runner, gpu_subset=FIG13_GPUS, pim_subset=PIM_SUBSET, policies=POLICY_SUBSET
-        ),
+    data, rows, columns = benchmark.pedantic(
+        lambda: figure_table("fig13", runner, FIG13_GPUS, PIM_SUBSET, POLICY_SUBSET),
         rounds=1,
         iterations=1,
     )
-
-    rows = []
-    for num_vcs, policies in data.items():
-        for policy, per_gpu in policies.items():
-            for gid, metrics in per_gpu.items():
-                rows.append({"config": f"VC{num_vcs}", "policy": policy, "gpu": gid, **metrics})
-    write_result(
-        results_dir,
-        "fig13_intensity_extremes",
-        format_table(rows, ["config", "policy", "gpu", "fairness", "throughput"]),
-    )
+    write_result(results_dir, "fig13_intensity_extremes", format_table(rows, columns))
 
     memory_intensive = [g for g in FIG13_GPUS if g != "G10"]
     for num_vcs in (1, 2):

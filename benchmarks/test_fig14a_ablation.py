@@ -12,20 +12,16 @@ asymmetric CAPs hurt competitive fairness but raise the LLM speedup.
 
 from conftest import GPU_SUBSET, write_result
 
-from repro.experiments import fig14a_ablation, format_table
+from repro.experiments import figure_table, format_table
 
 
 def test_fig14a_ablation(runner, benchmark, results_dir):
-    rows = benchmark.pedantic(
-        lambda: fig14a_ablation(runner, pim_id="P2", gpu_subset=GPU_SUBSET),
+    _, rows, columns = benchmark.pedantic(
+        lambda: figure_table("fig14a", runner, GPU_SUBSET),
         rounds=1,
         iterations=1,
     )
-    write_result(
-        results_dir,
-        "fig14a_ablation",
-        format_table(rows, ["label", "fairness", "throughput", "llm_speedup"]),
-    )
+    write_result(results_dir, "fig14a_ablation", format_table(rows, columns))
 
     by_label = {row["label"]: row for row in rows}
     cap_requests = by_label["+cap on requests"]

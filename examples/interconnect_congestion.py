@@ -12,8 +12,8 @@ gaining the most.
 Run:  python examples/interconnect_congestion.py
 """
 
-from repro.core.policies import PAPER_POLICY_ORDER
-from repro.experiments import ExperimentScale, Runner, competitive_policy, format_table
+from repro.core.policies import PAPER_POLICY_ORDER, PolicySpec
+from repro.experiments import ExperimentScale, Runner, format_table
 
 GPU_KERNEL = "G15"  # nn: the most DRAM-intensive Rodinia kernel
 PIM_KERNEL = "P1"
@@ -25,7 +25,7 @@ def main():
 
     rows = []
     for name in PAPER_POLICY_ORDER:
-        spec = competitive_policy(name)
+        spec = PolicySpec(name)
         row = {"policy": name}
         for num_vcs in (1, 2):
             alone = runner.gpu_standalone(GPU_KERNEL, sms=scale.gpu_sms_corun, num_vcs=num_vcs)

@@ -9,8 +9,8 @@ and switch statistics.
 Run:  python examples/policy_comparison.py
 """
 
-from repro.core.policies import PAPER_POLICY_ORDER
-from repro.experiments import ExperimentScale, Runner, competitive_policy, format_table
+from repro.core.policies import PAPER_POLICY_ORDER, PolicySpec
+from repro.experiments import ExperimentScale, Runner, format_table
 
 GPU_KERNEL = "G17"
 PIM_KERNEL = "P2"
@@ -21,9 +21,7 @@ def main():
     rows = []
     for num_vcs in (1, 2):
         for name in PAPER_POLICY_ORDER:
-            outcome = runner.competitive(
-                GPU_KERNEL, PIM_KERNEL, competitive_policy(name), num_vcs=num_vcs
-            )
+            outcome = runner.competitive(GPU_KERNEL, PIM_KERNEL, PolicySpec(name), num_vcs=num_vcs)
             rows.append(
                 {
                     "config": f"VC{num_vcs}",

@@ -9,7 +9,10 @@ Examples::
     python -m repro figure fig8 --gpus G6 G17 --pims P1 P2
 
 Figure commands print the same tables the benchmark harness writes to
-``benchmarks/results/``.
+``benchmarks/results/`` — at their default subsets, byte for byte — from
+the one definition per figure in ``repro.experiments.figures.FIGURES``.
+Figure 14b is the exception: it needs one runner per NoC queue size, so
+only ``benchmarks/test_fig14b_queue_sensitivity.py`` builds it.
 """
 
 from __future__ import annotations
@@ -19,26 +22,17 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.core.policies import PAPER_POLICY_ORDER, available_policies
+from repro.core.policies import PAPER_POLICY_ORDER, PolicySpec, available_policies
 from repro.experiments import (
+    FIGURES,
     ExperimentScale,
     Runner,
     collaborative_policy,
-    competitive_policy,
-    fig4_characterization,
-    fig5_corun_slowdown,
-    fig6_mem_arrival,
-    fig8_fairness_throughput,
-    fig10_switch_overheads,
-    fig11_llm_speedup,
-    fig13_intensity_extremes,
-    fig14a_ablation,
+    figure_table,
     format_table,
 )
 from repro.resilience import Watchdog
 from repro.workloads import PIM_SUITE, RODINIA, pim_ids, rodinia_ids
-
-FIGURES = ("fig4", "fig5", "fig6", "fig8", "fig10", "fig11", "fig13", "fig14a")
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
@@ -171,7 +165,7 @@ def cmd_list(args) -> int:
 
 def cmd_run(args) -> int:
     runner = _runner(args)
-    outcome = runner.competitive(args.gpu, args.pim, competitive_policy(args.policy), num_vcs=args.vcs)
+    outcome = runner.competitive(args.gpu, args.pim, PolicySpec(args.policy), num_vcs=args.vcs)
     rows = [
         {
             "gpu": outcome.gpu_id,
@@ -205,74 +199,8 @@ def cmd_collaborative(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    runner = _runner(args)
-    gpus = args.gpus or ["G6", "G17", "G19"]
-    pims = args.pims or ["P1", "P2", "P7"]
-    policies = args.policies or PAPER_POLICY_ORDER
-
-    if args.name == "fig4":
-        data = fig4_characterization(runner, gpus, pims)
-        rows = [
-            {"group": group, "kernel": kid, **metrics}
-            for group, kernels in data.items()
-            for kid, metrics in kernels.items()
-        ]
-        print(format_table(rows, ["group", "kernel", "noc_rate", "mc_rate", "blp", "rbhr"]))
-    elif args.name == "fig5":
-        data = fig5_corun_slowdown(runner, suite=gpus, gpu_corunners=("G6", "G15"))
-        rows = [{"corunner": k, "avg_speedup": v} for k, v in data.items()]
-        print(format_table(rows, ["corunner", "avg_speedup"]))
-    elif args.name == "fig6":
-        data = fig6_mem_arrival(runner, gpus, pims, policies)
-        rows = [
-            {"config": f"VC{vcs}", "policy": policy, **per_gpu}
-            for vcs, by_policy in data.items()
-            for policy, per_gpu in by_policy.items()
-        ]
-        print(format_table(rows, ["config", "policy", *gpus]))
-    elif args.name == "fig8":
-        data = fig8_fairness_throughput(runner, gpus, pims, policies)
-        rows = [
-            {"config": f"VC{vcs}", "policy": policy, "pim": pid, **metrics}
-            for vcs, by_policy in data.items()
-            for policy, per_pim in by_policy.items()
-            for pid, metrics in per_pim.items()
-        ]
-        print(format_table(rows, ["config", "policy", "pim", "fairness", "throughput"]))
-    elif args.name == "fig10":
-        data = fig10_switch_overheads(runner, gpus, pims, policies)
-        rows = [
-            {"config": f"VC{vcs}", "policy": policy, **metrics}
-            for vcs, by_policy in data.items()
-            for policy, metrics in by_policy.items()
-        ]
-        print(
-            format_table(
-                rows, ["config", "policy", "switches_vs_fcfs", "conflicts_per_switch", "drain_latency"]
-            )
-        )
-    elif args.name == "fig11":
-        data = fig11_llm_speedup(runner, policies)
-        rows = [
-            {"config": f"VC{vcs}", "policy": policy, "speedup": value}
-            for vcs, by_policy in data.items()
-            for policy, value in by_policy.items()
-        ]
-        print(format_table(rows, ["config", "policy", "speedup"]))
-    elif args.name == "fig13":
-        data = fig13_intensity_extremes(runner, gpu_subset=gpus, pim_subset=pims, policies=policies)
-        rows = [
-            {"config": f"VC{vcs}", "policy": policy, "gpu": gid, **metrics}
-            for vcs, by_policy in data.items()
-            for policy, per_gpu in by_policy.items()
-            for gid, metrics in per_gpu.items()
-        ]
-        print(format_table(rows, ["config", "policy", "gpu", "fairness", "throughput"]))
-    elif args.name == "fig14a":
-        rows = fig14a_ablation(runner, gpu_subset=gpus)
-        print(format_table(rows, ["label", "fairness", "throughput", "llm_speedup"]))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.name)
+    _, rows, columns = figure_table(args.name, _runner(args), args.gpus, args.pims, args.policies)
+    print(format_table(rows, columns))
     return 0
 
 
@@ -733,12 +661,8 @@ def cmd_store(args) -> int:
 def cmd_report(args) -> int:
     from repro.experiments.report import generate_report
 
-    runner = _runner(args)
     text = generate_report(
-        runner,
-        gpu_subset=args.gpus or ["G6", "G17", "G19"],
-        pim_subset=args.pims or ["P1", "P2", "P7"],
-        policies=args.policies,
+        _runner(args), gpu_subset=args.gpus, pim_subset=args.pims, policies=args.policies
     )
     if args.out == "-":
         print(text)
@@ -785,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     collab.set_defaults(func=cmd_collaborative)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure's table")
-    figure.add_argument("name", choices=FIGURES)
+    figure.add_argument("name", choices=list(FIGURES))
     figure.add_argument("--gpus", nargs="*", choices=rodinia_ids())
     figure.add_argument("--pims", nargs="*", choices=pim_ids())
     figure.add_argument("--policies", nargs="*", choices=PAPER_POLICY_ORDER)

@@ -16,6 +16,7 @@ from repro.core.policies.base import IDLE, NEVER, Decision, SchedulingPolicy
 from repro.obs.events import BLISS_BLACKLIST, BLISS_CLEAR
 from repro.request import Mode, Request
 
+#: The paper's choice (Sections III-D, VII-B); the figures run with it.
 DEFAULT_THRESHOLD = 4
 DEFAULT_CLEAR_INTERVAL = 10_000
 

@@ -32,6 +32,8 @@ from repro.core.policies.base import IDLE, Decision, SchedulingPolicy
 from repro.obs.events import CAP_BYPASS
 from repro.request import Mode, Request
 
+#: The paper's choice for competitive runs (Sections III-D, VII-B); the
+#: figures run with it (the collaborative CAPs are set per VC config).
 DEFAULT_CAP = 256
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.core.policies.base import IDLE, Decision, SchedulingPolicy
 from repro.request import Mode
 
+#: The paper's choice (Sections III-D, VII-B); the figures run with it.
 DEFAULT_CAP = 32
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.core.policies.base import IDLE, Decision, SchedulingPolicy
 from repro.request import Mode
 
+#: The paper's choices (Sections III-D, VII-B); the figures run with them.
 DEFAULT_HIGH_WATERMARK = 56
 DEFAULT_LOW_WATERMARK = 32
 

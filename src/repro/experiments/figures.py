@@ -2,9 +2,10 @@
 
 One function per table/figure of the paper's evaluation (see DESIGN.md's
 experiment index).  Each returns plain data structures (dicts keyed by
-kernel/policy) and leaves rendering to the caller; ``format_table`` gives a
-quick aligned-text rendering used by the benchmark harness and the
-examples.
+kernel/policy).  ``FIGURES`` turns each into its table — default subsets,
+rows and columns — once, for ``repro figure``, ``repro report`` and the
+committed ``benchmarks/results/`` tables; ``format_table`` renders rows as
+aligned text.
 
 All functions accept kernel subsets so the benchmark suite can run quickly;
 pass the full id lists to reproduce the paper-scale sweeps.
@@ -12,20 +13,13 @@ pass the full id lists to reproduce the paper-scale sweeps.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.policies import PAPER_POLICY_ORDER, PolicySpec
-from repro.experiments.runner import CompetitiveOutcome, Runner
+from repro.experiments.runner import Runner
+from repro.experiments.sweep import DEFAULT_GPU_SUBSET, DEFAULT_PIM_SUBSET
 from repro.metrics.stats import arithmetic_mean, geometric_mean
 from repro.workloads import pim_ids, rodinia_ids
-
-#: Paper parameter choices per policy (Sections III-D and VII-B).
-COMPETITIVE_POLICY_PARAMS: Dict[str, Dict] = {
-    "FR-FCFS-Cap": {"cap": 32},
-    "BLISS": {"threshold": 4},
-    "G&I": {"high_watermark": 56, "low_watermark": 32},
-    "F3FS": {"mem_cap": 256, "pim_cap": 256},
-}
 
 #: F3FS collaborative CAPs per VC configuration, set like the paper's via
 #: a sensitivity study (Section VII-B): asymmetric MEM-favoring CAPs under
@@ -35,14 +29,10 @@ COMPETITIVE_POLICY_PARAMS: Dict[str, Dict] = {
 COLLABORATIVE_F3FS_CAPS = {1: {"mem_cap": 32, "pim_cap": 16}, 2: {"mem_cap": 32, "pim_cap": 32}}
 
 
-def competitive_policy(name: str) -> PolicySpec:
-    return PolicySpec(name, **COMPETITIVE_POLICY_PARAMS.get(name, {}))
-
-
 def collaborative_policy(name: str, num_vcs: int) -> PolicySpec:
     if name == "F3FS":
         return PolicySpec(name, **COLLABORATIVE_F3FS_CAPS[num_vcs])
-    return PolicySpec(name, **COMPETITIVE_POLICY_PARAMS.get(name, {}))
+    return PolicySpec(name)
 
 
 def _mean(values: Iterable[float]) -> float:
@@ -125,7 +115,7 @@ def fig5_corun_slowdown(
         results[corunner] = _mean(
             runner.gpu_pair(gid, corunner) for gid in suite if gid != corunner
         )
-    pim_policy = competitive_policy("FR-FCFS")
+    pim_policy = PolicySpec("FR-FCFS")
     results[pim_corunner] = _mean(
         runner.competitive(gid, pim_corunner, pim_policy, num_vcs=1).gpu_speedup
         for gid in suite
@@ -134,29 +124,8 @@ def fig5_corun_slowdown(
 
 
 # ---------------------------------------------------------------------------
-# Shared competitive sweep (Figures 6, 8, 10, 13, 14b)
+# Competitive grid figures (6, 8, 10)
 # ---------------------------------------------------------------------------
-
-
-def competitive_sweep(
-    runner: Runner,
-    gpu_subset: Optional[Sequence[str]] = None,
-    pim_subset: Optional[Sequence[str]] = None,
-    policies: Optional[Sequence[str]] = None,
-    vc_configs: Sequence[int] = (1, 2),
-) -> List[CompetitiveOutcome]:
-    """Run the competitive grid; outcomes are cached inside the runner."""
-    gpu_subset = list(gpu_subset or rodinia_ids())
-    pim_subset = list(pim_subset or pim_ids())
-    policies = list(policies or PAPER_POLICY_ORDER)
-    outcomes: List[CompetitiveOutcome] = []
-    for num_vcs in vc_configs:
-        for name in policies:
-            spec = competitive_policy(name)
-            for gid in gpu_subset:
-                for pid in pim_subset:
-                    outcomes.append(runner.competitive(gid, pid, spec, num_vcs=num_vcs))
-    return outcomes
 
 
 def fig6_mem_arrival(
@@ -181,7 +150,7 @@ def fig6_mem_arrival(
     for num_vcs in vc_configs:
         out[num_vcs] = {}
         for name in policies:
-            spec = competitive_policy(name)
+            spec = PolicySpec(name)
             per_gpu: Dict[str, float] = {}
             for gid in gpu_subset:
                 # Standalone arrival rate on the co-run SM allocation.
@@ -215,7 +184,7 @@ def fig8_fairness_throughput(
     for num_vcs in vc_configs:
         out[num_vcs] = {}
         for name in policies:
-            spec = competitive_policy(name)
+            spec = PolicySpec(name)
             per_pim: Dict[str, Dict[str, float]] = {}
             for pid in pim_subset:
                 runs = [
@@ -251,7 +220,7 @@ def fig10_switch_overheads(
         policies = ["FCFS"] + policies
     out: Dict[int, Dict[str, Dict[str, float]]] = {}
     for num_vcs in vc_configs:
-        fcfs_spec = competitive_policy("FCFS")
+        fcfs_spec = PolicySpec("FCFS")
         fcfs_switches = {
             (gid, pid): max(1, runner.competitive(gid, pid, fcfs_spec, num_vcs=num_vcs).mode_switches)
             for gid in gpu_subset
@@ -259,7 +228,7 @@ def fig10_switch_overheads(
         }
         out[num_vcs] = {}
         for name in policies:
-            spec = competitive_policy(name)
+            spec = PolicySpec(name)
             ratios: List[float] = []
             conflicts: List[float] = []
             drains: List[float] = []
@@ -329,7 +298,7 @@ def fig13_intensity_extremes(
     for num_vcs in vc_configs:
         out[num_vcs] = {}
         for name in policies:
-            spec = competitive_policy(name)
+            spec = PolicySpec(name)
             per_gpu: Dict[str, Dict[str, float]] = {}
             for gid in gpu_subset:
                 runs = [
@@ -348,18 +317,11 @@ def fig13_intensity_extremes(
 # ---------------------------------------------------------------------------
 
 #: The ablation ladder (Section VII-C): each stage adds one F3FS component.
+#: Parameters left out take the paper's values, the constructor defaults.
 ABLATION_STAGES: List[Dict] = [
-    {"label": "FR-FCFS-Cap", "policy": "FR-FCFS-Cap", "params": {"cap": 32}},
-    {
-        "label": "+cap on requests",
-        "policy": "F3FS",
-        "params": {"mem_cap": 256, "pim_cap": 256, "current_mode_first": False},
-    },
-    {
-        "label": "+current mode first",
-        "policy": "F3FS",
-        "params": {"mem_cap": 256, "pim_cap": 256},
-    },
+    {"label": "FR-FCFS-Cap", "policy": "FR-FCFS-Cap", "params": {}},
+    {"label": "+cap on requests", "policy": "F3FS", "params": {"current_mode_first": False}},
+    {"label": "+current mode first", "policy": "F3FS", "params": {}},
     {
         "label": "+asymmetric CAPs",
         "policy": "F3FS",
@@ -418,7 +380,7 @@ def fig14b_queue_sensitivity(
     """
     gpu_subset = list(gpu_subset or rodinia_ids())
     pim_subset = list(pim_subset or pim_ids())
-    spec = competitive_policy("F3FS")
+    spec = PolicySpec("F3FS")
     out: Dict[int, Dict[str, float]] = {}
     for size in queue_sizes:
         runner = runner_factory(size)
@@ -432,6 +394,134 @@ def fig14b_queue_sensitivity(
             "throughput": _mean(r.throughput for r in runs),
         }
     return out
+
+
+# ---------------------------------------------------------------------------
+# Figure tables — the one definition ``repro figure``, ``repro report`` and
+# ``benchmarks/test_fig*.py`` render from
+# ---------------------------------------------------------------------------
+
+#: Figure 5's GPU co-runners for the default (quick) runs.
+FIG5_GPU_CORUNNERS: Tuple[str, ...] = ("G6", "G15")
+#: Figure 13's default kernels (compute-intensive G10 plus two
+#: memory-intensive picks) and policies.
+FIG13_GPU_SUBSET: Tuple[str, ...] = ("G10", "G6", "G17")
+FIG13_POLICY_SUBSET: Tuple[str, ...] = ("FR-FCFS", "FR-RR-FCFS", "G&I", "F3FS")
+
+
+class Figure(NamedTuple):
+    """How one figure's table is computed, flattened and laid out."""
+
+    #: ``compute(runner, gpus, pims, policies) -> data``.
+    compute: Callable
+    #: ``rows(data) -> [row dict]``.
+    rows: Callable
+    #: ``columns(gpus) -> [column name]``; only Figure 6's depend on the GPUs.
+    columns: Callable
+    gpus: Sequence[str] = DEFAULT_GPU_SUBSET
+    pims: Sequence[str] = DEFAULT_PIM_SUBSET
+    policies: Sequence[str] = tuple(PAPER_POLICY_ORDER)
+
+
+def _by_policy(data: Mapping[int, Mapping[str, object]]) -> List[Tuple[str, str, object]]:
+    """``(config, policy, value)`` for every entry of ``{num_vcs: {policy: value}}``."""
+    return [
+        (f"VC{num_vcs}", policy, value)
+        for num_vcs, by_policy in data.items()
+        for policy, value in by_policy.items()
+    ]
+
+
+FIGURES: Dict[str, Figure] = {
+    "fig4": Figure(
+        compute=lambda runner, gpus, pims, policies: fig4_characterization(runner, gpus, pims),
+        rows=lambda data: [
+            {"group": group, "kernel": kid, **metrics}
+            for group, kernels in data.items()
+            for kid, metrics in kernels.items()
+        ],
+        columns=lambda gpus: ["group", "kernel", "noc_rate", "mc_rate", "blp", "rbhr"],
+    ),
+    "fig5": Figure(
+        compute=lambda runner, gpus, pims, policies: fig5_corun_slowdown(
+            runner, suite=gpus, gpu_corunners=FIG5_GPU_CORUNNERS
+        ),
+        rows=lambda data: [{"corunner": k, "avg_speedup": v} for k, v in data.items()],
+        columns=lambda gpus: ["corunner", "avg_speedup"],
+    ),
+    "fig6": Figure(
+        compute=fig6_mem_arrival,
+        rows=lambda data: [
+            {"config": config, "policy": policy, **per_gpu, "mean": _mean(per_gpu.values())}
+            for config, policy, per_gpu in _by_policy(data)
+        ],
+        columns=lambda gpus: ["config", "policy", *gpus, "mean"],
+    ),
+    "fig8": Figure(
+        compute=fig8_fairness_throughput,
+        rows=lambda data: [
+            {"config": config, "policy": policy, "pim": pid, **metrics}
+            for config, policy, per_pim in _by_policy(data)
+            for pid, metrics in per_pim.items()
+        ],
+        columns=lambda gpus: [
+            "config", "policy", "pim", "fairness", "throughput", "mem_speedup", "pim_speedup"
+        ],
+    ),
+    "fig10": Figure(
+        compute=fig10_switch_overheads,
+        rows=lambda data: [
+            {"config": config, "policy": policy, **metrics}
+            for config, policy, metrics in _by_policy(data)
+        ],
+        columns=lambda gpus: [
+            "config", "policy", "switches_vs_fcfs", "conflicts_per_switch", "drain_latency"
+        ],
+    ),
+    "fig11": Figure(
+        compute=lambda runner, gpus, pims, policies: fig11_llm_speedup(runner, policies),
+        rows=lambda data: [
+            {"config": config, "policy": policy, "speedup": value}
+            for config, policy, value in _by_policy(data)
+        ],
+        columns=lambda gpus: ["config", "policy", "speedup"],
+    ),
+    "fig13": Figure(
+        compute=fig13_intensity_extremes,
+        rows=lambda data: [
+            {"config": config, "policy": policy, "gpu": gid, **metrics}
+            for config, policy, per_gpu in _by_policy(data)
+            for gid, metrics in per_gpu.items()
+        ],
+        columns=lambda gpus: ["config", "policy", "gpu", "fairness", "throughput"],
+        gpus=FIG13_GPU_SUBSET,
+        policies=FIG13_POLICY_SUBSET,
+    ),
+    "fig14a": Figure(
+        compute=lambda runner, gpus, pims, policies: fig14a_ablation(runner, gpu_subset=gpus),
+        rows=list,
+        columns=lambda gpus: ["label", "fairness", "throughput", "llm_speedup"],
+    ),
+}
+
+
+def figure_table(
+    name: str,
+    runner: Runner,
+    gpus: Optional[Sequence[str]] = None,
+    pims: Optional[Sequence[str]] = None,
+    policies: Optional[Sequence[str]] = None,
+) -> Tuple[object, List[Dict], List[str]]:
+    """Compute figure ``name`` and return ``(data, rows, columns)``.
+
+    An empty or missing subset takes the figure's default.
+    """
+    figure = FIGURES[name]
+    gpus = list(gpus or figure.gpus)
+    data = figure.compute(
+        runner, gpus, list(pims or figure.pims), list(policies or figure.policies)
+    )
+    return data, figure.rows(data), figure.columns(gpus)
 
 
 # ---------------------------------------------------------------------------

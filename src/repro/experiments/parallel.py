@@ -15,8 +15,7 @@ crash or Ctrl-C loses at most the cells still in flight.  Re-invoking
 the same grid then hits the store for completed cells and only simulates
 the remainder; ``shard=(i, n)`` splits a grid across machines that share
 (or later merge) a store; :func:`collect_from_store` reassembles the
-full table without running anything.  Pass ``cache_path`` to
-additionally share the legacy duration cache across workers.
+full table without running anything.
 
 Execution is fault tolerant (see ``docs/resilience.md``): worker pools
 run under a :class:`repro.resilience.Supervisor` that survives worker
@@ -185,7 +184,6 @@ _WORKER_RUNNER: Optional[Runner] = None
 
 def _init_worker(
     scale_fields: Dict,
-    cache_path: Optional[str],
     perf_counters: bool = False,
     store_dir: Optional[str] = None,
     fresh: bool = False,
@@ -205,7 +203,6 @@ def _init_worker(
         fault_injection.install(fault_injection.load_env())
     _WORKER_RUNNER = Runner(
         ExperimentScale(**scale_fields),
-        cache_path=cache_path,
         perf_counters=perf_counters,
         store=store,
         watchdog_window=watchdog,
@@ -269,7 +266,6 @@ def run_sweep(
     scale: ExperimentScale,
     tasks: Sequence[GridTask],
     max_workers: int = 1,
-    cache_path: Optional[str] = None,
     collect_perf: bool = False,
     store_dir: Optional[str] = None,
     fresh: bool = False,
@@ -335,7 +331,6 @@ def run_sweep(
     fault_payload = faults.to_payload() if faults is not None else None
     init_args = (
         scale_fields,
-        cache_path,
         collect_perf,
         store_dir,
         fresh,

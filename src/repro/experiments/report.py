@@ -1,25 +1,29 @@
 """Markdown report generation.
 
-``generate_report`` runs a configurable subset of the paper's experiments
-through a :class:`~repro.experiments.runner.Runner` and renders one
-self-contained markdown document — the programmatic backbone of
-EXPERIMENTS.md and of the ``python -m repro report`` command.
+``generate_report`` runs Figures 4, 6, 8, 10 and 11 through a
+:class:`~repro.experiments.runner.Runner` and renders one self-contained
+markdown document — the programmatic backbone of EXPERIMENTS.md and of
+the ``python -m repro report`` command.  Each section's table is the one
+``benchmarks/results/`` holds for that figure: both render from
+``repro.experiments.figures.FIGURES``.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.core.policies import PAPER_POLICY_ORDER
-from repro.experiments.figures import (
-    fig4_characterization,
-    fig6_mem_arrival,
-    fig8_fairness_throughput,
-    fig10_switch_overheads,
-    fig11_llm_speedup,
-)
+from repro.experiments.figures import figure_table
 from repro.experiments.runner import Runner
-from repro.metrics.stats import arithmetic_mean
+from repro.experiments.sweep import DEFAULT_GPU_SUBSET, DEFAULT_PIM_SUBSET
+
+#: ``(heading, figure)`` per report section, in order.
+SECTIONS = (
+    ("Characterization (Figure 4)", "fig4"),
+    ("MEM arrival rate at the MC (Figure 6)", "fig6"),
+    ("Fairness and throughput (Figure 8)", "fig8"),
+    ("Mode switches and overheads (Figure 10)", "fig10"),
+    ("Collaborative LLM speedup (Figure 11)", "fig11"),
+)
 
 
 def _md_table(rows: Sequence[dict], columns: Sequence[str]) -> str:
@@ -68,13 +72,14 @@ def telemetry_section(result, title: str = "Per-hop request latency") -> str:
 
 def generate_report(
     runner: Runner,
-    gpu_subset: Sequence[str],
-    pim_subset: Sequence[str],
+    gpu_subset: Optional[Sequence[str]] = None,
+    pim_subset: Optional[Sequence[str]] = None,
     policies: Optional[Sequence[str]] = None,
     title: str = "Reproduction report",
 ) -> str:
     """Run the core experiments and render a markdown report."""
-    policies = list(policies or PAPER_POLICY_ORDER)
+    gpu_subset = list(gpu_subset or DEFAULT_GPU_SUBSET)
+    pim_subset = list(pim_subset or DEFAULT_PIM_SUBSET)
     sections: List[str] = [f"# {title}", ""]
     scale = runner.scale
     sections.append(
@@ -83,68 +88,8 @@ def generate_report(
         f"(full/co-run/PIM), workload scale {scale.workload_scale}, "
         f"seed {scale.seed}."
     )
-    sections.append(f"\nKernels: GPU {list(gpu_subset)}, PIM {list(pim_subset)}.\n")
-
-    # Figure 4.
-    char = fig4_characterization(runner, gpu_subset, pim_subset)
-    rows = [
-        {"group": group, "kernel": kid, **metrics}
-        for group, kernels in char.items()
-        for kid, metrics in kernels.items()
-    ]
-    sections.append("## Characterization (Figure 4)\n")
-    sections.append(_md_table(rows, ["group", "kernel", "noc_rate", "mc_rate", "blp", "rbhr"]))
-
-    # Figure 6.
-    arrivals = fig6_mem_arrival(runner, gpu_subset, pim_subset, policies)
-    rows = []
-    for num_vcs, by_policy in arrivals.items():
-        for policy, per_gpu in by_policy.items():
-            rows.append(
-                {
-                    "config": f"VC{num_vcs}",
-                    "policy": policy,
-                    "mean_norm_rate": arithmetic_mean(list(per_gpu.values())),
-                }
-            )
-    sections.append("\n## MEM arrival rate at the MC (Figure 6)\n")
-    sections.append(_md_table(rows, ["config", "policy", "mean_norm_rate"]))
-
-    # Figure 8.
-    fairness = fig8_fairness_throughput(runner, gpu_subset, pim_subset, policies)
-    rows = []
-    for num_vcs, by_policy in fairness.items():
-        for policy, per_pim in by_policy.items():
-            rows.append(
-                {
-                    "config": f"VC{num_vcs}",
-                    "policy": policy,
-                    "fairness": arithmetic_mean([m["fairness"] for m in per_pim.values()]),
-                    "throughput": arithmetic_mean([m["throughput"] for m in per_pim.values()]),
-                }
-            )
-    sections.append("\n## Fairness and throughput (Figure 8)\n")
-    sections.append(_md_table(rows, ["config", "policy", "fairness", "throughput"]))
-
-    # Figure 10.
-    switches = fig10_switch_overheads(runner, gpu_subset, pim_subset, policies)
-    rows = []
-    for num_vcs, by_policy in switches.items():
-        for policy, metrics in by_policy.items():
-            rows.append({"config": f"VC{num_vcs}", "policy": policy, **metrics})
-    sections.append("\n## Mode switches and overheads (Figure 10)\n")
-    sections.append(
-        _md_table(rows, ["config", "policy", "switches_vs_fcfs", "conflicts_per_switch", "drain_latency"])
-    )
-
-    # Figure 11.
-    llm = fig11_llm_speedup(runner, policies)
-    rows = []
-    for num_vcs, by_policy in llm.items():
-        for policy, value in by_policy.items():
-            rows.append({"config": f"VC{num_vcs}", "policy": policy, "speedup": value})
-    sections.append("\n## Collaborative LLM speedup (Figure 11)\n")
-    sections.append(_md_table(rows, ["config", "policy", "speedup"]))
-
-    sections.append("")
+    sections.append(f"\nKernels: GPU {gpu_subset}, PIM {pim_subset}.\n")
+    for heading, name in SECTIONS:
+        _, rows, columns = figure_table(name, runner, gpu_subset, pim_subset, policies)
+        sections += [f"## {heading}\n", _md_table(rows, columns), ""]
     return "\n".join(sections)

@@ -13,15 +13,11 @@ standalone runs (80 SMs → ``gpu_sms_full``), a small allocation for the
 PIM kernel and the GPU-8 characterization (8 SMs → ``pim_sms``), and the
 remainder for the GPU kernel under co-execution (72 SMs → ``gpu_sms_corun``).
 
-Standalone baselines are cached (optionally on disk) because every figure
-reuses them.
+Standalone baselines are cached because every figure reuses them.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -42,16 +38,6 @@ from repro.workloads import get_gpu_kernel, get_pim_kernel, llm_kernels
 #: Policy used for standalone baselines (the paper's characterization runs
 #: use FR-FCFS; baselines must not depend on the policy under test).
 BASELINE_POLICY = PolicySpec("FR-FCFS")
-
-
-def _load_duration_cache(path: str) -> Dict[str, int]:
-    """Read a ``REPRO_CACHE`` duration file; unreadable counts as empty."""
-    try:
-        with open(path) as fh:
-            return {k: int(v) for k, v in json.load(fh).items()}
-    except (OSError, ValueError, AttributeError, TypeError) as exc:
-        print(f"warning: ignoring unreadable duration cache {path} ({exc})", file=sys.stderr)
-        return {}
 
 
 @dataclass(frozen=True)
@@ -174,7 +160,6 @@ class Runner:
     def __init__(
         self,
         scale: ExperimentScale = ExperimentScale(),
-        cache_path: Optional[str] = None,
         perf_counters: bool = False,
         store=None,
         watchdog_window: Optional[int] = None,
@@ -210,25 +195,8 @@ class Runner:
         self.traces = WarpTraceCache()
         self._standalone_cache: Dict[str, SimResult] = {}
         self._competitive_cache: Dict[Tuple[str, str, str, int], CompetitiveOutcome] = {}
-        self._duration_cache: Dict[str, int] = {}
-        self.cache_path = cache_path or os.environ.get("REPRO_CACHE")
-        if self.cache_path and os.path.exists(self.cache_path):
-            self._duration_cache = _load_duration_cache(self.cache_path)
 
     # -- cache helpers ------------------------------------------------------
-
-    def _save_cache(self) -> None:
-        # Write-then-rename: other runners (sweep workers) read the same
-        # path at construction and must never see a truncated file.
-        if self.cache_path:
-            tmp = f"{self.cache_path}.{os.getpid()}.tmp"
-            try:
-                with open(tmp, "w") as fh:
-                    json.dump(self._duration_cache, fh)
-                os.replace(tmp, self.cache_path)
-            finally:
-                if os.path.exists(tmp):  # the write failed part-way
-                    os.unlink(tmp)
 
     def _build_system(self, config: SystemConfig, policy: PolicySpec) -> GPUSystem:
         from repro.engine_soa import create_system
@@ -249,8 +217,8 @@ class Runner:
         return system
 
     def _standalone_key(self, label: str, sms: int, num_vcs: int) -> str:
-        """Key of a baseline in the in-memory and ``REPRO_CACHE`` duration
-        caches: every scale field a standalone run depends on."""
+        """Key of a baseline in the in-memory cache (and its store label):
+        every scale field a standalone run depends on."""
         s = self.scale
         refresh = "|refresh" if s.refresh_enabled else ""
         return (
@@ -281,7 +249,6 @@ class Runner:
             if payload is not None:
                 result = result_from_dict(payload)
                 self._standalone_cache[key] = result
-                self._duration_cache[key] = result.kernels[0].first_duration
                 return result
         system = self._build_system(self.scale.config(num_vcs), BASELINE_POLICY)
         system.add_kernel(spec, num_sms=sms)
@@ -289,8 +256,6 @@ class Runner:
         if not result.all_completed:
             raise RuntimeError(f"standalone run {label} did not complete in budget")
         self._standalone_cache[key] = result
-        self._duration_cache[key] = result.kernels[0].first_duration
-        self._save_cache()
         if self.store is not None:
             from repro.sim.export import result_to_dict
 
@@ -302,9 +267,6 @@ class Runner:
         return result
 
     def standalone_duration(self, label: str, spec: KernelSpec, sms: int, num_vcs: int) -> int:
-        key = self._standalone_key(label, sms, num_vcs)
-        if key in self._duration_cache:
-            return self._duration_cache[key]
         return self._run_standalone(label, spec, sms, num_vcs).kernels[0].first_duration
 
     def gpu_standalone(self, gid: str, sms: Optional[int] = None, num_vcs: int = 1) -> SimResult:

@@ -9,10 +9,10 @@ fairness/throughput for each point.
 Each sweep point is a competitive grid, expressed as
 :class:`~repro.experiments.parallel.GridTask` items and executed through
 :func:`~repro.experiments.parallel.run_sweep`: with
-``max_workers > 1`` the points fan out over worker processes that share
-standalone baselines through the runner's disk cache (``cache_path`` /
-``REPRO_CACHE``); with the default ``max_workers=1`` the tasks run
-serially against the caller's runner, reusing its warm in-memory caches.
+``max_workers > 1`` the points fan out over worker processes (which share
+standalone baselines through the result store when ``store_dir`` is
+set); with the default ``max_workers=1`` the tasks run serially against
+the caller's runner, reusing its warm in-memory caches.
 Either path computes identical outcomes — the tasks are deterministic
 and independent.
 """
@@ -27,7 +27,10 @@ from repro.experiments.runner import CompetitiveOutcome, Runner
 from repro.metrics.stats import arithmetic_mean
 
 #: The EXPERIMENTS.md "setup of record" subsets for the default benchmark
-#: grid (GPU x PIM x all nine policies x VC1/VC2).
+#: grid (GPU x PIM x all nine policies x VC1/VC2) and the figures' default
+#: kernels.  The GPU picks cover the paper's extremes: G6 low locality /
+#: high BLP, G17 high RBHR, G19 L2-filtered traffic; the PIM picks cover
+#: STREAM (P1/P2) and GEMV (P7).
 DEFAULT_GPU_SUBSET: Tuple[str, ...] = ("G6", "G17", "G19")
 DEFAULT_PIM_SUBSET: Tuple[str, ...] = ("P1", "P2", "P7")
 
@@ -92,7 +95,6 @@ def _run_point(
             runner.scale,
             tasks,
             max_workers=max_workers,
-            cache_path=runner.cache_path,
             store_dir=store_dir,
         )
         failed = report.failed_outcomes

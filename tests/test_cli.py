@@ -1,10 +1,32 @@
 """Tests for the command-line interface."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import FIGURES
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+#: The committed table each ``repro figure`` name prints.
+COMMITTED_TABLES = {
+    "fig4": "fig04_characterization",
+    "fig5": "fig05_corun_slowdown",
+    "fig6": "fig06_mem_arrival",
+    "fig8": "fig08_fairness_throughput",
+    "fig10": "fig10_switch_overheads",
+    "fig11": "fig11_llm_speedup",
+    "fig13": "fig13_intensity_extremes",
+    "fig14a": "fig14a_ablation",
+}
+
+TINY_FIGURE_ARGS = [
+    "--gpus", "G17", "--pims", "P2", "--policies", "FCFS", "F3FS",
+    "--scale", "0.05", "--channels", "4",
+]
 
 
 class TestParser:
@@ -69,6 +91,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mc_rate" in out
         assert "PIM" in out
+
+    @pytest.mark.parametrize("name", list(FIGURES))
+    def test_figure_columns_match_committed_table(self, name, capsys):
+        assert main(["figure", name, *TINY_FIGURE_ARGS]) == 0
+        printed = capsys.readouterr().out.splitlines()[0].split()
+        header = (RESULTS / f"{COMMITTED_TABLES[name]}.txt").read_text().splitlines()[0]
+        committed = header.split()
+        if name == "fig6":  # one column per GPU kernel: here only G17
+            committed = [c for c in committed if not re.fullmatch(r"G\d+", c)]
+            committed.insert(2, "G17")
+        assert printed == committed
 
     def test_bench_stdout(self, capsys):
         code = main(

@@ -1,16 +1,14 @@
 """Tests for the experiment runner, figure harnesses, and sweeps."""
 
-from dataclasses import replace
-
 import pytest
 
-from repro.core.policies import PolicySpec
+from repro.core.policies import PolicySpec, make_policy
+from repro.request import Mode
 from repro.experiments import (
     ABLATION_STAGES,
     ExperimentScale,
     Runner,
     collaborative_policy,
-    competitive_policy,
     format_table,
     sweep_policy_parameter,
 )
@@ -44,10 +42,14 @@ class TestExperimentScale:
 
 
 class TestPolicyHelpers:
-    def test_competitive_params(self):
-        spec = competitive_policy("FR-FCFS-Cap")
-        assert spec.params == {"cap": 32}
-        assert competitive_policy("FCFS").params == {}
+    def test_paper_parameters_are_the_defaults(self):
+        """Sections III-D and VII-B: the paper's parameter choices are what
+        ``make_policy`` builds when none are given."""
+        assert make_policy("FR-FCFS-Cap").cap == 32
+        assert make_policy("BLISS").threshold == 4
+        gi = make_policy("G&I")
+        assert (gi.high_watermark, gi.low_watermark) == (56, 32)
+        assert make_policy("F3FS").caps == {Mode.MEM: 256, Mode.PIM: 256}
 
     def test_collaborative_f3fs_caps_differ_by_vc(self):
         vc1 = collaborative_policy("F3FS", 1)
@@ -76,7 +78,7 @@ class TestRunner:
         ) > 0
 
     def test_competitive_outcome_fields(self, runner):
-        outcome = runner.competitive("G17", "P2", competitive_policy("F3FS"), num_vcs=2)
+        outcome = runner.competitive("G17", "P2", PolicySpec("F3FS"), num_vcs=2)
         assert 0 <= outcome.fairness <= 1
         assert outcome.throughput >= 0
         assert outcome.gpu_speedup > 0
@@ -84,14 +86,14 @@ class TestRunner:
         assert outcome.cycles > 0
 
     def test_competitive_cached(self, runner):
-        spec = competitive_policy("F3FS")
+        spec = PolicySpec("F3FS")
         a = runner.competitive("G17", "P2", spec, num_vcs=2)
         b = runner.competitive("G17", "P2", spec, num_vcs=2)
         assert a is b
 
     def test_different_policies_not_conflated(self, runner):
-        a = runner.competitive("G17", "P2", competitive_policy("F3FS"), num_vcs=2)
-        b = runner.competitive("G17", "P2", competitive_policy("FCFS"), num_vcs=2)
+        a = runner.competitive("G17", "P2", PolicySpec("F3FS"), num_vcs=2)
+        b = runner.competitive("G17", "P2", PolicySpec("FCFS"), num_vcs=2)
         assert a is not b
 
     def test_collaborative_outcome(self, runner):
@@ -103,37 +105,6 @@ class TestRunner:
 
     def test_gpu_pair(self, runner):
         assert 0 < runner.gpu_pair("G17", "G10") <= 2.0
-
-    def test_disk_cache_roundtrip(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        r1 = Runner(TINY, cache_path=path)
-        duration = r1.standalone_duration(
-            "G17",
-            __import__("repro.workloads", fromlist=["get_gpu_kernel"]).get_gpu_kernel("G17"),
-            TINY.gpu_sms_full,
-            1,
-        )
-        r2 = Runner(TINY, cache_path=path)
-        key = r2._standalone_key("G17", TINY.gpu_sms_full, 1)
-        assert r2._duration_cache[key] == duration
-
-    def test_disk_cache_keys_separate_queue_sizes(self, tmp_path):
-        """Runners sharing a duration file but not a NoC queue size (the
-        Fig 14b sweep) must not share standalone baselines."""
-        from repro.workloads import get_pim_kernel
-
-        path = str(tmp_path / "cache.json")
-        spec = get_pim_kernel("P2")
-        small, large = (
-            Runner(replace(TINY, noc_queue_size=size), cache_path=path) for size in (8, 32)
-        )
-        keys = [r._standalone_key("P2", TINY.pim_sms, 1) for r in (small, large)]
-        assert keys[0] != keys[1]
-        small.standalone_duration("P2", spec, TINY.pim_sms, 1)
-        large = Runner(large.scale, cache_path=path)
-        assert keys[1] not in large._duration_cache
-        large.standalone_duration("P2", spec, TINY.pim_sms, 1)
-        assert set(Runner(TINY, cache_path=path)._duration_cache) == set(keys)
 
 
 class TestSweeps:

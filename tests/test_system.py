@@ -105,9 +105,7 @@ class TestCompetitive:
 
     @pytest.mark.parametrize("policy", PAPER_POLICY_ORDER)
     def test_all_policies_run_in_system(self, policy):
-        from repro.experiments.figures import competitive_policy
-
-        system = GPUSystem(tiny_config(num_vcs=2), competitive_policy(policy))
+        system = GPUSystem(tiny_config(num_vcs=2), PolicySpec(policy))
         system.add_kernel(small_gpu(), num_sms=2, loop=True)
         system.add_kernel(small_pim(), num_sms=1, loop=True)
         result = system.run(max_cycles=500_000)

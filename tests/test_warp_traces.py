@@ -11,7 +11,6 @@ cache across every system it builds.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -204,32 +203,3 @@ def test_telemetry_on_matches_off():
     _, on = _corun(telemetry=True)
     assert on == off
 
-
-def test_unreadable_duration_cache_is_empty(tmp_path, capsys):
-    path = tmp_path / "durations.json"
-    path.write_text("")  # a reader raced a truncating writer
-    runner = Runner(ExperimentScale(), cache_path=str(path))
-    assert runner._duration_cache == {}
-    err = capsys.readouterr().err
-    assert str(path) in err and len(err.strip().splitlines()) == 1
-
-
-def test_duration_cache_write_is_atomic(tmp_path, monkeypatch):
-    path = tmp_path / "durations.json"
-    path.write_text(json.dumps({"old": 5}))
-    runner = Runner(ExperimentScale(), cache_path=str(path))
-    runner._duration_cache["new"] = 7
-
-    def torn_dump(obj, fh):
-        fh.write('{"new": ')
-        raise OSError("disk full")
-
-    monkeypatch.setattr(json, "dump", torn_dump)
-    with pytest.raises(OSError):
-        runner._save_cache()
-    assert json.loads(path.read_text()) == {"old": 5}  # never truncated
-    monkeypatch.undo()
-    runner._save_cache()
-    assert json.loads(path.read_text()) == {"old": 5, "new": 7}
-    assert Runner(ExperimentScale(), cache_path=str(path))._duration_cache == {"old": 5, "new": 7}
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
