@@ -124,6 +124,8 @@ _SETTING_CHECKS = {
     "--watchdog": Watchdog,
     "--ttl": _positive,
     "--resume-grace": _non_negative,
+    "--interval": _positive,
+    "--ring-capacity": _positive,
 }
 
 

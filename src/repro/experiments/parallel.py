@@ -20,10 +20,10 @@ full table without running anything.
 Execution is fault tolerant (see ``docs/resilience.md``): worker pools
 run under a :class:`repro.resilience.Supervisor` that survives worker
 death (``BrokenProcessPool`` → respawn) and enforces per-cell wall-clock
-timeouts; both the pool and the in-process loop retry failed cells by
-the one :meth:`~repro.resilience.RetryPolicy.next_retry` rule (capped
-exponential backoff) and after repeated failure quarantine a cell to
-``GridReport.failed_outcomes`` (journaled in the store) so one poisoned
+timeouts; both the pool and the in-process loop keep their cells in a
+:class:`~repro.resilience.cells.CellTable`, which retries a failed cell
+after capped exponential backoff and after repeated failure quarantines
+it to ``GridReport.failed_outcomes`` (journaled in the store) so one poisoned
 config cannot abort a thousand-cell campaign — the sweep completes every
 healthy cell and degrades gracefully.
 """
@@ -42,12 +42,14 @@ from repro.experiments.runner import (
     competitive_key,
 )
 from repro.resilience import faults as fault_injection
-from repro.resilience.supervisor import (
+from repro.resilience.cells import (
+    PENDING,
     CellFailure,
+    CellTable,
     RetryPolicy,
-    Supervisor,
     classify_failure,
 )
+from repro.resilience.supervisor import Supervisor
 from repro.resilience.watchdog import Watchdog
 
 
@@ -294,8 +296,8 @@ def run_sweep(
 
     Failure handling (see ``docs/resilience.md``): worker crashes,
     per-cell wall-clock timeouts (``cell_timeout`` seconds) and
-    worker-raised exceptions are retried per ``retry``
-    (:meth:`RetryPolicy.next_retry`); cells that keep failing — or fail
+    worker-raised exceptions are retried per ``retry`` by the cell
+    table (:meth:`CellTable.fail`); cells that keep failing — or fail
     deterministically (config ``ValueError``, ``SimulationStalled``) —
     are quarantined into ``GridReport.failed_outcomes`` (journaled in
     the store when ``store_dir`` is set) and the sweep completes every
@@ -395,9 +397,6 @@ def run_sweep(
         account of what happened.
         """
         if publisher is not None:
-            publisher.sync_retries(
-                sum(1 for e in report.retry_events if e.get("kind") == "retry")
-            )
             publisher.finish(state)
         if journal_store is not None:
             journal_store.log_event(
@@ -411,6 +410,15 @@ def run_sweep(
                 shard=list(shard) if shard is not None else None,
             )
 
+    def completed_cell(position: int, record: Dict) -> None:
+        nonlocal completed
+        fold(position, record)
+        completed += 1
+        if abort_after is not None and completed >= abort_after:
+            raise SweepAborted(completed)
+
+    # Each retry reaches status.json from the cell table as it happens.
+    record_retry = publisher.record_retry if publisher is not None else None
     completed = 0
     # Crash/hang faults must never run in the coordinating process, so
     # any installed fault plan forces the supervised pool path even at
@@ -420,41 +428,27 @@ def run_sweep(
     try:
         if not use_pool:
             _init_worker(*init_args)
+            cells = CellTable(retry, on_retry=record_retry, on_quarantine=quarantine)
             try:
                 for position, task in enumerate(subset):
-                    attempts = 0
-                    while True:
+                    cell = cells.add(position, task.label, index=position)
+                    while cell.state == PENDING:
+                        cells.lease(position)
                         try:
                             record = _run_task(task)
-                        except SweepAborted:
-                            raise
                         except Exception as exc:
-                            kind = classify_failure(exc)
-                            attempts += 1
-                            event = retry.next_retry(task.label, attempts, kind, str(exc))
-                            if event is None:
-                                quarantine(
-                                    CellFailure(
-                                        index=position,
-                                        label=task.label,
-                                        kind=kind,
-                                        message=str(exc),
-                                        attempts=attempts,
-                                        diagnostic=getattr(exc, "diagnostic", None),
-                                    )
-                                )
-                                break
-                            report.retry_events.append(event)
-                            if publisher is not None:
-                                publisher.record_retry(event)
-                            if event["delay"] > 0:
+                            event = cells.fail(
+                                position,
+                                classify_failure(exc),
+                                str(exc),
+                                getattr(exc, "diagnostic", None),
+                            )
+                            if event is not None:
+                                report.retry_events.append(event)
                                 time.sleep(event["delay"])
                             continue
-                        fold(position, record)
-                        completed += 1
-                        if abort_after is not None and completed >= abort_after:
-                            raise SweepAborted(completed)
-                        break
+                        cells.complete(position)
+                        completed_cell(position, record)
             finally:
                 _WORKER_RUNNER = None
         else:
@@ -473,26 +467,10 @@ def run_sweep(
                 labeler=lambda task: task.label,
             )
             supervisor.on_quarantine = quarantine
+            supervisor.on_retry = record_retry
             if publisher is not None:
-
-                def heartbeat(cells: List[Dict]) -> None:
-                    # Live retry count rides the same tick as liveness
-                    # (the supervisor appends retry events internally).
-                    publisher.sync_retries(
-                        sum(1 for e in supervisor.events if e.get("kind") == "retry")
-                    )
-                    publisher.record_in_flight(cells)
-
-                supervisor.on_heartbeat = heartbeat
-
-            def on_result(position: int, record: Dict) -> None:
-                nonlocal completed
-                fold(position, record)
-                completed += 1
-                if abort_after is not None and completed >= abort_after:
-                    raise SweepAborted(completed)
-
-            supervisor.run(subset, on_result)
+                supervisor.on_heartbeat = publisher.record_in_flight
+            supervisor.run(subset, completed_cell)
             report.retry_events.extend(supervisor.events)
     except BaseException:
         finalize("aborted")

@@ -20,7 +20,7 @@ CLI: ``repro fabric serve`` / ``repro fabric work --connect HOST:PORT``
 semantics: ``docs/fabric.md``.
 """
 
-from repro.fabric.coordinator import FabricCoordinator, group_tasks, run_campaign
+from repro.fabric.coordinator import FabricCoordinator, run_campaign
 from repro.fabric.ledger import (
     LEDGER_FILENAME,
     FabricLedger,
@@ -62,7 +62,6 @@ __all__ = [
     "LedgerCorrupt",
     "LedgerState",
     "WorkerAbandoned",
-    "group_tasks",
     "lease_task_fields",
     "ledger_summary",
     "run_campaign",

@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.resilience.cells import Cell, CellTable
 from repro.store.fingerprint import checksum
 
 PathLike = Union[str, Path]
@@ -84,19 +85,9 @@ OP_QUARANTINE = "quarantine"
 OP_DRAIN = "drain"
 OP_CLOSE = "close"
 
-_OPS = frozenset(
-    (
-        OP_OPEN,
-        OP_LEASE,
-        OP_READOPT,
-        OP_COMPLETE,
-        OP_REJECT,
-        OP_RETRY,
-        OP_QUARANTINE,
-        OP_DRAIN,
-        OP_CLOSE,
-    )
-)
+#: Records that move one cell: applied by the cell table.
+_CELL_OPS = frozenset((OP_LEASE, OP_READOPT, OP_COMPLETE, OP_RETRY, OP_QUARANTINE))
+_OPS = _CELL_OPS | {OP_OPEN, OP_REJECT, OP_DRAIN, OP_CLOSE}
 
 
 class LedgerCorrupt(RuntimeError):
@@ -121,34 +112,28 @@ class LedgerCorrupt(RuntimeError):
 
 
 @dataclass
-class LedgerCell:
-    """Replayed per-cell state (keyed by the cell's store fingerprint)."""
-
-    key: str
-    state: str = "pending"  # pending | leased | done | failed
-    attempts: int = 0
-    not_before_wall: float = 0.0  # wall-clock backoff deadline (0 = none)
-    lease_id: Optional[str] = None
-    worker: Optional[str] = None
-    lease_epoch: int = 0
-    lease_attempt: int = 0
-    label: str = ""
-
-
-@dataclass
 class LedgerState:
     """Everything :meth:`FabricLedger.replay` recovers from disk."""
 
+    table: CellTable = field(default_factory=CellTable)  # the replayed cell lifecycle
     epoch: int = 0  # last opened epoch (0 = never opened)
     opens: int = 0  # coordinator sessions recorded so far
     records: int = 0  # whole records replayed
     lease_seq: int = 0  # highest lease counter ever granted
-    cells: Dict[str, LedgerCell] = field(default_factory=dict)
-    failures: List[Dict] = field(default_factory=list)  # quarantine roster, in order
     rejects: int = 0
     closed: Optional[str] = None  # final state if the last session closed
     draining: bool = False
     torn_tail: bool = False  # a crash-torn final line was truncated away
+
+    @property
+    def cells(self) -> Dict[str, Cell]:
+        """Per-cell state, keyed by the cell's store fingerprint."""
+        return self.table.cells
+
+    @property
+    def failures(self) -> List[Dict]:
+        """The quarantine roster, in order."""
+        return [{"key": f.key, **f.to_dict()} for f in self.table.failures]
 
 
 class FabricLedger:
@@ -178,9 +163,14 @@ class FabricLedger:
 
     # -- replay ------------------------------------------------------------
 
-    def replay(self) -> LedgerState:
-        """Rebuild campaign state from disk (empty state if no file)."""
-        state = LedgerState()
+    def replay(self, table: Optional[CellTable] = None) -> LedgerState:
+        """Rebuild campaign state from disk (empty state if no file).
+
+        Cell records are applied to ``table`` (a fresh
+        :class:`~repro.resilience.cells.CellTable` by default) — the
+        transitions a live coordinator applies to its own.
+        """
+        state = LedgerState(table if table is not None else CellTable())
         self._seq = 0
         self._truncate_to = None
         self._needs_newline = False
@@ -254,60 +244,18 @@ class FabricLedger:
             return None, f"bad epoch {record.get('epoch')!r}", False
         return record, None, False
 
-    @staticmethod
-    def _cell(state: LedgerState, record: Dict) -> LedgerCell:
-        key = record["key"]
-        cell = state.cells.get(key)
-        if cell is None:
-            cell = state.cells[key] = LedgerCell(key=key)
-        return cell
-
     def _apply(self, state: LedgerState, record: Dict) -> None:
         op = record["op"]
         state.records += 1
-        if op == OP_OPEN:
+        if op in _CELL_OPS:
+            state.table.apply(record)
+            if op == OP_LEASE:
+                state.lease_seq = max(state.lease_seq, record.get("lease_seq", 0))
+        elif op == OP_OPEN:
             state.epoch = record["epoch"]
             state.opens += 1
             state.closed = None
             state.draining = False
-        elif op == OP_LEASE:
-            cell = self._cell(state, record)
-            cell.state = "leased"
-            cell.attempts = record.get("attempt", cell.attempts + 1)
-            cell.lease_id = record.get("lease_id")
-            cell.worker = record.get("worker")
-            cell.lease_epoch = record["epoch"]
-            cell.lease_attempt = record.get("attempt", cell.attempts)
-            cell.label = record.get("label", cell.label)
-            cell.not_before_wall = 0.0
-            state.lease_seq = max(state.lease_seq, record.get("lease_seq", 0))
-        elif op == OP_READOPT:
-            cell = self._cell(state, record)
-            cell.lease_epoch = record["epoch"]
-        elif op == OP_COMPLETE:
-            cell = self._cell(state, record)
-            cell.state = "done"
-            cell.lease_id = cell.worker = None
-        elif op == OP_RETRY:
-            cell = self._cell(state, record)
-            cell.state = "pending"
-            cell.attempts = record.get("attempts", cell.attempts)
-            cell.not_before_wall = float(record.get("not_before_wall", 0.0))
-            cell.lease_id = cell.worker = None
-        elif op == OP_QUARANTINE:
-            cell = self._cell(state, record)
-            cell.state = "failed"
-            cell.lease_id = cell.worker = None
-            state.failures.append(
-                {
-                    "key": record["key"],
-                    "index": record.get("index", 0),
-                    "label": record.get("label", ""),
-                    "kind": record.get("kind", "error"),
-                    "message": record.get("message", ""),
-                    "attempts": record.get("attempts", cell.attempts),
-                }
-            )
         elif op == OP_REJECT:
             state.rejects += 1
         elif op == OP_DRAIN:
@@ -356,16 +304,13 @@ def ledger_summary(path: PathLike) -> Dict:
     line rather than a stack trace.
     """
     state = FabricLedger(path).replay()
-    by_state: Dict[str, int] = {}
-    for cell in state.cells.values():
-        by_state[cell.state] = by_state.get(cell.state, 0) + 1
     return {
         "path": str(path),
         "epoch": state.epoch,
         "sessions": state.opens,
         "records": state.records,
         "lease_seq": state.lease_seq,
-        "cells": by_state,
+        "cells": {name: count for name, count in state.table.counts.items() if count},
         "in_flight": [
             {
                 "key": cell.key,
@@ -373,7 +318,7 @@ def ledger_summary(path: PathLike) -> Dict:
                 "worker": cell.worker,
                 "lease_id": cell.lease_id,
                 "epoch": cell.lease_epoch,
-                "attempt": cell.lease_attempt,
+                "attempt": cell.attempts,
             }
             for cell in state.cells.values()
             if cell.state == "leased"

@@ -27,9 +27,9 @@ for the full state machine):
   lease *at the current epoch*; stale, pre-restart-epoch, duplicate, or
   corrupt completions are rejected with a reason and journaled.
 * ``POST /fail`` — ``{"worker", "lease_id", "key", "epoch", "kind",
-  "message", "attempts"}``: the worker gave up on the cell after its
-  local retries; the coordinator quarantines it
-  (``docs/resilience.md`` semantics).
+  "message"}``: the leased cell raised.  Workers run each lease once
+  and never retry; the coordinator blames the lease, then re-leases the
+  cell after backoff or quarantines it (``docs/resilience.md``).
 * ``POST /resume`` — ``{"worker", "held": [{"lease_id", "key"}]}``:
   session resume after a reconnect.  The worker re-presents the leases
   it still holds; the coordinator re-adopts each live, matching lease

@@ -236,14 +236,6 @@ class StatusPublisher:
             self._c_retries.inc()
         self.publish()
 
-    def sync_retries(self, count: int) -> None:
-        """Catch the retry total up to ``count`` (supervisor-path feed:
-        the pool appends retry events internally, so the coordinator
-        reconciles the running total instead of seeing each one)."""
-        if count > self.retries:
-            self._c_retries.inc(count - self.retries)
-            self.retries = count
-
     def record_quarantine(self, failure: Dict) -> None:
         self.quarantined.append(
             {

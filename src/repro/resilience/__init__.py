@@ -1,6 +1,8 @@
 """Fault tolerance for sweeps and simulations (see docs/resilience.md).
 
-Three pillars:
+Three pillars, over one cell lifecycle
+(:mod:`repro.resilience.cells` — pending, leased, done, retried after
+backoff or quarantined — shared by every grid dispatcher):
 
 * :mod:`repro.resilience.supervisor` — a supervised worker pool that
   survives worker crashes (``BrokenProcessPool``), enforces per-cell
@@ -23,11 +25,13 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.resilience.supervisor import CellFailure, RetryPolicy, Supervisor
+from repro.resilience.cells import CellFailure, CellTable, RetryPolicy
+from repro.resilience.supervisor import Supervisor
 from repro.resilience.watchdog import SimulationStalled, Watchdog, stall_diagnostic
 
 __all__ = [
     "CellFailure",
+    "CellTable",
     "FAULT_KINDS",
     "FaultInjected",
     "FaultPlan",

@@ -2,143 +2,37 @@
 
 ``ProcessPoolExecutor`` alone is brittle for thousand-cell sweeps: one
 segfaulting worker raises ``BrokenProcessPool`` and aborts the whole
-grid, and a hung cell stalls it forever.  :class:`Supervisor` wraps the
-pool with the state machine described in ``docs/resilience.md``:
+grid, and a hung cell stalls it forever.  :class:`Supervisor` runs the
+pool; each cell's state, failure count and backoff live in a
+:class:`~repro.resilience.cells.CellTable`, the lifecycle the serial
+sweep loop and the fabric coordinator share (``docs/resilience.md``).
+What is the Supervisor's own:
 
 * **Crash recovery.**  When the pool breaks, the dead executor is torn
   down and a fresh one spawned.  A crash with one cell in flight is
   attributed to that cell; with several in flight it cannot be (every
   future sees the same ``BrokenProcessPool``), so the whole cohort is
-  requeued *without blame* and marked suspect, and suspects re-run one
+  released *without blame* and marked suspect, and suspects re-run one
   at a time — where a repeat crash identifies the guilty cell exactly.
   Innocent bystanders never accumulate failure attempts.
 * **Timeouts.**  Each submitted cell carries a wall-clock deadline
   (submission is capped at pool width, so a submitted cell is a running
   cell).  An expired cell is blamed, the pool is killed and respawned,
-  and unexpired cells are requeued without blame.
-* **Retry with backoff, or quarantine.**  Every blamed cell goes through
-  :meth:`RetryPolicy.next_retry`, the one retry rule the serial sweep
-  loop and the fabric coordinator apply too: it re-enters the queue
-  after a capped exponential backoff with deterministic jitter (same
-  label + attempt, same delay, so faulty sweeps replay identically)
-  or — after ``retries`` failed re-attempts, or at once for
-  deterministic failures (config ``ValueError``,
-  :class:`~repro.resilience.watchdog.SimulationStalled`) — it is
-  poisoned: recorded as a :class:`CellFailure`, skipped, and the sweep
-  completes every healthy cell (graceful degradation).
+  and unexpired cells are released without blame.
+
+A blamed cell is retried after backoff or quarantined by
+:meth:`CellTable.fail <repro.resilience.cells.CellTable.fail>`.
 """
 
 from __future__ import annotations
 
 import time
-import zlib
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.resilience.watchdog import SimulationStalled
+from repro.resilience.cells import Cell, CellFailure, CellTable, RetryPolicy, classify_failure
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff with deterministic jitter."""
-
-    retries: int = 2  # re-attempts after the first failure
-    backoff_base: float = 0.25  # seconds; 0 disables sleeping
-    backoff_cap: float = 5.0
-    jitter: float = 0.1  # +/- fraction of the raw delay
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError(f"RetryPolicy.retries must be >= 0 (got {self.retries})")
-        if self.backoff_base < 0:
-            raise ValueError(f"RetryPolicy.backoff_base must be >= 0 (got {self.backoff_base})")
-        if self.backoff_cap < self.backoff_base:
-            raise ValueError(
-                f"RetryPolicy.backoff_cap must be >= backoff_base (got {self.backoff_cap})"
-            )
-        if not 0 <= self.jitter <= 1:
-            raise ValueError(f"RetryPolicy.jitter must be in [0, 1] (got {self.jitter})")
-
-    def delay(self, label: str, attempt: int) -> float:
-        """Backoff before re-attempt ``attempt`` (1-based) of ``label``.
-
-        Jitter is derived from CRC32 of ``label|attempt`` rather than a
-        global RNG, so it is deterministic across processes and runs.
-        """
-        if self.backoff_base <= 0:
-            return 0.0
-        raw = min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
-        if self.jitter == 0:
-            return raw
-        fraction = (zlib.crc32(f"{label}|{attempt}".encode()) % 10_000) / 10_000.0
-        return raw * (1.0 - self.jitter + 2.0 * self.jitter * fraction)
-
-    def next_retry(self, label: str, attempts: int, kind: str, message: str) -> Optional[Dict]:
-        """The retry rule every dispatcher applies to a failed attempt.
-
-        ``attempts`` counts the cell's failed attempts so far, this one
-        included.  Returns ``None`` when the cell must be quarantined — a
-        deterministic failure kind (:data:`FATAL_KINDS`) or more than
-        ``retries`` failures — and otherwise the retry event to record,
-        whose ``delay`` is the backoff before the next attempt.
-        """
-        if kind in FATAL_KINDS or attempts > self.retries:
-            return None
-        return {
-            "kind": "retry",
-            "label": label,
-            "attempt": attempts,
-            "failure": kind,
-            "delay": round(self.delay(label, attempts), 4),
-            "message": message,
-        }
-
-
-@dataclass
-class CellFailure:
-    """One quarantined cell (``GridReport.failed_outcomes`` entry)."""
-
-    index: int  # position in the supervisor's item sequence
-    label: str
-    kind: str  # "crash" | "timeout" | "error" | "stall" | "config"
-    message: str
-    attempts: int
-    diagnostic: Optional[Dict] = None  # SimulationStalled dump, if any
-
-    def to_dict(self) -> Dict:
-        return {
-            "index": self.index,
-            "label": self.label,
-            "kind": self.kind,
-            "message": self.message,
-            "attempts": self.attempts,
-        }
-
-
-#: Failure kinds that quarantine without retry (deterministic failures).
-FATAL_KINDS = ("stall", "config")
-
-
-def classify_failure(exc: BaseException) -> str:
-    """Failure kind for a worker-raised exception."""
-    if isinstance(exc, SimulationStalled):
-        return "stall"
-    if isinstance(exc, ValueError):
-        return "config"
-    return "error"
-
-
-@dataclass
-class _Cell:
-    index: int
-    item: object
-    label: str
-    attempts: int = 0
-    not_before: float = 0.0
-    started: float = 0.0
-    suspect: bool = False
+__all__ = ["CellFailure", "RetryPolicy", "Supervisor", "classify_failure"]
 
 
 class _PoolHandle:
@@ -199,16 +93,23 @@ class Supervisor:
         self.tick = tick
         self._clock = clock
         self._sleep = sleep
-        self.failures: List[CellFailure] = []
+        self.table = CellTable(self.retry, clock=clock)
         self.events: List[Dict] = []
         self.respawns = 0
-        self._suspects = 0  # cells marked suspect and not yet resolved
+        self._suspects: Set[int] = set()  # cells marked suspect and not yet resolved
         self.on_quarantine: Optional[Callable[[CellFailure], None]] = None
+        #: Called with each retry event as the cell table schedules it.
+        self.on_retry: Optional[Callable[[Dict], None]] = None
         #: Liveness hook: called once per scheduler tick with a snapshot
         #: of the in-flight cells — ``[{"label", "attempts", "seconds"}]``
         #: (seconds = wall clock since submission).  Feeds the sweep
         #: heartbeat's per-worker view; throttling is the consumer's job.
         self.on_heartbeat: Optional[Callable[[List[Dict]], None]] = None
+
+    @property
+    def failures(self) -> List[CellFailure]:
+        """Quarantined cells, in quarantine order."""
+        return self.table.failures
 
     # -- pool lifecycle ----------------------------------------------------
 
@@ -228,86 +129,54 @@ class Supervisor:
 
     # -- failure bookkeeping ----------------------------------------------
 
-    def _quarantine(self, cell: _Cell, kind: str, message: str, diagnostic=None) -> None:
-        failure = CellFailure(
-            index=cell.index,
-            label=cell.label,
-            kind=kind,
-            message=message,
-            attempts=cell.attempts,
-            diagnostic=diagnostic,
-        )
-        self.failures.append(failure)
-        if self.on_quarantine is not None:
-            self.on_quarantine(failure)
-
-    def _blame(self, pending: deque, cell: _Cell, kind: str, message: str, diagnostic=None) -> None:
-        """One failure attempt for ``cell``: retry with backoff or quarantine."""
-        self._resolve(cell)
-        cell.attempts += 1
-        event = self.retry.next_retry(cell.label, cell.attempts, kind, message)
-        if event is None:
-            self._quarantine(cell, kind, message, diagnostic)
-            return
-        cell.not_before = self._clock() + event["delay"]
-        pending.append(cell)
+    def _retried(self, event: Dict) -> None:
         self.events.append(event)
+        if self.on_retry is not None:
+            self.on_retry(event)
 
-    def _resolve(self, cell: _Cell) -> None:
-        """``cell`` finished or was blamed: it is no longer a suspect."""
-        if cell.suspect:
-            cell.suspect = False
-            self._suspects -= 1
+    def _blame(self, cell: Cell, kind: str, message: str, diagnostic=None) -> None:
+        """One failed attempt: the cell table retries or quarantines it."""
+        self._suspects.discard(cell.key)
+        self.table.fail(cell.key, kind, message, diagnostic)
 
-    def _mark_suspects(self, pending: deque, cells: List[_Cell]) -> None:
-        """Requeue an unattributable crash cohort, unblamed, for isolation."""
-        for cell in cells:
-            cell.not_before = 0.0
-            cell.suspect = True
-            self._suspects += 1
-            pending.appendleft(cell)
+    def _mark_suspects(self, cohort: List[Cell]) -> None:
+        """Release an unattributable crash cohort, unblamed, for isolation."""
+        for cell in cohort:
+            self.table.release(cell.key)
+            self._suspects.add(cell.key)
             self.events.append({"kind": "suspect", "label": cell.label, "failure": "crash"})
 
     # -- scheduling --------------------------------------------------------
 
-    @staticmethod
-    def _pop_eligible(pending: deque, now: float, isolate: bool) -> Optional[_Cell]:
-        """Next runnable cell; only suspects are runnable in isolate mode."""
-        for _ in range(len(pending)):
-            cell = pending.popleft()
-            if (not isolate or cell.suspect) and cell.not_before <= now:
-                return cell
-            pending.append(cell)
-        return None
-
     def run(self, items: Sequence, on_result: Callable[[int, object], None]) -> None:
-        pending: deque = deque(
-            _Cell(index=i, item=item, label=self.labeler(item))
-            for i, item in enumerate(items)
+        cells = self.table = CellTable(
+            self.retry,
+            clock=self._clock,
+            on_retry=self._retried,
+            on_quarantine=self.on_quarantine,
         )
-        in_flight: Dict[object, _Cell] = {}
+        for i, item in enumerate(items):
+            cells.add(i, self.labeler(item), index=i, task=item)
+        in_flight: Dict[object, Cell] = {}
         pool: Optional[_PoolHandle] = None
-        self._suspects = 0
+        self._suspects = set()
         try:
-            while pending or in_flight:
+            while not cells.settled():
                 # While any cell is suspect, run one cell at a time so a
                 # repeat crash is attributable (see _mark_suspects).
-                isolate = self._suspects > 0
-                window = 1 if isolate else self.max_workers
-                now = self._clock()
-                while pending and len(in_flight) < window:
-                    cell = self._pop_eligible(pending, now, isolate)
+                window = 1 if self._suspects else self.max_workers
+                while len(in_flight) < window:
+                    cell = cells.next_ready(self._suspects or None)
                     if cell is None:
                         break
                     if pool is None:
                         pool = self._spawn()
-                    cell.started = self._clock()
-                    in_flight[pool.executor.submit(self.worker_fn, cell.item)] = cell
+                    cells.lease(cell.key)
+                    in_flight[pool.executor.submit(self.worker_fn, cell.task)] = cell
                 if not in_flight:
                     # Everything runnable is backing off; sleep to the
                     # earliest eligibility instead of spinning.
-                    wake = min(cell.not_before for cell in pending)
-                    self._sleep(max(wake - self._clock(), self.tick * 0.1))
+                    self._sleep(max(cells.wake() - self._clock(), self.tick * 0.1))
                     continue
                 if self.on_heartbeat is not None:
                     now = self._clock()
@@ -316,13 +185,13 @@ class Supervisor:
                             {
                                 "label": cell.label,
                                 "attempts": cell.attempts,
-                                "seconds": round(now - cell.started, 3),
+                                "seconds": round(now - cell.leased_at, 3),
                             }
                             for cell in in_flight.values()
                         ]
                     )
                 done, _ = wait(list(in_flight), timeout=self.tick, return_when=FIRST_COMPLETED)
-                crashed: List[_Cell] = []
+                crashed: List[Cell] = []
                 for future in done:
                     cell = in_flight.pop(future)
                     try:
@@ -331,46 +200,43 @@ class Supervisor:
                         crashed.append(cell)
                     except Exception as exc:  # worker-raised, pool still healthy
                         self._blame(
-                            pending,
                             cell,
                             classify_failure(exc),
                             str(exc),
                             diagnostic=getattr(exc, "diagnostic", None),
                         )
                     else:
-                        self._resolve(cell)
+                        self._suspects.discard(cell.key)
+                        cells.complete(cell.key)
                         on_result(cell.index, result)
                 if crashed:
                     # The break dooms everything still in flight too.
                     crashed.extend(in_flight.values())
                     in_flight.clear()
                     if len(crashed) == 1:
-                        self._blame(pending, crashed[0], "crash", "worker process died")
+                        self._blame(crashed[0], "crash", "worker process died")
                     else:
-                        self._mark_suspects(pending, crashed)
+                        self._mark_suspects(crashed)
                     self._teardown(pool, kill=True)
                     pool = None
                 elif self.cell_timeout is not None and in_flight:
                     now = self._clock()
                     expired = [
-                        (future, cell)
+                        future
                         for future, cell in in_flight.items()
-                        if now - cell.started > self.cell_timeout
+                        if now - cell.leased_at > self.cell_timeout
                     ]
                     if expired:
-                        for future, cell in expired:
-                            del in_flight[future]
+                        for future in expired:
                             self._blame(
-                                pending,
-                                cell,
+                                in_flight.pop(future),
                                 "timeout",
                                 f"cell exceeded {self.cell_timeout:g}s wall clock",
                             )
                         # Unexpired cells die with the pool through no
-                        # fault of their own: requeue without blame.
+                        # fault of their own: release them without blame.
                         for cell in in_flight.values():
-                            cell.not_before = 0.0
-                            pending.appendleft(cell)
+                            cells.release(cell.key)
                         in_flight.clear()
                         self._teardown(pool, kill=True)
                         pool = None

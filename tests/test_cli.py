@@ -252,10 +252,13 @@ class TestCommands:
             (["bench", "--sms", "1"], "--sms"),
             (["bench", "--channels", "3"], "--channels"),
             (["trace", "--sms", "8"], "--sms"),
+            (["status", "--watch", "--interval", "-1"], "--interval"),
+            (["trace", "--interval", "0"], "--interval"),
+            (["trace", "--ring-capacity", "0"], "--ring-capacity"),
         ],
     )
     def test_bad_dispatch_setting_refused_in_one_line(self, tmp_path, argv, flag):
-        if argv[:2] == ["fabric", "serve"]:
+        if argv[:2] == ["fabric", "serve"] or argv[0] == "status":
             argv = argv + ["--cache-dir", str(tmp_path / "store")]
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

@@ -24,7 +24,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.policies import PolicySpec
-from repro.experiments import ExperimentScale, run_sweep
+from repro.experiments import ExperimentScale, RetryPolicy, run_sweep
 from repro.experiments.parallel import make_tasks
 from repro.obs import (
     MetricsRegistry,
@@ -36,6 +36,7 @@ from repro.obs import (
     validate_status,
 )
 from repro.obs.metrics import prometheus_name
+from repro.resilience import FaultPlan, FaultSpec
 from repro.store import ResultStore
 
 TINY = ExperimentScale(
@@ -196,15 +197,6 @@ class TestStatusPublisher:
         assert doc["quarantined"][0]["label"] == "G17|P1|F3FS|vc2"
         assert doc["quarantined"][0]["kind"] == "crash"
 
-    def test_sync_retries_is_monotone(self, tmp_path):
-        publisher = self.make(tmp_path)
-        publisher.sync_retries(3)
-        publisher.sync_retries(2)  # never goes backwards
-        publisher.sync_retries(5)
-        assert publisher.retries == 5
-        counters = publisher.registry.snapshot()["counters"]
-        assert counters["sweep.cells.retries"] == 5
-
     def test_throttle_skips_writes_but_force_lands(self, tmp_path):
         clock = [100.0]
         publisher = StatusPublisher(
@@ -353,6 +345,31 @@ class TestSweepHeartbeat:
         assert len(summaries) == 2
         assert all(s["state"] == "complete" for s in summaries)
         assert summaries[-1]["hits"] == 1 and summaries[-1]["misses"] == 0
+
+    def test_supervised_sweep_reports_every_retry(self, tmp_path):
+        """The pool's retries reach status.json one by one: the final
+        ``retries`` is exactly the retry events in the report (suspect
+        events from a crash cohort are not retries)."""
+        tasks = make_tasks(["G17"], ["P1", "P2"], [PolicySpec("FR-FCFS")], (1,))
+        faults = FaultPlan.build(
+            tmp_path / "fault-state",
+            {
+                tasks[0].label: FaultSpec("error", times=2),
+                tasks[1].label: FaultSpec("crash", times=-1),
+            },
+        )
+        store_dir = str(tmp_path / "store")
+        report = run_sweep(
+            TINY, tasks, store_dir=store_dir, max_workers=2, faults=faults,
+            retry=RetryPolicy(retries=2, backoff_base=0.0),
+        )
+        assert [f.label for f in report.failed_outcomes] == [tasks[1].label]
+        retries = [e for e in report.retry_events if e["kind"] == "retry"]
+        assert len(retries) >= 3  # two for the crasher, one or two for the error
+        doc = read_status(store_dir)
+        assert validate_status(doc) == []
+        assert doc["state"] == "complete"
+        assert doc["retries"] == len(retries)
 
     def test_aborted_sweep_finalizes_status(self, tmp_path):
         from repro.experiments import SweepAborted
