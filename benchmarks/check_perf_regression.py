@@ -67,11 +67,14 @@ REPEATS = 3  # best-of-N: the guard asks "can it still go fast", not "mean"
 def check_slots() -> bool:
     """Every hot-path record class must be ``__slots__``-only."""
     from repro.cache.l2 import LookupResult
+    from repro.core.policies.base import Decision
+    from repro.gpu.sm import WarpState
     from repro.noc.queues import BoundedQueue
+    from repro.noc.vc import VCBuffer
     from repro.request import Request
 
     ok = True
-    for cls in (Request, BoundedQueue, LookupResult):
+    for cls in (Request, BoundedQueue, VCBuffer, WarpState, Decision, LookupResult):
         # A class (or any non-object base) without __slots__ carries a
         # '__dict__' descriptor in its class dict.
         has_dict = any(

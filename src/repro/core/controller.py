@@ -123,7 +123,8 @@ class MemoryController:
         self._next_seq = 0
 
         # Wake-up optimization: skip decision cycles that cannot make
-        # progress.  Any enqueue or completion marks the controller dirty.
+        # progress.  A completion, or an enqueue outside a switch drain,
+        # marks the controller dirty.
         self._next_wake = 0
         self._dirty = True
         self._last_mode_cycle = 0
@@ -171,7 +172,10 @@ class MemoryController:
             request.mc_blocked_base = self.mode_cycles_upto(
                 Mode.MEM if request.is_pim else Mode.PIM, cycle
             )
-        self._dirty = True
+        if self._switch_target is None:
+            # A switch drain waits only on in-flight work: an arrival cannot
+            # end it sooner, and the decision after it sees the arrival.
+            self._dirty = True
         self.policy.on_enqueue(request, cycle)
         return True
 
@@ -402,8 +406,10 @@ class MemoryController:
             # Enqueues and completions mark the controller dirty; otherwise
             # a decision changes only when a bank frees, the PIM executor
             # frees (PIM mode: MEM-mode decisions never read it), refresh
-            # accrues an obligation, or the policy's epoch turns.
-            wake = self.channel.next_bank_event(cycle)
+            # accrues an obligation, or the policy's epoch turns.  When
+            # every bank already accepts (None), the banks bound nothing; a
+            # bank event lies after ``cycle``, so it is never 0.
+            wake = self.channel.next_bank_event(cycle) or NEVER
             if self.mode is Mode.PIM:
                 wake = min(wake, max(cycle + 1, self.pim_exec.busy_until))
             if self.refresh.enabled:
@@ -412,8 +418,8 @@ class MemoryController:
             return None
         if decision.kind == "switch":
             self._begin_switch(decision.target, cycle)
+            # Sleep until the drain completes; completions wake it sooner.
             self._next_wake = max(cycle + 1, self._drain_complete_cycle())
-            self._dirty = True  # re-evaluate as soon as the drain completes
             return None
         if decision.kind == "mem":
             request = decision.request

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.controller import MemoryController
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     kind: str  # "mem" | "pim" | "switch" | "idle"
     request: Optional[Request] = None
@@ -41,7 +41,7 @@ class Decision:
 
     @classmethod
     def pim(cls) -> "Decision":
-        return cls("pim")
+        return ISSUE_PIM
 
     @classmethod
     def switch(cls, target: Mode) -> "Decision":
@@ -49,10 +49,13 @@ class Decision:
 
     @classmethod
     def idle(cls) -> "Decision":
-        return cls("idle")
+        return IDLE
 
 
-IDLE = Decision.idle()
+#: The two decisions that carry no request or target are constants, so a
+#: policy's hot path builds no object for them.
+IDLE = Decision("idle")
+ISSUE_PIM = Decision("pim")
 
 #: Sentinel "no self-scheduled event" cycle: a component reporting it only
 #: needs attention again when an external event (an enqueue or a

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-from repro.core.policies.base import IDLE, NEVER, Decision, SchedulingPolicy
+from repro.core.policies.base import IDLE, ISSUE_PIM, NEVER, Decision, SchedulingPolicy
 from repro.obs.events import BLISS_BLACKLIST, BLISS_CLEAR
 from repro.request import Mode, Request
 
@@ -129,7 +129,7 @@ class BLISS(SchedulingPolicy):
         if best.mode is not ctl.mode:
             return Decision.switch(best.mode)
         if best.mode is Mode.PIM:
-            return Decision.pim() if ctl.pim_ready(cycle) else IDLE
+            return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE
         return Decision.mem(best)
 
     def on_issue(self, request, cycle):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.policies.base import IDLE, Decision, SchedulingPolicy
+from repro.core.policies.base import IDLE, ISSUE_PIM, Decision, SchedulingPolicy
 from repro.obs.events import CAP_BYPASS
 from repro.request import Mode, Request
 
@@ -85,7 +85,7 @@ class F3FS(SchedulingPolicy):
             return Decision.mem(pick) if pick is not None else IDLE
         if not ctl.pim_queue:
             return IDLE
-        return Decision.pim() if ctl.pim_ready(cycle) else IDLE
+        return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE
 
     def _decide_frfcfs_order(self, ctl, cycle):
         """Ablation stage: hit-first/oldest-first across modes, CAP kept.
@@ -123,7 +123,7 @@ class F3FS(SchedulingPolicy):
         if best.mode is not ctl.mode:
             return Decision.switch(best.mode)
         if best.mode is Mode.PIM:
-            return Decision.pim() if ctl.pim_ready(cycle) else IDLE
+            return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE
         return Decision.mem(best)
 
     # -- hooks -------------------------------------------------------------

@@ -7,7 +7,7 @@ row-buffer-locality or bank-parallelism awareness (Section III-D policy 1).
 
 from __future__ import annotations
 
-from repro.core.policies.base import IDLE, Decision, SchedulingPolicy
+from repro.core.policies.base import IDLE, ISSUE_PIM, Decision, SchedulingPolicy
 from repro.request import Mode
 
 
@@ -22,7 +22,7 @@ class FCFS(SchedulingPolicy):
         if wanted is not ctl.mode:
             return Decision.switch(wanted)
         if wanted is Mode.PIM:
-            return Decision.pim() if ctl.pim_ready(cycle) else IDLE
+            return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE
         # Strict order within MEM mode too: only the oldest MEM request may
         # issue; wait for its bank if it cannot accept yet.
         if ctl.channel.bank_can_accept(oldest.bank, cycle):

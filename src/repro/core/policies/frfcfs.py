@@ -14,7 +14,7 @@ PIM executes lock-step on all banks, so one trigger covers all banks.
 
 from __future__ import annotations
 
-from repro.core.policies.base import IDLE, Decision, SchedulingPolicy
+from repro.core.policies.base import IDLE, ISSUE_PIM, Decision, SchedulingPolicy
 from repro.request import Mode
 
 
@@ -94,4 +94,4 @@ class FRFCFS(SchedulingPolicy):
             and ctl.pim_exec.would_switch_row(head)
         ):
             return Decision.switch(Mode.MEM)
-        return Decision.pim() if ctl.pim_ready(cycle) else IDLE
+        return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE

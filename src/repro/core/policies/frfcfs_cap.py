@@ -10,7 +10,7 @@ applications, at the cost of more frequent switches (Figure 10a).
 
 from __future__ import annotations
 
-from repro.core.policies.base import IDLE, Decision, SchedulingPolicy
+from repro.core.policies.base import IDLE, ISSUE_PIM, Decision, SchedulingPolicy
 from repro.request import Mode
 
 #: The paper's choice (Sections III-D, VII-B); the figures run with it.
@@ -49,7 +49,7 @@ class FRFCFSCap(SchedulingPolicy):
             if oldest.mode is not ctl.mode:
                 return Decision.switch(oldest.mode)
             if oldest.mode is Mode.PIM:
-                return Decision.pim() if ctl.pim_ready(cycle) else IDLE
+                return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE
             if ctl.channel.bank_can_accept(oldest.bank, cycle):
                 return Decision.mem(oldest)
             return IDLE
@@ -61,7 +61,7 @@ class FRFCFSCap(SchedulingPolicy):
             return Decision.mem(pick) if pick is not None else IDLE
         if not ctl.pim_queue:
             return IDLE
-        return Decision.pim() if ctl.pim_ready(cycle) else IDLE
+        return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE
 
     def on_issue(self, request, cycle):
         if request.mc_seq == self._oldest_seq:

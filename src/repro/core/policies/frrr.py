@@ -21,7 +21,7 @@ to MEM if MEM traffic is waiting.
 
 from __future__ import annotations
 
-from repro.core.policies.base import IDLE, Decision, SchedulingPolicy
+from repro.core.policies.base import IDLE, ISSUE_PIM, Decision, SchedulingPolicy
 from repro.request import Mode
 
 
@@ -103,4 +103,4 @@ class FRRRFCFS(SchedulingPolicy):
         head = ctl.pim_queue[0]
         if ctl.pim_exec.would_switch_row(head) and ctl.mem_queue and self._served_since_switch:
             return Decision.switch(Mode.MEM)
-        return Decision.pim() if ctl.pim_ready(cycle) else IDLE
+        return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE

@@ -12,7 +12,7 @@ the watermark almost continuously, making G&I strongly PIM-biased
 
 from __future__ import annotations
 
-from repro.core.policies.base import IDLE, Decision, SchedulingPolicy
+from repro.core.policies.base import IDLE, ISSUE_PIM, Decision, SchedulingPolicy
 from repro.request import Mode
 
 #: The paper's choices (Sections III-D, VII-B); the figures run with them.
@@ -51,4 +51,4 @@ class GatherIssue(SchedulingPolicy):
                 return Decision.switch(Mode.MEM)
             if occupancy == 0:
                 return IDLE
-        return Decision.pim() if ctl.pim_ready(cycle) else IDLE
+        return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE

@@ -18,7 +18,7 @@ are FCFS as always.
 
 from __future__ import annotations
 
-from repro.core.policies.base import IDLE, Decision, SchedulingPolicy
+from repro.core.policies.base import IDLE, ISSUE_PIM, Decision, SchedulingPolicy
 from repro.request import Mode
 
 DEFAULT_BATCH_SIZE = 32
@@ -53,4 +53,4 @@ class SMS(SchedulingPolicy):
             return Decision.mem(pick) if pick is not None else IDLE
         if not ctl.pim_queue:
             return IDLE
-        return Decision.pim() if ctl.pim_ready(cycle) else IDLE
+        return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE

@@ -8,7 +8,7 @@ MEM mode; PIM executes FCFS.
 
 from __future__ import annotations
 
-from repro.core.policies.base import IDLE, Decision, SchedulingPolicy
+from repro.core.policies.base import IDLE, ISSUE_PIM, Decision, SchedulingPolicy
 from repro.request import Mode
 
 
@@ -31,7 +31,7 @@ class _StaticFirst(SchedulingPolicy):
         if wanted is not ctl.mode:
             return Decision.switch(wanted)
         if wanted is Mode.PIM:
-            return Decision.pim() if ctl.pim_ready(cycle) else IDLE
+            return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE
         pick = self.frfcfs_pick(ctl, cycle)
         return Decision.mem(pick) if pick is not None else IDLE
 

@@ -141,17 +141,18 @@ class Channel:
     def open_rows(self) -> List[Optional[int]]:
         return [b.open_row for b in self.banks]
 
-    def next_bank_event(self, cycle: int) -> int:
-        """Earliest future cycle at which some bank becomes acceptable.
+    def next_bank_event(self, cycle: int) -> Optional[int]:
+        """Earliest cycle after ``cycle`` at which some bank becomes
+        acceptable, or None when every bank already accepts.
 
         Used by the controller to skip idle decision cycles.
         """
-        best = -1
+        best = None
         for bank in self.banks:
             accept_at = bank.state.accept_at
-            if accept_at > cycle and (best < 0 or accept_at < best):
+            if accept_at > cycle and (best is None or accept_at < best):
                 best = accept_at
-        return best if best > 0 else cycle + 1
+        return best
 
     # -- MEM servicing ------------------------------------------------------
 

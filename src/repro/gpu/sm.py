@@ -23,6 +23,7 @@ from bisect import bisect_left
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
+from repro.core.policies.base import NEVER
 from repro.gpu.kernel import KernelInstance, Phase
 from repro.noc.vc import VCBuffer
 from repro.request import Request
@@ -175,7 +176,8 @@ class SM:
                     and request.is_load
                     and self.l1.lookup_load(request.address)
                 )
-                if not l1_hit and not self.output.can_push(request):
+                lane = self.output.lanes[request.is_pim]
+                if not l1_hit and lane.full:
                     continue
                 warp.pending.popleft()
                 if request.cycle_created < 0:
@@ -195,7 +197,7 @@ class SM:
                     if self.l1 is not None and request.type.value == "mem_store":
                         self.l1.note_store(request.address)
                     request.cycle_noc_entry = cycle
-                    self.output.try_push(request)
+                    lane.try_push(request)
                     if request.is_load:
                         self.outstanding_loads += 1
                         if warp.wait_for_replies:
@@ -220,7 +222,7 @@ class SM:
             # All warps are computing, waiting on replies, or done: sleep
             # until the next due event; a reply (via receive_reply) marks
             # the SM dirty.
-            self._next_wake = self._due[0][0] if self._due else cycle + 1_000_000
+            self._next_wake = self._due[0][0] if self._due else NEVER
         return issued
 
     def _advance_due_warps(self, cycle: int) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.noc.queues import BoundedQueue
 from repro.noc.vc import VCBuffer
 from repro.request import Request
 
@@ -54,12 +55,12 @@ class ISlipArbiter:
 
         # Request phase: collect per-output proposals, remembering each
         # input's preference rank for the accept phase.  The credit check
-        # reads the target VC queue directly (the PIM VC is the last queue
-        # of a buffer, which under VC1 is the shared one).
+        # reads the target VC queue (``VCBuffer.lanes``) directly, and the
+        # accept phase pushes onto that queue.
         num_inputs = self.num_inputs
         num_outputs = self.num_outputs
         proposals: Dict[int, List[int]] = {}
-        offered: Dict[int, List[Tuple[int, Request]]] = {}
+        offered: Dict[int, List[Tuple[int, Request, BoundedQueue]]] = {}
         candidates = range(num_inputs) if active_inputs is None else active_inputs
         for i in candidates:
             heads = inputs[i].heads()
@@ -70,12 +71,11 @@ class ISlipArbiter:
                 out = head.channel
                 if not 0 <= out < num_outputs:
                     raise ValueError(f"request targets unknown output {out}")
-                queues = outputs[out]._queues
-                queue = queues[-1] if head.is_pim else queues[0]
-                if len(queue._items) >= queue.capacity:
+                lane = outputs[out].lanes[head.is_pim]
+                if len(lane._items) >= lane.capacity:
                     continue
                 proposals.setdefault(out, []).append(i)
-                ranked.append((out, head))
+                ranked.append((out, head, lane))
             if ranked:
                 offered[i] = ranked
 
@@ -98,10 +98,10 @@ class ISlipArbiter:
         # preferred offered head.
         moved: List[Tuple[int, Request]] = []
         for i, granted in grants.items():
-            for out, head in offered[i]:
+            for out, head, lane in offered[i]:
                 if out in granted:
                     request = inputs[i].pop_matching(head)
-                    if not outputs[out].try_push(request):  # pragma: no cover
+                    if not lane.try_push(request):  # pragma: no cover
                         raise RuntimeError(f"output {out} overflowed after grant")
                     grant_ptr[out] = (i + 1) % num_inputs
                     moved.append((out, request))

@@ -15,7 +15,7 @@ T = TypeVar("T")
 
 
 class BoundedQueue(Generic[T]):
-    """FIFO with a hard capacity and occupancy statistics.
+    """FIFO with a hard capacity and a count of refused pushes.
 
     ``on_push`` / ``on_pop`` are optional zero-argument callbacks fired on
     occupancy transitions only: ``on_push`` when a push makes an empty
@@ -30,9 +30,7 @@ class BoundedQueue(Generic[T]):
         "capacity",
         "name",
         "_items",
-        "pushes",
         "rejects",
-        "peak_occupancy",
         "on_push",
         "on_pop",
         "on_reject",
@@ -44,9 +42,7 @@ class BoundedQueue(Generic[T]):
         self.capacity = capacity
         self.name = name
         self._items: Deque[T] = deque()
-        self.pushes = 0
         self.rejects = 0
-        self.peak_occupancy = 0
         self.on_push: Optional[Callable[[], None]] = None
         self.on_pop: Optional[Callable[[], None]] = None
         self.on_reject: Optional[Callable[[], None]] = None
@@ -80,11 +76,7 @@ class BoundedQueue(Generic[T]):
                 self.on_reject()
             return False
         items.append(item)
-        self.pushes += 1
-        occupancy = len(items)
-        if occupancy > self.peak_occupancy:
-            self.peak_occupancy = occupancy
-        if occupancy == 1 and self.on_push is not None:
+        if len(items) == 1 and self.on_push is not None:
             self.on_push()
         return True
 

@@ -28,7 +28,7 @@ def _discard_unless_busy(active_set, key: int, sibling: Deque[Request]) -> None:
 class VCBuffer:
     """One or two virtual-channel FIFOs with round-robin service."""
 
-    __slots__ = ("num_vcs", "name", "_queues", "_rotation")
+    __slots__ = ("num_vcs", "name", "_queues", "lanes", "_rotation")
 
     def __init__(self, total_capacity: int, num_vcs: int, name: str = "") -> None:
         if num_vcs not in (1, 2):
@@ -47,6 +47,10 @@ class VCBuffer:
                 BoundedQueue(half, name=f"{name}/mem"),
                 BoundedQueue(total_capacity - half, name=f"{name}/pim"),
             ]
+        #: The VC queue a request travels in, indexed by ``request.is_pim``
+        #: (VC1: the shared queue twice).  Hot paths that have checked a
+        #: lane's space push onto it directly: one call per push.
+        self.lanes = (self._queues[0], self._queues[-1])
         self._rotation = 0  # index of the VC to serve next (VC2 only)
 
     def watch(self, active_set, key: int) -> None:
@@ -83,29 +87,17 @@ class VCBuffer:
 
     # -- routing ---------------------------------------------------------
 
-    def _vc_index(self, request: Request) -> int:
-        if self.num_vcs == 1:
-            return 0
-        return 1 if request.is_pim else 0
-
     def queue_for(self, request: Request) -> BoundedQueue:
-        return self._queues[self._vc_index(request)]
+        return self.lanes[request.is_pim]
 
     def queue(self, mode: Mode) -> BoundedQueue:
         """The queue serving the given mode (both modes share VC0 in VC1)."""
-        if self.num_vcs == 1:
-            return self._queues[0]
-        return self._queues[1 if mode is Mode.PIM else 0]
+        return self.lanes[mode is Mode.PIM]
 
     # -- producer side ------------------------------------------------------
 
-    def can_push(self, request: Request) -> bool:
-        queue = self._queues[1 if self.num_vcs == 2 and request.is_pim else 0]
-        return len(queue._items) < queue.capacity
-
     def try_push(self, request: Request) -> bool:
-        queue = self._queues[1 if self.num_vcs == 2 and request.is_pim else 0]
-        return queue.try_push(request)
+        return self.lanes[request.is_pim].try_push(request)
 
     # -- consumer side ------------------------------------------------------
 
@@ -137,22 +129,25 @@ class VCBuffer:
 
     def pop_next(self) -> Optional[Request]:
         """Round-robin pop; advances the rotation past the served VC."""
-        for offset in range(self.num_vcs):
-            index = (self._rotation + offset) % self.num_vcs
-            queue = self._queues[index]
-            if queue:
-                self._rotation = (index + 1) % self.num_vcs
-                return queue.pop()
-        return None
+        head = self.peek_next()
+        return None if head is None else self.pop_matching(head)
 
     def pop_matching(self, request: Request) -> Request:
-        """Pop a specific head (after crossbar arbitration granted it)."""
-        index = 1 if self.num_vcs == 2 and request.is_pim else 0
-        queue = self._queues[index]
-        if not queue._items or queue._items[0] is not request:
+        """Pop a specific head (after crossbar arbitration granted it).
+
+        Pops the VC's deque itself rather than calling
+        ``BoundedQueue.pop``: one call per pop on the engine's hot path.
+        """
+        queue = self.lanes[request.is_pim]
+        items = queue._items
+        if not items or items[0] is not request:
             raise ValueError("request is not at the head of its VC")
-        self._rotation = (index + 1) % self.num_vcs
-        return queue.pop()
+        if self.num_vcs == 2:
+            self._rotation = 0 if request.is_pim else 1
+        items.popleft()
+        if not items and queue.on_pop is not None:
+            queue.on_pop()
+        return request
 
     # -- stats -----------------------------------------------------------
 

@@ -55,7 +55,6 @@ from repro.noc.vc import VCBuffer
 from repro.obs import events as obs_events
 from repro.pim.executor import PIMExecutor
 from repro.request import Mode, Request
-from repro.sim.activeset import OrderedIndexSet
 from repro.sim.results import KernelResult, SimResult
 
 #: Words (32 B DRAM accesses) per modelled L2 entry.  The slice caches
@@ -214,15 +213,14 @@ class GPUSystem:
 
         # -- active-set scheduling state (docs/performance.md) -------------
         # Stage loops visit members in ascending order (iteration order is
-        # simulated behaviour — it fixes reply sequence numbers), so the
-        # active sets maintain that order incrementally instead of paying a
-        # sorted() per stage per cycle.
-        self._l2_active = OrderedIndexSet()  # channels: input_buffers non-empty
-        self._ingress_active = OrderedIndexSet()  # channels: dram_queues non-empty
-        self._wb_active = OrderedIndexSet()  # channels: pending writebacks
-        self._xbar_active = OrderedIndexSet()  # SMs: sm_buffers non-empty
-        self._mc_active = OrderedIndexSet(range(config.num_channels))
-        self._sm_active = OrderedIndexSet()
+        # simulated behaviour — it fixes reply sequence numbers), so they
+        # walk sorted() copies, which also lets them discard as they go.
+        self._l2_active = set()  # channels: input_buffers non-empty
+        self._ingress_active = set()  # channels: dram_queues non-empty
+        self._wb_active = set()  # channels: pending writebacks
+        self._xbar_active = set()  # SMs: sm_buffers non-empty
+        self._mc_active = set(range(config.num_channels))
+        self._sm_active = set()
         # Sleeping controllers (kind 0) / SMs (kind 1) with a self-scheduled
         # future event; entries are lazy-deleted (stale wakes are no-ops).
         self._wake_heap: List[Tuple[int, int, int]] = []
@@ -388,7 +386,7 @@ class GPUSystem:
         cycle = self.cycle
         controllers = self.controllers
         wake_heap = self._wake_heap
-        for ch in active.snapshot():
+        for ch in sorted(active):
             controller = controllers[ch]
             if controller.tick(cycle) is not None:
                 self._schedule_completion(ch)
@@ -407,14 +405,15 @@ class GPUSystem:
         if not active:
             return
         cycle = self.cycle
-        for ch in active.snapshot():
+        for ch in sorted(active):
             queue = self.dram_queues[ch]
             controller = self.controllers[ch]
             for head in queue.heads():
                 if controller.can_accept(head):
                     queue.pop_matching(head)
                     controller.enqueue(head, cycle)
-                    self._mc_active.add(ch)  # enqueue marked it dirty
+                    if controller._dirty:  # not while a switch drains
+                        self._mc_active.add(ch)
                     break
 
     def _stage_l2(self) -> None:
@@ -424,21 +423,21 @@ class GPUSystem:
             return
         cycle = self.cycle
         telemetry = self.telemetry
-        for ch in active.snapshot():
+        for ch in sorted(active):
             buffer = self.input_buffers[ch]
             slice_ = self.l2_slices[ch]
-            dram_queue = self.dram_queues[ch]
+            mem_lane, pim_lane = self.dram_queues[ch].lanes
             for head in buffer.heads():
                 if head.is_pim:
-                    if dram_queue.can_push(head):
+                    if not pim_lane.full:
                         buffer.pop_matching(head)
                         if telemetry is not None:
                             head.cycle_l2_arrival = cycle
-                        dram_queue.try_push(head)
+                        pim_lane.try_push(head)
                         break
                     continue  # PIM VC blocked; try the other VC's head
                 # MEM request: a miss/forward will need L2->DRAM space.
-                if not dram_queue.queue(Mode.MEM).full:
+                if not mem_lane.full:
                     outcome = slice_.lookup(head)
                     if outcome == LookupResult.BLOCKED:
                         continue  # MSHRs full: leave at head, try other VC
@@ -455,14 +454,14 @@ class GPUSystem:
                     elif outcome == LookupResult.MISS_SECONDARY:
                         pass  # merged; replied when the fill returns
                     else:  # MISS_PRIMARY or STORE_FORWARD
-                        dram_queue.try_push(head)
+                        mem_lane.try_push(head)
                     break
 
     def _stage_writebacks(self) -> None:
         active = self._wb_active
         if not active:
             return
-        for ch in active.snapshot():
+        for ch in sorted(active):
             pending = self.writebacks[ch]
             queue = self.dram_queues[ch].queue(Mode.MEM)
             if not queue.full:
@@ -477,9 +476,7 @@ class GPUSystem:
             if self._xbar_active or self.mesh.occupancy:
                 self.mesh.step(self.cycle, self.sm_buffers, self.input_buffers)
         elif self._xbar_active:
-            self.crossbar.step(
-                self.sm_buffers, self.input_buffers, self._xbar_active.snapshot()
-            )
+            self.crossbar.step(self.sm_buffers, self.input_buffers, sorted(self._xbar_active))
 
     def _stage_sms(self) -> None:
         active = self._sm_active
@@ -488,7 +485,7 @@ class GPUSystem:
         cycle = self.cycle
         sms = self.sms
         wake_heap = self._wake_heap
-        for i in active.snapshot():
+        for i in sorted(active):
             sm = sms[i]
             if sm.instance is None:
                 active.discard(i)
@@ -506,7 +503,8 @@ class GPUSystem:
             if wake <= cycle + 1:
                 continue
             active.discard(i)
-            heapq.heappush(wake_heap, (wake, 1, i))
+            if wake < NEVER:
+                heapq.heappush(wake_heap, (wake, 1, i))
 
     def _stage_kernel_completion(self) -> None:
         cycle = self.cycle

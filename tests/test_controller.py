@@ -184,6 +184,42 @@ class TestServiceOrder:
         assert all(r.cycle_completed >= 0 for r in reqs)
 
 
+class TestWakeRules:
+    """The controller sleeps only on events that can change its decision."""
+
+    def test_pim_row_switch_sleeps_until_executor_frees(self):
+        ctl = make_controller("FCFS")
+        ctl.enqueue(pim_request(row=0), cycle=0)
+        ctl.enqueue(pim_request(row=1), cycle=0)
+        cycle = 0
+        while ctl.stats.pim_issued == 0:
+            ctl.pop_completed(cycle)
+            ctl.tick(cycle)
+            cycle += 1
+        # The first op switched the executor onto row 0; the head needs a
+        # switch to row 1 and waits for the lock-step executor, not a bank.
+        ctl.tick(cycle)
+        assert ctl.mode is Mode.PIM and not ctl._dirty
+        assert ctl.pim_exec.would_switch_row(ctl.pim_queue[0])
+        assert all(bank.state.accept_at <= cycle for bank in ctl.channel.banks)
+        assert ctl.pim_exec.busy_until > cycle + 1
+        assert ctl.next_wake_cycle(cycle) == ctl.pim_exec.busy_until
+
+    def test_switch_drain_ignores_arrivals(self):
+        ctl = make_controller("FCFS")
+        ctl.enqueue(mem_request(bank=0, row=0), cycle=0)
+        ctl.tick(0)  # issues the MEM request
+        ctl.enqueue(pim_request(), cycle=1)
+        ctl.tick(1)  # begins the MEM->PIM drain
+        drain = ctl.channel.drain_complete_cycle()
+        assert ctl.is_switching and drain > 3
+        assert not ctl._dirty
+        assert ctl.next_wake_cycle(1) == drain
+        ctl.enqueue(mem_request(bank=1, row=0), cycle=2)
+        assert not ctl._dirty
+        assert ctl.next_wake_cycle(2) == drain
+
+
 class TestPolicyValidation:
     def test_unknown_policy(self):
         with pytest.raises(KeyError):

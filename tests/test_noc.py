@@ -44,7 +44,6 @@ class TestBoundedQueue:
         q.push("a")
         assert q.peek() == "a"
         assert len(q) == 1
-        assert q.peak_occupancy == 1
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
@@ -157,12 +156,13 @@ class TestISlip:
         arbiter = ISlipArbiter(3, 1)
         inputs = [VCBuffer(64, 1) for _ in range(3)]
         outputs = [VCBuffer(1024, 1)]
+        transfers = 0
         for cycle in range(60):
             for buf in inputs:
                 buf.try_push(mem_request(channel=0))
-            arbiter.step(inputs, outputs)
-        # Count what reached the output per source via pushes.
-        assert outputs[0].queue(Mode.MEM).pushes == 60
+            transfers += len(arbiter.step(inputs, outputs))
+        # One transfer per cycle reached the output.
+        assert transfers == 60
         # Each input drained at roughly 1/3 rate: remaining occupancies equal.
         remaining = [len(b) for b in inputs]
         assert max(remaining) - min(remaining) <= 1

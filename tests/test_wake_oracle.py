@@ -12,7 +12,8 @@ and the same mode-switch records.
 
 The cases cover every policy the figures sweep plus SMS under VC1 and
 VC2, BLISS and Dyn-F3FS with a short interval (so their cycle-keyed
-epochs turn many times while controllers sleep), refresh, and the mesh.
+epochs turn many times while controllers sleep), refresh, the mesh, and
+8-entry MC queues (so requests arrive while a mode switch drains).
 Without ``SchedulingPolicy.next_epoch_cycle`` bounding an idle
 controller's sleep, the Dyn-F3FS cases diverge.
 """
@@ -79,6 +80,13 @@ CASES = (
         for vcs in (1, 2)
     ]
     + [_case("F3FS", 2, refresh_enabled=True), _case("F3FS", 2, noc_topology="mesh")]
+    # Short MC queues keep the ingress backed up, so requests arrive while
+    # switches drain.
+    + [
+        _case(name, vcs, mem_queue_size=8, pim_queue_size=8)
+        for name in ("FCFS", "MEM-First", "G&I", "F3FS")
+        for vcs in (1, 2)
+    ]
 )
 
 
