@@ -10,8 +10,8 @@ that the engine's per-cycle cost stays proportional to work, not machine
 size, and that nothing in the engine breaks at 8x the SM count and 4x
 the channel count of the configs the tests sweep.
 
-The scenario mirrors ``saturated_corun`` (both kernels looping, a
-GPU-heavy 8:2 SM split) so every channel sees mixed MEM+PIM traffic.
+Both kernels loop on a GPU-heavy 8:2 SM split, so every channel sees
+mixed MEM+PIM traffic.
 The window is deliberately short — this is a "does it complete" gate
 with a loose wall-clock ceiling, not a benchmark.
 

@@ -7,6 +7,7 @@ Examples::
     python -m repro collaborative --policy FR-FCFS --vcs 2
     python -m repro figure fig11 --policies FR-FCFS F3FS
     python -m repro figure fig8 --gpus G6 G17 --pims P1 P2
+    python -m repro trace --gpu G19 --pim P1 --policy F3FS --vcs 2 --out trace.json
 
 Figure commands print the same tables the benchmark harness writes to
 ``benchmarks/results/`` — at their default subsets, byte for byte — from
@@ -39,6 +40,23 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=0.12, help="workload scale factor")
     parser.add_argument("--channels", type=int, default=8, help="number of memory channels")
     parser.add_argument("--seed", type=int, default=1, help="simulation seed")
+
+
+def _policy_name(name: str) -> str:
+    """Resolve a policy name case-insensitively (``--policy f3fs``); an
+    unknown name passes through for argparse's ``choices`` to refuse."""
+    return {p.lower(): p for p in available_policies()}.get(name.lower(), name)
+
+
+def _add_cell_args(parser: argparse.ArgumentParser) -> None:
+    """One competitive grid cell: the options ``run`` and ``trace`` share."""
+    parser.add_argument("--gpu", default="G17", choices=rodinia_ids())
+    parser.add_argument("--pim", default="P1", choices=pim_ids())
+    parser.add_argument(
+        "--policy", default="F3FS", type=_policy_name, choices=sorted(available_policies())
+    )
+    parser.add_argument("--vcs", type=int, default=1, choices=(1, 2))
+    _add_scale_args(parser)
 
 
 def _scale(args) -> ExperimentScale:
@@ -117,7 +135,6 @@ _SETTING_CHECKS = {
     "--scale": _positive,
     "--channels": _power_of_two,
     "--seed": _non_negative,
-    "--sms": _positive,
     "--max-cycles": _positive,
     "--workers": _positive,
     "--cell-timeout": _positive,
@@ -139,16 +156,6 @@ def _check_settings(args) -> None:
             check(value)
         except ValueError as exc:
             raise SystemExit(f"invalid {flag} {value}: {exc}")
-
-
-def _check_sm_split(scenario, sms: int) -> None:
-    """Refuse an ``--sms`` too small to give both scenario kernels an SM."""
-    from repro.perf.bench import sm_split
-
-    try:
-        sm_split(scenario, sms)
-    except ValueError as exc:
-        raise SystemExit(f"invalid --sms {sms}: {exc}")
 
 
 def cmd_list(args) -> int:
@@ -206,68 +213,21 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    import json
-
-    from repro.perf import SCENARIOS, resolve_scenario, run_engine_bench
-
-    try:
-        names = list(args.scenarios or [])
-        for name in args.scenario or []:
-            resolve_scenario(name, source="--scenario value")
-            if name not in names:
-                names.append(name)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    names = names or list(SCENARIOS)
-    for name in names:
-        _check_sm_split(SCENARIOS[name], args.sms)
-    payload = run_engine_bench(
-        scenario_names=names,
-        channels=args.channels,
-        sms=args.sms,
-        scale=args.scale,
-        seed=args.seed,
-        stage_breakdown=not args.no_stages,
-    )
-    text = json.dumps(payload, indent=2)
-    if args.out == "-":
-        print(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"benchmark written to {args.out}")
-        for name, entry in payload["scenarios"].items():
-            print(f"  {name}: {entry['fast']['cycles_per_sec']:,.0f} cyc/s")
-    return 0
-
-
 def cmd_trace(args) -> int:
-    import json
+    """Run one competitive cell with telemetry and export its trace."""
     from pathlib import Path
 
-    from repro.experiments.figures import format_table
+    from repro.experiments.figures import latency_breakdown_rows
     from repro.obs.trace import validate_trace, write_stats, write_trace
-    from repro.perf.bench import TRACE_SCENARIOS, build_scenario_system
 
-    from repro.core.policies import PolicySpec
-
-    policy_name = _canonical_policy(args.policy)
-    scenario = TRACE_SCENARIOS[args.scenario]
-    _check_sm_split(scenario, args.sms)
-    system = build_scenario_system(
-        scenario,
-        channels=args.channels,
-        sms=args.sms,
-        scale=args.scale,
-        seed=args.seed,
-        policy=PolicySpec(policy_name) if policy_name is not None else None,
+    cell = _runner(args).competitive_system(
+        args.gpu, args.pim, PolicySpec(args.policy), num_vcs=args.vcs
     )
+    system = cell.system
     telemetry = system.enable_telemetry(
         ring_capacity=args.ring_capacity, timeline_interval=args.interval
     )
-    max_cycles = scenario.max_cycles if args.max_cycles is None else args.max_cycles
-    result = system.run(max_cycles=max_cycles, until_all_complete_once=False)
+    result = system.run(max_cycles=cell.budget if args.max_cycles is None else args.max_cycles)
 
     out = Path(args.out)
     doc = write_trace(system, out)
@@ -291,25 +251,10 @@ def cmd_trace(args) -> int:
         f"mean total {identity['mean_total_latency']} vs hop sum "
         f"{identity['mean_hop_sum']} (gap {identity['mean_abs_gap']})"
     )
-    from repro.experiments.figures import latency_breakdown_rows
-
     rows = latency_breakdown_rows(result.telemetry)
     if rows:
         print(format_table(rows, list(rows[0])))
     return 0
-
-
-def _canonical_policy(name: Optional[str]) -> Optional[str]:
-    """Resolve a case-insensitive policy name; None passes through."""
-    if name is None:
-        return None
-    by_lower = {p.lower(): p for p in available_policies()}
-    try:
-        return by_lower[name.lower()]
-    except KeyError:
-        raise SystemExit(
-            f"unknown policy {name!r}; choose from {sorted(available_policies())}"
-        )
 
 
 def _parse_shard(text: Optional[str]):
@@ -697,11 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list kernels and policies").set_defaults(func=cmd_list)
 
     run = sub.add_parser("run", help="run one competitive co-execution")
-    run.add_argument("--gpu", default="G17", choices=rodinia_ids())
-    run.add_argument("--pim", default="P1", choices=pim_ids())
-    run.add_argument("--policy", default="F3FS", choices=sorted(available_policies()))
-    run.add_argument("--vcs", type=int, default=1, choices=(1, 2))
-    _add_scale_args(run)
+    _add_cell_args(run)
     run.set_defaults(func=cmd_run)
 
     collab = sub.add_parser("collaborative", help="run the LLM collaborative scenario")
@@ -718,59 +659,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_args(figure)
     figure.set_defaults(func=cmd_figure)
 
-    from repro.perf.bench import SCENARIOS as BENCH_SCENARIOS
-    from repro.perf.bench import TRACE_SCENARIOS
-
-    bench = sub.add_parser("bench", help="benchmark the simulation engine itself")
-    bench.add_argument(
-        "--scenarios",
-        nargs="*",
-        choices=sorted(BENCH_SCENARIOS),
-        help="scenarios to run (default: all)",
-    )
-    bench.add_argument(
-        "--scenario",
-        action="append",
-        metavar="NAME",
-        help="run a single scenario (repeatable; combines with --scenarios)",
-    )
-    bench.add_argument("--sms", type=int, default=10, help="number of SMs")
-    bench.add_argument(
-        "--no-stages",
-        action="store_true",
-        help="skip the instrumented per-stage breakdown run",
-    )
-    bench.add_argument("--out", default="-", help="output JSON file ('-' = stdout)")
-    _add_scale_args(bench)
-    bench.set_defaults(func=cmd_bench)
-
     trace = sub.add_parser(
         "trace",
-        help="run a scenario with telemetry and export a Perfetto-loadable trace",
+        help="run one competitive cell with telemetry and export a Perfetto-loadable trace",
     )
-    trace.add_argument(
-        "--scenario",
-        default="saturated_corun",
-        choices=sorted(TRACE_SCENARIOS),
-        help="scenario to trace (perf-bench scenarios + mode_timeline)",
-    )
-    trace.add_argument(
-        "--policy",
-        default=None,
-        help="override the scenario's scheduling policy (case-insensitive)",
-    )
+    _add_cell_args(trace)
     trace.add_argument("--out", default="trace.json", help="trace-event JSON output path")
     trace.add_argument(
-        "--max-cycles", type=int, default=None, help="override the scenario's horizon"
+        "--max-cycles", type=int, default=None, help="override the cell's cycle budget"
     )
-    trace.add_argument("--sms", type=int, default=10, help="number of SMs")
     trace.add_argument(
         "--interval", type=int, default=100, help="queue-occupancy sampling interval"
     )
     trace.add_argument(
         "--ring-capacity", type=int, default=65536, help="event ring-buffer capacity"
     )
-    _add_scale_args(trace)
     trace.set_defaults(func=cmd_trace)
 
     sweep = sub.add_parser(

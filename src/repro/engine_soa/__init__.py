@@ -3,8 +3,8 @@
 The object engine (:class:`repro.sim.system.GPUSystem`) is the only
 engine.  This module stays because the figure-grid benchmark under
 ``benchmarks/suite/`` imports ``create_system`` from here and wraps it
-for its ``sim`` spans; the experiment runner and ``repro.perf.bench``
-call it here so those spans see every system built.  New code should
+for its ``sim`` spans; the experiment runner calls it here so those
+spans see every system built.  New code should
 build :class:`~repro.sim.system.GPUSystem` directly.
 """
 

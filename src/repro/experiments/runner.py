@@ -19,7 +19,7 @@ Standalone baselines are cached because every figure reuses them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.core.policies import PolicySpec
@@ -32,7 +32,7 @@ from repro.metrics.fairness import (
     system_throughput,
 )
 from repro.sim.results import SimResult
-from repro.sim.system import GPUSystem
+from repro.sim.system import GPUSystem, KernelRun
 from repro.workloads import get_gpu_kernel, get_pim_kernel, llm_kernels
 
 #: Policy used for standalone baselines (the paper's characterization runs
@@ -137,6 +137,17 @@ class CollaborativeOutcome:
     pim_standalone: int
 
 
+class CoRun(NamedTuple):
+    """One competitive cell's co-run system, built but not yet run."""
+
+    system: GPUSystem
+    gpu_run: KernelRun
+    pim_run: KernelRun
+    gpu_alone: int  # standalone durations the speedups are relative to
+    pim_alone: int
+    budget: int  # the cell's cycle budget
+
+
 def competitive_key(
     scale: ExperimentScale, gid: str, pid: str, policy: PolicySpec, num_vcs: int
 ) -> str:
@@ -183,8 +194,6 @@ class Runner:
         #: completed standalone SimResult and competitive outcome is
         #: written through it, and looked up before simulating.
         self.store = store
-        if self.store is not None and self.store.counters is None:
-            self.store.counters = self.perf
         #: How the last competitive() call was satisfied: "memo" (this
         #: runner's in-memory cache), "hit" (result store), "miss" (fresh
         #: simulation), or None when no store is attached.
@@ -300,14 +309,9 @@ class Runner:
                 self._competitive_cache[cache_key] = outcome
                 self.store_last = "hit"
                 return outcome
-        s = self.scale
-        gpu_alone = self.standalone_duration(gid, get_gpu_kernel(gid), s.gpu_sms_full, num_vcs)
-        pim_alone = self.standalone_duration(pid, get_pim_kernel(pid), s.pim_sms, num_vcs)
-
-        system = self._build_system(s.config(num_vcs), policy)
-        gpu_run = system.add_kernel(get_gpu_kernel(gid), num_sms=s.gpu_sms_corun, loop=True)
-        pim_run = system.add_kernel(get_pim_kernel(pid), num_sms=s.pim_sms, loop=True)
-        budget = min(s.max_cycles, s.starvation_factor * max(gpu_alone, pim_alone))
+        system, gpu_run, pim_run, gpu_alone, pim_alone, budget = self.competitive_system(
+            gid, pid, policy, num_vcs
+        )
         result = system.run(max_cycles=budget)
 
         gpu_first = result.kernels[gpu_run.kernel_id].first_duration
@@ -342,6 +346,24 @@ class Runner:
             )
             self.store_last = "miss"
         return outcome
+
+    def competitive_system(
+        self, gid: str, pid: str, policy: PolicySpec, num_vcs: int = 1
+    ) -> CoRun:
+        """Build the co-run system :meth:`competitive` runs for one cell.
+
+        Both kernels loop; the budget is the starvation cutoff over the
+        slower standalone baseline (simulated first if not yet known).
+        ``repro trace`` runs the same system with telemetry attached.
+        """
+        s = self.scale
+        gpu_alone = self.standalone_duration(gid, get_gpu_kernel(gid), s.gpu_sms_full, num_vcs)
+        pim_alone = self.standalone_duration(pid, get_pim_kernel(pid), s.pim_sms, num_vcs)
+        system = self._build_system(s.config(num_vcs), policy)
+        gpu_run = system.add_kernel(get_gpu_kernel(gid), num_sms=s.gpu_sms_corun, loop=True)
+        pim_run = system.add_kernel(get_pim_kernel(pid), num_sms=s.pim_sms, loop=True)
+        budget = min(s.max_cycles, s.starvation_factor * max(gpu_alone, pim_alone))
+        return CoRun(system, gpu_run, pim_run, gpu_alone, pim_alone, budget)
 
     def competitive_store_key(
         self, gid: str, pid: str, policy: PolicySpec, num_vcs: int

@@ -58,7 +58,6 @@ class Telemetry:
         self._hop_sum = 0
         # Attached by enable_telemetry (unified entry point).
         self.timeline = None  # metrics.timeline.TimelineSampler
-        self.perf = None  # perf.counters.EngineCounters
 
     # -- event pillar -----------------------------------------------------
 

@@ -1,27 +1,10 @@
-"""Engine observability: per-stage counters and the ``repro bench`` harness.
+"""Engine observability: per-stage wall-clock counters.
 
-This package measures the *simulator itself* (wall-clock per engine stage,
-simulated cycles per second), not the simulated machine.  See
-``docs/performance.md`` for how these numbers relate to the engine's
-active-set scheduling.
+This package measures the *simulator itself* (wall-clock per engine
+stage), not the simulated machine.  The benchmark of record is the
+figure-grid suite under ``benchmarks/suite/``; see ``docs/performance.md``.
 """
 
 from repro.perf.counters import EngineCounters
-from repro.perf.bench import (
-    BenchScenario,
-    SCENARIOS,
-    TRACE_SCENARIOS,
-    build_scenario_system,
-    resolve_scenario,
-    run_engine_bench,
-)
 
-__all__ = [
-    "EngineCounters",
-    "BenchScenario",
-    "SCENARIOS",
-    "TRACE_SCENARIOS",
-    "build_scenario_system",
-    "resolve_scenario",
-    "run_engine_bench",
-]
+__all__ = ["EngineCounters"]

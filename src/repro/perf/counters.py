@@ -4,8 +4,8 @@ Attached to a system via :meth:`GPUSystem.enable_perf_counters`; every
 subsequent :meth:`GPUSystem.step` then times each pipeline stage
 individually.  The instrumented step path is slower than the plain one
 (two clock reads per stage), so counters are off by default and the
-headline cycles/sec numbers in ``repro bench`` come from uninstrumented
-runs.
+figure-grid suite (``benchmarks/suite/``) takes its wall times from
+uninstrumented passes.
 """
 
 from __future__ import annotations
@@ -27,15 +27,6 @@ class EngineCounters:
     def add(self, stage: str, elapsed: float) -> None:
         self.seconds[stage] = self.seconds.get(stage, 0.0) + elapsed
         self.calls[stage] = self.calls.get(stage, 0) + 1
-
-    def count(self, stage: str, n: int = 1) -> None:
-        """Record occurrences without wall-clock time (e.g. ``store.hit``).
-
-        Count-only stages ride the same snapshot/merge machinery as timed
-        stages, so cache hit/miss totals aggregate across workers exactly
-        like engine timings do.
-        """
-        self.calls[stage] = self.calls.get(stage, 0) + n
 
     def reset(self) -> None:
         """Zero all accumulators (e.g. between tasks on a shared counter)."""
@@ -60,17 +51,3 @@ class EngineCounters:
     @property
     def total_seconds(self) -> float:
         return sum(self.seconds.values())
-
-    def breakdown(self) -> Dict[str, Dict[str, float]]:
-        """JSON-friendly per-stage summary, sorted by time spent."""
-        total = self.total_seconds
-        return {
-            stage: {
-                "seconds": round(seconds, 6),
-                "calls": self.calls[stage],
-                "share": round(seconds / total, 4) if total else 0.0,
-            }
-            for stage, seconds in sorted(
-                self.seconds.items(), key=lambda kv: kv[1], reverse=True
-            )
-        }

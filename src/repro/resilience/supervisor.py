@@ -14,7 +14,9 @@ What is the Supervisor's own:
   future sees the same ``BrokenProcessPool``), so the whole cohort is
   released *without blame* and marked suspect, and suspects re-run one
   at a time — where a repeat crash identifies the guilty cell exactly.
-  Innocent bystanders never accumulate failure attempts.
+  Innocent bystanders never accumulate failure attempts.  A pool that
+  breaks between a wait and the next submission refuses the submit;
+  that counts as the same crash, with the refused cell in the cohort.
 * **Timeouts.**  Each submitted cell carries a wall-clock deadline
   (submission is capped at pool width, so a submitted cell is a running
   cell).  An expired cell is blamed, the pool is killed and respawned,
@@ -139,8 +141,12 @@ class Supervisor:
         self._suspects.discard(cell.key)
         self.table.fail(cell.key, kind, message, diagnostic)
 
-    def _mark_suspects(self, cohort: List[Cell]) -> None:
-        """Release an unattributable crash cohort, unblamed, for isolation."""
+    def _crashed(self, cohort: List[Cell]) -> None:
+        """A broken pool took ``cohort`` down: blame a lone cell, or release
+        a larger cohort unblamed as suspects, to be isolated one by one."""
+        if len(cohort) == 1:
+            self._blame(cohort[0], "crash", "worker process died")
+            return
         for cell in cohort:
             self.table.release(cell.key)
             self._suspects.add(cell.key)
@@ -163,8 +169,9 @@ class Supervisor:
         try:
             while not cells.settled():
                 # While any cell is suspect, run one cell at a time so a
-                # repeat crash is attributable (see _mark_suspects).
+                # repeat crash is attributable (see _crashed).
                 window = 1 if self._suspects else self.max_workers
+                refused: List[Cell] = []
                 while len(in_flight) < window:
                     cell = cells.next_ready(self._suspects or None)
                     if cell is None:
@@ -172,7 +179,20 @@ class Supervisor:
                     if pool is None:
                         pool = self._spawn()
                     cells.lease(cell.key)
-                    in_flight[pool.executor.submit(self.worker_fn, cell.task)] = cell
+                    try:
+                        future = pool.executor.submit(self.worker_fn, cell.task)
+                    except BrokenExecutor:
+                        # The pool broke since the last wait: a crash of
+                        # everything in flight and of the cell just leased.
+                        refused = [*in_flight.values(), cell]
+                        break
+                    in_flight[future] = cell
+                if refused:
+                    in_flight.clear()
+                    self._crashed(refused)
+                    self._teardown(pool, kill=True)
+                    pool = None
+                    continue
                 if not in_flight:
                     # Everything runnable is backing off; sleep to the
                     # earliest eligibility instead of spinning.
@@ -213,10 +233,7 @@ class Supervisor:
                     # The break dooms everything still in flight too.
                     crashed.extend(in_flight.values())
                     in_flight.clear()
-                    if len(crashed) == 1:
-                        self._blame(crashed[0], "crash", "worker process died")
-                    else:
-                        self._mark_suspects(crashed)
+                    self._crashed(crashed)
                     self._teardown(pool, kill=True)
                     pool = None
                 elif self.cell_timeout is not None and in_flight:

@@ -16,8 +16,9 @@ depths, per-channel mode, oldest request age) instead of spinning until
 the cell's wall-clock timeout kills the worker with no explanation.
 
 The watchdog observes but never schedules: an enabled run is
-bit-identical to a disabled one (``tests/test_watchdog.py``), and the
-dormant hook costs <2% (``check_perf_regression.py --check resilience``).
+bit-identical to a disabled one (``tests/test_watchdog.py``), and
+``tests/test_dormant_hooks.py`` checks that nothing here runs inside the
+cycle loop but an armed ``Watchdog.scan``, once per window.
 """
 
 from __future__ import annotations

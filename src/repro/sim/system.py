@@ -605,7 +605,6 @@ class GPUSystem:
         self,
         ring_capacity: int = 65536,
         timeline_interval: Optional[int] = 100,
-        perf_counters: bool = False,
     ) -> "Telemetry":
         """Attach request-path telemetry (see :mod:`repro.obs`).
 
@@ -614,9 +613,7 @@ class GPUSystem:
         event ring), shares it with every memory controller, attaches a
         :class:`~repro.metrics.timeline.TimelineSampler` (unless one is
         already attached, or ``timeline_interval`` is None) for the trace
-        writer's queue-occupancy counter tracks, and — with
-        ``perf_counters=True`` — also enables the per-stage wall-clock
-        :class:`~repro.perf.counters.EngineCounters`.
+        writer's queue-occupancy counter tracks.
 
         Telemetry observes but never schedules: an enabled run is
         bit-identical to a disabled one (``tests/test_telemetry.py``).
@@ -631,9 +628,6 @@ class GPUSystem:
         if timeline_interval is not None and self.timeline is None:
             self.attach_timeline(interval=timeline_interval)
         telemetry.timeline = self.timeline
-        if perf_counters and self.perf is None:
-            self.enable_perf_counters()
-        telemetry.perf = self.perf
         for controller in self.controllers:
             controller.telemetry = telemetry
         for ch, buffer in enumerate(self.input_buffers):

@@ -71,10 +71,7 @@ class StoreEntry:
 class ResultStore:
     """Content-addressed store of simulation results.
 
-    ``counters`` may be a :class:`repro.perf.counters.EngineCounters`;
-    every hit/miss/write is then also recorded there (``store.hit`` …),
-    which is how store activity rides the existing cross-worker counter
-    aggregation of ``run_sweep(collect_perf=True)``.  Setting
+    Every hit, miss and write is counted in ``stats``.  Setting
     ``read_enabled=False`` turns every lookup into a miss while keeping
     writes — the ``--fresh`` sweep mode that recomputes but still
     repopulates the cache.
@@ -85,14 +82,12 @@ class ResultStore:
     def __init__(
         self,
         root: PathLike,
-        counters=None,
         read_enabled: bool = True,
     ) -> None:
         self.root = Path(root)
         self.objects = self.root / "objects"
         self.objects.mkdir(parents=True, exist_ok=True)
         self.journal_path = self.root / self.JOURNAL
-        self.counters = counters
         self.read_enabled = read_enabled
         self.stats = StoreStats()
 
@@ -105,13 +100,6 @@ class ResultStore:
         """On-disk location of ``key``'s document (exists only if put)."""
         return self._path(key)
 
-    def _count(self, kind: Optional[str], event: str) -> None:
-        self.stats.record(kind, event)
-        if self.counters is not None:
-            self.counters.count(f"store.{event}")
-            if kind:
-                self.counters.count(f"store.{event}.{kind}")
-
     def get(self, key: str, kind: Optional[str] = None):
         """Return the stored value for ``key`` or ``None`` on any miss.
 
@@ -120,20 +108,20 @@ class ResultStore:
         -style tooling can surface it.
         """
         if not self.read_enabled:
-            self._count(kind, "misses")
+            self.stats.record(kind, "misses")
             return None
         try:
             raw = self._path(key).read_text()
         except OSError:
-            self._count(kind, "misses")
+            self.stats.record(kind, "misses")
             return None
         value, status = self._decode(key, raw)
         if status != "ok":
             if status == "corrupt":
-                self._count(kind, "corrupt")
-            self._count(kind, "misses")
+                self.stats.record(kind, "corrupt")
+            self.stats.record(kind, "misses")
             return None
-        self._count(kind, "hits")
+        self.stats.record(kind, "hits")
         return value
 
     def put(self, key: str, value, meta: Optional[Dict] = None) -> Path:
@@ -152,7 +140,7 @@ class ResultStore:
         tmp = path.parent / f".{key}.{os.getpid()}.tmp"
         tmp.write_text(json.dumps(document, sort_keys=True))
         os.replace(tmp, path)
-        self._count(meta.get("kind"), "writes")
+        self.stats.record(meta.get("kind"), "writes")
         self._journal(
             {"event": "put", "key": key, "kind": meta.get("kind", ""), "label": meta.get("label", "")}
         )

@@ -103,39 +103,6 @@ class TestCommands:
             committed.insert(2, "G17")
         assert printed == committed
 
-    def test_bench_stdout(self, capsys):
-        code = main(
-            [
-                "bench",
-                "--scenarios", "corun_horizon",
-                "--no-stages",
-                "--scale", "0.05",
-                "--channels", "4",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        fast = payload["scenarios"]["corun_horizon"]["fast"]
-        assert fast["cycles"] > 0
-        assert fast["cycles_per_sec"] > 0
-
-    def test_bench_writes_file(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_engine.json"
-        code = main(
-            [
-                "bench",
-                "--scenarios", "corun_horizon",
-                "--no-stages",
-                "--scale", "0.05",
-                "--channels", "4",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert "corun_horizon" in payload["scenarios"]
-        assert "cyc/s" in capsys.readouterr().out
-
     def test_profile_flag(self, capsys):
         assert main(["--profile", "list"]) == 0
         out = capsys.readouterr().out
@@ -248,10 +215,10 @@ class TestCommands:
             (["run", "--scale", "-1"], "--scale"),
             (["sweep", "--scale", "0"], "--scale"),
             (["run", "--seed", "-1"], "--seed"),
-            (["bench", "--sms", "0"], "--sms"),
-            (["bench", "--sms", "1"], "--sms"),
-            (["bench", "--channels", "3"], "--channels"),
-            (["trace", "--sms", "8"], "--sms"),
+            (["trace", "--scale", "0"], "--scale"),
+            (["trace", "--seed", "-1"], "--seed"),
+            (["trace", "--channels", "3"], "--channels"),
+            (["run", "--channels", "6"], "--channels"),
             (["status", "--watch", "--interval", "-1"], "--interval"),
             (["trace", "--interval", "0"], "--interval"),
             (["trace", "--ring-capacity", "0"], "--ring-capacity"),

@@ -6,9 +6,12 @@ quarantines only the truly poisoned ones, journals them, and — resumed
 fault-free — produces a merged table byte-identical to a clean run.
 """
 
+import itertools
 import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -27,6 +30,7 @@ from repro.experiments.sweep import sweep_f3fs_caps
 from repro.resilience import FaultInjected, FaultPlan, FaultSpec, Supervisor
 from repro.resilience import faults as fault_injection
 from repro.resilience.faults import corrupt_store_object
+from repro.resilience.supervisor import _PoolHandle
 from repro.store import ResultStore
 from tests.test_store_resume import TINY, table_bytes, tiny_tasks
 
@@ -126,6 +130,37 @@ class TestSupervisorUnit:
         (failure,) = supervisor.failures
         assert failure.kind == "config"
         assert failure.attempts == 1  # no retries burned on determinism
+
+
+    def test_refused_submit_counts_as_a_crash_of_the_cohort(self):
+        """A pool that breaks between a wait and the next refill refuses
+        the submit.  That is a crash of the cells in flight plus the one
+        being leased, not a BrokenProcessPool escaping the sweep."""
+        submits = itertools.count(1)
+
+        class RefusesSecondSubmit(ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                if next(submits) == 2:
+                    raise BrokenProcessPool("pool broke before this submit")
+                return super().submit(fn, *args, **kwargs)
+
+        class ThreadSupervisor(Supervisor):
+            def _spawn(self):
+                return _PoolHandle(RefusesSecondSubmit(max_workers=self.max_workers))
+
+        supervisor = ThreadSupervisor(_echo, max_workers=2, retry=FAST)
+        results = {}
+        supervisor.run(["a", "b", "c"], lambda i, r: results.__setitem__(i, r))
+        assert results == {0: "ok:a", 1: "ok:b", 2: "ok:c"}
+        assert not supervisor.failures
+        # Two cells went down together: released unblamed as suspects.
+        suspects = sorted(e["label"] for e in supervisor.events if e["kind"] == "suspect")
+        assert suspects == ["a", "b"]
+        assert supervisor.respawns == 1
+
+
+def _echo(label):
+    return f"ok:{label}"
 
 
 def _flaky_twice(label, _dir={"n": 0}):  # noqa: B006 - intentional shared state

@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.perf.counters import EngineCounters
 from repro.request import Mode
 from repro.sim.export import result_from_dict, result_to_dict
 from repro.sim.results import KernelResult, SimResult
@@ -63,21 +62,6 @@ class TestRoundtrip:
         assert store.stats.misses == 1
         # A reading store on the same root sees the write.
         assert ResultStore(tmp_path / "s").get(key) == value
-
-    def test_counters_integration(self, tmp_path):
-        counters = EngineCounters()
-        store = ResultStore(tmp_path / "s", counters=counters)
-        key, _ = put_sample(store)
-        store.get(key, kind="competitive")
-        store.get("0" * 64)
-        assert counters.calls["store.writes"] == 1
-        assert counters.calls["store.hits"] == 1
-        assert counters.calls["store.misses"] == 1
-        assert counters.calls["store.hits.competitive"] == 1
-        # Count-only stages survive the snapshot/merge aggregation path.
-        merged = EngineCounters()
-        merged.merge_snapshot(counters.snapshot())
-        assert merged.calls["store.hits"] == 1
 
 
 class TestCorruption:

@@ -291,23 +291,15 @@ class TestTraceExport:
         assert len(validate_trace(bad)) == 4
 
     def test_cli_trace_smoke(self, tmp_path, capsys):
+        """``repro trace`` runs the system ``Runner.competitive`` builds for
+        the same cell: a valid trace, a closed hop identity, and the
+        cell's own cycle count."""
+        from repro.experiments import ExperimentScale, Runner
+
         out = tmp_path / "trace.json"
+        cell = ["--gpu", "G17", "--pim", "P2", "--policy", "F3FS", "--vcs", "2"]
         rc = cli_main(
-            [
-                "trace",
-                "--scenario",
-                "mode_timeline",
-                "--policy",
-                "f3fs",
-                "--out",
-                str(out),
-                "--max-cycles",
-                "6000",
-                "--channels",
-                "2",
-                "--scale",
-                "0.06",
-            ]
+            ["trace", *cell, "--scale", "0.05", "--channels", "4", "--out", str(out)]
         )
         assert rc == 0
         doc = json.loads(out.read_text())
@@ -315,6 +307,12 @@ class TestTraceExport:
         stats = json.loads((tmp_path / "trace_stats.json").read_text())
         assert stats["hop_identity"]["mean_abs_gap"] == 0.0
         assert "hop identity" in capsys.readouterr().out
+
+        runner = Runner(
+            ExperimentScale(num_channels=4, workload_scale=0.05, starvation_factor=15)
+        )
+        outcome = runner.competitive("G17", "P2", PolicySpec("F3FS"), num_vcs=2)
+        assert doc["otherData"]["cycles"] == outcome.cycles
 
 
 # ---------------------------------------------------------------------------
