@@ -2,9 +2,9 @@
 
 Each ``test_figXX_*.py`` regenerates one table/figure of the paper on a
 scaled system (see DESIGN.md section 5) and checks the qualitative shape
-the paper reports.  Runs are cached in a session-scoped
-:class:`~repro.experiments.Runner`, so figures sharing the competitive
-grid (6, 8, 10, 13) do not repeat simulations.
+the paper reports.  Every figure runs its cells through a session-scoped
+result store (``store_dir``), so figures sharing cells — the competitive
+grid of 6, 8, 10 and 13, the standalone baselines — simulate them once.
 
 Environment knobs:
 
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import ExperimentScale, Runner
+from repro.experiments import ExperimentScale
 from repro.experiments.figures import FIG13_GPU_SUBSET
 from repro.experiments.sweep import DEFAULT_GPU_SUBSET, DEFAULT_PIM_SUBSET
 from repro.workloads import pim_ids, rodinia_ids
@@ -48,8 +48,8 @@ def experiment_scale(**overrides) -> ExperimentScale:
 
 
 @pytest.fixture(scope="session")
-def runner() -> Runner:
-    return Runner(experiment_scale())
+def store_dir(tmp_path_factory) -> str:
+    return str(tmp_path_factory.mktemp("store"))
 
 
 @pytest.fixture(scope="session")

@@ -14,22 +14,19 @@
 from conftest import experiment_scale, write_result
 
 from repro.core.policies import PolicySpec
-from repro.experiments import Runner, format_table
+from repro.experiments import format_table, make_tasks, run_cells
 from repro.metrics import arithmetic_mean
 
 GPU_SUBSET = ["G17", "G19"]
 PIM_SUBSET = ["P1", "P2"]
 
 
-def _grid(runner, spec, num_vcs=2):
-    return [
-        runner.competitive(gid, pid, spec, num_vcs=num_vcs)
-        for gid in GPU_SUBSET
-        for pid in PIM_SUBSET
-    ]
+def _grid(scale, spec, store_dir, num_vcs=2):
+    tasks = make_tasks(GPU_SUBSET, PIM_SUBSET, [spec], (num_vcs,))
+    return list(run_cells(scale, tasks, store_dir).values())
 
 
-def test_extension_policies(runner, benchmark, results_dir):
+def test_extension_policies(store_dir, benchmark, results_dir):
     def run():
         specs = {
             "F3FS": PolicySpec("F3FS"),
@@ -38,7 +35,7 @@ def test_extension_policies(runner, benchmark, results_dir):
         }
         rows = []
         for name, spec in specs.items():
-            outcomes = _grid(runner, spec)
+            outcomes = _grid(experiment_scale(), spec, store_dir)
             rows.append(
                 {
                     "policy": name,
@@ -106,13 +103,12 @@ def test_mesh_topology(benchmark, results_dir):
     assert by_config["VC1"]["avg_hops"] >= 1.0
 
 
-def test_refresh_perturbation(benchmark, results_dir):
+def test_refresh_perturbation(store_dir, benchmark, results_dir):
     def run():
         spec = PolicySpec("F3FS")
         rows = []
         for refresh in (False, True):
-            runner = Runner(experiment_scale(refresh_enabled=refresh))
-            outcomes = _grid(runner, spec)
+            outcomes = _grid(experiment_scale(refresh_enabled=refresh), spec, store_dir)
             rows.append(
                 {
                     "refresh": "on" if refresh else "off",

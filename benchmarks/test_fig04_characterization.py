@@ -12,15 +12,17 @@ Paper shapes checked:
 * PIM row-buffer locality is high (block structure).
 """
 
-from conftest import GPU_SUBSET, PIM_SUBSET, write_result
+from conftest import experiment_scale, GPU_SUBSET, PIM_SUBSET, write_result
 
 from repro.experiments import figure_table, format_table
 from repro.metrics import arithmetic_mean
 
 
-def test_fig04_characterization(runner, benchmark, results_dir):
+def test_fig04_characterization(store_dir, benchmark, results_dir):
     data, rows, columns = benchmark.pedantic(
-        lambda: figure_table("fig4", runner, GPU_SUBSET, PIM_SUBSET),
+        lambda: figure_table(
+            "fig4", experiment_scale(), GPU_SUBSET, PIM_SUBSET, store_dir=store_dir
+        ),
         rounds=1,
         iterations=1,
     )

@@ -8,15 +8,17 @@ drops 41% on average); VC2 restores most of the arrival rate, with
 MEM-First improving the most (2.87x on average).
 """
 
-from conftest import GPU_SUBSET, PIM_SUBSET, write_result
+from conftest import experiment_scale, GPU_SUBSET, PIM_SUBSET, write_result
 
 from repro.core.policies import PAPER_POLICY_ORDER
 from repro.experiments import figure_table, format_table
 
 
-def test_fig06_mem_arrival(runner, benchmark, results_dir):
+def test_fig06_mem_arrival(store_dir, benchmark, results_dir):
     _, rows, columns = benchmark.pedantic(
-        lambda: figure_table("fig6", runner, GPU_SUBSET, PIM_SUBSET),
+        lambda: figure_table(
+            "fig6", experiment_scale(), GPU_SUBSET, PIM_SUBSET, store_dir=store_dir
+        ),
         rounds=1,
         iterations=1,
     )

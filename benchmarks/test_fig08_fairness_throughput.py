@@ -11,7 +11,7 @@ averages per PIM kernel.  Paper shapes checked:
 * VC2 improves fairness for the fairness-oriented policies.
 """
 
-from conftest import GPU_SUBSET, PIM_SUBSET, write_result
+from conftest import experiment_scale, GPU_SUBSET, PIM_SUBSET, write_result
 
 from repro.experiments import figure_table, format_table
 from repro.metrics import arithmetic_mean
@@ -21,9 +21,11 @@ def _policy_mean(data, num_vcs, policy, metric):
     return arithmetic_mean([v[metric] for v in data[num_vcs][policy].values()])
 
 
-def test_fig08_fairness_throughput(runner, benchmark, results_dir):
+def test_fig08_fairness_throughput(store_dir, benchmark, results_dir):
     data, rows, columns = benchmark.pedantic(
-        lambda: figure_table("fig8", runner, GPU_SUBSET, PIM_SUBSET),
+        lambda: figure_table(
+            "fig8", experiment_scale(), GPU_SUBSET, PIM_SUBSET, store_dir=store_dir
+        ),
         rounds=1,
         iterations=1,
     )

@@ -10,14 +10,16 @@ switches more than FR-FCFS (the CAP forces extra switches); drain
 latencies are tens of DRAM cycles.
 """
 
-from conftest import GPU_SUBSET, PIM_SUBSET, write_result
+from conftest import experiment_scale, GPU_SUBSET, PIM_SUBSET, write_result
 
 from repro.experiments import figure_table, format_table
 
 
-def test_fig10_switch_overheads(runner, benchmark, results_dir):
+def test_fig10_switch_overheads(store_dir, benchmark, results_dir):
     data, rows, columns = benchmark.pedantic(
-        lambda: figure_table("fig10", runner, GPU_SUBSET, PIM_SUBSET),
+        lambda: figure_table(
+            "fig10", experiment_scale(), GPU_SUBSET, PIM_SUBSET, store_dir=store_dir
+        ),
         rounds=1,
         iterations=1,
     )

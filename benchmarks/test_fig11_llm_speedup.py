@@ -12,14 +12,16 @@ Ideal.  Paper shapes checked:
 * F3FS beats FR-RR-FCFS in both configurations (paper: +11.23%/+7.37%).
 """
 
-from conftest import write_result
+from conftest import experiment_scale, write_result
 
 from repro.experiments import figure_table, format_table
 
 
-def test_fig11_llm_speedup(runner, benchmark, results_dir):
+def test_fig11_llm_speedup(store_dir, benchmark, results_dir):
     data, rows, columns = benchmark.pedantic(
-        lambda: figure_table("fig11", runner), rounds=1, iterations=1
+        lambda: figure_table("fig11", experiment_scale(), store_dir=store_dir),
+        rounds=1,
+        iterations=1,
     )
     write_result(results_dir, "fig11_llm_speedup", format_table(rows, columns))
 

@@ -8,7 +8,7 @@ is very little variation across policies and interconnect configurations
 much more.
 """
 
-from conftest import FIG13_GPUS, PIM_SUBSET, write_result
+from conftest import experiment_scale, FIG13_GPUS, PIM_SUBSET, write_result
 
 from repro.experiments import figure_table, format_table
 from repro.experiments.figures import FIG13_POLICY_SUBSET
@@ -21,9 +21,16 @@ def _spread(data, num_vcs, gid, metric):
     return max(values) - min(values)
 
 
-def test_fig13_intensity_extremes(runner, benchmark, results_dir):
+def test_fig13_intensity_extremes(store_dir, benchmark, results_dir):
     data, rows, columns = benchmark.pedantic(
-        lambda: figure_table("fig13", runner, FIG13_GPUS, PIM_SUBSET, POLICY_SUBSET),
+        lambda: figure_table(
+            "fig13",
+            experiment_scale(),
+            FIG13_GPUS,
+            PIM_SUBSET,
+            POLICY_SUBSET,
+            store_dir=store_dir,
+        ),
         rounds=1,
         iterations=1,
     )

@@ -10,14 +10,14 @@ favoring the current mode improves throughput at similar fairness;
 asymmetric CAPs hurt competitive fairness but raise the LLM speedup.
 """
 
-from conftest import GPU_SUBSET, write_result
+from conftest import experiment_scale, GPU_SUBSET, write_result
 
 from repro.experiments import figure_table, format_table
 
 
-def test_fig14a_ablation(runner, benchmark, results_dir):
+def test_fig14a_ablation(store_dir, benchmark, results_dir):
     _, rows, columns = benchmark.pedantic(
-        lambda: figure_table("fig14a", runner, GPU_SUBSET),
+        lambda: figure_table("fig14a", experiment_scale(), GPU_SUBSET, store_dir=store_dir),
         rounds=1,
         iterations=1,
     )

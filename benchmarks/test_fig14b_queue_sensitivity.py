@@ -8,20 +8,17 @@ nor hurt by shorter ones.
 
 from conftest import experiment_scale, write_result
 
-from repro.experiments import Runner, fig14b_queue_sensitivity, format_table
+from repro.experiments import fig14b_queue_sensitivity, format_table
 
 QUEUE_SIZES = (32, 64, 128)
 GPU_SUBSET = ["G17", "G19"]
 PIM_SUBSET = ["P1", "P2"]
 
 
-def test_fig14b_queue_sensitivity(benchmark, results_dir):
-    def runner_factory(queue_size):
-        return Runner(experiment_scale(noc_queue_size=queue_size))
-
+def test_fig14b_queue_sensitivity(store_dir, benchmark, results_dir):
     data = benchmark.pedantic(
         lambda: fig14b_queue_sensitivity(
-            runner_factory, QUEUE_SIZES, gpu_subset=GPU_SUBSET, pim_subset=PIM_SUBSET
+            experiment_scale(), QUEUE_SIZES, GPU_SUBSET, PIM_SUBSET, store_dir=store_dir
         ),
         rounds=1,
         iterations=1,

@@ -9,7 +9,7 @@
   "throughput favors high CAPs while fairness favors lower ones".
 """
 
-from conftest import write_result
+from conftest import experiment_scale, write_result
 
 from repro.experiments import format_table
 from repro.experiments.sweep import sweep_f3fs_caps, sweep_policy_parameter
@@ -18,10 +18,11 @@ GPU_SUBSET = ["G17", "G19"]
 PIM_SUBSET = ["P1", "P2"]
 
 
-def test_frfcfs_cap_sweep(runner, benchmark, results_dir):
+def test_frfcfs_cap_sweep(store_dir, benchmark, results_dir):
     rows = benchmark.pedantic(
         lambda: sweep_policy_parameter(
-            runner, "FR-FCFS-Cap", "cap", [4, 32, 256], GPU_SUBSET, PIM_SUBSET, num_vcs=2
+            experiment_scale(), "FR-FCFS-Cap", "cap", [4, 32, 256], GPU_SUBSET, PIM_SUBSET,
+            num_vcs=2, store_dir=store_dir,
         ),
         rounds=1,
         iterations=1,
@@ -33,10 +34,11 @@ def test_frfcfs_cap_sweep(runner, benchmark, results_dir):
     assert by_cap[256]["throughput"] >= by_cap[4]["throughput"] * 0.95
 
 
-def test_bliss_threshold_sweep(runner, benchmark, results_dir):
+def test_bliss_threshold_sweep(store_dir, benchmark, results_dir):
     rows = benchmark.pedantic(
         lambda: sweep_policy_parameter(
-            runner, "BLISS", "threshold", [2, 4, 16], GPU_SUBSET, PIM_SUBSET, num_vcs=2
+            experiment_scale(), "BLISS", "threshold", [2, 4, 16], GPU_SUBSET, PIM_SUBSET,
+            num_vcs=2, store_dir=store_dir,
         ),
         rounds=1,
         iterations=1,
@@ -52,10 +54,12 @@ def test_bliss_threshold_sweep(runner, benchmark, results_dir):
     assert by_threshold[16]["fairness"] >= by_threshold[2]["fairness"] * 0.9
 
 
-def test_f3fs_cap_pair_sweep(runner, benchmark, results_dir):
+def test_f3fs_cap_pair_sweep(store_dir, benchmark, results_dir):
     pairs = [(32, 32), (256, 256), (256, 64)]
     rows = benchmark.pedantic(
-        lambda: sweep_f3fs_caps(runner, pairs, GPU_SUBSET, PIM_SUBSET, num_vcs=2),
+        lambda: sweep_f3fs_caps(
+            experiment_scale(), pairs, GPU_SUBSET, PIM_SUBSET, num_vcs=2, store_dir=store_dir
+        ),
         rounds=1,
         iterations=1,
     )

@@ -28,7 +28,7 @@ def main():
         spec = PolicySpec(name)
         row = {"policy": name}
         for num_vcs in (1, 2):
-            alone = runner.gpu_standalone(GPU_KERNEL, sms=scale.gpu_sms_corun, num_vcs=num_vcs)
+            alone = runner.standalone(GPU_KERNEL, "gpu_sms_corun", num_vcs)
             base_rate = alone.kernels[0].mc_arrival_rate(alone.cycles)
             outcome = runner.competitive(GPU_KERNEL, PIM_KERNEL, spec, num_vcs=num_vcs)
             row[f"vc{num_vcs}_norm_rate"] = outcome.mem_arrival_rate / base_rate

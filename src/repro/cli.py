@@ -12,7 +12,7 @@ Examples::
 Figure commands print the same tables the benchmark harness writes to
 ``benchmarks/results/`` — at their default subsets, byte for byte — from
 the one definition per figure in ``repro.experiments.figures.FIGURES``.
-Figure 14b is the exception: it needs one runner per NoC queue size, so
+Figure 14b is the exception: it sweeps one scale per NoC queue size, so
 only ``benchmarks/test_fig14b_queue_sensitivity.py`` builds it.
 """
 
@@ -48,14 +48,27 @@ def _policy_name(name: str) -> str:
     return {p.lower(): p for p in available_policies()}.get(name.lower(), name)
 
 
-def _add_cell_args(parser: argparse.ArgumentParser) -> None:
-    """One competitive grid cell: the options ``run`` and ``trace`` share."""
-    parser.add_argument("--gpu", default="G17", choices=rodinia_ids())
-    parser.add_argument("--pim", default="P1", choices=pim_ids())
+def _add_policy_args(parser: argparse.ArgumentParser) -> None:
+    """``--policy`` and ``--vcs`` of one cell (``run``, ``trace``, ``collaborative``)."""
     parser.add_argument(
         "--policy", default="F3FS", type=_policy_name, choices=sorted(available_policies())
     )
     parser.add_argument("--vcs", type=int, default=1, choices=(1, 2))
+    _add_scale_args(parser)
+
+
+def _add_cell_args(parser: argparse.ArgumentParser) -> None:
+    """One competitive grid cell: the options ``run`` and ``trace`` share."""
+    parser.add_argument("--gpu", default="G17", choices=rodinia_ids())
+    parser.add_argument("--pim", default="P1", choices=pim_ids())
+    _add_policy_args(parser)
+
+
+def _add_subset_args(parser: argparse.ArgumentParser) -> None:
+    """Kernel and policy subsets (``figure``, ``report``, ``sweep``, ``fabric serve``)."""
+    parser.add_argument("--gpus", nargs="*", choices=rodinia_ids())
+    parser.add_argument("--pims", nargs="*", choices=pim_ids())
+    parser.add_argument("--policies", nargs="*", type=_policy_name, choices=PAPER_POLICY_ORDER)
     _add_scale_args(parser)
 
 
@@ -68,15 +81,9 @@ def _scale(args) -> ExperimentScale:
     )
 
 
-def _runner(args) -> Runner:
-    return Runner(_scale(args))
-
-
 def _add_grid_args(parser: argparse.ArgumentParser) -> None:
     """The grid and retry options ``sweep`` and ``fabric serve`` share."""
-    parser.add_argument("--gpus", nargs="*", choices=rodinia_ids())
-    parser.add_argument("--pims", nargs="*", choices=pim_ids())
-    parser.add_argument("--policies", nargs="*", choices=PAPER_POLICY_ORDER)
+    _add_subset_args(parser)
     parser.add_argument(
         "--vcs", nargs="*", type=int, default=[1, 2], choices=(1, 2),
         help="VC configurations to include (default: 1 2)",
@@ -94,7 +101,6 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
         metavar="SECONDS",
         help="base retry backoff, doubled per attempt (0 disables; default: 0.25)",
     )
-    _add_scale_args(parser)
 
 
 def _grid(args):
@@ -173,7 +179,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_run(args) -> int:
-    runner = _runner(args)
+    runner = Runner(_scale(args))
     outcome = runner.competitive(args.gpu, args.pim, PolicySpec(args.policy), num_vcs=args.vcs)
     rows = [
         {
@@ -193,7 +199,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_collaborative(args) -> int:
-    runner = _runner(args)
+    runner = Runner(_scale(args))
     outcome = runner.collaborative(collaborative_policy(args.policy, args.vcs), num_vcs=args.vcs)
     rows = [
         {
@@ -208,7 +214,7 @@ def cmd_collaborative(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    _, rows, columns = figure_table(args.name, _runner(args), args.gpus, args.pims, args.policies)
+    _, rows, columns = figure_table(args.name, _scale(args), args.gpus, args.pims, args.policies)
     print(format_table(rows, columns))
     return 0
 
@@ -220,7 +226,7 @@ def cmd_trace(args) -> int:
     from repro.experiments.figures import latency_breakdown_rows
     from repro.obs.trace import validate_trace, write_stats, write_trace
 
-    cell = _runner(args).competitive_system(
+    cell = Runner(_scale(args)).competitive_system(
         args.gpu, args.pim, PolicySpec(args.policy), num_vcs=args.vcs
     )
     system = cell.system
@@ -337,12 +343,8 @@ def cmd_sweep(args) -> int:
             _announce_failures(report)
             if shard is not None:
                 ran = report.completed
-                print(
-                    f"shard {args.shard}: {ran}/{len(tasks)} cells "
-                    f"({hits} cache hits, {misses} simulated"
-                    + (f", {len(failures)} failed" if failures else "")
-                    + ")"
-                )
+                tally = _tally(hits, misses, len(failures))
+                print(f"shard {args.shard}: {ran}/{len(tasks)} cells {tally}")
                 if args.cache_dir:
                     print(
                         "merge with: repro sweep --merge-only --cache-dir "
@@ -355,20 +357,10 @@ def cmd_sweep(args) -> int:
 
         rows = sweep_rows(outcomes)
         if rows:
-            table = format_table(rows, list(rows[0]))
-            if args.out == "-":
-                print(table)
-            else:
-                with open(args.out, "w") as fh:
-                    fh.write(table + "\n")
-                print(f"table written to {args.out}")
+            _write(format_table(rows, list(rows[0])), args.out, "table")
         else:
             print("no cells completed", file=sys.stderr)
-        print(
-            f"cells: {len(rows)} ({hits} cache hits, {misses} simulated"
-            + (f", {len(failures)} failed" if failures else "")
-            + ")"
-        )
+        print(f"cells: {len(rows)} " + _tally(hits, misses, len(failures)))
         if failures and args.strict:
             print(f"FAIL: {len(failures)} cell(s) quarantined (--strict)", file=sys.stderr)
             return 2
@@ -381,14 +373,28 @@ def cmd_sweep(args) -> int:
             server.close()
 
 
+def _tally(hits: int, misses: int, failed: int) -> str:
+    """``(H cache hits, M simulated[, F failed])`` for a summary line."""
+    failures = f", {failed} failed" if failed else ""
+    return f"({hits} cache hits, {misses} simulated{failures})"
+
+
+def _print_quarantined(failures) -> None:
+    for failure in failures:
+        print(
+            f"  quarantined {failure['label']}: {failure['kind']} "
+            f"after {failure['attempts']} attempt(s)",
+            file=sys.stderr,
+        )
+
+
 def _status_line(doc) -> str:
     """One human-readable summary line for a heartbeat document."""
     cells = doc["cells"]
     line = (
         f"[{doc['state']}] {cells['completed']}/{cells['total']} cells "
-        f"({cells['hits']} cache hits, {cells['misses']} simulated"
-        + (f", {cells['failed']} failed" if cells["failed"] else "")
-        + f") {doc['throughput_cells_per_sec']:.2f} cells/s"
+        + _tally(cells["hits"], cells["misses"], cells["failed"])
+        + f" {doc['throughput_cells_per_sec']:.2f} cells/s"
     )
     eta = doc.get("eta_seconds")
     if doc["state"] == "running" and eta:
@@ -423,12 +429,7 @@ def cmd_status(args) -> int:
             print(json.dumps(doc, indent=2, sort_keys=True))
         else:
             print(_status_line(doc))
-            for failure in doc.get("quarantined", []):
-                print(
-                    f"  quarantined {failure['label']}: {failure['kind']} "
-                    f"after {failure['attempts']} attempt(s)",
-                    file=sys.stderr,
-                )
+            _print_quarantined(doc.get("quarantined", []))
         if not args.watch:
             return 0
         if doc is not None and doc["state"] != "running":
@@ -469,18 +470,12 @@ def cmd_fabric_serve(args) -> int:
 
     summary = run_campaign(coordinator, linger=args.linger, announce=announce)
     print(
-        f"campaign {summary['state']}: {summary['completed']}/{summary['total']} "
-        f"cells ({summary['hits']} cache hits, {summary['misses']} simulated"
-        + (f", {summary['failed']} failed" if summary["failed"] else "")
-        + f") via {len(summary['workers'])} worker(s)"
+        f"campaign {summary['state']}: {summary['completed']}/{summary['total']} cells "
+        + _tally(summary["hits"], summary["misses"], summary["failed"])
+        + f" via {len(summary['workers'])} worker(s)"
         + (" [drained]" if summary["drained"] else "")
     )
-    for failure in coordinator.failures:
-        print(
-            f"  quarantined {failure['label']}: {failure['kind']} "
-            f"after {failure['attempts']} attempt(s)",
-            file=sys.stderr,
-        )
+    _print_quarantined(coordinator.failures)
     if summary["state"] != "complete":
         # A graceful drain (SIGTERM / POST /drain) is a clean exit: the
         # ledger lets the next `fabric serve` resume the remainder.
@@ -609,15 +604,20 @@ def cmd_report(args) -> int:
     from repro.experiments.report import generate_report
 
     text = generate_report(
-        _runner(args), gpu_subset=args.gpus, pim_subset=args.pims, policies=args.policies
+        _scale(args), gpu_subset=args.gpus, pim_subset=args.pims, policies=args.policies
     )
-    if args.out == "-":
-        print(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"report written to {args.out}")
+    _write(text, args.out, "report")
     return 0
+
+
+def _write(text: str, out: str, what: str) -> None:
+    """Print ``text`` (``out`` is ``-``), or write it to file ``out`` and say so."""
+    if out == "-":
+        print(text)
+        return
+    with open(out, "w") as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
+    print(f"{what} written to {out}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -646,17 +646,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     collab = sub.add_parser("collaborative", help="run the LLM collaborative scenario")
-    collab.add_argument("--policy", default="F3FS", choices=sorted(available_policies()))
-    collab.add_argument("--vcs", type=int, default=1, choices=(1, 2))
-    _add_scale_args(collab)
+    _add_policy_args(collab)
     collab.set_defaults(func=cmd_collaborative)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure's table")
     figure.add_argument("name", choices=list(FIGURES))
-    figure.add_argument("--gpus", nargs="*", choices=rodinia_ids())
-    figure.add_argument("--pims", nargs="*", choices=pim_ids())
-    figure.add_argument("--policies", nargs="*", choices=PAPER_POLICY_ORDER)
-    _add_scale_args(figure)
+    _add_subset_args(figure)
     figure.set_defaults(func=cmd_figure)
 
     trace = sub.add_parser(
@@ -891,10 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="generate a markdown reproduction report")
     report.add_argument("--out", default="-", help="output file ('-' = stdout)")
-    report.add_argument("--gpus", nargs="*", choices=rodinia_ids())
-    report.add_argument("--pims", nargs="*", choices=pim_ids())
-    report.add_argument("--policies", nargs="*", choices=PAPER_POLICY_ORDER)
-    _add_scale_args(report)
+    _add_subset_args(report)
     report.set_defaults(func=cmd_report)
 
     return parser

@@ -4,16 +4,9 @@ from repro.experiments.figures import (
     ABLATION_STAGES,
     FIGURES,
     collaborative_policy,
-    fig4_characterization,
-    fig5_corun_slowdown,
-    fig6_mem_arrival,
-    fig8_fairness_throughput,
-    fig10_switch_overheads,
-    fig11_llm_speedup,
-    fig13_intensity_extremes,
-    fig14a_ablation,
     fig14b_queue_sensitivity,
     figure_table,
+    figure_tables,
     format_table,
     latency_breakdown_rows,
 )
@@ -22,23 +15,24 @@ from repro.experiments.runner import (
     CollaborativeOutcome,
     CompetitiveOutcome,
     ExperimentScale,
+    GridTask,
     Runner,
+    cell_key,
+    make_cell,
 )
 from repro.experiments.parallel import (
     GridReport,
-    GridTask,
     SweepAborted,
     collect_from_store,
-    grid_store_keys,
     make_tasks,
     run_sweep,
     shard_indices,
-    task_store_key,
 )
 from repro.resilience import CellFailure, RetryPolicy
 from repro.experiments.report import generate_report, telemetry_section
 from repro.experiments.sweep import (
     default_grid_tasks,
+    run_cells,
     sweep_f3fs_caps,
     sweep_policy_parameter,
     sweep_rows,
@@ -52,17 +46,11 @@ __all__ = [
     "CompetitiveOutcome",
     "ExperimentScale",
     "Runner",
+    "cell_key",
     "collaborative_policy",
-    "fig10_switch_overheads",
-    "fig11_llm_speedup",
-    "fig13_intensity_extremes",
-    "fig14a_ablation",
     "fig14b_queue_sensitivity",
-    "fig4_characterization",
-    "fig5_corun_slowdown",
-    "fig6_mem_arrival",
-    "fig8_fairness_throughput",
     "figure_table",
+    "figure_tables",
     "format_table",
     "generate_report",
     "latency_breakdown_rows",
@@ -73,13 +61,13 @@ __all__ = [
     "RetryPolicy",
     "SweepAborted",
     "collect_from_store",
-    "grid_store_keys",
     "default_grid_tasks",
+    "make_cell",
     "make_tasks",
+    "run_cells",
     "run_sweep",
     "shard_indices",
     "sweep_f3fs_caps",
     "sweep_policy_parameter",
     "sweep_rows",
-    "task_store_key",
 ]

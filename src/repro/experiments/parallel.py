@@ -1,10 +1,11 @@
-"""Parallel, resumable execution of competitive grids.
+"""Parallel, resumable execution of cell lists.
 
 The full 20x9x9x2 grid of Figure 8 is thousands of independent
 simulations; this module fans them out over worker processes.  Each task
-is self-contained — (gpu_id, pim_id, policy name+params, vcs, scale) —
-and each worker process builds one Runner in its initializer and reuses
-it for every task it executes, so nothing unpicklable crosses the
+is a self-contained :class:`~repro.experiments.runner.GridTask` cell of
+any kind (standalone, competitive, collaborative or gpu_pair), and each
+worker process builds one Runner in its initializer and runs every task
+it gets through :meth:`Runner.run`, so nothing unpicklable crosses the
 process boundary and standalone baselines are deduplicated across a
 worker's whole task stream (not just within one task).
 
@@ -36,10 +37,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import PolicySpec
 from repro.experiments.runner import (
-    CompetitiveOutcome,
     ExperimentScale,
+    GridTask,
     Runner,
-    competitive_key,
+    cell_key,
+    load_outcome,
+    make_cell,
+    outcome_value,
 )
 from repro.resilience import faults as fault_injection
 from repro.resilience.cells import (
@@ -53,67 +57,20 @@ from repro.resilience.supervisor import Supervisor
 from repro.resilience.watchdog import Watchdog
 
 
-@dataclass(frozen=True)
-class GridTask:
-    """One competitive simulation, picklable."""
-
-    gpu_id: str
-    pim_id: str
-    policy_name: str
-    policy_params: Tuple[Tuple[str, object], ...]
-    num_vcs: int
-
-    @property
-    def policy(self) -> PolicySpec:
-        return PolicySpec(self.policy_name, **dict(self.policy_params))
-
-    @property
-    def label(self) -> str:
-        return f"{self.gpu_id}|{self.pim_id}|{self.policy_name}|vc{self.num_vcs}"
-
-
 def make_tasks(
     gpu_subset: Sequence[str],
     pim_subset: Sequence[str],
     policies: Sequence[PolicySpec],
     vc_configs: Sequence[int] = (1, 2),
 ) -> List[GridTask]:
-    tasks = []
-    for num_vcs in vc_configs:
-        for policy in policies:
-            for gpu_id in gpu_subset:
-                for pim_id in pim_subset:
-                    tasks.append(
-                        GridTask(
-                            gpu_id=gpu_id,
-                            pim_id=pim_id,
-                            policy_name=policy.name,
-                            policy_params=tuple(sorted(policy.params.items())),
-                            num_vcs=num_vcs,
-                        )
-                    )
-    return tasks
-
-
-def task_store_key(scale: ExperimentScale, task: GridTask) -> str:
-    """Content address of one grid cell, computable without a Runner."""
-    return competitive_key(
-        scale, task.gpu_id, task.pim_id, task.policy, task.num_vcs
-    )
-
-
-def grid_store_keys(
-    scale: ExperimentScale, tasks: Sequence[GridTask]
-) -> List[str]:
-    """Content addresses for a whole grid, in task order.
-
-    Duplicate tasks map to duplicate keys — consumers that need
-    fingerprint-unique work units (the fabric coordinator's lease
-    groups, dedupe accounting) collapse them; consumers that need the
-    per-task view (:func:`collect_from_store`, table assembly) use the
-    list as-is.
-    """
-    return [task_store_key(scale, task) for task in tasks]
+    """The competitive grid, in the order ``repro sweep`` prints it."""
+    return [
+        make_cell("competitive", gpu_id, pim_id, policy, num_vcs)
+        for num_vcs in vc_configs
+        for policy in policies
+        for gpu_id in gpu_subset
+        for pim_id in pim_subset
+    ]
 
 
 def shard_indices(total: int, shard: Optional[Tuple[int, int]]) -> List[int]:
@@ -158,7 +115,7 @@ class GridReport:
     """
 
     tasks: List[GridTask]
-    outcomes: List[Optional[CompetitiveOutcome]]
+    outcomes: List[Optional[object]]
     hits: int = 0
     misses: int = 0
     counters: Optional[object] = None  # EngineCounters when collect_perf
@@ -174,7 +131,7 @@ class GridReport:
     def failed(self) -> int:
         return len(self.failed_outcomes)
 
-    def completed_outcomes(self) -> List[CompetitiveOutcome]:
+    def completed_outcomes(self) -> List[object]:
         return [outcome for outcome in self.outcomes if outcome is not None]
 
 
@@ -237,30 +194,29 @@ def _apply_post_fault(task: GridTask) -> None:
     if plan is None or _WORKER_RUNNER.store is None:
         return
     if plan.claim(task.label, phase="post") == "corrupt":
-        key = task_store_key(_WORKER_RUNNER.scale, task)
+        key = cell_key(_WORKER_RUNNER.scale, task)
         fault_injection.corrupt_store_object(_WORKER_RUNNER.store, key)
 
 
 def _run_task(task: GridTask) -> Dict:
     """Worker entry point (module-level for pickling).
 
-    Returns ``{"outcome": fields, "perf": snapshot|None, "store": how}``;
-    the snapshot is the task's own engine wall-clock plus store hit/miss
-    counts (the shared counter is reset before the run), and ``how`` is
-    the runner's ``store_last`` ("hit"/"miss"/"memo"/None).
+    Returns ``{"outcome": value, "perf": snapshot|None, "store": how}``;
+    ``value`` is the outcome's store document value, the snapshot is the
+    task's own engine wall-clock plus store hit/miss counts (the shared
+    counter is reset before the run), and ``how`` is :meth:`Runner.run`'s
+    ("memo"/"hit"/"miss").
     """
     _apply_pre_fault(task)
     perf = _WORKER_RUNNER.perf
     if perf is not None:
         perf.reset()
-    outcome = _WORKER_RUNNER.competitive(
-        task.gpu_id, task.pim_id, task.policy, num_vcs=task.num_vcs
-    )
+    outcome, how = _WORKER_RUNNER.run(task)
     _apply_post_fault(task)
     return {
-        "outcome": asdict(outcome),
+        "outcome": outcome_value(outcome),
         "perf": perf.snapshot() if perf is not None else None,
-        "store": _WORKER_RUNNER.store_last,
+        "store": how,
     }
 
 
@@ -377,8 +333,10 @@ def run_sweep(
             publisher.record_quarantine(failure.to_dict())
 
     def fold(position: int, record: Dict) -> None:
-        report.outcomes[selected[position]] = CompetitiveOutcome(**record["outcome"])
-        hit = record["store"] in ("hit", "memo")
+        report.outcomes[selected[position]] = load_outcome(
+            subset[position].kind, record["outcome"]
+        )
+        hit = record["store"] != "miss"
         if hit:
             report.hits += 1
         else:
@@ -481,7 +439,7 @@ def run_sweep(
 
 def collect_from_store(
     scale: ExperimentScale, tasks: Sequence[GridTask], store_dir: str
-) -> List[CompetitiveOutcome]:
+) -> List[object]:
     """Reassemble a full grid from the store, in task order, running nothing.
 
     Raises ``KeyError`` naming the missing cells if any shard has not
@@ -491,14 +449,14 @@ def collect_from_store(
     from repro.store import ResultStore
 
     store = ResultStore(store_dir)
-    outcomes: List[CompetitiveOutcome] = []
+    outcomes: List[object] = []
     missing: List[str] = []
-    for task, key in zip(tasks, grid_store_keys(scale, tasks)):
-        fields = store.get(key, kind="competitive")
-        if fields is None:
+    for task in tasks:
+        value = store.get(cell_key(scale, task), kind=task.kind)
+        if value is None:
             missing.append(task.label)
-            continue
-        outcomes.append(CompetitiveOutcome(**fields))
+        else:
+            outcomes.append(load_outcome(task.kind, value))
     if missing:
         raise KeyError(
             f"{len(missing)} of {len(tasks)} cells missing from {store_dir}: "

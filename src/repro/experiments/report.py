@@ -1,9 +1,9 @@
 """Markdown report generation.
 
-``generate_report`` runs Figures 4, 6, 8, 10 and 11 through a
-:class:`~repro.experiments.runner.Runner` and renders one self-contained
-markdown document — the programmatic backbone of EXPERIMENTS.md and of
-the ``python -m repro report`` command.  Each section's table is the one
+``generate_report`` runs the cells of Figures 4, 6, 8, 10 and 11 as one
+sweep and renders one self-contained markdown document — the
+programmatic backbone of EXPERIMENTS.md and of the ``python -m repro
+report`` command.  Each section's table is the one
 ``benchmarks/results/`` holds for that figure: both render from
 ``repro.experiments.figures.FIGURES``.
 """
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.experiments.figures import figure_table
-from repro.experiments.runner import Runner
+from repro.experiments.figures import figure_tables, format_value
+from repro.experiments.runner import ExperimentScale
 from repro.experiments.sweep import DEFAULT_GPU_SUBSET, DEFAULT_PIM_SUBSET
 
 #: ``(heading, figure)`` per report section, in order.
@@ -28,16 +28,10 @@ SECTIONS = (
 
 def _md_table(rows: Sequence[dict], columns: Sequence[str]) -> str:
     """Render rows as a GitHub-flavored markdown table."""
-
-    def cell(value) -> str:
-        if isinstance(value, float):
-            return f"{value:.3f}"
-        return str(value)
-
     header = "| " + " | ".join(columns) + " |"
     divider = "| " + " | ".join("---" for _ in columns) + " |"
     body = [
-        "| " + " | ".join(cell(row.get(c, "")) for c in columns) + " |" for row in rows
+        "| " + " | ".join(format_value(row.get(c, "")) for c in columns) + " |" for row in rows
     ]
     return "\n".join([header, divider, *body])
 
@@ -71,7 +65,7 @@ def telemetry_section(result, title: str = "Per-hop request latency") -> str:
 
 
 def generate_report(
-    runner: Runner,
+    scale: ExperimentScale,
     gpu_subset: Optional[Sequence[str]] = None,
     pim_subset: Optional[Sequence[str]] = None,
     policies: Optional[Sequence[str]] = None,
@@ -81,7 +75,6 @@ def generate_report(
     gpu_subset = list(gpu_subset or DEFAULT_GPU_SUBSET)
     pim_subset = list(pim_subset or DEFAULT_PIM_SUBSET)
     sections: List[str] = [f"# {title}", ""]
-    scale = runner.scale
     sections.append(
         f"Configuration: {scale.num_channels} channels, "
         f"{scale.gpu_sms_full}/{scale.gpu_sms_corun}/{scale.pim_sms} SMs "
@@ -89,7 +82,8 @@ def generate_report(
         f"seed {scale.seed}."
     )
     sections.append(f"\nKernels: GPU {gpu_subset}, PIM {pim_subset}.\n")
+    tables = figure_tables([name for _, name in SECTIONS], scale, gpu_subset, pim_subset, policies)
     for heading, name in SECTIONS:
-        _, rows, columns = figure_table(name, runner, gpu_subset, pim_subset, policies)
+        _, rows, columns = tables[name]
         sections += [f"## {heading}\n", _md_table(rows, columns), ""]
     return "\n".join(sections)

@@ -1,24 +1,25 @@
 """Experiment drivers (Section III methodology).
 
-:class:`Runner` executes the paper's three run types on a scaled system:
+A *cell* (:class:`GridTask`, content address :func:`cell_key`) is one
+simulation of one of four kinds, which :meth:`Runner.run` turns into its
+outcome from memory, else the result store, else a fresh simulation:
 
 * **standalone** — one kernel alone (baselines for every speedup);
 * **competitive** — a GPU kernel and a PIM kernel from different
   applications, each looping until both completed once (Section III-B);
 * **collaborative** — the LLM scenario: QKV GEMM on the GPU SMs
-  overlapped with MHA on PIM, run to completion once.
+  overlapped with MHA on PIM, run to completion once;
+* **gpu_pair** — two GPU kernels co-running (Figure 5's GPU-vs-GPU bars).
 
 SM allocations mirror the paper proportionally: the full machine for GPU
 standalone runs (80 SMs → ``gpu_sms_full``), a small allocation for the
 PIM kernel and the GPU-8 characterization (8 SMs → ``pim_sms``), and the
 remainder for the GPU kernel under co-execution (72 SMs → ``gpu_sms_corun``).
-
-Standalone baselines are cached because every figure reuses them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.config import SystemConfig
@@ -33,11 +34,14 @@ from repro.metrics.fairness import (
 )
 from repro.sim.results import SimResult
 from repro.sim.system import GPUSystem, KernelRun
-from repro.workloads import get_gpu_kernel, get_pim_kernel, llm_kernels
+from repro.workloads import PIM_SUITE, get_gpu_kernel, get_pim_kernel, llm_kernels
 
 #: Policy used for standalone baselines (the paper's characterization runs
 #: use FR-FCFS; baselines must not depend on the policy under test).
 BASELINE_POLICY = PolicySpec("FR-FCFS")
+
+#: Kernel ids of the collaborative LLM scenario's two stages.
+LLM_STAGES = ("llm-qkv", "llm-mha")
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,138 @@ class CollaborativeOutcome:
     pim_standalone: int
 
 
+@dataclass
+class PairOutcome:
+    """One GPU/GPU co-run (Figure 5): ``gpu_id``'s speedup on the co-run
+    SMs beside ``corunner``, relative to its full-machine standalone run."""
+
+    gpu_id: str
+    corunner: str
+    speedup: float
+    cycles: int
+
+
+#: How each kind's outcome is rebuilt from its store document value.
+_LOADERS = {
+    "competitive": lambda value: CompetitiveOutcome(**value),
+    "standalone": SimResult.from_payload,
+    "collaborative": lambda value: CollaborativeOutcome(**value),
+    "gpu_pair": lambda value: PairOutcome(**value),
+}
+
+#: The cell kinds (see the module docstring).
+CELL_KINDS = tuple(_LOADERS)
+
+#: The :class:`ExperimentScale` SM-allocation fields a standalone cell may name.
+STANDALONE_SMS = ("gpu_sms_full", "gpu_sms_corun", "pim_sms")
+
+
+def outcome_value(outcome) -> Dict:
+    """A cell outcome as its (JSON) store document value."""
+    if isinstance(outcome, SimResult):
+        from repro.sim.export import result_to_dict
+
+        return result_to_dict(outcome)
+    return asdict(outcome)
+
+
+def load_outcome(kind: str, value: Dict):
+    """The inverse of :func:`outcome_value` for a cell of ``kind``."""
+    return _LOADERS[kind](value)
+
+
+@dataclass(frozen=True)
+class GridTask:
+    """One cell, picklable.
+
+    ``gpu_id`` runs on the GPU SMs and ``pim_id`` on the small (PIM) SM
+    allocation: a PIM kernel in a competitive cell, the MHA stage in a
+    collaborative one (:data:`LLM_STAGES`), the co-running GPU kernel in
+    a ``gpu_pair``.  A standalone cell runs kernel ``gpu_id`` (any
+    workload id) alone under the baseline policy, on the SMs that the
+    :class:`ExperimentScale` field ``sms`` names (``gpu_sms_full``,
+    ``gpu_sms_corun`` or ``pim_sms``).
+    """
+
+    gpu_id: str
+    pim_id: str = ""
+    policy_name: str = BASELINE_POLICY.name
+    policy_params: Tuple[Tuple[str, object], ...] = ()
+    num_vcs: int = 1
+    kind: str = "competitive"
+    sms: str = ""
+
+    def __post_init__(self) -> None:
+        if self.kind not in CELL_KINDS:
+            raise ValueError(f"unknown cell kind {self.kind!r}; known: {list(CELL_KINDS)}")
+        if self.kind == "standalone" and self.sms not in STANDALONE_SMS:
+            raise ValueError(
+                f"standalone cell needs sms in {list(STANDALONE_SMS)}, not {self.sms!r}"
+            )
+
+    @property
+    def policy(self) -> PolicySpec:
+        return PolicySpec(self.policy_name, **dict(self.policy_params))
+
+    @property
+    def label(self) -> str:
+        """Human-readable cell name (journal, failures, store meta)."""
+        if self.kind == "standalone":
+            return f"standalone:{self.gpu_id}|{self.sms}|vc{self.num_vcs}"
+        label = f"{self.gpu_id}|{self.pim_id}|{self.policy_name}|vc{self.num_vcs}"
+        return label if self.kind == "competitive" else f"{self.kind}:{label}"
+
+
+def make_cell(
+    kind: str,
+    gpu_id: str,
+    pim_id: str = "",
+    policy: PolicySpec = BASELINE_POLICY,
+    num_vcs: int = 1,
+    sms: str = "",
+) -> GridTask:
+    """A :class:`GridTask` from a policy spec (parameters in canonical order)."""
+    params = tuple(sorted(policy.params.items()))
+    return GridTask(gpu_id, pim_id, policy.name, params, num_vcs, kind, sms)
+
+
+def kernel_spec(kernel_id: str) -> KernelSpec:
+    """The workload a cell names: an LLM stage, a PIM-suite id or a Rodinia id."""
+    if kernel_id in LLM_STAGES:
+        return llm_kernels()[LLM_STAGES.index(kernel_id)]
+    if kernel_id in PIM_SUITE:
+        return PIM_SUITE[kernel_id]
+    return get_gpu_kernel(kernel_id)
+
+
+def cell_key(scale: ExperimentScale, task: GridTask) -> str:
+    """Content address of one cell (see :mod:`repro.store`), computable
+    without a Runner: the one key every dispatcher and the store use."""
+    from repro.store import store_key
+
+    if task.kind == "standalone":
+        return store_key(
+            "standalone",
+            scale,
+            task.num_vcs,
+            label=task.gpu_id,
+            sms=getattr(scale, task.sms),
+            workloads={"workload": kernel_spec(task.gpu_id)},
+        )
+    return store_key(
+        task.kind,
+        scale,
+        task.num_vcs,
+        policy=task.policy,
+        workloads={
+            "gpu_workload": kernel_spec(task.gpu_id),
+            "pim_workload": kernel_spec(task.pim_id),
+        },
+        gpu=task.gpu_id,
+        pim=task.pim_id,
+    )
+
+
 class CoRun(NamedTuple):
     """One competitive cell's co-run system, built but not yet run."""
 
@@ -146,23 +282,6 @@ class CoRun(NamedTuple):
     gpu_alone: int  # standalone durations the speedups are relative to
     pim_alone: int
     budget: int  # the cell's cycle budget
-
-
-def competitive_key(
-    scale: ExperimentScale, gid: str, pid: str, policy: PolicySpec, num_vcs: int
-) -> str:
-    """Content address of one competitive grid cell, computable without a Runner."""
-    from repro.store import store_key
-
-    return store_key(
-        "competitive",
-        scale,
-        num_vcs,
-        policy=policy,
-        workloads={"gpu_workload": get_gpu_kernel(gid), "pim_workload": get_pim_kernel(pid)},
-        gpu=gid,
-        pim=pid,
-    )
 
 
 class Runner:
@@ -191,21 +310,51 @@ class Runner:
 
             self.perf = EngineCounters()
         #: Optional content-addressed result store (repro.store): every
-        #: completed standalone SimResult and competitive outcome is
-        #: written through it, and looked up before simulating.
+        #: cell outcome (baselines included) is looked up there before
+        #: simulating and written through it after.
         self.store = store
-        #: How the last competitive() call was satisfied: "memo" (this
-        #: runner's in-memory cache), "hit" (result store), "miss" (fresh
-        #: simulation), or None when no store is attached.
-        self.store_last: Optional[str] = None
         #: Warp programs recorded by any system this runner builds and
         #: replayed by all of them (see repro.gpu.warp_traces): a sweep
         #: or fabric worker shares traces across baselines and cells.
         self.traces = WarpTraceCache()
-        self._standalone_cache: Dict[str, SimResult] = {}
-        self._competitive_cache: Dict[Tuple[str, str, str, int], CompetitiveOutcome] = {}
+        #: cell -> (outcome, "hit" or "miss": how it was first found).
+        self._memo: Dict[GridTask, Tuple[object, str]] = {}
 
-    # -- cache helpers ------------------------------------------------------
+    # -- the cell executor -------------------------------------------------
+
+    def run(self, task: GridTask) -> Tuple[object, str]:
+        """Execute any cell: ``(outcome, how)``, where ``how`` says how it
+        was satisfied — ``"memo"`` (this runner's memory), ``"hit"`` (the
+        result store) or ``"miss"`` (simulated now)."""
+        entry = self._memo.get(task)
+        if entry is not None:
+            return entry[0], "memo"
+        if task.kind == "competitive":
+            # Through the public method, so its wrappers and overrides
+            # see every competitive cell.
+            self.competitive(task.gpu_id, task.pim_id, task.policy, num_vcs=task.num_vcs)
+        else:
+            self._cached(task)
+        return self._memo[task]
+
+    def _cached(self, task: GridTask):
+        """The cell's outcome from memory, else the store, else a fresh
+        simulation (written through the store)."""
+        entry = self._memo.get(task)
+        if entry is None:
+            key = cell_key(self.scale, task)
+            value = self.store.get(key, kind=task.kind) if self.store is not None else None
+            if value is not None:
+                entry = (load_outcome(task.kind, value), "hit")
+            else:
+                outcome = getattr(self, f"_simulate_{task.kind}")(task)
+                if self.store is not None:
+                    self.store.put(
+                        key, outcome_value(outcome), meta={"kind": task.kind, "label": task.label}
+                    )
+                entry = (outcome, "miss")
+            self._memo[task] = entry
+        return entry[0]
 
     def _build_system(self, config: SystemConfig, policy: PolicySpec) -> GPUSystem:
         from repro.engine_soa import create_system
@@ -225,65 +374,23 @@ class Runner:
             system.enable_watchdog(self.watchdog_window)
         return system
 
-    def _standalone_key(self, label: str, sms: int, num_vcs: int) -> str:
-        """Key of a baseline in the in-memory cache (and its store label):
-        every scale field a standalone run depends on."""
-        s = self.scale
-        refresh = "|refresh" if s.refresh_enabled else ""
-        return (
-            f"{label}|sms={sms}|vc={num_vcs}|ch={s.num_channels}|q={s.noc_queue_size}"
-            f"|scale={s.workload_scale}|seed={s.seed}{refresh}"
-        )
-
     # -- standalone runs ---------------------------------------------------
 
-    def _standalone_store_key(self, label: str, spec: KernelSpec, sms: int, num_vcs: int) -> str:
-        from repro.store import store_key
+    def standalone(self, kernel_id: str, sms: str = "gpu_sms_full", num_vcs: int = 1) -> SimResult:
+        """``kernel_id`` alone on the SM allocation field ``sms``."""
+        return self._cached(make_cell("standalone", kernel_id, num_vcs=num_vcs, sms=sms))
 
-        return store_key(
-            "standalone", self.scale, num_vcs, label=label, sms=sms, workloads={"workload": spec}
-        )
+    def standalone_duration(self, kernel_id: str, sms: str, num_vcs: int) -> int:
+        """First-run cycles of :meth:`standalone`: the baseline a speedup divides."""
+        return self.standalone(kernel_id, sms, num_vcs).kernels[0].first_duration
 
-    def _run_standalone(self, label: str, spec: KernelSpec, sms: int, num_vcs: int) -> SimResult:
-        key = self._standalone_key(label, sms, num_vcs)
-        cached = self._standalone_cache.get(key)
-        if cached is not None:
-            return cached
-        store_key = None
-        if self.store is not None:
-            from repro.sim.export import result_from_dict
-
-            store_key = self._standalone_store_key(label, spec, sms, num_vcs)
-            payload = self.store.get(store_key, kind="standalone")
-            if payload is not None:
-                result = result_from_dict(payload)
-                self._standalone_cache[key] = result
-                return result
-        system = self._build_system(self.scale.config(num_vcs), BASELINE_POLICY)
-        system.add_kernel(spec, num_sms=sms)
+    def _simulate_standalone(self, task: GridTask) -> SimResult:
+        system = self._build_system(self.scale.config(task.num_vcs), BASELINE_POLICY)
+        system.add_kernel(kernel_spec(task.gpu_id), num_sms=getattr(self.scale, task.sms))
         result = system.run(max_cycles=self.scale.max_cycles)
         if not result.all_completed:
-            raise RuntimeError(f"standalone run {label} did not complete in budget")
-        self._standalone_cache[key] = result
-        if self.store is not None:
-            from repro.sim.export import result_to_dict
-
-            self.store.put(
-                store_key,
-                result_to_dict(result),
-                meta={"kind": "standalone", "label": key},
-            )
+            raise RuntimeError(f"standalone run {task.gpu_id} did not complete in budget")
         return result
-
-    def standalone_duration(self, label: str, spec: KernelSpec, sms: int, num_vcs: int) -> int:
-        return self._run_standalone(label, spec, sms, num_vcs).kernels[0].first_duration
-
-    def gpu_standalone(self, gid: str, sms: Optional[int] = None, num_vcs: int = 1) -> SimResult:
-        sms = sms if sms is not None else self.scale.gpu_sms_full
-        return self._run_standalone(gid, get_gpu_kernel(gid), sms, num_vcs)
-
-    def pim_standalone(self, pid: str, num_vcs: int = 1) -> SimResult:
-        return self._run_standalone(pid, get_pim_kernel(pid), self.scale.pim_sms, num_vcs)
 
     # -- competitive co-execution ---------------------------------------------
 
@@ -295,20 +402,10 @@ class Runner:
         num_vcs: int = 1,
     ) -> CompetitiveOutcome:
         """One GPU/PIM pair under a policy (Section III-B competitive)."""
-        cache_key = (gid, pid, repr(policy), num_vcs)
-        cached = self._competitive_cache.get(cache_key)
-        if cached is not None:
-            self.store_last = "memo" if self.store is not None else None
-            return cached
-        store_key = None
-        if self.store is not None:
-            store_key = self.competitive_store_key(gid, pid, policy, num_vcs)
-            fields = self.store.get(store_key, kind="competitive")
-            if fields is not None:
-                outcome = CompetitiveOutcome(**fields)
-                self._competitive_cache[cache_key] = outcome
-                self.store_last = "hit"
-                return outcome
+        return self._cached(make_cell("competitive", gid, pid, policy, num_vcs))
+
+    def _simulate_competitive(self, task: GridTask) -> CompetitiveOutcome:
+        gid, pid, policy, num_vcs = task.gpu_id, task.pim_id, task.policy, task.num_vcs
         system, gpu_run, pim_run, gpu_alone, pim_alone, budget = self.competitive_system(
             gid, pid, policy, num_vcs
         )
@@ -316,36 +413,20 @@ class Runner:
 
         gpu_first = result.kernels[gpu_run.kernel_id].first_duration
         pim_first = result.kernels[pim_run.kernel_id].first_duration
-        gpu_speedup = gpu_alone / (gpu_first if gpu_first else result.cycles)
-        pim_speedup = pim_alone / (pim_first if pim_first else result.cycles)
         mem_arrivals = result.kernels[gpu_run.kernel_id].mc_arrivals
-        outcome = CompetitiveOutcome(
+        return CompetitiveOutcome(
             gpu_id=gid,
             pim_id=pid,
             policy=policy.label(),
             num_vcs=num_vcs,
-            gpu_speedup=gpu_speedup,
-            pim_speedup=pim_speedup,
+            gpu_speedup=gpu_alone / (gpu_first if gpu_first else result.cycles),
+            pim_speedup=pim_alone / (pim_first if pim_first else result.cycles),
             mode_switches=result.mode_switches,
             conflicts_per_switch=result.additional_conflicts_per_switch,
             drain_latency_per_switch=result.mem_drain_latency_per_switch,
             mem_arrival_rate=mem_arrivals / result.cycles if result.cycles else 0.0,
             cycles=result.cycles,
         )
-        self._competitive_cache[cache_key] = outcome
-        if self.store is not None:
-            from dataclasses import asdict
-
-            self.store.put(
-                store_key,
-                asdict(outcome),
-                meta={
-                    "kind": "competitive",
-                    "label": f"{gid}|{pid}|{policy.label()}|vc{num_vcs}",
-                },
-            )
-            self.store_last = "miss"
-        return outcome
 
     def competitive_system(
         self, gid: str, pid: str, policy: PolicySpec, num_vcs: int = 1
@@ -357,36 +438,31 @@ class Runner:
         ``repro trace`` runs the same system with telemetry attached.
         """
         s = self.scale
-        gpu_alone = self.standalone_duration(gid, get_gpu_kernel(gid), s.gpu_sms_full, num_vcs)
-        pim_alone = self.standalone_duration(pid, get_pim_kernel(pid), s.pim_sms, num_vcs)
+        gpu_alone = self.standalone_duration(gid, "gpu_sms_full", num_vcs)
+        pim_alone = self.standalone_duration(pid, "pim_sms", num_vcs)
         system = self._build_system(s.config(num_vcs), policy)
         gpu_run = system.add_kernel(get_gpu_kernel(gid), num_sms=s.gpu_sms_corun, loop=True)
         pim_run = system.add_kernel(get_pim_kernel(pid), num_sms=s.pim_sms, loop=True)
         budget = min(s.max_cycles, s.starvation_factor * max(gpu_alone, pim_alone))
         return CoRun(system, gpu_run, pim_run, gpu_alone, pim_alone, budget)
 
-    def competitive_store_key(
-        self, gid: str, pid: str, policy: PolicySpec, num_vcs: int
-    ) -> str:
-        """Content address of one competitive grid cell (see repro.store)."""
-        return competitive_key(self.scale, gid, pid, policy, num_vcs)
+    # -- GPU/GPU co-execution ----------------------------------------------------
 
-    def gpu_pair(self, gid_big: str, gid_small: str, policy: PolicySpec = BASELINE_POLICY) -> float:
-        """Speedup of ``gid_big`` on the co-run SMs while ``gid_small`` runs
-        on the small allocation (Figure 5's GPU-vs-GPU interference bars).
-
-        Returns the big kernel's speedup relative to its full-machine
-        standalone run.
-        """
+    def _simulate_gpu_pair(self, task: GridTask) -> PairOutcome:
         s = self.scale
-        big_alone = self.standalone_duration(gid_big, get_gpu_kernel(gid_big), s.gpu_sms_full, 1)
-        system = self._build_system(s.config(1), policy)
-        big_run = system.add_kernel(get_gpu_kernel(gid_big), num_sms=s.gpu_sms_corun, loop=True)
-        system.add_kernel(get_gpu_kernel(gid_small), num_sms=s.pim_sms, loop=True)
+        big_alone = self.standalone_duration(task.gpu_id, "gpu_sms_full", task.num_vcs)
+        system = self._build_system(s.config(task.num_vcs), task.policy)
+        big_run = system.add_kernel(get_gpu_kernel(task.gpu_id), num_sms=s.gpu_sms_corun, loop=True)
+        system.add_kernel(get_gpu_kernel(task.pim_id), num_sms=s.pim_sms, loop=True)
         budget = min(s.max_cycles, s.starvation_factor * big_alone)
         result = system.run(max_cycles=budget)
         first = result.kernels[big_run.kernel_id].first_duration
-        return big_alone / (first if first else result.cycles)
+        return PairOutcome(
+            gpu_id=task.gpu_id,
+            corunner=task.pim_id,
+            speedup=big_alone / (first if first else result.cycles),
+            cycles=result.cycles,
+        )
 
     # -- collaborative co-execution -------------------------------------------
 
@@ -396,19 +472,23 @@ class Runner:
         num_vcs: int = 1,
     ) -> CollaborativeOutcome:
         """The GPT-3-like QKV + MHA overlap (Section III-B collaborative)."""
-        s = self.scale
-        qkv, mha = llm_kernels()
-        gpu_alone = self.standalone_duration("llm-qkv", qkv, s.gpu_sms_full, num_vcs)
-        pim_alone = self.standalone_duration("llm-mha", mha, s.pim_sms, num_vcs)
+        return self._cached(make_cell("collaborative", *LLM_STAGES, policy, num_vcs))
 
-        system = self._build_system(s.config(num_vcs), policy)
+    def _simulate_collaborative(self, task: GridTask) -> CollaborativeOutcome:
+        s = self.scale
+        num_vcs = task.num_vcs
+        qkv, mha = llm_kernels()
+        gpu_alone = self.standalone_duration(task.gpu_id, "gpu_sms_full", num_vcs)
+        pim_alone = self.standalone_duration(task.pim_id, "pim_sms", num_vcs)
+
+        system = self._build_system(s.config(num_vcs), task.policy)
         system.add_kernel(qkv, num_sms=s.gpu_sms_corun)
         system.add_kernel(mha, num_sms=s.pim_sms)
         budget = min(s.max_cycles, s.starvation_factor * (gpu_alone + pim_alone))
         result = system.run(max_cycles=budget)
         concurrent = result.cycles if result.all_completed else budget
         return CollaborativeOutcome(
-            policy=policy.label(),
+            policy=task.policy_name,
             num_vcs=num_vcs,
             speedup=collaborative_speedup(gpu_alone, pim_alone, concurrent),
             ideal_speedup=ideal_collaborative_speedup(gpu_alone, pim_alone),

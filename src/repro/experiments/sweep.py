@@ -1,4 +1,4 @@
-"""Parameter sweeps (sensitivity studies).
+"""Parameter sweeps (sensitivity studies) and the one way to run a cell list.
 
 The paper reports several sensitivity studies: the FR-FCFS-Cap CAP, the
 BLISS blacklist threshold (Section VI-A), the F3FS CAP pair (Section
@@ -6,15 +6,10 @@ VII-B), and the interconnect queue size (Figure 14b).  These helpers run
 small competitive grids across a parameter range and report the mean
 fairness/throughput for each point.
 
-Each sweep point is a competitive grid, expressed as
-:class:`~repro.experiments.parallel.GridTask` items and executed through
-:func:`~repro.experiments.parallel.run_sweep`: with
-``max_workers > 1`` the points fan out over worker processes (which share
-standalone baselines through the result store when ``store_dir`` is
-set); with the default ``max_workers=1`` the tasks run serially against
-the caller's runner, reusing its warm in-memory caches.
-Either path computes identical outcomes — the tasks are deterministic
-and independent.
+Every figure and sweep gets its outcomes from :func:`run_cells`: one
+:func:`~repro.experiments.parallel.run_sweep` over its cells (all points
+at once, so they share standalone baselines), optionally against a
+result store that later calls then read instead of simulating.
 """
 
 from __future__ import annotations
@@ -23,8 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import PAPER_POLICY_ORDER, PolicySpec
 from repro.experiments.parallel import GridTask, make_tasks, run_sweep
-from repro.experiments.runner import CompetitiveOutcome, Runner
+from repro.experiments.runner import CompetitiveOutcome, ExperimentScale
 from repro.metrics.stats import arithmetic_mean
+from repro.resilience.cells import RetryPolicy
 
 #: The EXPERIMENTS.md "setup of record" subsets for the default benchmark
 #: grid (GPU x PIM x all nine policies x VC1/VC2) and the figures' default
@@ -75,44 +71,52 @@ def sweep_rows(outcomes: Sequence[CompetitiveOutcome]) -> List[Dict]:
     ]
 
 
-def _run_point(
-    runner: Runner,
-    spec: PolicySpec,
-    gpu_subset: Sequence[str],
-    pim_subset: Sequence[str],
-    num_vcs: int,
-    max_workers: int,
+def run_cells(
+    scale: ExperimentScale,
+    tasks: Sequence[GridTask],
     store_dir: Optional[str] = None,
-) -> List[CompetitiveOutcome]:
-    """Run one sweep point's competitive grid (gpu x pim) for ``spec``.
+) -> Dict[GridTask, object]:
+    """``{cell: outcome}`` for ``tasks`` (duplicates run once), from one
+    :func:`~repro.experiments.parallel.run_sweep`.
 
-    A point's mean needs every cell, so a quarantined cell raises
-    ``RuntimeError`` instead of degrading gracefully.
+    A figure or sweep point needs every cell, so a quarantined cell
+    raises ``RuntimeError`` naming it and its error instead of degrading
+    gracefully.  Cells are deterministic, so a failed one is not retried.
     """
-    tasks: List[GridTask] = make_tasks(gpu_subset, pim_subset, [spec], (num_vcs,))
-    if max_workers > 1 or store_dir is not None:
-        report = run_sweep(
-            runner.scale,
-            tasks,
-            max_workers=max_workers,
-            store_dir=store_dir,
+    tasks = list(dict.fromkeys(tasks))
+    report = run_sweep(scale, tasks, store_dir=store_dir, retry=RetryPolicy(retries=0))
+    failed = report.failed_outcomes
+    if failed:
+        summary = ", ".join(f"{f.label} ({f.kind}: {f.message})" for f in failed[:5])
+        raise RuntimeError(
+            f"{len(failed)} grid cell(s) failed after retries: {summary}"
+            + ("..." if len(failed) > 5 else "")
         )
-        failed = report.failed_outcomes
-        if failed:
-            summary = ", ".join(f"{f.label} ({f.kind})" for f in failed[:5])
-            raise RuntimeError(
-                f"{len(failed)} grid cell(s) failed after retries: {summary}"
-                + ("..." if len(failed) > 5 else "")
-            )
-        return report.outcomes
+    return dict(zip(tasks, report.outcomes))
+
+
+def fairness_throughput(runs: Sequence[CompetitiveOutcome]) -> Dict[str, float]:
+    """Mean fairness index and system throughput of competitive outcomes."""
+    return {
+        "fairness": arithmetic_mean([r.fairness for r in runs]),
+        "throughput": arithmetic_mean([r.throughput for r in runs]),
+    }
+
+
+def _point_rows(scale, points, gpu_subset, pim_subset, num_vcs, store_dir) -> List[Dict]:
+    """One row per ``(row fields, PolicySpec)`` point: the fields plus
+    :func:`fairness_throughput` of the point's competitive grid, all
+    points' cells run as one sweep."""
+    grids = [make_tasks(gpu_subset, pim_subset, [spec], (num_vcs,)) for _, spec in points]
+    outcomes = run_cells(scale, [task for grid in grids for task in grid], store_dir)
     return [
-        runner.competitive(task.gpu_id, task.pim_id, task.policy, num_vcs=task.num_vcs)
-        for task in tasks
+        {**fields, **fairness_throughput([outcomes[task] for task in grid])}
+        for (fields, _), grid in zip(points, grids)
     ]
 
 
 def sweep_policy_parameter(
-    runner: Runner,
+    scale: ExperimentScale,
     policy_name: str,
     parameter: str,
     values: Sequence,
@@ -120,53 +124,31 @@ def sweep_policy_parameter(
     pim_subset: Sequence[str],
     num_vcs: int = 2,
     base_params: Optional[Dict] = None,
-    max_workers: int = 1,
     store_dir: Optional[str] = None,
 ) -> List[Dict[str, float]]:
     """Sweep one constructor parameter of a policy over a competitive grid.
 
     Returns one row per value with mean fairness and throughput.
     """
-    rows: List[Dict[str, float]] = []
-    for value in values:
-        params = dict(base_params or {})
-        params[parameter] = value
-        spec = PolicySpec(policy_name, **params)
-        runs = _run_point(
-            runner, spec, gpu_subset, pim_subset, num_vcs, max_workers, store_dir
-        )
-        rows.append(
-            {
-                "value": value,
-                "fairness": arithmetic_mean([r.fairness for r in runs]),
-                "throughput": arithmetic_mean([r.throughput for r in runs]),
-            }
-        )
-    return rows
+    points = [
+        ({"value": value}, PolicySpec(policy_name, **{**(base_params or {}), parameter: value}))
+        for value in values
+    ]
+    return _point_rows(scale, points, gpu_subset, pim_subset, num_vcs, store_dir)
 
 
 def sweep_f3fs_caps(
-    runner: Runner,
+    scale: ExperimentScale,
     cap_pairs: Sequence[tuple],
     gpu_subset: Sequence[str],
     pim_subset: Sequence[str],
     num_vcs: int = 1,
-    max_workers: int = 1,
     store_dir: Optional[str] = None,
 ) -> List[Dict[str, float]]:
     """Sweep (MEM CAP, PIM CAP) pairs for F3FS (Section VII-B tuning)."""
-    rows: List[Dict[str, float]] = []
-    for mem_cap, pim_cap in cap_pairs:
-        spec = PolicySpec("F3FS", mem_cap=mem_cap, pim_cap=pim_cap)
-        runs = _run_point(
-            runner, spec, gpu_subset, pim_subset, num_vcs, max_workers, store_dir
-        )
-        rows.append(
-            {
-                "mem_cap": mem_cap,
-                "pim_cap": pim_cap,
-                "fairness": arithmetic_mean([r.fairness for r in runs]),
-                "throughput": arithmetic_mean([r.throughput for r in runs]),
-            }
-        )
-    return rows
+    points = [
+        ({"mem_cap": mem_cap, "pim_cap": pim_cap},
+         PolicySpec("F3FS", mem_cap=mem_cap, pim_cap=pim_cap))
+        for mem_cap, pim_cap in cap_pairs
+    ]
+    return _point_rows(scale, points, gpu_subset, pim_subset, num_vcs, store_dir)

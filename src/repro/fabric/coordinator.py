@@ -1,7 +1,7 @@
 """Asyncio cell-lease coordinator: sweeps as a horizontally scaled service.
 
 The coordinator owns one campaign — a grid of
-:class:`~repro.experiments.parallel.GridTask` cells against one shared
+:class:`~repro.experiments.runner.GridTask` cells against one shared
 :class:`~repro.store.ResultStore` — and leases cells to worker processes
 over HTTP (:mod:`repro.fabric.protocol`).  It is the network-layer
 analogue of :func:`repro.experiments.parallel.run_sweep`: the
@@ -17,7 +17,7 @@ the :mod:`~repro.fabric.ledger` before they apply, and which a restart
 rebuilds by replaying that ledger.  What is the coordinator's own:
 
 * **Dedupe by fingerprint.**  Cells are grouped by their content address
-  (:func:`~repro.experiments.parallel.task_store_key`); duplicate tasks
+  (:func:`~repro.experiments.runner.cell_key`); duplicate tasks
   collapse into one unit of work, and a fingerprint is never leased to
   two workers at once.  Cells whose fingerprint is already in the store
   complete instantly as hits (warm resume), exactly like ``--resume``.
@@ -59,8 +59,7 @@ from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.experiments.parallel import GridTask, grid_store_keys
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.runner import ExperimentScale, GridTask, cell_key
 from repro.fabric import ledger as wal
 from repro.fabric import protocol
 from repro.fabric.ledger import LEDGER_FILENAME, FabricLedger
@@ -160,7 +159,8 @@ class FabricCoordinator:
             on_quarantine=self._quarantined,
         )
         # One cell per fingerprint: duplicate tasks are one unit of work.
-        for index, (task, key) in enumerate(zip(self.tasks, grid_store_keys(scale, self.tasks))):
+        for index, task in enumerate(self.tasks):
+            key = cell_key(scale, task)
             if key not in self.table.cells:
                 self.table.add(key, task.label, index, task)
         self.cells = list(self.table.cells.values())
@@ -227,7 +227,7 @@ class FabricCoordinator:
             # The store, not the ledger, says which cells are done: a
             # ``complete`` record lands only after its puts, and a warm
             # hit writes no record.
-            if self.store.get(cell.key, kind="competitive") is not None:
+            if self.store.get(cell.key, kind=cell.task.kind) is not None:
                 self.table.apply({"op": "complete", "key": cell.key})
                 self.hits += 1
                 self.publisher.record_completion(hit=True)

@@ -12,11 +12,11 @@ for the full state machine):
   lease TTL, and the cell totals.  Workers refuse to join a coordinator
   whose ``code`` differs from their own — a mixed-code fleet would
   compute fingerprints that never match the shared store.
-* ``POST /lease`` — ``{"worker": id}`` → one leased cell (task fields +
-  ``lease_id`` + TTL + the grant's fencing ``epoch``), ``{"empty":
-  true}`` when everything runnable is leased or backing off,
-  ``{"draining": true}`` once the coordinator stops granting, or
-  ``{"done": true}`` once the campaign ends.
+* ``POST /lease`` — ``{"worker": id}`` → one leased cell (task fields,
+  its kind among them, + ``lease_id`` + TTL + the grant's fencing
+  ``epoch``), ``{"empty": true}`` when everything runnable is leased
+  or backing off, ``{"draining": true}`` once the coordinator stops
+  granting, or ``{"done": true}`` once the campaign ends.
 * ``POST /heartbeat`` — ``{"worker", "epoch", "lease_ids"}`` renews
   lease deadlines; the reply lists leases still ``renewed`` and those
   ``lost`` (expired, re-leased elsewhere, or fenced behind a coordinator
@@ -60,13 +60,15 @@ on: every execution is bracketed by one ``fabric_lease`` and at most one
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List
 
 from repro.store.fingerprint import checksum
 
 #: Protocol schema version; bumped on any wire-incompatible change.
 #: 2: fencing epochs on grants/completions, /resume, /drain, token auth.
-FABRIC_SCHEMA = 2
+#: 3: lease tasks carry the cell ``kind`` and ``sms`` (any cell kind).
+FABRIC_SCHEMA = 3
 
 #: Default lease time-to-live (seconds).  A worker heartbeats at TTL/3,
 #: so one missed heartbeat never kills a healthy lease.
@@ -154,24 +156,14 @@ def validate_documents(documents) -> List[str]:
 
 
 def lease_task_fields(task) -> Dict:
-    """The GridTask fields a lease carries over the wire (JSON-safe)."""
-    return {
-        "gpu_id": task.gpu_id,
-        "pim_id": task.pim_id,
-        "policy_name": task.policy_name,
-        "policy_params": [list(pair) for pair in task.policy_params],
-        "num_vcs": task.num_vcs,
-    }
+    """The GridTask fields a lease carries over the wire (JSON encodes the
+    parameter pairs as lists), the cell's ``kind`` and ``sms`` among them."""
+    return dataclasses.asdict(task)
 
 
 def task_from_fields(fields: Dict):
     """Rebuild a GridTask from :func:`lease_task_fields` output."""
-    from repro.experiments.parallel import GridTask
+    from repro.experiments.runner import GridTask
 
-    return GridTask(
-        gpu_id=fields["gpu_id"],
-        pim_id=fields["pim_id"],
-        policy_name=fields["policy_name"],
-        policy_params=tuple((str(k), v) for k, v in fields["policy_params"]),
-        num_vcs=int(fields["num_vcs"]),
-    )
+    params = tuple((str(k), v) for k, v in fields["policy_params"])
+    return GridTask(**{**fields, "policy_params": params, "num_vcs": int(fields["num_vcs"])})

@@ -4,7 +4,7 @@ A worker is a stateless loop around the existing single-process cell
 path — the same :class:`~repro.experiments.runner.Runner`, the same
 content-addressed documents — with the shared store replaced by a
 *recording* scratch store.  Every document the runner writes locally
-(the competitive outcome plus any standalone baselines it had to
+(the cell's outcome plus any standalone baselines it had to
 compute) is captured byte-exactly and shipped to the coordinator inside
 ``POST /complete``; the coordinator re-puts them into the shared store,
 which reproduces the identical bytes (same canonical JSON, same
@@ -46,8 +46,8 @@ Test hooks: ``lease_hook`` lets the harness abandon a lease mid-flight
 (raise :class:`WorkerAbandoned` — the worker goes silent on that cell
 and the coordinator's TTL machinery takes over), ``crash_after_lease``
 hard-kills the process while holding a lease (``os._exit``, same exit
-code as the PR 5 fault plan), and ``runner_factory`` substitutes the
-cell executor entirely.
+code as an injected crash fault), and ``runner_factory`` substitutes
+the cell executor (anything with :meth:`Runner.run`) entirely.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from repro.experiments.parallel import GridTask
-from repro.experiments.runner import ExperimentScale, Runner
+from repro.experiments.runner import ExperimentScale, GridTask, Runner
 from repro.fabric.protocol import (
     FABRIC_SCHEMA,
     REJECT_STALE_EPOCH,
@@ -163,6 +162,13 @@ class _RecordingStore(ResultStore):
         path = super().put(key, value, meta=meta)
         self.documents[key] = json.loads(path.read_text())
         return path
+
+    def pend(self, key: str) -> None:
+        """Queue ``key``'s on-disk document for delivery: a cell this worker
+        already shipped (as another cell's baseline) writes nothing anew,
+        yet its own completion must carry its document."""
+        if key not in self.documents:
+            self.documents[key] = json.loads(self.object_path(key).read_text())
 
 
 class FabricWorker:
@@ -342,9 +348,8 @@ class FabricWorker:
     def _execute(self, task: GridTask, lease: Dict) -> None:
         """Run one leased cell once, then complete it or report the failure."""
         try:
-            self.runner.competitive(
-                task.gpu_id, task.pim_id, task.policy, num_vcs=task.num_vcs
-            )
+            self.runner.run(task)
+            self.store.pend(lease["key"])
         except Exception as exc:  # noqa: BLE001 - the coordinator decides
             self.fails_reported += 1
             self._post_resilient(

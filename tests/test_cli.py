@@ -42,6 +42,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    @pytest.mark.parametrize(
+        "argv,field,expected",
+        [
+            (["run", "--policy", "f3fs"], "policy", "F3FS"),
+            (["trace", "--policy", "fr-fcfs"], "policy", "FR-FCFS"),
+            (["collaborative", "--policy", "f3fs"], "policy", "F3FS"),
+            (["figure", "fig11", "--policies", "f3fs", "g&i"], "policies", ["F3FS", "G&I"]),
+            (["report", "--policies", "fr-rr-fcfs"], "policies", ["FR-RR-FCFS"]),
+            (["sweep", "--policies", "bliss", "FCFS"], "policies", ["BLISS", "FCFS"]),
+            (
+                ["fabric", "serve", "--cache-dir", "s", "--policies", "mem-first"],
+                "policies",
+                ["MEM-First"],
+            ),
+        ],
+        ids=["run", "trace", "collaborative", "figure", "report", "sweep", "fabric-serve"],
+    )
+    def test_policy_names_are_case_insensitive(self, argv, field, expected):
+        assert getattr(build_parser().parse_args(argv), field) == expected
+
+    def test_unknown_policy_still_refused(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["figure", "fig11", "--policies", "f4fs"])
+
 
 class TestCommands:
     def test_list(self, capsys):

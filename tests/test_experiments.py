@@ -12,6 +12,7 @@ from repro.experiments import (
     format_table,
     sweep_policy_parameter,
 )
+from repro.experiments.runner import make_cell
 
 TINY = ExperimentScale(
     num_channels=4,
@@ -67,15 +68,12 @@ class TestPolicyHelpers:
 
 class TestRunner:
     def test_standalone_cached(self, runner):
-        first = runner.gpu_standalone("G17")
-        second = runner.gpu_standalone("G17")
+        first = runner.standalone("G17")
+        second = runner.standalone("G17")
         assert first is second  # same object: served from cache
 
     def test_standalone_duration_positive(self, runner):
-        assert runner.standalone_duration(
-            "G17", __import__("repro.workloads", fromlist=["get_gpu_kernel"]).get_gpu_kernel("G17"),
-            TINY.gpu_sms_full, 1,
-        ) > 0
+        assert runner.standalone_duration("G17", "gpu_sms_full", 1) > 0
 
     def test_competitive_outcome_fields(self, runner):
         outcome = runner.competitive("G17", "P2", PolicySpec("F3FS"), num_vcs=2)
@@ -104,13 +102,13 @@ class TestRunner:
         assert outcome.gpu_standalone > outcome.pim_standalone  # QKV longer
 
     def test_gpu_pair(self, runner):
-        assert 0 < runner.gpu_pair("G17", "G10") <= 2.0
+        assert 0 < runner.run(make_cell("gpu_pair", "G17", "G10"))[0].speedup <= 2.0
 
 
 class TestSweeps:
     def test_policy_parameter_sweep(self, runner):
         rows = sweep_policy_parameter(
-            runner,
+            TINY,
             "FR-FCFS-Cap",
             "cap",
             [8, 64],

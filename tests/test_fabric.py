@@ -24,7 +24,8 @@ import time
 import pytest
 
 from repro.experiments import RetryPolicy
-from repro.experiments.parallel import grid_store_keys, run_sweep
+from repro.experiments.parallel import run_sweep
+from repro.experiments.runner import cell_key
 from repro.experiments.runner import Runner
 from repro.fabric import (
     FABRIC_SCHEMA,
@@ -125,7 +126,7 @@ class TestFabricEndToEnd:
         entries = journal(fabric)
         expiries = [e for e in entries if e["event"] == protocol.EV_EXPIRE]
         assert len(expiries) >= 2  # the crashed lease and the abandoned one
-        assert_exactly_once(entries, set(grid_store_keys(TINY, tasks)))
+        assert_exactly_once(entries, {cell_key(TINY, task) for task in tasks})
 
         assert store_object_bytes(reference) == store_object_bytes(fabric)
 
@@ -383,18 +384,16 @@ class TestWorker:
         coordinator's re-lease is the retry."""
         tasks = tiny_tasks()[:1]
 
-        class _Flaky:
-            """Fails the first attempt, then delegates to a real Runner."""
+        class _Flaky(Runner):
+            """Fails the first attempt, then runs the cell."""
 
-            def __init__(self, scale, store):
-                self.inner = Runner(scale, store=store)
-                self.failures_left = 1
+            failures_left = 1
 
             def competitive(self, *args, **kwargs):
                 if self.failures_left:
                     self.failures_left -= 1
                     raise FaultInjected("injected transient failure")
-                return self.inner.competitive(*args, **kwargs)
+                return super().competitive(*args, **kwargs)
 
         with CoordinatorThread(
             TINY,
@@ -407,7 +406,7 @@ class TestWorker:
                 "w",
                 coord.address,
                 tmp_path / "scratch",
-                runner_factory=lambda scale, store: _Flaky(scale, store),
+                runner_factory=lambda scale, store: _Flaky(scale, store=store),
             )
             summary = worker.run()
             coord.wait(timeout=10)
@@ -422,10 +421,7 @@ class TestWorker:
     def test_worker_reports_deterministic_failures(self, tmp_path):
         tasks = tiny_tasks()[:1]
 
-        class _Broken:
-            def __init__(self, scale, store):
-                pass
-
+        class _Broken(Runner):
             def competitive(self, *args, **kwargs):
                 raise ValueError("bad cell configuration")
 
@@ -440,7 +436,7 @@ class TestWorker:
                 "w",
                 coord.address,
                 tmp_path / "scratch",
-                runner_factory=lambda scale, store: _Broken(scale, store),
+                runner_factory=lambda scale, store: _Broken(scale, store=store),
             )
             summary = worker.run()
             coord.wait(timeout=10)
@@ -525,7 +521,7 @@ class TestRecovery:
         # The survivor's parked lease crossed the restart: it was either
         # re-adopted via /resume or (if the complete raced the resume)
         # fenced as stale-epoch and retried once — never accepted twice.
-        assert_exactly_once(entries, set(grid_store_keys(TINY, tasks)))
+        assert_exactly_once(entries, {cell_key(TINY, task) for task in tasks})
         completes = [e for e in entries if e["event"] == protocol.EV_COMPLETE]
         assert len(completes) == len(revived.coordinator.cells)
 
@@ -757,7 +753,7 @@ class TestDrain:
         finally:
             revived.stop()
         assert final["state"] == "complete" and final["failed"] == 0
-        assert_exactly_once(journal(fabric), set(grid_store_keys(TINY, tasks)))
+        assert_exactly_once(journal(fabric), {cell_key(TINY, task) for task in tasks})
         assert store_object_bytes(reference) == store_object_bytes(fabric)
 
     def test_drain_on_idle_campaign_completes_immediately(self, tmp_path):
@@ -817,13 +813,10 @@ class TestHeartbeatResilience:
         tasks = tiny_tasks()[:1]
         store = tmp_path / "s"
 
-        class _Slow:
-            def __init__(self, scale, inner_store):
-                self.inner = Runner(scale, store=inner_store)
-
+        class _Slow(Runner):
             def competitive(self, *args, **kwargs):
                 time.sleep(1.6)  # 2x the TTL: only renewals keep the lease
-                return self.inner.competitive(*args, **kwargs)
+                return super().competitive(*args, **kwargs)
 
         with CoordinatorThread(
             TINY,
@@ -838,7 +831,7 @@ class TestHeartbeatResilience:
                 coord.address,
                 tmp_path / "scratch",
                 poll=0.05,
-                runner_factory=lambda scale, s: _Slow(scale, s),
+                runner_factory=lambda scale, s: _Slow(scale, store=s),
             )
             real_post = worker.client.post
             drops = {"n": 0}

@@ -1,20 +1,21 @@
-"""Tests for the per-figure experiment harnesses (tiny configurations)."""
+"""Tests for the per-figure experiment harnesses (tiny configurations).
+
+Every figure is a cell list plus a pure reduction; these tests run the
+cells through one module-wide result store, so figures sharing cells
+simulate them once.
+"""
 
 import pytest
 
 from repro.experiments import (
+    FIGURES,
     ExperimentScale,
-    Runner,
-    fig4_characterization,
-    fig5_corun_slowdown,
-    fig6_mem_arrival,
-    fig8_fairness_throughput,
-    fig10_switch_overheads,
-    fig11_llm_speedup,
-    fig13_intensity_extremes,
-    fig14a_ablation,
     fig14b_queue_sensitivity,
+    figure_table,
+    run_cells,
+    run_sweep,
 )
+from repro.sim.system import GPUSystem
 
 TINY = ExperimentScale(
     num_channels=4,
@@ -30,13 +31,20 @@ POLICIES = ["FR-FCFS", "F3FS"]
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return Runner(TINY)
+def store(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("store"))
+
+
+def reduce(store, name, *subsets, **options):
+    """Figure ``name``'s data: its cells through the store, then its reduction."""
+    figure = FIGURES[name]
+    outcomes = run_cells(TINY, figure.cells(*subsets, **options), store)
+    return figure.reduce(outcomes, *subsets, **options)
 
 
 class TestFig4:
-    def test_structure(self, runner):
-        data = fig4_characterization(runner, GPUS, PIMS)
+    def test_structure(self, store):
+        data = reduce(store, "fig4", GPUS, PIMS)
         assert set(data) == {"GPU-80", "GPU-8", "PIM"}
         for metrics in data["PIM"].values():
             assert metrics["blp"] == pytest.approx(16.0)
@@ -44,15 +52,15 @@ class TestFig4:
 
 
 class TestFig5:
-    def test_structure(self, runner):
-        data = fig5_corun_slowdown(runner, suite=GPUS, gpu_corunners=("G10",))
+    def test_structure(self, store):
+        data = reduce(store, "fig5", GPUS, gpu_corunners=("G10",))
         assert set(data) == {"none", "G10", "P1"}
         assert all(v > 0 for v in data.values())
 
 
 class TestFig6:
-    def test_structure(self, runner):
-        data = fig6_mem_arrival(runner, GPUS, PIMS, POLICIES, vc_configs=(2,))
+    def test_structure(self, store):
+        data = reduce(store, "fig6", GPUS, PIMS, POLICIES, vc_configs=(2,))
         assert set(data) == {2}
         assert set(data[2]) == set(POLICIES)
         for per_gpu in data[2].values():
@@ -60,8 +68,8 @@ class TestFig6:
 
 
 class TestFig8:
-    def test_structure_and_bounds(self, runner):
-        data = fig8_fairness_throughput(runner, GPUS, PIMS, POLICIES, vc_configs=(2,))
+    def test_structure_and_bounds(self, store):
+        data = reduce(store, "fig8", GPUS, PIMS, POLICIES, vc_configs=(2,))
         for per_pim in data[2].values():
             for metrics in per_pim.values():
                 assert 0 <= metrics["fairness"] <= 1
@@ -72,62 +80,78 @@ class TestFig8:
 
 
 class TestFig10:
-    def test_fcfs_is_baseline(self, runner):
-        data = fig10_switch_overheads(runner, GPUS, PIMS, POLICIES, vc_configs=(2,))
+    def test_fcfs_is_baseline(self, store):
+        data = reduce(store, "fig10", GPUS, PIMS, POLICIES, vc_configs=(2,))
         assert data[2]["FCFS"]["switches_vs_fcfs"] == pytest.approx(1.0)
         for metrics in data[2].values():
             assert metrics["drain_latency"] >= 0
 
-    def test_fcfs_added_if_missing(self, runner):
-        data = fig10_switch_overheads(runner, GPUS, PIMS, ["F3FS"], vc_configs=(2,))
+    def test_fcfs_added_if_missing(self, store):
+        data = reduce(store, "fig10", GPUS, PIMS, ["F3FS"], vc_configs=(2,))
         assert "FCFS" in data[2]
 
 
 class TestFig11:
-    def test_ideal_bounds_everything(self, runner):
-        data = fig11_llm_speedup(runner, POLICIES, vc_configs=(2,))
+    def test_ideal_bounds_everything(self, store):
+        data = reduce(store, "fig11", GPUS, PIMS, POLICIES, vc_configs=(2,))
         ideal = data[2]["Ideal"]
         for name, value in data[2].items():
             assert value <= ideal + 1e-9
 
 
 class TestFig13:
-    def test_structure(self, runner):
-        data = fig13_intensity_extremes(
-            runner, gpu_subset=("G10",), pim_subset=PIMS, policies=POLICIES, vc_configs=(2,)
-        )
+    def test_structure(self, store):
+        data = reduce(store, "fig13", ["G10"], PIMS, POLICIES, vc_configs=(2,))
         assert set(data[2]) == set(POLICIES)
         assert set(data[2]["F3FS"]) == {"G10"}
 
 
 class TestFig14:
-    def test_ablation_rows(self, runner):
-        rows = fig14a_ablation(runner, pim_id="P2", gpu_subset=GPUS)
+    def test_ablation_rows(self, store):
+        rows = reduce(store, "fig14a", GPUS, pim_id="P2")
         assert len(rows) == 4
         labels = [row["label"] for row in rows]
         assert labels[0] == "FR-FCFS-Cap"
         for row in rows:
             assert 0 <= row["fairness"] <= 1
 
-    def test_ablation_excludes_kmeans(self, runner):
-        rows = fig14a_ablation(runner, pim_id="P2", gpu_subset=["G17", "G11"])
+    def test_ablation_excludes_kmeans(self, store):
+        cells = FIGURES["fig14a"].cells(["G17", "G11"])
         # G11 (kmeans) is excluded per the paper's methodology; only G17
         # runs, so this completes quickly and produces valid rows.
-        assert len(rows) == 4
+        assert not any(cell.gpu_id == "G11" for cell in cells)
+        assert len(reduce(store, "fig14a", ["G17", "G11"])) == 4
 
-    def test_queue_sensitivity(self):
-        def factory(queue_size):
-            return Runner(
-                ExperimentScale(
-                    num_channels=4, gpu_sms_full=4, gpu_sms_corun=3, pim_sms=1,
-                    workload_scale=0.05, starvation_factor=10,
-                    noc_queue_size=queue_size,
-                )
-            )
-
-        data = fig14b_queue_sensitivity(
-            factory, queue_sizes=(16, 32), gpu_subset=GPUS, pim_subset=PIMS
-        )
+    def test_queue_sensitivity(self, store):
+        data = fig14b_queue_sensitivity(TINY, (16, 32), GPUS, PIMS, store_dir=store)
         assert set(data) == {16, 32}
         for metrics in data.values():
             assert 0 <= metrics["fairness"] <= 1
+
+
+class TestFigureTables:
+    SUBSETS = (GPUS, PIMS, POLICIES)
+
+    def test_warm_figure_runs_no_simulation(self, store, monkeypatch):
+        """Once a store holds a figure's cells, rendering it again reads
+        them back: no simulation runs, and the rows are the same."""
+        cold = {name: figure_table(name, TINY, *self.SUBSETS, store_dir=store) for name in FIGURES}
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a warm figure ran a simulation")
+
+        monkeypatch.setattr(GPUSystem, "run", no_simulation)
+        for name, (_, rows, columns) in cold.items():
+            _, warm_rows, warm_columns = figure_table(name, TINY, *self.SUBSETS, store_dir=store)
+            assert (warm_rows, warm_columns) == (rows, columns), name
+            report = run_sweep(TINY, FIGURES[name].cells(*self.SUBSETS), store_dir=store)
+            assert report.misses == 0 and report.failed == 0, name
+
+    def test_failed_cell_names_itself_and_renders_nothing(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("broken engine")
+
+        monkeypatch.setattr(GPUSystem, "run", broken)
+        with pytest.raises(RuntimeError, match="failed after retries") as failure:
+            figure_table("fig11", TINY, policies=["FR-FCFS"], store_dir=str(tmp_path))
+        assert "collaborative:llm-qkv|llm-mha|FR-FCFS|vc1 (config: broken engine)" in str(failure.value)

@@ -1,7 +1,7 @@
 """Tests for the markdown report generator."""
 
 from repro.cli import main
-from repro.experiments import ExperimentScale, Runner, generate_report
+from repro.experiments import ExperimentScale, generate_report
 
 TINY = ExperimentScale(
     num_channels=4,
@@ -15,9 +15,8 @@ TINY = ExperimentScale(
 
 class TestGenerateReport:
     def test_report_structure(self):
-        runner = Runner(TINY)
         text = generate_report(
-            runner,
+            TINY,
             gpu_subset=["G17"],
             pim_subset=["P2"],
             policies=["FR-FCFS", "F3FS"],

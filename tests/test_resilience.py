@@ -24,8 +24,8 @@ from repro.experiments import (
     collect_from_store,
     run_sweep,
 )
-from repro.experiments.parallel import GridTask, make_tasks, task_store_key
-from repro.experiments.runner import Runner
+from repro.experiments.parallel import GridTask, make_tasks
+from repro.experiments.runner import cell_key
 from repro.experiments.sweep import sweep_f3fs_caps
 from repro.resilience import FaultInjected, FaultPlan, FaultSpec, Supervisor
 from repro.resilience import faults as fault_injection
@@ -257,7 +257,7 @@ class TestFaultySweepEndToEnd:
         assert first.completed == 2  # corruption happens after the result
         # The corrupted object is a checksummed miss, not a wrong result.
         store = ResultStore(store_dir)
-        assert store.get(task_store_key(TINY, tasks[0])) is None
+        assert store.get(cell_key(TINY, tasks[0])) is None
         resumed = run_sweep(TINY, tasks, store_dir=store_dir)
         assert resumed.hits == 1 and resumed.misses == 1
         reference = run_sweep(TINY, tasks, store_dir=str(tmp_path / "ref"))
@@ -452,7 +452,7 @@ class TestSerialQuarantine:
         quarantined cell raises instead of degrading gracefully."""
         with pytest.raises(RuntimeError, match="failed after retries"):
             sweep_f3fs_caps(
-                Runner(TINY),
+                TINY,
                 [(0, 1)],  # mem_cap=0: a config error in every cell
                 ["G17"],
                 ["P1"],

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from repro.core.policies import PAPER_POLICY_ORDER, PolicySpec, make_policy
 from repro.experiments import ExperimentScale
-from repro.experiments.parallel import GridTask, task_store_key
+from repro.experiments.parallel import GridTask
+from repro.experiments.runner import cell_key
 from repro.store import (
     CODE_VERSION_ENV,
     canonical_json,
@@ -71,7 +72,7 @@ def grid_key(scale: ExperimentScale, policy: PolicySpec, num_vcs: int = 1) -> st
         policy_params=tuple(sorted(policy.params.items())),
         num_vcs=num_vcs,
     )
-    return task_store_key(scale, task)
+    return cell_key(scale, task)
 
 
 class TestCanonicalization:
@@ -142,8 +143,8 @@ class TestKeySensitivity:
             GridTask("G17", "P2", "F3FS", (), 1),
             GridTask("G17", "P2", "FR-FCFS", (), 2),
         ]
-        keys = {task_store_key(scale, v) for v in variants}
-        assert task_store_key(scale, base) not in keys
+        keys = {cell_key(scale, v) for v in variants}
+        assert cell_key(scale, base) not in keys
         assert len(keys) == len(variants)
 
     @given(
@@ -199,13 +200,14 @@ class TestPolicyDefaults:
 CHILD_SCRIPT = """
 import json, sys
 from repro.experiments import ExperimentScale
-from repro.experiments.parallel import GridTask, task_store_key
+from repro.experiments.parallel import GridTask
+from repro.experiments.runner import cell_key
 from repro.store import fingerprint
 
 scale = ExperimentScale(num_channels=4, workload_scale=0.05, seed=3)
 task = GridTask("G17", "P2", "F3FS", (("mem_cap", 8),), 2)
 payload = {"nested": {"b": [1, 2.5], "a": {"deep": True}}, "s": {3, 1, 2}}
-print(json.dumps({"task": task_store_key(scale, task), "payload": fingerprint(payload)}))
+print(json.dumps({"task": cell_key(scale, task), "payload": fingerprint(payload)}))
 """
 
 
@@ -217,7 +219,7 @@ class TestCrossProcessStability:
         task = GridTask("G17", "P2", "F3FS", (("mem_cap", 8),), 2)
         payload = {"nested": {"b": [1, 2.5], "a": {"deep": True}}, "s": {3, 1, 2}}
         expected = {
-            "task": task_store_key(scale, task),
+            "task": cell_key(scale, task),
             "payload": fingerprint(payload),
         }
         import os

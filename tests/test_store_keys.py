@@ -18,8 +18,8 @@ from dataclasses import replace
 import pytest
 
 from repro.core.policies import PolicySpec
-from repro.experiments import ExperimentScale, Runner, default_grid_tasks
-from repro.experiments.parallel import GridTask, task_store_key
+from repro.experiments import ExperimentScale, default_grid_tasks
+from repro.experiments.runner import GridTask, cell_key, make_cell
 from repro.store import (
     competitive_payload,
     fingerprint,
@@ -58,26 +58,21 @@ def reference_standalone(scale, label, spec, sms, num_vcs):
 def test_setup_of_record_grid_keys_equal_reference():
     tasks = default_grid_tasks()
     assert len(tasks) == 162
-    runner = Runner(RECORD)
     for task in tasks:
         expected = reference_competitive(
             RECORD, task.gpu_id, task.pim_id, task.policy, task.num_vcs
         )
-        assert task_store_key(RECORD, task) == expected, task.label
-        assert (
-            runner.competitive_store_key(task.gpu_id, task.pim_id, task.policy, task.num_vcs)
-            == expected
-        ), task.label
+        assert cell_key(RECORD, task) == expected, task.label
 
 
 @pytest.mark.parametrize("num_vcs", [1, 2])
 def test_setup_of_record_standalone_keys_equal_reference(num_vcs):
-    runner = Runner(RECORD)
-    baselines = [(gid, get_gpu_kernel(gid), RECORD.gpu_sms_full) for gid in ("G6", "G17", "G19")]
-    baselines += [(pid, get_pim_kernel(pid), RECORD.pim_sms) for pid in ("P1", "P2", "P7")]
+    baselines = [(gid, get_gpu_kernel(gid), "gpu_sms_full") for gid in ("G6", "G17", "G19")]
+    baselines += [(pid, get_pim_kernel(pid), "pim_sms") for pid in ("P1", "P2", "P7")]
     for label, spec, sms in baselines:
-        assert runner._standalone_store_key(label, spec, sms, num_vcs) == reference_standalone(
-            RECORD, label, spec, sms, num_vcs
+        cell = make_cell("standalone", label, num_vcs=num_vcs, sms=sms)
+        assert cell_key(RECORD, cell) == reference_standalone(
+            RECORD, label, spec, getattr(RECORD, sms), num_vcs
         ), label
 
 
@@ -157,7 +152,7 @@ def test_equal_spec_copy_shares_the_key():
 def test_signed_zero_keys_apart():
     policies = [PolicySpec("no-such-policy", x=0.0), PolicySpec("no-such-policy", x=-0.0)]
     keys = [
-        task_store_key(RECORD, GridTask("G17", "P2", p.name, tuple(p.params.items()), 1))
+        cell_key(RECORD, GridTask("G17", "P2", p.name, tuple(p.params.items()), 1))
         for p in policies
     ]
     assert keys[0] != keys[1]

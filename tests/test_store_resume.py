@@ -204,6 +204,15 @@ class TestWarmCache:
         # test is immune to CI noise (observed: >100x).
         assert warm_seconds * 5 < cold_seconds
 
+    @pytest.mark.parametrize("with_store", [True, False], ids=["store", "no-store"])
+    def test_memoized_duplicate_is_a_hit(self, tmp_path, with_store):
+        """A repeated cell comes from the runner's memory: one hit, one
+        simulation, whether or not a store is attached."""
+        tasks = make_tasks(["G17", "G17"], ["P1"], [PolicySpec("FR-FCFS")], (1,))
+        report = run_sweep(TINY, tasks, store_dir=str(tmp_path / "s") if with_store else None)
+        assert (report.hits, report.misses) == (1, 1)
+        assert report.outcomes[0] == report.outcomes[1]
+
     def test_fresh_recomputes_but_matches(self, tmp_path):
         tasks = tiny_tasks()[:2]
         store_dir = str(tmp_path / "s")

@@ -366,7 +366,7 @@ class TestEngineCounters:
             workload_scale=0.05, max_cycles=200_000,
         )
         runner = Runner(scale, perf_counters=True)
-        runner.pim_standalone("P1")
+        runner.standalone("P1", "pim_sms")
         assert runner.perf.total_seconds > 0
         assert runner.perf.calls  # stage counters populated
 
