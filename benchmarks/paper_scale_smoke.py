@@ -13,7 +13,10 @@ the channel count of the configs the tests sweep.
 Both kernels loop on a GPU-heavy 8:2 SM split, so every channel sees
 mixed MEM+PIM traffic.
 The window is deliberately short — this is a "does it complete" gate
-with a loose wall-clock ceiling, not a benchmark.
+with a loose wall-clock ceiling, not a benchmark.  At the default window
+it also gates bit identity at a machine size the figure-grid digests do
+not cover: the MEM and PIM issue counts must equal
+:data:`EXPECTED_ISSUED` exactly (a deliberate model change updates them).
 
 Usage::
 
@@ -37,6 +40,9 @@ from repro.workloads import get_gpu_kernel, get_pim_kernel
 #: Window length: long enough to fill the deep paper-scale MEM queues
 #: and cross several kernel-launch boundaries, short enough for CI.
 DEFAULT_MAX_CYCLES = 5_000
+
+#: (MEM, PIM) requests issued over the default window.
+EXPECTED_ISSUED = (4533, 32686)
 
 #: Loose wall-clock ceiling (seconds).  The window takes a few seconds
 #: on a laptop core; the ceiling only catches pathological blow-ups
@@ -74,6 +80,13 @@ def main(argv=None) -> int:
     pim = sum(c.stats.pim_issued for c in system.controllers)
     if issued == 0 or pim == 0:
         print(f"FAIL: no traffic issued (mem={issued}, pim={pim})")
+        ok = False
+    elif args.max_cycles == DEFAULT_MAX_CYCLES and (issued, pim) != EXPECTED_ISSUED:
+        mem_expected, pim_expected = EXPECTED_ISSUED
+        print(
+            f"FAIL: issued mem={issued}, pim={pim}; the {DEFAULT_MAX_CYCLES}-cycle "
+            f"window issues mem={mem_expected}, pim={pim_expected}"
+        )
         ok = False
     if wall > args.budget_seconds:
         print(f"FAIL: {wall:.1f}s exceeds the {args.budget_seconds:.0f}s budget")

@@ -188,16 +188,6 @@ class L2Slice:
             request.column = cause.column
         return request
 
-    # -- per-kernel stats ----------------------------------------------------
-
-    def _note_access(self, request: Request) -> None:
-        k = self.stats.kernel_accesses
-        k[request.kernel_id] = k.get(request.kernel_id, 0) + 1
-
-    def _note_hit(self, request: Request) -> None:
-        k = self.stats.kernel_hits
-        k[request.kernel_id] = k.get(request.kernel_id, 0) + 1
-
     def contains(self, address: int) -> bool:
         line = self.line_of(address)
         tag_set = self._sets[line % self.num_sets]

@@ -68,10 +68,6 @@ class ControllerStats:
             if record.direction is Mode.PIM
         ]
 
-    def mean_drain_latency(self) -> float:
-        latencies = self.mem_drain_latencies
-        return sum(latencies) / len(latencies) if latencies else 0.0
-
     def conflicts_per_switch(self) -> float:
         if not self.switches_to_pim:
             return 0.0
@@ -123,8 +119,8 @@ class MemoryController:
         self._next_seq = 0
 
         # Wake-up optimization: skip decision cycles that cannot make
-        # progress.  A completion, or an enqueue outside a switch drain,
-        # marks the controller dirty.
+        # progress.  An enqueue outside a switch drain marks the
+        # controller dirty; completions do not (see pop_completed).
         self._next_wake = 0
         self._dirty = True
         self._last_mode_cycle = 0
@@ -229,10 +225,15 @@ class MemoryController:
     # -- completions -----------------------------------------------------------
 
     def pop_completed(self, cycle: int) -> List[Request]:
+        """Take the DRAM and PIM operations that finished by ``cycle``.
+
+        Leaves the controller clean.  No policy reads in-flight work, and
+        the two waits that do (a switch drain and a refresh waiting for
+        quiet banks) sleep until ``_drain_complete_cycle()`` or the
+        executor's ``busy_until``: the cycle the last operation lands.
+        """
         done = self.channel.pop_completed(cycle)
         done.extend(self.pim_exec.pop_completed(cycle))
-        if done:
-            self._dirty = True
         return done
 
     # -- mode switch machinery ---------------------------------------------
@@ -393,7 +394,7 @@ class MemoryController:
         if (self.refresh.enabled or cycle < self._refresh_until) and self._handle_refresh(cycle):
             return None
 
-        if self.is_switching:
+        if self._switch_target is not None:
             if self._drain_done(cycle):
                 self._finish_switch(cycle)
             else:
@@ -403,12 +404,12 @@ class MemoryController:
         decision = self.policy.decide(self, cycle)
         if decision.kind == "idle":
             # Sleep until the next event that can change the decision.
-            # Enqueues and completions mark the controller dirty; otherwise
-            # a decision changes only when a bank frees, the PIM executor
-            # frees (PIM mode: MEM-mode decisions never read it), refresh
-            # accrues an obligation, or the policy's epoch turns.  When
-            # every bank already accepts (None), the banks bound nothing; a
-            # bank event lies after ``cycle``, so it is never 0.
+            # Enqueues mark the controller dirty; otherwise a decision
+            # changes only when a bank frees, the PIM executor frees (PIM
+            # mode: MEM-mode decisions never read it), refresh accrues an
+            # obligation, or the policy's epoch turns.  When every bank
+            # already accepts (None), the banks bound nothing; a bank event
+            # lies after ``cycle``, so it is never 0.
             wake = self.channel.next_bank_event(cycle) or NEVER
             if self.mode is Mode.PIM:
                 wake = min(wake, max(cycle + 1, self.pim_exec.busy_until))
@@ -418,7 +419,8 @@ class MemoryController:
             return None
         if decision.kind == "switch":
             self._begin_switch(decision.target, cycle)
-            # Sleep until the drain completes; completions wake it sooner.
+            # Sleep until the drain completes: the last in-flight
+            # operation's completion cycle.
             self._next_wake = max(cycle + 1, self._drain_complete_cycle())
             return None
         if decision.kind == "mem":
@@ -457,14 +459,14 @@ class MemoryController:
         clean (``_dirty`` False).  Returns ``cycle + 1`` when the controller
         must keep ticking every cycle, a future cycle when it sleeps until a
         self-scheduled event (bank timing, drain, refresh, policy epoch), or
-        ``NEVER`` when only external work (enqueue/completion) can wake it.
+        ``NEVER`` when only an enqueue can wake it.
         Ticks in between are exactly the ones the in-tick wake gate would
         skip, so eliding them is behavior-preserving.
         """
         wake = self._next_wake
         if wake > cycle + 1:
             return wake
-        if self.is_switching or self.mem_queue or self.pim_queue:
+        if self._switch_target is not None or self.mem_queue or self.pim_queue:
             # Busy but re-evaluating every cycle (e.g. waiting on a bank
             # that frees next cycle): cannot skip anything.
             return cycle + 1

@@ -58,8 +58,8 @@ IDLE = Decision("idle")
 ISSUE_PIM = Decision("pim")
 
 #: Sentinel "no self-scheduled event" cycle: a component reporting it only
-#: needs attention again when an external event (an enqueue or a
-#: completion) wakes it.
+#: needs attention again when an external event (an enqueue, or a reply
+#: that re-arms a warp) wakes it.
 NEVER = 1 << 62
 
 

@@ -52,9 +52,6 @@ class BankState:
             return AccessKind.HIT
         return AccessKind.CONFLICT
 
-    def is_idle(self, cycle: int) -> bool:
-        return cycle >= self.busy_until
-
 
 class Bank:
     """One DRAM bank: row buffer plus timing rails.
@@ -84,9 +81,6 @@ class Bank:
     def can_accept(self, cycle: int) -> bool:
         """Whether the controller may issue a new request to this bank."""
         return cycle >= self.state.accept_at
-
-    def is_idle(self, cycle: int) -> bool:
-        return self.state.is_idle(cycle)
 
     # -- command scheduling ----------------------------------------------
 

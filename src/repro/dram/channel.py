@@ -135,12 +135,6 @@ class Channel:
             return 0
         return max(completion for completion, _, _ in self._in_flight)
 
-    def all_banks_idle(self, cycle: int) -> bool:
-        return not self._in_flight and all(b.is_idle(cycle) for b in self.banks)
-
-    def open_rows(self) -> List[Optional[int]]:
-        return [b.open_row for b in self.banks]
-
     def next_bank_event(self, cycle: int) -> Optional[int]:
         """Earliest cycle after ``cycle`` at which some bank becomes
         acceptable, or None when every bank already accepts.
@@ -223,16 +217,6 @@ class Channel:
             all_intervals.extend(all_bank_intervals)
         active = merge_intervals(all_intervals)
         return busy_bank_cycles / active if active else 0.0
-
-    def active_cycles(
-        self, all_bank_intervals: Optional[List[Tuple[int, int]]] = None
-    ) -> int:
-        all_intervals: List[Tuple[int, int]] = []
-        for bank in self.banks:
-            all_intervals.extend(bank.state.busy_intervals)
-        if all_bank_intervals:
-            all_intervals.extend(all_bank_intervals)
-        return merge_intervals(all_intervals)
 
     def reset(self) -> None:
         for bank in self.banks:

@@ -28,14 +28,6 @@ class DataStore:
     def write(self, channel: int, bank: int, row: int, column: int, value: float) -> None:
         self._words[(channel, bank, row, column)] = float(value)
 
-    def read_addr(self, mapper, address: int) -> float:
-        d = mapper.decode(address)
-        return self.read(d.channel, d.bank, d.row, d.column)
-
-    def write_addr(self, mapper, address: int, value: float) -> None:
-        d = mapper.decode(address)
-        self.write(d.channel, d.bank, d.row, d.column, value)
-
     def __len__(self) -> int:
         return len(self._words)
 

@@ -78,21 +78,6 @@ class DRAMTimings:
             raise ValueError("tRAS must cover at least tRCD")
 
     @property
-    def row_miss_penalty(self) -> int:
-        """Extra cycles a row-buffer miss pays over a hit (ACT only)."""
-        return self.tRCD
-
-    @property
     def row_conflict_penalty(self) -> int:
         """Extra cycles a row-buffer conflict pays over a hit (PRE + ACT)."""
         return self.tRP + self.tRCD
-
-    @property
-    def read_latency(self) -> int:
-        """Column command to last data beat, for a read."""
-        return self.tCL + self.burst_length
-
-    @property
-    def write_latency(self) -> int:
-        """Column command to last data beat, for a write."""
-        return self.tWL + self.burst_length

@@ -216,10 +216,18 @@ class GridTask:
 
     @property
     def label(self) -> str:
-        """Human-readable cell name (journal, failures, store meta)."""
+        """Human-readable cell name (journal, failures, store meta).
+
+        A policy with parameters names them in their stored order, e.g.
+        ``G17|P2|F3FS(current_mode_first=False)|vc2``, so cells that differ
+        only in parameters have distinct labels.
+        """
         if self.kind == "standalone":
             return f"standalone:{self.gpu_id}|{self.sms}|vc{self.num_vcs}"
-        label = f"{self.gpu_id}|{self.pim_id}|{self.policy_name}|vc{self.num_vcs}"
+        policy = self.policy_name
+        if self.policy_params:
+            policy += "(" + ",".join(f"{k}={v}" for k, v in self.policy_params) + ")"
+        label = f"{self.gpu_id}|{self.pim_id}|{policy}|vc{self.num_vcs}"
         return label if self.kind == "competitive" else f"{self.kind}:{label}"
 
 

@@ -149,7 +149,9 @@ class SM:
         if not self._dirty and cycle < self._next_wake:
             return 0
         self._dirty = False
-        self._advance_due_warps(cycle)
+        due = self._due
+        if due and due[0][0] <= cycle:
+            self._advance_due_warps(cycle)
         issued = 0  # requests injected into the NoC (returned to caller)
         slots = 0  # issue slots consumed, including L1-hit loads
         issuable = self._issuable
@@ -164,20 +166,21 @@ class SM:
             if base:
                 split = bisect_left(order, base)
                 order = order[split:] + order[:split]
+            warps = self.warps
+            width = self.issue_width
+            l1 = self.l1
+            lanes = self.output.lanes
             for warp_index in order:
-                if slots >= self.issue_width:
+                if slots >= width:
                     break
-                warp = self.warps[warp_index]
+                warp = warps[warp_index]
                 request = warp.pending[0]
                 if request.is_load and self.outstanding_loads >= self.max_outstanding:
                     continue
-                l1_hit = (
-                    self.l1 is not None
-                    and request.is_load
-                    and self.l1.lookup_load(request.address)
-                )
-                lane = self.output.lanes[request.is_pim]
-                if not l1_hit and lane.full:
+                l1_hit = l1 is not None and request.is_load and l1.lookup_load(request.address)
+                lane = lanes[request.is_pim]
+                items = lane._items
+                if not l1_hit and len(items) >= lane.capacity:
                     continue
                 warp.pending.popleft()
                 if request.cycle_created < 0:
@@ -194,10 +197,14 @@ class SM:
                         (cycle + self.l1_latency, next(self._local_seq), request),
                     )
                 else:
-                    if self.l1 is not None and request.type.value == "mem_store":
-                        self.l1.note_store(request.address)
+                    if l1 is not None and request.type.value == "mem_store":
+                        l1.note_store(request.address)
                     request.cycle_noc_entry = cycle
-                    lane.try_push(request)
+                    # The space was checked above: push without a second
+                    # test (BoundedQueue.try_push's append and push hook).
+                    items.append(request)
+                    if len(items) == 1 and lane.on_push is not None:
+                        lane.on_push()
                     if request.is_load:
                         self.outstanding_loads += 1
                         if warp.wait_for_replies:
@@ -211,7 +218,7 @@ class SM:
                         # Phase complete and not blocked: advance the next
                         # phase once the compute window (or next step) comes.
                         heapq.heappush(
-                            self._due,
+                            due,
                             (warp.compute_until if warp.compute_until > cycle else cycle + 1, warp_index),
                         )
         if slots or issuable:
@@ -220,9 +227,9 @@ class SM:
             self._next_wake = cycle + 1
         else:
             # All warps are computing, waiting on replies, or done: sleep
-            # until the next due event; a reply (via receive_reply) marks
-            # the SM dirty.
-            self._next_wake = self._due[0][0] if self._due else NEVER
+            # until the next due event; a reply that re-arms a warp (via
+            # receive_reply) marks the SM dirty.
+            self._next_wake = due[0][0] if due else NEVER
         return issued
 
     def _advance_due_warps(self, cycle: int) -> None:
@@ -282,8 +289,14 @@ class SM:
             _, _, request = heapq.heappop(heap)
             self.receive_reply(request, cycle)
 
-    def receive_reply(self, request: Request, cycle: int) -> None:
-        """A load reply returned (from the memory subsystem or the L1)."""
+    def receive_reply(self, request: Request, cycle: int) -> bool:
+        """A load reply returned (from the memory subsystem or the L1).
+
+        Returns True, and marks the SM dirty, only when the reply re-armed
+        its warp.  Any other reply leaves the SM asleep: a sleeping SM has
+        no issuable warp, so the load count, the warp's reply count and
+        the L1 line a reply changes cannot alter its next step.
+        """
         self.outstanding_loads -= 1
         if self.outstanding_loads < 0:
             raise RuntimeError(f"SM {self.index}: reply without outstanding load")
@@ -292,20 +305,20 @@ class SM:
         warp = self.warps[request.warp]
         if warp.wait_for_replies and warp.waiting_replies > 0:
             warp.waiting_replies -= 1
-        if (
-            not warp.done
-            and not warp.pending
-            and not (warp.wait_for_replies and warp.waiting_replies > 0)
-        ):
-            # Fully unblocked: re-arm the warp's phase advance.  Replies
-            # are delivered before this cycle's SM stage runs, so an entry
-            # at ``cycle`` advances the warp this very step — exactly when
-            # the old all-warp scan would have.
-            heapq.heappush(
-                self._due,
-                (warp.compute_until if warp.compute_until > cycle else cycle, request.warp),
-            )
+            if warp.waiting_replies:
+                return False
+        if warp.done or warp.pending:
+            return False
+        # Fully unblocked: re-arm the warp's phase advance.  Replies are
+        # delivered before this cycle's SM stage runs, so an entry at
+        # ``cycle`` advances the warp this very step — exactly when the
+        # old all-warp scan would have.
+        heapq.heappush(
+            self._due,
+            (warp.compute_until if warp.compute_until > cycle else cycle, request.warp),
+        )
         self._dirty = True
+        return True
 
     def next_event_cycle(self) -> int:
         """Wake-heap contract: earliest cycle a future ``step`` could act.

@@ -31,8 +31,9 @@ context and ``(sm_slot, warp)``.  The key is made of exactly those:
 Bit identity
 ------------
 A record holds, per phase, the compute cycles, the wait flag and per
-request the type, address, ``pim_op``, size and the pre-decoded
-channel/bank/row/column.  Replay rebuilds each phase's requests lazily,
+request the type, address, ``pim_op``, size, the pre-decoded
+channel/bank/row/column and the classification derived from the type
+(:data:`RECORD_FIELDS`).  Replay rebuilds each phase's requests lazily,
 when the engine asks for the phase — the point at which the generator
 built them — and in the original order, so the global request-id
 stream is consumed exactly as a fresh generation would.  ``PIMOp`` is
@@ -45,6 +46,7 @@ replayed short.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.dram.address import AddressMapper
@@ -57,8 +59,16 @@ from repro.workloads.synthetic import GPUKernelProfile, PIMGemvKernel, PIMStream
 #: ``warp_program`` with launch-dependent behaviour.
 REPLAYABLE_SPECS = (GPUKernelProfile, PIMStreamKernel, PIMGemvKernel)
 
-#: One recorded request: (type, address, pim_op, size, channel, bank, row, column).
-RequestRecord = Tuple[object, int, object, int, int, int, int, int]
+#: The :class:`~repro.request.Request` fields a record holds, in record
+#: order: the generator's arguments, the decoded address, and the
+#: classification ``__post_init__`` derived from the type and ``pim_op``.
+RECORD_FIELDS = (
+    "type", "address", "pim_op", "size", "channel", "bank", "row", "column",
+    "is_pim", "is_load", "mode", "pim_dram",
+)
+
+#: One recorded request: its :data:`RECORD_FIELDS` values.
+RequestRecord = Tuple[object, ...]
 
 #: One recorded phase: (compute_cycles, wait_for_replies, requests).
 PhaseRecord = Tuple[int, bool, Tuple[RequestRecord, ...]]
@@ -96,24 +106,47 @@ def launch_key(spec: KernelSpec, ctx: LaunchContext, seed: int) -> Optional[tupl
     return key
 
 
-def record_request(request: Request) -> RequestRecord:
-    return (
-        request.type,
-        request.address,
-        request.pim_op,
-        request.size,
-        request.channel,
-        request.bank,
-        request.row,
-        request.column,
-    )
+#: The record of one request (read before the engine mutates it).
+record_request = operator.attrgetter(*RECORD_FIELDS)
 
 
-def build_request(record: RequestRecord, kernel_id: int) -> Request:
-    rtype, address, pim_op, size, channel, bank, row, column = record
-    request = Request(rtype, address, 0, 0, kernel_id, pim_op, size)
-    request.channel, request.bank, request.row, request.column = channel, bank, row, column
-    return request
+def _request_builder():
+    """Generate ``build_request(record, kernel_id)``.
+
+    The builder assigns every field of ``dataclasses.fields(Request)``:
+    the record's fields, the replaying launch's ``kernel_id``, and each
+    other field's declared default, so a field added to ``Request``
+    cannot be left unset.  ``id`` comes from its default factory, which
+    draws the global request-id counter as ``Request(...)`` does.  The
+    record already holds what ``__post_init__`` derives, so replay
+    skips it (and its checks, which the recorded request passed).
+    """
+    namespace = {"_new": object.__new__, "_Request": Request}
+    body = [f"    {', '.join('_' + name for name in RECORD_FIELDS)}, = record"]
+    body.append("    request = _new(_Request)")
+    for f in dataclasses.fields(Request):
+        if f.name in RECORD_FIELDS:
+            value = "_" + f.name
+        elif f.name == "kernel_id":
+            value = "kernel_id"
+        elif f.default_factory is not dataclasses.MISSING:
+            namespace[f"_make_{f.name}"] = f.default_factory
+            value = f"_make_{f.name}()"
+        elif f.default is not dataclasses.MISSING:
+            namespace[f"_default_{f.name}"] = f.default
+            value = f"_default_{f.name}"
+        else:
+            raise TypeError(f"Request.{f.name} has no default and is not recorded")
+        body.append(f"    request.{f.name} = {value}")
+    body.append("    return request")
+    source = "def build_request(record, kernel_id):\n" + "\n".join(body)
+    exec(compile(source, f"<generated {__name__}.build_request>", "exec"), namespace)
+    return namespace["build_request"]
+
+
+#: ``build_request(record, kernel_id) -> Request``: a fresh request for a
+#: recorded one, equal to the recorded request as generated, ``id`` aside.
+build_request = _request_builder()
 
 
 def replay_program(phases: Tuple[PhaseRecord, ...], kernel_id: int) -> Iterator[Phase]:

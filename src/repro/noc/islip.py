@@ -74,10 +74,16 @@ class ISlipArbiter:
                 lane = outputs[out].lanes[head.is_pim]
                 if len(lane._items) >= lane.capacity:
                     continue
-                proposals.setdefault(out, []).append(i)
+                requesters = proposals.get(out)
+                if requesters is None:
+                    proposals[out] = [i]
+                else:
+                    requesters.append(i)
                 ranked.append((out, head, lane))
             if ranked:
                 offered[i] = ranked
+        if not offered:
+            return []
 
         # Grant phase: one grant per output, round-robin from the pointer.
         grants: Dict[int, List[int]] = {}  # input -> granted outputs
@@ -92,7 +98,11 @@ class ISlipArbiter:
                     if distance < best:
                         best = distance
                         chosen = i
-            grants.setdefault(chosen, []).append(out)
+            granted = grants.get(chosen)
+            if granted is None:
+                grants[chosen] = [out]
+            else:
+                granted.append(out)
 
         # Accept phase: each input takes the grant matching its most
         # preferred offered head.

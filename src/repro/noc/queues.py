@@ -61,10 +61,6 @@ class BoundedQueue(Generic[T]):
         return len(self._items) >= self.capacity
 
     @property
-    def empty(self) -> bool:
-        return not self._items
-
-    @property
     def free_space(self) -> int:
         return self.capacity - len(self._items)
 

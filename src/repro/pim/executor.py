@@ -39,13 +39,6 @@ class PIMStats:
     def dram_ops(self) -> int:
         return self.ops_executed - self.rf_only_ops
 
-    @property
-    def row_hit_rate(self) -> float:
-        """Fraction of DRAM-touching ops that reused the open row."""
-        if not self.ops_executed:
-            return 0.0
-        return 1.0 - self.row_switches / self.ops_executed
-
 
 class PIMExecutor:
     """Lock-step PIM engine for one channel."""

@@ -41,10 +41,6 @@ class PIMOpKind(enum.Enum):
         """Whether the op opens/touches a DRAM column (EXP/NOP are RF-only)."""
         return self not in (PIMOpKind.EXP, PIMOpKind.NOP)
 
-    @property
-    def writes_dram(self) -> bool:
-        return self is PIMOpKind.STORE
-
 
 @dataclass(frozen=True)
 class PIMOp:

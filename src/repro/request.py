@@ -51,10 +51,6 @@ class Mode(enum.Enum):
     def other(self) -> "Mode":
         return Mode.PIM if self is Mode.MEM else Mode.MEM
 
-    @classmethod
-    def for_request(cls, request: "Request") -> "Mode":
-        return cls.PIM if request.type.is_pim else cls.MEM
-
 
 _request_ids = itertools.count()
 

@@ -331,12 +331,12 @@ class GPUSystem:
         due = {heapq.heappop(heap)[1]}
         while heap and heap[0][0] <= cycle:
             due.add(heapq.heappop(heap)[1])
+        # A completion does not wake the channel's controller: its drain
+        # check and refresh already sleep until the cycle the last
+        # in-flight operation lands, and no policy reads in-flight work.
         for ch in sorted(due):
-            done = self.controllers[ch].pop_completed(cycle)
-            if done:
-                self._mc_active.add(ch)  # pop_completed marked it dirty
-                for request in done:
-                    self._handle_completion(ch, request, cycle)
+            for request in self.controllers[ch].pop_completed(cycle):
+                self._handle_completion(ch, request, cycle)
             self._schedule_completion(ch)
 
     def _handle_completion(self, ch: int, request: Request, cycle: int) -> None:
@@ -345,7 +345,7 @@ class GPUSystem:
         if self.telemetry is not None:
             self.telemetry.record_completion(request, cycle)
         if request.is_pim or not request.is_load:
-            self._finish_request(request)
+            self._kernel_inflight[request.kernel_id] -= 1
             return
         if request.is_l2_fill:
             waiting, writeback = self.l2_slices[ch].install(request)
@@ -366,18 +366,17 @@ class GPUSystem:
         heap = self._reply_heap
         if not heap or heap[0][0] > cycle:
             return
+        sms = self.sms
         sm_active = self._sm_active
+        inflight = self._kernel_inflight
         telemetry = self.telemetry
         while heap and heap[0][0] <= cycle:
             _, _, request = heapq.heappop(heap)
-            self.sms[request.source].receive_reply(request, cycle)
-            sm_active.add(request.source)  # receive_reply marked it dirty
-            self._finish_request(request)
+            if sms[request.source].receive_reply(request, cycle):
+                sm_active.add(request.source)  # the reply re-armed a warp
+            inflight[request.kernel_id] -= 1
             if telemetry is not None:
                 telemetry.record_return(request, cycle)
-
-    def _finish_request(self, request: Request) -> None:
-        self._kernel_inflight[request.kernel_id] -= 1
 
     def _stage_controllers(self) -> None:
         active = self._mc_active
@@ -448,7 +447,7 @@ class GPUSystem:
                         if head.is_load:
                             self._schedule_reply(head, cycle + self.config.l2_latency)
                         else:
-                            self._finish_request(head)
+                            self._kernel_inflight[head.kernel_id] -= 1
                             if telemetry is not None:
                                 telemetry.record_l2_filtered(head, cycle)
                     elif outcome == LookupResult.MISS_SECONDARY:
@@ -497,8 +496,6 @@ class GPUSystem:
                 kernel_id = sm.instance.kernel_id
                 self._injected[kernel_id] += issued
                 self._kernel_inflight[kernel_id] += issued
-            if sm._dirty:
-                continue  # a reply arrived while stepping
             wake = sm.next_event_cycle()
             if wake <= cycle + 1:
                 continue

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.policies import PolicySpec
 from repro.experiments import collect_from_store, run_sweep
+from repro.experiments.figures import FIGURES
 from repro.experiments.runner import (
     CELL_KINDS,
     LLM_STAGES,
@@ -65,10 +66,20 @@ def test_labels_name_the_kind():
     assert [cell.label for cell in CELLS] == [
         "standalone:G17|gpu_sms_corun|vc1",
         "G17|P2|F3FS|vc2",
-        "collaborative:llm-qkv|llm-mha|F3FS|vc1",
+        "collaborative:llm-qkv|llm-mha|F3FS(mem_cap=32,pim_cap=16)|vc1",
         "gpu_pair:G17|G10|FR-FCFS|vc1",
         "standalone:P2|pim_sms|vc2",
     ]
+
+
+def test_labels_name_policy_parameters():
+    # Fig 14a's F3FS ablation stages differ only in parameters; quarantine
+    # messages, the status roster and fault plans tell cells apart by label.
+    cells = FIGURES["fig14a"].cells(["G17"])
+    labels = [cell.label for cell in cells]
+    assert len(set(labels)) == len(cells)
+    assert "G17|P2|F3FS(current_mode_first=False)|vc2" in labels
+    assert "G17|P2|F3FS|vc2" in labels
 
 
 def test_unknown_kind_refused():

@@ -220,6 +220,42 @@ class TestWakeRules:
         assert ctl.next_wake_cycle(2) == drain
 
 
+    def test_completion_leaves_controller_clean(self):
+        ctl = make_controller("FCFS")
+        ctl.enqueue(mem_request(), cycle=0)
+        ctl.tick(0)  # issues the MEM request
+        ctl.tick(1)  # nothing queued: sleeps
+        assert not ctl._dirty
+        due = ctl.channel.next_completion_cycle()
+        assert len(ctl.pop_completed(due)) == 1
+        assert not ctl._dirty
+
+    def test_mem_to_pim_drain_ticks_only_when_it_completes(self):
+        ctl = make_controller("FCFS")
+        ctl.enqueue(mem_request(bank=0, row=0), cycle=0)
+        ctl.enqueue(mem_request(bank=1, row=5), cycle=0)
+        cycle = 0
+        while ctl.stats.mem_issued < 2:
+            ctl.pop_completed(cycle)
+            ctl.tick(cycle)
+            cycle += 1
+        ctl.enqueue(pim_request(), cycle=cycle)
+        ctl.tick(cycle)  # begins the MEM->PIM drain
+        assert ctl.is_switching
+        drain = ctl._drain_complete_cycle()
+        landed = sorted(completion for completion, _, _ in ctl.channel._in_flight)
+        assert landed[0] < drain  # one MEM request lands mid-drain
+        # Tick the way the engine does: only when dirty or the wake is due.
+        ticked = []
+        for cycle in range(cycle + 1, drain + 1):
+            ctl.pop_completed(cycle)
+            if ctl._dirty or cycle >= ctl._next_wake:
+                ticked.append(cycle)
+                ctl.tick(cycle)
+        assert ticked == [drain]
+        assert ctl.mode is Mode.PIM and ctl.stats.switches_to_pim == 1
+
+
 class TestPolicyValidation:
     def test_unknown_policy(self):
         with pytest.raises(KeyError):

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.config import SystemConfig
+from repro.core.policies import PolicySpec
 from repro.gpu.kernel import KernelInstance, KernelSpec, LaunchContext, Phase
 from repro.gpu.sm import SM
 from repro.noc.vc import VCBuffer
 from repro.pim.isa import PIMOp, PIMOpKind
 from repro.request import Request, RequestType
+from repro.sim.system import GPUSystem
 
 
 def load(addr=0, channel=0):
@@ -169,6 +172,41 @@ class TestSMIssue:
         assert request.warp == 0
         assert request.cycle_created == 3  # phase load time
         assert request.cycle_noc_entry == 3
+
+
+class TestReplyWakes:
+    """A load reply wakes its SM only when it re-arms a warp."""
+
+    def _parked_system(self):
+        system = GPUSystem(SystemConfig.scaled(num_channels=2, num_sms=2), PolicySpec("FCFS"))
+        run = system.add_kernel(ScriptedKernel(lambda s, w: [Phase(0, [load(), load()])]), 1)
+        system._launch(run)
+        index = run.sm_indices[0]
+        sm = system.sms[index]
+        for cycle in range(3):
+            system.cycle = cycle
+            system._stage_sms()
+        # Both loads issued; the warp waits for their replies, so the SM
+        # sleeps with no event of its own.
+        assert sm.outstanding_loads == 2 and index not in system._sm_active
+        return system, index, sm, sm.output.pop_next(), sm.output.pop_next()
+
+    def test_reply_leaving_warp_waiting_keeps_sm_asleep(self):
+        system, index, sm, first, _ = self._parked_system()
+        system._schedule_reply(first, 5)
+        system.cycle = 5
+        system._stage_replies()
+        assert sm.outstanding_loads == 1
+        assert not sm._dirty and index not in system._sm_active
+
+    def test_reply_unblocking_warp_rearms_sm(self):
+        system, index, sm, first, second = self._parked_system()
+        assert sm.receive_reply(first, 5) is False
+        system._schedule_reply(second, 6)
+        system.cycle = 6
+        system._stage_replies()
+        assert sm._dirty and index in system._sm_active
+        assert sm._due[0] == (6, 0)
 
 
 class TestKernelInstance:

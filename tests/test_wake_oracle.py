@@ -12,7 +12,8 @@ and the same mode-switch records.
 
 The cases cover every policy the figures sweep plus SMS under VC1 and
 VC2, BLISS and Dyn-F3FS with a short interval (so their cycle-keyed
-epochs turn many times while controllers sleep), refresh, the mesh, and
+epochs turn many times while controllers sleep), refresh, the mesh, the
+L1 under VC1 and VC2 (replies install lines that later loads read), and
 8-entry MC queues (so requests arrive while a mode switch drains).
 Without ``SchedulingPolicy.next_epoch_cycle`` bounding an idle
 controller's sleep, the Dyn-F3FS cases diverge.
@@ -80,6 +81,8 @@ CASES = (
         for vcs in (1, 2)
     ]
     + [_case("F3FS", 2, refresh_enabled=True), _case("F3FS", 2, noc_topology="mesh")]
+    # Replies install L1 lines that an issuable warp's next load reads.
+    + [_case("FR-FCFS", vcs, l1_enabled=True) for vcs in (1, 2)]
     # Short MC queues keep the ingress backed up, so requests arrive while
     # switches drain.
     + [

@@ -20,9 +20,14 @@ from repro.core.policies import PolicySpec
 from repro.engine_soa import create_system
 from repro.experiments.runner import ExperimentScale, Runner
 from repro.gpu.kernel import KernelInstance, LaunchContext
-from repro.gpu.warp_traces import REPLAYABLE_SPECS, WarpTraceCache
+from repro.gpu.warp_traces import (
+    REPLAYABLE_SPECS,
+    WarpTraceCache,
+    build_request,
+    record_request,
+)
 from repro.pim.program import vector_add_program
-from repro.request import reset_request_ids
+from repro.request import Request, reset_request_ids
 from repro.workloads import PIM_SUITE, RODINIA, llm_kernels
 from repro.workloads.synthetic import GPUKernelProfile
 from repro.workloads.traces import TraceKernel, save_trace
@@ -102,6 +107,24 @@ def test_replay_equals_fresh_generation(name, spec):
         assert cache.hits == hits + len(warps)
         assert recorded == fresh
         assert replayed == expected
+
+
+@pytest.mark.parametrize("name,spec", ALL_SPECS, ids=[n for n, _ in ALL_SPECS])
+def test_builder_matches_constructor_on_every_field(name, spec):
+    # A field added to Request later cannot be skipped silently by replay.
+    fields = [f.name for f in dataclasses.fields(Request) if f.name != "id"]
+    num_sms, scale, channels, kernel_id = LAUNCHES[0]
+    ctx = _ctx(num_sms, scale, channels, kernel_id)
+    built = 0
+    for slot, warp in _warps(spec, ctx):
+        for phase in KernelInstance(spec, ctx, kernel_id, seed=3).warp_program(slot, warp):
+            for fresh in phase.requests:
+                replayed = build_request(record_request(fresh), kernel_id)
+                assert [getattr(replayed, f) for f in fields] == [
+                    getattr(fresh, f) for f in fields
+                ]
+                built += 1
+    assert built
 
 
 def test_key_covers_seed_and_context():
