@@ -383,8 +383,9 @@ class MemoryController:
         self._dirty = True
         return True
 
-    def tick(self, cycle: int) -> Optional[Request]:
-        """Run one decision cycle; returns the issued request, if any."""
+    def tick(self, cycle: int) -> Optional[int]:
+        """Run one decision cycle; returns the issued operation's completion
+        cycle, or None when nothing issued."""
         if not self._dirty and cycle < self._next_wake:
             return None
         self._dirty = False
@@ -428,7 +429,7 @@ class MemoryController:
             if self.mode is not Mode.MEM:
                 raise RuntimeError("policy issued MEM in PIM mode")
             self.mem_queue.remove(request)
-            self.channel.issue_mem(request, cycle)
+            completion = self.channel.issue_mem(request, cycle)
             self.channel.banks[request.bank].state.issued_since_switch = True
             self.pim_exec.note_mem_issue(request)
             self._attribute_post_switch_conflict(request)
@@ -437,7 +438,7 @@ class MemoryController:
             if self.mode is not Mode.PIM:
                 raise RuntimeError("policy issued PIM in MEM mode")
             request = self.pim_queue.popleft()
-            self.pim_exec.issue(request, cycle)
+            completion = self.pim_exec.issue(request, cycle)
             self.stats.pim_issued += 1
         if self.telemetry is not None and request.mc_blocked_base >= 0:
             request.mc_blocked_cycles = (
@@ -449,7 +450,7 @@ class MemoryController:
         self.policy.on_issue(request, cycle)
         self._next_wake = cycle + 1
         self._dirty = True
-        return request
+        return completion
 
     def next_wake_cycle(self, cycle: int) -> int:
         """Earliest cycle at which a future ``tick`` could act (wake-heap

@@ -121,14 +121,6 @@ class Channel:
     def mem_in_flight(self) -> int:
         return len(self._in_flight)
 
-    def next_completion_cycle(self) -> Optional[int]:
-        """Completion cycle of the earliest in-flight MEM request.
-
-        No in-flight request completes before this, so the engine queues
-        the channel on its completion heap for this cycle.
-        """
-        return self._in_flight[0][0] if self._in_flight else None
-
     def drain_complete_cycle(self) -> int:
         """Cycle by which every in-flight MEM request will have completed."""
         if not self._in_flight:

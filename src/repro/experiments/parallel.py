@@ -410,11 +410,6 @@ def run_sweep(
             finally:
                 _WORKER_RUNNER = None
         else:
-            # Workers fork from this process: loading the engine's numpy
-            # here (systems load it on first build) shares one import
-            # among all of them instead of paying it in each.
-            import numpy  # noqa: F401
-
             supervisor = Supervisor(
                 _run_task,
                 max_workers=max_workers,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional
 
 from repro.request import Request
+from repro.rng import Stream
 
 
 @dataclass
@@ -83,7 +84,7 @@ class LaunchContext:
     banks_per_channel: int
     num_sms: int  # SMs allocated to this kernel
     warps_per_sm: int
-    rng: object  # numpy Generator
+    rng: object  # repro.rng.Stream, one per warp (None at launch)
     scale: float = 1.0
     rf_entries_per_bank: int = 8
     kernel_id: int = 0
@@ -95,8 +96,9 @@ class LaunchContext:
 class KernelInstance:
     """One launch of a kernel across a set of SM slots.
 
-    Each warp's program gets its own deterministic RNG seeded by
-    ``(seed, kernel_id, sm_slot, warp)``.  The launch sequence number is
+    Each warp's program gets its own deterministic stream
+    (:class:`repro.rng.Stream`) seeded by
+    ``(seed, crc32(spec name), sm_slot, warp)``.  The launch sequence number is
     deliberately *not* part of the seed: re-running a kernel in a loop
     (the co-execution methodology) replays the same trace, and standalone
     and contended runs of the same kernel see identical request streams —
@@ -140,14 +142,11 @@ class KernelInstance:
 
     def generate(self, sm_slot: int, warp: int) -> WarpProgram:
         """Generate this warp's program from the spec (no replay)."""
-        import numpy as np
-
         # Seed by the *spec name*, not the kernel id: the same kernel must
         # replay the same trace regardless of the order kernels were added
         # to a system (standalone vs co-execution runs).
         name_seed = zlib.crc32(self.spec.name.encode())
-        rng = np.random.default_rng([self.seed, name_seed, sm_slot, warp])
-        ctx = replace(self.ctx, rng=rng)
+        ctx = replace(self.ctx, rng=Stream([self.seed, name_seed, sm_slot, warp]))
         return self.spec.warp_program(ctx, sm_slot, warp)
 
     @property

@@ -124,14 +124,6 @@ class PIMExecutor:
     def in_flight(self) -> int:
         return len(self._in_flight)
 
-    def next_completion_cycle(self) -> Optional[int]:
-        """Completion cycle of the earliest in-flight PIM op.
-
-        Ops execute lock-step FCFS, so ``_in_flight`` is ordered by
-        completion and the head is the next event.
-        """
-        return self._in_flight[0][0] if self._in_flight else None
-
     def drain_complete_cycle(self) -> int:
         return self.busy_until
 

@@ -98,12 +98,6 @@ class GPUSystem:
         scale: float = 1.0,
         traces: Optional[WarpTraceCache] = None,
     ) -> None:
-        # numpy seeds the warp RNGs.  It loads with the first system a
-        # process builds rather than with ``import repro``, so processes
-        # that only read results (warm sweeps, merges, store maintenance)
-        # never pay for it.
-        import numpy  # noqa: F401
-
         self.config = config
         self.policy_spec = policy
         self.seed = seed
@@ -224,9 +218,8 @@ class GPUSystem:
         # Sleeping controllers (kind 0) / SMs (kind 1) with a self-scheduled
         # future event; entries are lazy-deleted (stale wakes are no-ops).
         self._wake_heap: List[Tuple[int, int, int]] = []
-        # (cycle, channel) entries: a channel's earliest DRAM/PIM completion
-        # is always among them.  Lazy: an entry may be stale or duplicated,
-        # and a due channel with nothing to complete is a no-op.
+        # (cycle, channel) entries, one per issued DRAM/PIM operation.
+        # Operations completing on one channel in one cycle share a visit.
         self._completion_heap: List[Tuple[int, int]] = []
         for ch in range(config.num_channels):
             self.input_buffers[ch].watch(self._l2_active, ch)
@@ -277,15 +270,13 @@ class GPUSystem:
         return run
 
     def _launch(self, run: KernelRun) -> None:
-        import numpy as np
-
         ctx = LaunchContext(
             mapper=self.mapper,
             num_channels=self.config.num_channels,
             banks_per_channel=self.config.banks_per_channel,
             num_sms=len(run.sm_indices),
             warps_per_sm=self.config.warps_per_sm,
-            rng=np.random.default_rng(self.seed),
+            rng=None,  # each warp draws from its own stream (KernelInstance.generate)
             scale=self.scale,
             rf_entries_per_bank=self.config.rf_entries_per_bank,
             kernel_id=run.kernel_id,
@@ -309,25 +300,14 @@ class GPUSystem:
 
     # -- per-cycle stages -----------------------------------------------------
 
-    def _schedule_completion(self, ch: int) -> None:
-        """Queue the channel's earliest in-flight DRAM/PIM completion."""
-        controller = self.controllers[ch]
-        due = controller.channel.next_completion_cycle()
-        pim_due = controller.pim_exec.next_completion_cycle()
-        if due is None or (pim_due is not None and pim_due < due):
-            due = pim_due
-        if due is not None:
-            heapq.heappush(self._completion_heap, (due, ch))
-
     def _stage_completions(self) -> None:
         heap = self._completion_heap
         cycle = self.cycle
         if not heap or heap[0][0] > cycle:
             return
-        # Nothing completes before a channel's earliest in-flight entry, and
-        # every issue and completion pass queues that entry, so only the
-        # channels popped here can complete this cycle.  They are processed
-        # in ascending order (reply sequence numbers follow visit order).
+        # Every issue queues its own completion cycle, so only the channels
+        # popped here can complete this cycle.  They are processed in
+        # ascending order (reply sequence numbers follow visit order).
         due = {heapq.heappop(heap)[1]}
         while heap and heap[0][0] <= cycle:
             due.add(heapq.heappop(heap)[1])
@@ -337,7 +317,6 @@ class GPUSystem:
         for ch in sorted(due):
             for request in self.controllers[ch].pop_completed(cycle):
                 self._handle_completion(ch, request, cycle)
-            self._schedule_completion(ch)
 
     def _handle_completion(self, ch: int, request: Request, cycle: int) -> None:
         if request.is_writeback:
@@ -385,10 +364,12 @@ class GPUSystem:
         cycle = self.cycle
         controllers = self.controllers
         wake_heap = self._wake_heap
+        completion_heap = self._completion_heap
         for ch in sorted(active):
             controller = controllers[ch]
-            if controller.tick(cycle) is not None:
-                self._schedule_completion(ch)
+            completion = controller.tick(cycle)
+            if completion is not None:
+                heapq.heappush(completion_heap, (completion, ch))
             if controller._dirty:
                 continue  # must re-evaluate next cycle
             wake = controller.next_wake_cycle(cycle)

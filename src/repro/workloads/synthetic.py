@@ -25,6 +25,7 @@ from typing import Iterator, List, Sequence, Tuple
 from repro.gpu.kernel import KernelSpec, LaunchContext, Phase
 from repro.pim.isa import PIMOp, PIMOpKind
 from repro.request import Request, RequestType
+from repro.rng import Stream
 
 
 def make_mem_request(
@@ -76,15 +77,13 @@ def _hot_region(
     Seeded by the kernel name alone, so it is the same for every warp and
     launch and is computed once per distinct set of inputs.
     """
-    import numpy as np
-
-    hot_rng = np.random.default_rng(zlib.crc32(name.encode()))
+    hot_rng = Stream(zlib.crc32(name.encode()))
     return tuple(
         (
-            int(hot_rng.integers(num_channels)),
-            int(hot_rng.integers(banks)),
-            int(hot_rng.integers(footprint_rows)),
-            int(hot_rng.integers(columns)),
+            hot_rng.integers(num_channels),
+            hot_rng.integers(banks),
+            hot_rng.integers(footprint_rows),
+            hot_rng.integers(columns),
         )
         for _ in range(hot_words)
     )

@@ -223,10 +223,9 @@ class TestWakeRules:
     def test_completion_leaves_controller_clean(self):
         ctl = make_controller("FCFS")
         ctl.enqueue(mem_request(), cycle=0)
-        ctl.tick(0)  # issues the MEM request
+        due = ctl.tick(0)  # issues the MEM request; returns its completion
         ctl.tick(1)  # nothing queued: sleeps
         assert not ctl._dirty
-        due = ctl.channel.next_completion_cycle()
         assert len(ctl.pop_completed(due)) == 1
         assert not ctl._dirty
 

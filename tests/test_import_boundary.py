@@ -3,10 +3,11 @@
 A process that only reads results — ``import repro``, a warm
 ``repro sweep --fail-on-miss``, a ``--merge-only`` merge, ``repro store
 verify`` — must not load numpy or the stdlib HTTP/TLS stack: together
-they were most of such a process's start-up.  numpy loads with the first
-system a process builds (and in a pooled sweep's parent, before the
-workers fork).  Each case runs in a fresh interpreter and checks
-``sys.modules``, never timings.
+they were most of such a process's start-up.  A process that simulates
+loads no numpy either: the warps draw from ``repro.rng.Stream``, a pure
+Python copy of numpy's generator, so building and running a system and a
+cold pooled sweep (parent and workers) stay clear of it.  Each case runs
+in a fresh interpreter and checks ``sys.modules``, never timings.
 """
 
 import ast
@@ -82,17 +83,20 @@ def test_store_verify_loads_nothing_heavy(warm_store):
     assert loaded(cli("store", "verify", "--cache-dir", warm_store)) == []
 
 
-def test_building_a_system_loads_numpy():
+def test_building_and_running_a_system_loads_no_numpy():
     body = """
 from repro.core.policies import PolicySpec
-from repro.engine_soa import create_system
 from repro.experiments import ExperimentScale
+from repro.sim.system import GPUSystem
+from repro.workloads import get_gpu_kernel, get_pim_kernel
 
-assert "numpy" not in sys.modules
-scale = ExperimentScale(num_channels=4)
-create_system(scale.config(1), PolicySpec("FR-FCFS"))
+scale = ExperimentScale(num_channels=4, workload_scale=0.01)
+system = GPUSystem(scale.config(1), PolicySpec("FR-FCFS"), scale=0.01)
+system.add_kernel(get_gpu_kernel("G17"), num_sms=4)
+system.add_kernel(get_pim_kernel("P2"), num_sms=4)
+assert system.run(max_cycles=2_000).cycles > 0
 """
-    assert "numpy" in loaded(body)
+    assert "numpy" not in loaded(body)
 
 
 def test_benchmark_warmup_builds_the_object_engine():
@@ -119,7 +123,15 @@ def test_benchmark_warmup_builds_the_object_engine():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_pooled_sweep_loads_numpy_before_forking(warm_store):
-    """Every cell is a warm hit, so only the parent's preload can load it."""
-    body = cli("sweep", *GRID_ARGS, "--workers", "2", "--fail-on-miss", "--cache-dir", warm_store)
-    assert "numpy" in loaded(body)
+def test_cold_pooled_sweep_loads_no_numpy(tmp_path):
+    """Two cells simulated by two forked workers.  numpy is blocked in the
+    parent before the pool forks, so a worker that imported it would fail
+    its cell, and ``--strict`` turns a failed cell into a failed sweep."""
+    vcs = GRID_ARGS.index("--vcs")
+    grid = [*GRID_ARGS[:vcs], "F3FS", *GRID_ARGS[vcs:]]
+    body = "\n".join((
+        'sys.modules["numpy"] = None',
+        cli("sweep", *grid, "--workers", "2", "--strict", "--cache-dir", str(tmp_path)),
+        'del sys.modules["numpy"]',
+    ))
+    assert "numpy" not in loaded(body)
