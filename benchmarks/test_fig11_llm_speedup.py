@@ -10,6 +10,10 @@ Ideal.  Paper shapes checked:
   interconnect is de-congested), and F3FS with its collaborative CAPs
   matches the best policies in both configurations.
 * F3FS beats FR-RR-FCFS in both configurations (paper: +11.23%/+7.37%).
+* No policy beats the perfect-overlap Ideal.  This holds at the setup of
+  record (scale 0.12, 8 channels), not at every scale: at scale 0.03
+  with 4 channels the QKV co-run finishes sooner than QKV alone, and
+  F3FS/FR-FCFS exceed Ideal (EXPERIMENTS.md, Figure 11).
 """
 
 from conftest import experiment_scale, write_result

@@ -22,31 +22,30 @@ See README.md for the architecture overview and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from repro.config import SystemConfig
-from repro.core import PAPER_POLICY_ORDER, PolicySpec, available_policies, make_policy
-from repro.dram import AddressMapper, DRAMTimings
-from repro.metrics import fairness_index, speedup, system_throughput
-from repro.request import Mode, Request, RequestType
-from repro.sim import GPUSystem, KernelResult, SimResult
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AddressMapper",
-    "DRAMTimings",
-    "GPUSystem",
-    "KernelResult",
-    "Mode",
-    "PAPER_POLICY_ORDER",
-    "PolicySpec",
-    "Request",
-    "RequestType",
-    "SimResult",
-    "SystemConfig",
-    "available_policies",
-    "fairness_index",
-    "make_policy",
-    "speedup",
-    "system_throughput",
-    "__version__",
-]
+#: Export name -> defining module, resolved on first access: ``import
+#: repro`` loads no engine, and ``from repro import GPUSystem`` loads it.
+_EXPORTS = {
+    "AddressMapper": "dram.address",
+    "DRAMTimings": "dram.timings",
+    "GPUSystem": "sim.system",
+    "KernelResult": "sim.results",
+    "Mode": "request",
+    "PAPER_POLICY_ORDER": "core.policies",
+    "PolicySpec": "core.policies",
+    "Request": "request",
+    "RequestType": "request",
+    "SimResult": "sim.results",
+    "SystemConfig": "config",
+    "available_policies": "core.policies",
+    "fairness_index": "metrics.fairness",
+    "make_policy": "core.policies",
+    "speedup": "metrics.fairness",
+    "system_throughput": "metrics.fairness",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__ = lazy_exports(__name__, _EXPORTS)

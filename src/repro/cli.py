@@ -7,13 +7,20 @@ Examples::
     python -m repro collaborative --policy FR-FCFS --vcs 2
     python -m repro figure fig11 --policies FR-FCFS F3FS
     python -m repro figure fig8 --gpus G6 G17 --pims P1 P2
+    python -m repro figure all --cache-dir store --fail-on-miss
     python -m repro trace --gpu G19 --pim P1 --policy F3FS --vcs 2 --out trace.json
 
 Figure commands print the same tables the benchmark harness writes to
 ``benchmarks/results/`` — at their default subsets, byte for byte — from
 the one definition per figure in ``repro.experiments.figures.FIGURES``.
 Figure 14b is the exception: it sweeps one scale per NoC queue size, so
-only ``benchmarks/test_fig14b_queue_sensitivity.py`` builds it.
+only ``benchmarks/test_fig14b_queue_sensitivity.py`` builds it.  With
+``--cache-dir`` a figure's cells go through the result store, so a second
+render reads them back and simulates nothing.
+
+A command loads the cycle engine only when it simulates: the package
+exports resolve lazily, and a sweep imports its process pool only when
+it forks one.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from repro.experiments import (
     ExperimentScale,
     Runner,
     collaborative_policy,
-    figure_table,
+    figure_tables,
     format_table,
 )
 from repro.resilience import Watchdog
@@ -70,6 +77,29 @@ def _add_subset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pims", nargs="*", choices=pim_ids())
     parser.add_argument("--policies", nargs="*", type=_policy_name, choices=PAPER_POLICY_ORDER)
     _add_scale_args(parser)
+
+
+def _add_store_args(parser: argparse.ArgumentParser) -> None:
+    """The result store of ``figure``, ``report`` and ``sweep``."""
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        help="result-store root; completed cells persist here as they finish",
+    )
+    parser.add_argument(
+        "--fail-on-miss",
+        action="store_true",
+        help="exit 1 if any cell had to be simulated (determinism canary)",
+    )
+
+
+def _missed(args, misses: int, file=None) -> int:
+    """Exit status of ``--fail-on-miss``: 1, saying so on ``file``
+    (default stdout), if cells simulated."""
+    if args.fail_on_miss and misses:
+        print(f"FAIL: expected a fully warm cache but {misses} cells simulated", file=file)
+        return 1
+    return 0
 
 
 def _scale(args) -> ExperimentScale:
@@ -214,9 +244,20 @@ def cmd_collaborative(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    _, rows, columns = figure_table(args.name, _scale(args), args.gpus, args.pims, args.policies)
-    print(format_table(rows, columns))
-    return 0
+    """Print one figure's table, or with ``all`` every figure's, each
+    under a ``== name ==`` line, from one sweep over their cells."""
+    names = list(FIGURES) if args.name == "all" else [args.name]
+    reports = []
+    tables = figure_tables(
+        names, _scale(args), args.gpus, args.pims, args.policies,
+        store_dir=args.cache_dir, on_sweep=reports.append,
+    )
+    for name in names:
+        _, rows, columns = tables[name]
+        if args.name == "all":
+            print(f"== {name} ==")
+        print(format_table(rows, columns))
+    return _missed(args, sum(report.misses for report in reports), sys.stderr)
 
 
 def cmd_trace(args) -> int:
@@ -364,10 +405,7 @@ def cmd_sweep(args) -> int:
         if failures and args.strict:
             print(f"FAIL: {len(failures)} cell(s) quarantined (--strict)", file=sys.stderr)
             return 2
-        if args.fail_on_miss and misses:
-            print(f"FAIL: expected a fully warm cache but {misses} cells simulated")
-            return 1
-        return 0
+        return _missed(args, misses)
     finally:
         if server is not None:
             server.close()
@@ -603,11 +641,17 @@ def cmd_store(args) -> int:
 def cmd_report(args) -> int:
     from repro.experiments.report import generate_report
 
+    reports = []
     text = generate_report(
-        _scale(args), gpu_subset=args.gpus, pim_subset=args.pims, policies=args.policies
+        _scale(args),
+        gpu_subset=args.gpus,
+        pim_subset=args.pims,
+        policies=args.policies,
+        store_dir=args.cache_dir,
+        on_sweep=reports.append,
     )
     _write(text, args.out, "report")
-    return 0
+    return _missed(args, sum(report.misses for report in reports), sys.stderr)
 
 
 def _write(text: str, out: str, what: str) -> None:
@@ -650,8 +694,9 @@ def build_parser() -> argparse.ArgumentParser:
     collab.set_defaults(func=cmd_collaborative)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure's table")
-    figure.add_argument("name", choices=list(FIGURES))
+    figure.add_argument("name", choices=[*FIGURES, "all"])
     _add_subset_args(figure)
+    _add_store_args(figure)
     figure.set_defaults(func=cmd_figure)
 
     trace = sub.add_parser(
@@ -677,11 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_grid_args(sweep)
     sweep.add_argument("--workers", type=int, default=1, help="worker processes")
-    sweep.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-store root; completed cells persist here as they finish",
-    )
+    _add_store_args(sweep)
     sweep.add_argument(
         "--shard",
         default=None,
@@ -706,11 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--merge-only",
         action="store_true",
         help="assemble the full table from the store without running anything",
-    )
-    sweep.add_argument(
-        "--fail-on-miss",
-        action="store_true",
-        help="exit 1 if any cell had to be simulated (determinism canary)",
     )
     sweep.add_argument(
         "--cell-timeout",
@@ -887,6 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="generate a markdown reproduction report")
     report.add_argument("--out", default="-", help="output file ('-' = stdout)")
     _add_subset_args(report)
+    _add_store_args(report)
     report.set_defaults(func=cmd_report)
 
     return parser

@@ -1,23 +1,18 @@
 """The paper's core contribution: PIM-aware memory-controller scheduling."""
 
-from repro.core.controller import ControllerStats, MemoryController, SwitchRecord
-from repro.core.policies import (
-    PAPER_POLICY_ORDER,
-    PolicySpec,
-    SchedulingPolicy,
-    available_policies,
-    make_policy,
-    register_policy,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ControllerStats",
-    "MemoryController",
-    "PAPER_POLICY_ORDER",
-    "PolicySpec",
-    "SchedulingPolicy",
-    "SwitchRecord",
-    "available_policies",
-    "make_policy",
-    "register_policy",
-]
+_EXPORTS = {
+    "ControllerStats": "controller",
+    "MemoryController": "controller",
+    "SwitchRecord": "controller",
+    "PAPER_POLICY_ORDER": "policies",
+    "PolicySpec": "policies",
+    "SchedulingPolicy": "policies",
+    "available_policies": "policies",
+    "make_policy": "policies",
+    "register_policy": "policies",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -1,32 +1,28 @@
 """HBM DRAM substrate: timings, address mapping, banks, channels."""
 
-from repro.dram.address import PAPER_ADDRESS_MAP, AddressMapper, DecodedAddress, scaled_address_map
-from repro.dram.bank import AccessKind, Bank, BankState
-from repro.dram.channel import Channel, ChannelStats, merge_intervals
-from repro.dram.power import EnergyAccountant, EnergyBreakdown, EnergyParams
-from repro.dram.refresh import RefreshTimer
-from repro.dram.storage import DataStore
-from repro.dram.timings import DRAMTimings
-from repro.dram.validate import Command, Violation, validate_command_log
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AccessKind",
-    "AddressMapper",
-    "Bank",
-    "BankState",
-    "Channel",
-    "ChannelStats",
-    "Command",
-    "DRAMTimings",
-    "DataStore",
-    "DecodedAddress",
-    "EnergyAccountant",
-    "EnergyBreakdown",
-    "EnergyParams",
-    "PAPER_ADDRESS_MAP",
-    "RefreshTimer",
-    "Violation",
-    "merge_intervals",
-    "scaled_address_map",
-    "validate_command_log",
-]
+_EXPORTS = {
+    "AccessKind": "bank",
+    "Bank": "bank",
+    "BankState": "bank",
+    "AddressMapper": "address",
+    "DecodedAddress": "address",
+    "PAPER_ADDRESS_MAP": "address",
+    "scaled_address_map": "address",
+    "Channel": "channel",
+    "ChannelStats": "channel",
+    "merge_intervals": "channel",
+    "EnergyAccountant": "power",
+    "EnergyBreakdown": "power",
+    "EnergyParams": "power",
+    "RefreshTimer": "refresh",
+    "DataStore": "storage",
+    "DRAMTimings": "timings",
+    "Command": "validate",
+    "Violation": "validate",
+    "validate_command_log": "validate",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

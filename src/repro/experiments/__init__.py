@@ -1,73 +1,41 @@
 """Experiment harnesses: runners, per-figure sweeps, sensitivity studies."""
 
-from repro.experiments.figures import (
-    ABLATION_STAGES,
-    FIGURES,
-    collaborative_policy,
-    fig14b_queue_sensitivity,
-    figure_table,
-    figure_tables,
-    format_table,
-    latency_breakdown_rows,
-)
-from repro.experiments.runner import (
-    BASELINE_POLICY,
-    CollaborativeOutcome,
-    CompetitiveOutcome,
-    ExperimentScale,
-    GridTask,
-    Runner,
-    cell_key,
-    make_cell,
-)
-from repro.experiments.parallel import (
-    GridReport,
-    SweepAborted,
-    collect_from_store,
-    make_tasks,
-    run_sweep,
-    shard_indices,
-)
-from repro.resilience import CellFailure, RetryPolicy
-from repro.experiments.report import generate_report, telemetry_section
-from repro.experiments.sweep import (
-    default_grid_tasks,
-    run_cells,
-    sweep_f3fs_caps,
-    sweep_policy_parameter,
-    sweep_rows,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ABLATION_STAGES",
-    "BASELINE_POLICY",
-    "FIGURES",
-    "CollaborativeOutcome",
-    "CompetitiveOutcome",
-    "ExperimentScale",
-    "Runner",
-    "cell_key",
-    "collaborative_policy",
-    "fig14b_queue_sensitivity",
-    "figure_table",
-    "figure_tables",
-    "format_table",
-    "generate_report",
-    "latency_breakdown_rows",
-    "telemetry_section",
-    "CellFailure",
-    "GridReport",
-    "GridTask",
-    "RetryPolicy",
-    "SweepAborted",
-    "collect_from_store",
-    "default_grid_tasks",
-    "make_cell",
-    "make_tasks",
-    "run_cells",
-    "run_sweep",
-    "shard_indices",
-    "sweep_f3fs_caps",
-    "sweep_policy_parameter",
-    "sweep_rows",
-]
+_EXPORTS = {
+    "ABLATION_STAGES": "figures",
+    "FIGURES": "figures",
+    "collaborative_policy": "figures",
+    "fig14b_queue_sensitivity": "figures",
+    "figure_table": "figures",
+    "figure_tables": "figures",
+    "format_table": "figures",
+    "latency_breakdown_rows": "figures",
+    "BASELINE_POLICY": "runner",
+    "CollaborativeOutcome": "runner",
+    "CompetitiveOutcome": "runner",
+    "ExperimentScale": "runner",
+    "GridTask": "runner",
+    "Runner": "runner",
+    "cell_key": "runner",
+    "make_cell": "runner",
+    # Defined in repro.resilience.cells; parallel imports them.
+    "CellFailure": "parallel",
+    "RetryPolicy": "parallel",
+    "GridReport": "parallel",
+    "SweepAborted": "parallel",
+    "collect_from_store": "parallel",
+    "make_tasks": "parallel",
+    "run_sweep": "parallel",
+    "shard_indices": "parallel",
+    "generate_report": "report",
+    "telemetry_section": "report",
+    "default_grid_tasks": "sweep",
+    "run_cells": "sweep",
+    "sweep_f3fs_caps": "sweep",
+    "sweep_policy_parameter": "sweep",
+    "sweep_rows": "sweep",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -16,7 +16,7 @@ from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.policies import PAPER_POLICY_ORDER, PolicySpec
-from repro.experiments.parallel import make_tasks
+from repro.experiments.parallel import GridReport, make_tasks
 from repro.experiments.runner import LLM_STAGES, ExperimentScale, GridTask, make_cell
 from repro.experiments.sweep import (
     DEFAULT_GPU_SUBSET,
@@ -475,10 +475,11 @@ def figure_tables(
     pims: Optional[Sequence[str]] = None,
     policies: Optional[Sequence[str]] = None,
     store_dir: Optional[str] = None,
+    on_sweep: Optional[Callable[[GridReport], None]] = None,
 ) -> Dict[str, Tuple[object, List[Dict], List[str]]]:
     """``{name: (data, rows, columns)}`` for figures ``names``, from one
     sweep over the union of their cells (through the result store at
-    ``store_dir``, if given).
+    ``store_dir``, if given; its report goes to ``on_sweep``).
 
     An empty or missing subset takes each figure's default.  A cell that
     fails raises ``RuntimeError`` naming it; no table is rendered then.
@@ -489,7 +490,7 @@ def figure_tables(
         defaults = (figure.gpus, figure.pims, figure.policies)
         subsets[name] = [list(given or d) for given, d in zip((gpus, pims, policies), defaults)]
     cells = [cell for name in names for cell in FIGURES[name].cells(*subsets[name])]
-    outcomes = run_cells(scale, cells, store_dir)
+    outcomes = run_cells(scale, cells, store_dir, on_sweep)
     tables = {}
     for name in names:
         figure = FIGURES[name]

@@ -53,7 +53,6 @@ from repro.resilience.cells import (
     RetryPolicy,
     classify_failure,
 )
-from repro.resilience.supervisor import Supervisor
 from repro.resilience.watchdog import Watchdog
 
 
@@ -198,14 +197,12 @@ def _apply_post_fault(task: GridTask) -> None:
         fault_injection.corrupt_store_object(_WORKER_RUNNER.store, key)
 
 
-def _run_task(task: GridTask) -> Dict:
-    """Worker entry point (module-level for pickling).
+def _run_cell(task: GridTask) -> Tuple[object, Optional[Dict], str]:
+    """``(outcome, snapshot|None, how)`` of one cell on this process's Runner.
 
-    Returns ``{"outcome": value, "perf": snapshot|None, "store": how}``;
-    ``value`` is the outcome's store document value, the snapshot is the
-    task's own engine wall-clock plus store hit/miss counts (the shared
-    counter is reset before the run), and ``how`` is :meth:`Runner.run`'s
-    ("memo"/"hit"/"miss").
+    The snapshot is the task's own engine wall-clock plus store hit/miss
+    counts (the shared counter is reset before the run), and ``how`` is
+    :meth:`Runner.run`'s ("memo"/"hit"/"miss").
     """
     _apply_pre_fault(task)
     perf = _WORKER_RUNNER.perf
@@ -213,11 +210,15 @@ def _run_task(task: GridTask) -> Dict:
         perf.reset()
     outcome, how = _WORKER_RUNNER.run(task)
     _apply_post_fault(task)
-    return {
-        "outcome": outcome_value(outcome),
-        "perf": perf.snapshot() if perf is not None else None,
-        "store": how,
-    }
+    return outcome, perf.snapshot() if perf is not None else None, how
+
+
+def _run_task(task: GridTask) -> Dict:
+    """Pool worker entry point (module-level for pickling): :func:`_run_cell`
+    as ``{"outcome": value, "perf": snapshot, "store": how}``, where
+    ``value`` is the outcome's store document value."""
+    outcome, perf, how = _run_cell(task)
+    return {"outcome": outcome_value(outcome), "perf": perf, "store": how}
 
 
 def run_sweep(
@@ -332,19 +333,21 @@ def run_sweep(
         if publisher is not None:
             publisher.record_quarantine(failure.to_dict())
 
-    def fold(position: int, record: Dict) -> None:
-        report.outcomes[selected[position]] = load_outcome(
-            subset[position].kind, record["outcome"]
-        )
-        hit = record["store"] != "miss"
+    def completed_cell(position: int, outcome: object, perf: Optional[Dict], how: str) -> None:
+        nonlocal completed
+        report.outcomes[selected[position]] = outcome
+        hit = how != "miss"
         if hit:
             report.hits += 1
         else:
             report.misses += 1
-        if report.counters is not None and record["perf"]:
-            report.counters.merge_snapshot(record["perf"])
+        if report.counters is not None and perf:
+            report.counters.merge_snapshot(perf)
         if publisher is not None:
             publisher.record_completion(hit=hit)
+        completed += 1
+        if abort_after is not None and completed >= abort_after:
+            raise SweepAborted(completed)
 
     def finalize(state: str) -> None:
         """Publish the final heartbeat and journal the run's summary line.
@@ -368,13 +371,6 @@ def run_sweep(
                 shard=list(shard) if shard is not None else None,
             )
 
-    def completed_cell(position: int, record: Dict) -> None:
-        nonlocal completed
-        fold(position, record)
-        completed += 1
-        if abort_after is not None and completed >= abort_after:
-            raise SweepAborted(completed)
-
     # Each retry reaches status.json from the cell table as it happens.
     record_retry = publisher.record_retry if publisher is not None else None
     completed = 0
@@ -393,7 +389,7 @@ def run_sweep(
                     while cell.state == PENDING:
                         cells.lease(position)
                         try:
-                            record = _run_task(task)
+                            outcome, perf, how = _run_cell(task)
                         except Exception as exc:
                             event = cells.fail(
                                 position,
@@ -406,10 +402,16 @@ def run_sweep(
                                 time.sleep(event["delay"])
                             continue
                         cells.complete(position)
-                        completed_cell(position, record)
+                        completed_cell(position, outcome, perf, how)
             finally:
                 _WORKER_RUNNER = None
         else:
+            from repro.resilience.supervisor import Supervisor
+
+            def shipped(position: int, record: Dict) -> None:
+                outcome = load_outcome(subset[position].kind, record["outcome"])
+                completed_cell(position, outcome, record["perf"], record["store"])
+
             supervisor = Supervisor(
                 _run_task,
                 max_workers=max_workers,
@@ -423,7 +425,7 @@ def run_sweep(
             supervisor.on_retry = record_retry
             if publisher is not None:
                 supervisor.on_heartbeat = publisher.record_in_flight
-            supervisor.run(subset, completed_cell)
+            supervisor.run(subset, shipped)
             report.retry_events.extend(supervisor.events)
     except BaseException:
         finalize("aborted")

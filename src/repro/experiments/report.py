@@ -10,9 +10,10 @@ report`` command.  Each section's table is the one
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.experiments.figures import figure_tables, format_value
+from repro.experiments.parallel import GridReport
 from repro.experiments.runner import ExperimentScale
 from repro.experiments.sweep import DEFAULT_GPU_SUBSET, DEFAULT_PIM_SUBSET
 
@@ -70,8 +71,12 @@ def generate_report(
     pim_subset: Optional[Sequence[str]] = None,
     policies: Optional[Sequence[str]] = None,
     title: str = "Reproduction report",
+    store_dir: Optional[str] = None,
+    on_sweep: Optional[Callable[[GridReport], None]] = None,
 ) -> str:
-    """Run the core experiments and render a markdown report."""
+    """Run the core experiments and render a markdown report (the cells
+    go through the result store at ``store_dir``, if given, and the
+    sweep's report to ``on_sweep``; see :func:`figure_tables`)."""
     gpu_subset = list(gpu_subset or DEFAULT_GPU_SUBSET)
     pim_subset = list(pim_subset or DEFAULT_PIM_SUBSET)
     sections: List[str] = [f"# {title}", ""]
@@ -82,7 +87,15 @@ def generate_report(
         f"seed {scale.seed}."
     )
     sections.append(f"\nKernels: GPU {gpu_subset}, PIM {pim_subset}.\n")
-    tables = figure_tables([name for _, name in SECTIONS], scale, gpu_subset, pim_subset, policies)
+    tables = figure_tables(
+        [name for _, name in SECTIONS],
+        scale,
+        gpu_subset,
+        pim_subset,
+        policies,
+        store_dir,
+        on_sweep,
+    )
     for heading, name in SECTIONS:
         _, rows, columns = tables[name]
         sections += [f"## {heading}\n", _md_table(rows, columns), ""]

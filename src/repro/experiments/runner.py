@@ -20,7 +20,7 @@ remainder for the GPU kernel under co-execution (72 SMs → ``gpu_sms_corun``).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.core.policies import PolicySpec
@@ -33,8 +33,10 @@ from repro.metrics.fairness import (
     system_throughput,
 )
 from repro.sim.results import SimResult
-from repro.sim.system import GPUSystem, KernelRun
 from repro.workloads import PIM_SUITE, get_gpu_kernel, get_pim_kernel, llm_kernels
+
+if TYPE_CHECKING:  # the engine loads only when a cell is simulated (_build_system)
+    from repro.sim.system import GPUSystem, KernelRun
 
 #: Policy used for standalone baselines (the paper's characterization runs
 #: use FR-FCFS; baselines must not depend on the policy under test).

@@ -14,10 +14,10 @@ result store that later calls then read instead of simulating.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import PAPER_POLICY_ORDER, PolicySpec
-from repro.experiments.parallel import GridTask, make_tasks, run_sweep
+from repro.experiments.parallel import GridReport, GridTask, make_tasks, run_sweep
 from repro.experiments.runner import CompetitiveOutcome, ExperimentScale
 from repro.metrics.stats import arithmetic_mean
 from repro.resilience.cells import RetryPolicy
@@ -75,9 +75,12 @@ def run_cells(
     scale: ExperimentScale,
     tasks: Sequence[GridTask],
     store_dir: Optional[str] = None,
+    on_sweep: Optional[Callable[[GridReport], None]] = None,
 ) -> Dict[GridTask, object]:
     """``{cell: outcome}`` for ``tasks`` (duplicates run once), from one
-    :func:`~repro.experiments.parallel.run_sweep`.
+    :func:`~repro.experiments.parallel.run_sweep`, whose report goes to
+    ``on_sweep`` if given (``repro figure --fail-on-miss`` counts its
+    simulated cells).
 
     A figure or sweep point needs every cell, so a quarantined cell
     raises ``RuntimeError`` naming it and its error instead of degrading
@@ -85,6 +88,8 @@ def run_cells(
     """
     tasks = list(dict.fromkeys(tasks))
     report = run_sweep(scale, tasks, store_dir=store_dir, retry=RetryPolicy(retries=0))
+    if on_sweep is not None:
+        on_sweep(report)
     failed = report.failed_outcomes
     if failed:
         summary = ", ".join(f"{f.label} ({f.kind}: {f.message})" for f in failed[:5])

@@ -1,6 +1,15 @@
 """Host-side GPU substrate: SMs, kernels, warp programs."""
 
-from repro.gpu.kernel import KernelInstance, KernelSpec, LaunchContext, Phase
-from repro.gpu.sm import SM, WarpState
+from repro._exports import lazy_exports
 
-__all__ = ["KernelInstance", "KernelSpec", "LaunchContext", "Phase", "SM", "WarpState"]
+_EXPORTS = {
+    "KernelInstance": "kernel",
+    "KernelSpec": "kernel",
+    "LaunchContext": "kernel",
+    "Phase": "kernel",
+    "SM": "sm",
+    "WarpState": "sm",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -31,7 +31,7 @@ journal events (:mod:`repro.obs.server`, wired to
 See ``docs/observability.md`` for the architecture and a walkthrough.
 """
 
-from importlib import import_module
+from repro._exports import lazy_exports
 
 #: Export name -> defining submodule.  Resolved on first access (PEP 562),
 #: so importing one submodule — the engine imports ``repro.obs.events`` —
@@ -60,12 +60,4 @@ _EXPORTS = {
 }
 
 __all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_exports(__name__, _EXPORTS)

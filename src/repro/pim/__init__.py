@@ -1,33 +1,26 @@
 """PIM substrate: ISA, functional units, lock-step executor."""
 
-from repro.pim.executor import PIMExecutor, PIMStats
-from repro.pim.fu import FunctionalUnit, RegisterFile
-from repro.pim.isa import PIM_ADD, PIM_LOAD, PIM_MAC, PIM_MUL, PIM_STORE, PIMOp, PIMOpKind
-from repro.pim.program import (
-    CompiledPIMKernel,
-    PIMProgram,
-    PIMProgramError,
-    RegisterHandle,
-    VectorHandle,
-    vector_add_program,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CompiledPIMKernel",
-    "FunctionalUnit",
-    "PIMExecutor",
-    "PIMOp",
-    "PIMOpKind",
-    "PIMProgram",
-    "PIMProgramError",
-    "PIMStats",
-    "PIM_ADD",
-    "PIM_LOAD",
-    "PIM_MAC",
-    "PIM_MUL",
-    "PIM_STORE",
-    "RegisterFile",
-    "RegisterHandle",
-    "VectorHandle",
-    "vector_add_program",
-]
+_EXPORTS = {
+    "PIMExecutor": "executor",
+    "PIMStats": "executor",
+    "FunctionalUnit": "fu",
+    "RegisterFile": "fu",
+    "PIM_ADD": "isa",
+    "PIM_LOAD": "isa",
+    "PIM_MAC": "isa",
+    "PIM_MUL": "isa",
+    "PIM_STORE": "isa",
+    "PIMOp": "isa",
+    "PIMOpKind": "isa",
+    "CompiledPIMKernel": "program",
+    "PIMProgram": "program",
+    "PIMProgramError": "program",
+    "RegisterHandle": "program",
+    "VectorHandle": "program",
+    "vector_add_program": "program",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -19,26 +19,22 @@ backoff or quarantined — shared by every grid dispatcher):
   behavior end-to-end.
 """
 
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    FaultInjected,
-    FaultPlan,
-    FaultSpec,
-)
-from repro.resilience.cells import CellFailure, CellTable, RetryPolicy
-from repro.resilience.supervisor import Supervisor
-from repro.resilience.watchdog import SimulationStalled, Watchdog, stall_diagnostic
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CellFailure",
-    "CellTable",
-    "FAULT_KINDS",
-    "FaultInjected",
-    "FaultPlan",
-    "FaultSpec",
-    "RetryPolicy",
-    "SimulationStalled",
-    "Supervisor",
-    "Watchdog",
-    "stall_diagnostic",
-]
+#: The supervisor imports the process pool, so only a pooled sweep loads it.
+_EXPORTS = {
+    "CellFailure": "cells",
+    "CellTable": "cells",
+    "RetryPolicy": "cells",
+    "FAULT_KINDS": "faults",
+    "FaultInjected": "faults",
+    "FaultPlan": "faults",
+    "FaultSpec": "faults",
+    "Supervisor": "supervisor",
+    "SimulationStalled": "watchdog",
+    "Watchdog": "watchdog",
+    "stall_diagnostic": "watchdog",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -1,25 +1,19 @@
 """Full-system simulation: wiring, cycle engine, results, exporters."""
 
-from repro.sim.export import (
-    kernel_to_dict,
-    load_result_json,
-    result_to_dict,
-    save_kernels_csv,
-    save_result_json,
-    save_rows_csv,
-)
-from repro.sim.results import KernelResult, SimResult
-from repro.sim.system import GPUSystem, KernelRun
+from repro._exports import lazy_exports
 
-__all__ = [
-    "GPUSystem",
-    "KernelResult",
-    "KernelRun",
-    "SimResult",
-    "kernel_to_dict",
-    "load_result_json",
-    "result_to_dict",
-    "save_kernels_csv",
-    "save_result_json",
-    "save_rows_csv",
-]
+_EXPORTS = {
+    "GPUSystem": "system",
+    "KernelRun": "system",
+    "KernelResult": "results",
+    "SimResult": "results",
+    "kernel_to_dict": "export",
+    "load_result_json": "export",
+    "result_to_dict": "export",
+    "save_kernels_csv": "export",
+    "save_result_json": "export",
+    "save_rows_csv": "export",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

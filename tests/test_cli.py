@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import FIGURES
+from repro.sim.system import GPUSystem
 
 RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
@@ -126,6 +127,36 @@ class TestCommands:
             committed = [c for c in committed if not re.fullmatch(r"G\d+", c)]
             committed.insert(2, "G17")
         assert printed == committed
+
+    @pytest.mark.parametrize("command", [["figure", "all"], ["report"]], ids=["figure", "report"])
+    def test_warm_render_prints_the_same_bytes(self, command, capsys, tmp_path, monkeypatch):
+        """A render through ``--cache-dir`` fills the store; the next one
+        reads it back: the same bytes, 0 cells simulated."""
+        argv = [
+            *command, "--gpus", "G17", "--pims", "P2", "--policies", "FR-FCFS",
+            "--scale", "0.001", "--channels", "4", "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv + ["--fail-on-miss"]) == 1  # cold: simulates
+        cold = capsys.readouterr()
+        assert re.search(r"FAIL: expected a fully warm cache but \d+ cells simulated", cold.err)
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a warm render ran a simulation")
+
+        monkeypatch.setattr(GPUSystem, "run", no_simulation)
+        assert main(argv + ["--fail-on-miss"]) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold.out
+        assert "FAIL" not in warm.err
+
+    def test_figure_all_prints_every_figure(self, capsys):
+        argv = [
+            "figure", "all", "--gpus", "G17", "--pims", "P2", "--policies", "FCFS",
+            "--scale", "0.001", "--channels", "4",
+        ]
+        assert main(argv) == 0
+        headings = [line for line in capsys.readouterr().out.splitlines() if line.startswith("==")]
+        assert headings == [f"== {name} ==" for name in FIGURES]
 
     def test_profile_flag(self, capsys):
         assert main(["--profile", "list"]) == 0

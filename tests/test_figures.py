@@ -93,6 +93,12 @@ class TestFig10:
 
 class TestFig11:
     def test_ideal_bounds_everything(self, store):
+        """At ``TINY`` (scale 0.05, 4/3/1 SMs, VC2) no policy beats Ideal.
+
+        This holds at this scale, not at every one: at scale 0.03 with 4
+        channels and the default SMs the QKV co-run finishes sooner than
+        QKV alone, and F3FS/FR-FCFS exceed Ideal (EXPERIMENTS.md, Figure 11).
+        """
         data = reduce(store, "fig11", GPUS, PIMS, POLICIES, vc_configs=(2,))
         ideal = data[2]["Ideal"]
         for name, value in data[2].items():

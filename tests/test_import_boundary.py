@@ -2,12 +2,15 @@
 
 A process that only reads results — ``import repro``, a warm
 ``repro sweep --fail-on-miss``, a ``--merge-only`` merge, ``repro store
-verify`` — must not load numpy or the stdlib HTTP/TLS stack: together
-they were most of such a process's start-up.  A process that simulates
-loads no numpy either: the warps draw from ``repro.rng.Stream``, a pure
-Python copy of numpy's generator, so building and running a system and a
-cold pooled sweep (parent and workers) stay clear of it.  Each case runs
-in a fresh interpreter and checks ``sys.modules``, never timings.
+verify``, a warm ``repro figure --fail-on-miss`` — must not load numpy,
+the stdlib HTTP/TLS stack, the cycle engine or the process pool: together
+they were most of such a process's start-up.  The package exports
+resolve lazily (PEP 562), so importing a package loads none of its
+submodules.  A process that simulates loads no numpy either: the warps
+draw from ``repro.rng.Stream``, a pure Python copy of numpy's generator,
+so building and running a system and a cold pooled sweep (parent and
+workers) stay clear of it.  Each case runs in a fresh interpreter and
+checks ``sys.modules``, never timings.
 """
 
 import ast
@@ -21,8 +24,33 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-#: Modules a process that does not simulate must leave unloaded.
-HEAVY = ("numpy", "http.server", "ssl")
+#: Modules a process that does not simulate must leave unloaded: numpy
+#: and the HTTP/TLS stack, the cycle engine, and the process pool.
+HEAVY = (
+    "numpy",
+    "http.server",
+    "ssl",
+    "repro.sim.system",
+    "repro.core.controller",
+    "repro.noc.islip",
+    "repro.dram.channel",
+    "repro.pim.executor",
+    "concurrent.futures.process",
+    "multiprocessing",
+)
+
+#: Every package whose exports resolve on first access.
+LAZY_PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.dram",
+    "repro.experiments",
+    "repro.gpu",
+    "repro.obs",
+    "repro.pim",
+    "repro.resilience",
+    "repro.sim",
+)
 
 #: A one-cell grid.
 GRID_ARGS = [
@@ -55,12 +83,27 @@ def cli(*argv: str) -> str:
     return f"from repro.cli import main\nif main({list(argv)!r}):\n    sys.exit('CLI failed')"
 
 
+#: Every figure at one GPU, one PIM kernel and one policy.
+FIGURE_ARGS = [
+    "all", "--gpus", "G17", "--pims", "P2", "--policies", "FR-FCFS",
+    "--scale", "0.001", "--channels", "4",
+]
+
+
 @pytest.fixture(scope="module")
 def warm_store(tmp_path_factory):
     """A store holding the one-cell grid, filled by a child process (so its
     code version is the children's, whatever this process has cached)."""
     store = str(tmp_path_factory.mktemp("warm-store"))
     loaded(cli("sweep", *GRID_ARGS, "--cache-dir", store))
+    return store
+
+
+@pytest.fixture(scope="module")
+def figure_store(tmp_path_factory):
+    """A store holding every figure's cells at :data:`FIGURE_ARGS`."""
+    store = str(tmp_path_factory.mktemp("figure-store"))
+    loaded(cli("figure", *FIGURE_ARGS, "--cache-dir", store))
     return store
 
 
@@ -81,6 +124,36 @@ def test_merge_only_loads_nothing_heavy(warm_store):
 
 def test_store_verify_loads_nothing_heavy(warm_store):
     assert loaded(cli("store", "verify", "--cache-dir", warm_store)) == []
+
+
+def test_warm_figure_loads_nothing_heavy(figure_store):
+    body = cli("figure", *FIGURE_ARGS, "--fail-on-miss", "--cache-dir", figure_store)
+    assert loaded(body) == []
+
+
+def test_every_lazy_export_resolves():
+    """Each name in a lazy package's ``__all__`` resolves, before and after
+    every submodule is imported (a submodule named like an export would
+    then shadow it), and ``from repro import *`` works."""
+    body = f"""
+import importlib, pkgutil, types
+from repro import *
+
+def check():
+    for name in {LAZY_PACKAGES!r}:
+        package = importlib.import_module(name)
+        for export in package.__all__:
+            value = getattr(package, export)
+            assert not isinstance(value, types.ModuleType), (name, export)
+
+check()
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if info.name != "repro.__main__":
+        importlib.import_module(info.name)
+check()
+"""
+    loaded(body)
 
 
 def test_building_and_running_a_system_loads_no_numpy():
