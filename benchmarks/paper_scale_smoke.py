@@ -17,10 +17,14 @@ with a loose wall-clock ceiling, not a benchmark.  At the default window
 it also gates bit identity at a machine size the figure-grid digests do
 not cover: the MEM and PIM issue counts must equal
 :data:`EXPECTED_ISSUED` exactly (a deliberate model change updates them).
+With ``--telemetry`` the same window runs with telemetry on: the counts
+must not move, and the PIM hop histograms must hold exactly the PIM ops
+that completed within the window (a PIM op retires as it issues, but is
+folded only once it lands).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/paper_scale_smoke.py
+    PYTHONPATH=src python benchmarks/paper_scale_smoke.py [--telemetry]
 
 Exit status 0 on success, 1 on failure.
 """
@@ -59,12 +63,19 @@ def main(argv=None) -> int:
         default=DEFAULT_BUDGET,
         help="fail if the window takes longer than this",
     )
+    parser.add_argument(
+        "--telemetry",
+        action="store_true",
+        help="run with telemetry on and check the folded PIM op count",
+    )
     args = parser.parse_args(argv)
 
     reset_request_ids()
     config = SystemConfig.paper()
     gpu_sms = config.num_sms * 8 // 10  # the standard GPU-heavy 8:2 split
     system = create_system(config, PolicySpec("FR-FCFS"), seed=1)
+    if args.telemetry:
+        system.enable_telemetry(timeline_interval=None)
     system.add_kernel(get_gpu_kernel("G17"), num_sms=gpu_sms, loop=True)
     system.add_kernel(get_pim_kernel("P1"), num_sms=config.num_sms - gpu_sms, loop=True)
 
@@ -88,12 +99,31 @@ def main(argv=None) -> int:
             f"window issues mem={mem_expected}, pim={pim_expected}"
         )
         ok = False
+    if args.telemetry:
+        # Ops run one at a time per executor, so only each executor's last
+        # op can still be in flight; it ends with its last busy interval.
+        executed = sum(e.stats.ops_executed for e in system.pim_execs)
+        in_flight = sum(
+            1
+            for e in system.pim_execs
+            if e.busy_intervals and e.busy_intervals[-1][1] >= system.cycle
+        )
+        folded = system.telemetry.stage_hist("pim", "total").total
+        if folded != executed - in_flight:
+            print(
+                f"FAIL: telemetry folded {folded} PIM ops; "
+                f"{executed - in_flight} of {executed} completed in the window"
+            )
+            ok = False
     if wall > args.budget_seconds:
         print(f"FAIL: {wall:.1f}s exceeds the {args.budget_seconds:.0f}s budget")
         ok = False
     status = "PASS" if ok else "FAIL"
+    label = "paper-scale"
+    if args.telemetry:
+        label += f", telemetry: {folded} PIM ops folded"
     print(
-        f"{status} [paper-scale]: {config.num_channels}ch x "
+        f"{status} [{label}]: {config.num_channels}ch x "
         f"{config.num_sms}SM window of {result.cycles} cycles in {wall:.1f}s "
         f"({result.cycles / wall:,.0f} cyc/s; mem={issued}, pim={pim})"
     )

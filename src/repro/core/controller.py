@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.core.memq import BankIndexedMemQueue
 from repro.core.policies.base import NEVER, SchedulingPolicy
@@ -120,7 +120,7 @@ class MemoryController:
 
         # Wake-up optimization: skip decision cycles that cannot make
         # progress.  An enqueue outside a switch drain marks the
-        # controller dirty; completions do not (see pop_completed).
+        # controller dirty (see _sleeps_on_pim); completions do not.
         self._next_wake = 0
         self._dirty = True
         self._last_mode_cycle = 0
@@ -168,12 +168,24 @@ class MemoryController:
             request.mc_blocked_base = self.mode_cycles_upto(
                 Mode.MEM if request.is_pim else Mode.PIM, cycle
             )
-        if self._switch_target is None:
+        self.policy.on_enqueue(request, cycle)
+        if self._switch_target is None and not self._dirty and not self._sleeps_on_pim(cycle):
             # A switch drain waits only on in-flight work: an arrival cannot
             # end it sooner, and the decision after it sees the arrival.
             self._dirty = True
-        self.policy.on_enqueue(request, cycle)
         return True
+
+    def _sleeps_on_pim(self, cycle: int) -> bool:
+        """Whether a sleeping PIM-mode controller stays asleep through an
+        arrival: its wake comes no later than the executor frees or the
+        epoch turns, and the policy still rules out a switch (see tick)."""
+        wake = self._next_wake
+        return (
+            self.mode is Mode.PIM
+            and cycle + 1 < wake <= self.pim_exec.busy_until
+            and wake <= self.policy.next_epoch_cycle(cycle)
+            and not self.policy.may_switch_from_pim(self, cycle)
+        )
 
     # -- views used by policies ----------------------------------------------
 
@@ -185,30 +197,6 @@ class MemoryController:
         if pim_head is None:
             return mem_head
         return mem_head if mem_head.mc_seq < pim_head.mc_seq else pim_head
-
-    def issuable_mem(self, cycle: int, exclude_conflict_banks: bool = False) -> Iterator[Request]:
-        """MEM requests whose bank can accept a new request this cycle.
-
-        Reference scan in arrival order.  The FR-FCFS-family policies use
-        the per-bank index directly (``mem_queue.bank_head`` /
-        ``row_head``); this view is kept for custom policies and as the
-        linear-scan oracle in the equivalence suite.
-        """
-        banks = self.channel.banks
-        for request in self.mem_queue:
-            bank = banks[request.bank]
-            if not bank.can_accept(cycle):
-                continue
-            if exclude_conflict_banks and bank.state.conflict_bit:
-                continue
-            yield request
-
-    def mem_requests_by_bank(self) -> Dict[int, List[Request]]:
-        """Arrival-ordered requests per bank (reference/debug view)."""
-        by_bank: Dict[int, List[Request]] = {}
-        for request in self.mem_queue:
-            by_bank.setdefault(request.bank, []).append(request)
-        return by_bank
 
     def pim_ready(self, cycle: int) -> bool:
         return bool(self.pim_queue) and self.pim_exec.can_issue(cycle)
@@ -225,16 +213,15 @@ class MemoryController:
     # -- completions -----------------------------------------------------------
 
     def pop_completed(self, cycle: int) -> List[Request]:
-        """Take the DRAM and PIM operations that finished by ``cycle``.
+        """Take the MEM operations that finished by ``cycle`` (a PIM op is
+        complete as issued).
 
         Leaves the controller clean.  No policy reads in-flight work, and
         the two waits that do (a switch drain and a refresh waiting for
         quiet banks) sleep until ``_drain_complete_cycle()`` or the
         executor's ``busy_until``: the cycle the last operation lands.
         """
-        done = self.channel.pop_completed(cycle)
-        done.extend(self.pim_exec.pop_completed(cycle))
-        return done
+        return self.channel.pop_completed(cycle)
 
     # -- mode switch machinery ---------------------------------------------
 
@@ -262,12 +249,12 @@ class MemoryController:
     def _drain_done(self, cycle: int) -> bool:
         if self._switch_target is Mode.PIM:
             return self.channel.mem_in_flight() == 0
-        return self.pim_exec.in_flight() == 0 and self.pim_exec.can_issue(cycle)
+        return self.pim_exec.can_issue(cycle)
 
     def _drain_complete_cycle(self) -> int:
         if self._switch_target is Mode.PIM:
             return self.channel.drain_complete_cycle()
-        return self.pim_exec.drain_complete_cycle()
+        return self.pim_exec.busy_until
 
     def _finish_switch(self, cycle: int) -> None:
         target = self._switch_target
@@ -358,7 +345,7 @@ class MemoryController:
             self._next_wake = max(
                 cycle + 1,
                 self.channel.drain_complete_cycle(),
-                self.pim_exec.drain_complete_cycle(),
+                self.pim_exec.busy_until,
             )
             return True
         self._refresh_until = self.refresh.perform(cycle)
@@ -383,9 +370,11 @@ class MemoryController:
         self._dirty = True
         return True
 
-    def tick(self, cycle: int) -> Optional[int]:
-        """Run one decision cycle; returns the issued operation's completion
-        cycle, or None when nothing issued."""
+    def tick(self, cycle: int) -> Optional[Request]:
+        """Run one decision cycle; returns the request it issued, stamped
+        with its completion cycle, or None.  A PIM op is complete as
+        issued: ops run one at a time in issue order, so
+        ``pim_exec.busy_until`` is all a drain or a refresh waits on."""
         if not self._dirty and cycle < self._next_wake:
             return None
         self._dirty = False
@@ -402,21 +391,22 @@ class MemoryController:
                 self._next_wake = max(cycle + 1, self._drain_complete_cycle())
                 return None
 
-        decision = self.policy.decide(self, cycle)
+        policy = self.policy
+        decision = policy.decide(self, cycle)
         if decision.kind == "idle":
             # Sleep until the next event that can change the decision.
-            # Enqueues mark the controller dirty; otherwise a decision
-            # changes only when a bank frees, the PIM executor frees (PIM
-            # mode: MEM-mode decisions never read it), refresh accrues an
-            # obligation, or the policy's epoch turns.  When every bank
-            # already accepts (None), the banks bound nothing; a bank event
-            # lies after ``cycle``, so it is never 0.
+            # Enqueues mark the controller dirty (but see _sleeps_on_pim);
+            # otherwise a decision changes only when a bank frees, the PIM
+            # executor frees (PIM mode: MEM-mode decisions never read it),
+            # refresh accrues an obligation, or the policy's epoch turns.
+            # When every bank already accepts (None), the banks bound
+            # nothing; a bank event lies after ``cycle``, so it is never 0.
             wake = self.channel.next_bank_event(cycle) or NEVER
             if self.mode is Mode.PIM:
                 wake = min(wake, max(cycle + 1, self.pim_exec.busy_until))
             if self.refresh.enabled:
                 wake = min(wake, self.refresh.next_due_cycle())
-            self._next_wake = min(wake, self.policy.next_epoch_cycle(cycle))
+            self._next_wake = min(wake, policy.next_epoch_cycle(cycle))
             return None
         if decision.kind == "switch":
             self._begin_switch(decision.target, cycle)
@@ -429,7 +419,7 @@ class MemoryController:
             if self.mode is not Mode.MEM:
                 raise RuntimeError("policy issued MEM in PIM mode")
             self.mem_queue.remove(request)
-            completion = self.channel.issue_mem(request, cycle)
+            self.channel.issue_mem(request, cycle)
             self.channel.banks[request.bank].state.issued_since_switch = True
             self.pim_exec.note_mem_issue(request)
             self._attribute_post_switch_conflict(request)
@@ -438,7 +428,7 @@ class MemoryController:
             if self.mode is not Mode.PIM:
                 raise RuntimeError("policy issued PIM in MEM mode")
             request = self.pim_queue.popleft()
-            completion = self.pim_exec.issue(request, cycle)
+            self.pim_exec.issue(request, cycle)
             self.stats.pim_issued += 1
         if self.telemetry is not None and request.mc_blocked_base >= 0:
             request.mc_blocked_cycles = (
@@ -447,10 +437,18 @@ class MemoryController:
                 )
                 - request.mc_blocked_base
             )
-        self.policy.on_issue(request, cycle)
+        policy.on_issue(request, cycle)
+        if request.is_pim:
+            # No decision issues before the executor frees; unless the
+            # policy allows a switch they are all idle (bank frees and
+            # refresh accruals change none), up to an epoch turning.
+            wake = min(self.pim_exec.busy_until, policy.next_epoch_cycle(cycle))
+            if wake > cycle + 1 and not policy.may_switch_from_pim(self, cycle):
+                self._next_wake = wake
+                return request
         self._next_wake = cycle + 1
         self._dirty = True
-        return completion
+        return request
 
     def next_wake_cycle(self, cycle: int) -> int:
         """Earliest cycle at which a future ``tick`` could act (wake-heap
@@ -486,15 +484,3 @@ class MemoryController:
     def finalize(self, cycle: int) -> None:
         """Close out time-based accounting at the end of a simulation."""
         self._account_mode_cycles(cycle)
-
-    # -- introspection -------------------------------------------------------
-
-    def queued_requests(self) -> int:
-        return len(self.mem_queue) + len(self.pim_queue)
-
-    def outstanding(self) -> int:
-        return (
-            self.queued_requests()
-            + self.channel.mem_in_flight()
-            + self.pim_exec.in_flight()
-        )

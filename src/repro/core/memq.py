@@ -28,9 +28,8 @@ Invariants (exercised by ``tests/test_scheduler_equivalence.py``):
 * ``len(q)`` equals the number of live requests; per-bank live counts are
   maintained eagerly so ``banks_with_work`` never reports an empty bank.
 * Iteration yields live requests in arrival (``mc_seq``) order — the same
-  order the flat list produced — so scan-style consumers
-  (``issuable_mem``, ``mem_requests_by_bank``, metrics) see identical
-  sequences.
+  order the flat list produced — so scan-style consumers (reference
+  scans, metrics) see identical sequences.
 """
 
 from __future__ import annotations
@@ -144,9 +143,6 @@ class BankIndexedMemQueue:
         return None
 
     # -- bank-level views ----------------------------------------------------
-
-    def bank_pending(self, bank: int) -> int:
-        return self._bank_live[bank]
 
     def banks_with_work(self) -> Iterator[int]:
         """Bank indices with at least one live request, ascending."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.request import Mode, Request
 
@@ -112,6 +112,19 @@ class SchedulingPolicy(abc.ABC):
         """
         return NEVER
 
+    def may_switch_from_pim(self, ctl: "MemoryController", cycle: int) -> bool:
+        """Whether a PIM-mode decision after ``cycle`` could begin a switch.
+
+        Asked after a PIM issue or an arrival at ``cycle`` while the PIM
+        executor is busy past ``cycle + 1``.  False lets the controller
+        sleep until the executor frees or the epoch turns, so it must be
+        exact: every decision until then, or until a request arrives, is
+        idle.  True is always safe.  The default (no switch only on an
+        empty MEM queue) suits policies that leave PIM mode only for MEM
+        work.
+        """
+        return bool(ctl.mem_queue)
+
     # -- telemetry -----------------------------------------------------------
 
     def emit_event(self, cycle: int, kind: str, **data) -> None:
@@ -128,14 +141,6 @@ class SchedulingPolicy(abc.ABC):
             telemetry.emit(cycle, kind, channel=controller.channel.index, **data)
 
     # -- shared selection helpers --------------------------------------------
-
-    @staticmethod
-    def oldest(requests: Iterable[Request]) -> Optional[Request]:
-        best: Optional[Request] = None
-        for request in requests:
-            if best is None or request.mc_seq < best.mc_seq:
-                best = request
-        return best
 
     @staticmethod
     def frfcfs_pick(ctl: "MemoryController", cycle: int, exclude_conflict_banks: bool = False) -> Optional[Request]:

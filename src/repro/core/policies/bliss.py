@@ -132,6 +132,17 @@ class BLISS(SchedulingPolicy):
             return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE
         return Decision.mem(best)
 
+    def may_switch_from_pim(self, ctl, cycle):
+        # A MEM request must beat the PIM head's score.  Every MEM score is
+        # at least (False, False, oldest MEM age), or (True, ...) once each
+        # kernel that ever sent this controller MEM work is blacklisted.
+        mem_head = ctl.mem_queue.head()
+        if mem_head is None or not ctl.pim_queue:
+            return mem_head is not None
+        head = ctl.pim_queue[0]
+        floor = (self.blacklist.issuperset(ctl.stats.kernel_mem_arrivals), False, mem_head.mc_seq)
+        return self._score(ctl, head, not ctl.pim_exec.would_switch_row(head)) > floor
+
     def on_issue(self, request, cycle):
         kernel = request.kernel_id
         if kernel == self._streak_kernel:

@@ -126,6 +126,12 @@ class F3FS(SchedulingPolicy):
             return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE
         return Decision.mem(best)
 
+    def may_switch_from_pim(self, ctl, cycle):
+        # PIM mode is left by the fallback or a reached PIM cap; the
+        # ablation order lets any MEM request win.
+        leave = not ctl.pim_queue or self._bypasses >= self.caps[Mode.PIM]
+        return bool(ctl.mem_queue) and (leave or not self.current_mode_first)
+
     # -- hooks -------------------------------------------------------------
 
     def on_issue(self, request, cycle):

@@ -28,3 +28,8 @@ class FCFS(SchedulingPolicy):
         if ctl.channel.bank_can_accept(oldest.bank, cycle):
             return Decision.mem(oldest)
         return IDLE
+
+    def may_switch_from_pim(self, ctl, cycle):
+        # Only an older MEM request takes the controller out of PIM mode.
+        head = ctl.mem_queue.head()
+        return head is not None and (not ctl.pim_queue or head.mc_seq < ctl.pim_queue[0].mc_seq)

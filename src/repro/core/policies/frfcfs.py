@@ -95,3 +95,11 @@ class FRFCFS(SchedulingPolicy):
         ):
             return Decision.switch(Mode.MEM)
         return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE
+
+    def may_switch_from_pim(self, ctl, cycle):
+        # _decide_pim's trigger (or the empty-queue fallback).
+        mem_head = ctl.mem_queue.head()
+        if mem_head is None or not ctl.pim_queue:
+            return mem_head is not None
+        head = ctl.pim_queue[0]
+        return mem_head.mc_seq < head.mc_seq and ctl.pim_exec.would_switch_row(head)

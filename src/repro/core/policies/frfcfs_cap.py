@@ -63,6 +63,16 @@ class FRFCFSCap(SchedulingPolicy):
             return IDLE
         return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE
 
+    def may_switch_from_pim(self, ctl, cycle):
+        # Only a reached cap switches, toward an older MEM request; decide()
+        # restarts the count when the oldest request changed.
+        mem_head = ctl.mem_queue.head()
+        if mem_head is None or not ctl.pim_queue:
+            return mem_head is not None
+        seq = mem_head.mc_seq
+        cap_hit = seq == self._oldest_seq and self._bypasses >= self.cap
+        return seq < ctl.pim_queue[0].mc_seq and cap_hit
+
     def on_issue(self, request, cycle):
         if request.mc_seq == self._oldest_seq:
             self._bypasses = 0

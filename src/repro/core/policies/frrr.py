@@ -104,3 +104,11 @@ class FRRRFCFS(SchedulingPolicy):
         if ctl.pim_exec.would_switch_row(head) and ctl.mem_queue and self._served_since_switch:
             return Decision.switch(Mode.MEM)
         return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE
+
+    def may_switch_from_pim(self, ctl, cycle):
+        # A block boundary rotates once this mode has been served.
+        if not ctl.mem_queue:
+            return False
+        if not ctl.pim_queue:
+            return True
+        return self._served_since_switch and ctl.pim_exec.would_switch_row(ctl.pim_queue[0])

@@ -52,3 +52,6 @@ class GatherIssue(SchedulingPolicy):
             if occupancy == 0:
                 return IDLE
         return ISSUE_PIM if ctl.pim_ready(cycle) else IDLE
+
+    def may_switch_from_pim(self, ctl, cycle):
+        return bool(ctl.mem_queue) and len(ctl.pim_queue) <= self.low_watermark

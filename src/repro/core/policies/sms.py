@@ -39,6 +39,10 @@ class SMS(SchedulingPolicy):
     def on_issue(self, request, cycle):
         self._served_in_batch += 1
 
+    def may_switch_from_pim(self, ctl, cycle):
+        full = self._served_in_batch >= self.batch_size
+        return bool(ctl.mem_queue) and (not ctl.pim_queue or full)
+
     def decide(self, ctl, cycle):
         fallback = self.fallback_when_empty(ctl)
         if fallback is not None:

@@ -44,3 +44,7 @@ class MEMFirst(_StaticFirst):
 class PIMFirst(_StaticFirst):
     name = "PIM-First"
     preferred = Mode.PIM
+
+    def may_switch_from_pim(self, ctl, cycle):
+        # PIM mode is left only once the PIM queue runs dry.
+        return not ctl.pim_queue and bool(ctl.mem_queue)

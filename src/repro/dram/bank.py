@@ -75,9 +75,6 @@ class Bank:
     def classify(self, row: int) -> AccessKind:
         return self.state.classify(row)
 
-    def is_row_hit(self, row: int) -> bool:
-        return self.state.open_row == row
-
     def can_accept(self, cycle: int) -> bool:
         """Whether the controller may issue a new request to this bank."""
         return cycle >= self.state.accept_at

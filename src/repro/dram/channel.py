@@ -109,9 +109,6 @@ class Channel:
     def num_banks(self) -> int:
         return len(self.banks)
 
-    def is_row_hit(self, request: Request) -> bool:
-        return self.banks[request.bank].is_row_hit(request.row)
-
     def classify(self, request: Request) -> AccessKind:
         return self.banks[request.bank].classify(request.row)
 
@@ -162,7 +159,10 @@ class Channel:
         self.stats.record_mem(kind, request)
         request.access_kind = kind.value
         request.cycle_issued = cycle
-        return self._finish_issue(request, completion)
+        request.cycle_completed = completion
+        self._heap_seq += 1
+        heapq.heappush(self._in_flight, (completion, self._heap_seq, request))
+        return completion
 
     def _log_mem_commands(self, request, kind, first_cmd, col, act, is_write) -> None:
         from repro.dram.validate import ACT, PRE, READ, WRITE, Command
@@ -174,18 +174,14 @@ class Channel:
         kind_name = WRITE if is_write else READ
         self.command_log.append(Command(col, kind_name, request.bank, request.row))
 
-    def _finish_issue(self, request: Request, completion: int) -> int:
-        self._heap_seq += 1
-        heapq.heappush(self._in_flight, (completion, self._heap_seq, request))
-        return completion
-
     def pop_completed(self, cycle: int) -> List[Request]:
-        """Return MEM requests whose service completes at or before ``cycle``."""
+        """Return MEM requests whose service completes at or before ``cycle``.
+
+        ``issue_mem`` already stamped each with its completion cycle.
+        """
         done: List[Request] = []
         while self._in_flight and self._in_flight[0][0] <= cycle:
-            completion, _, request = heapq.heappop(self._in_flight)
-            request.cycle_completed = completion
-            done.append(request)
+            done.append(heapq.heappop(self._in_flight)[2])
         return done
 
     # -- BLP accounting -----------------------------------------------------

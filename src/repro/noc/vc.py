@@ -101,15 +101,6 @@ class VCBuffer:
 
     # -- consumer side ------------------------------------------------------
 
-    def peek_next(self) -> Optional[Request]:
-        """Head the round-robin arbiter would serve next (None if empty)."""
-        for offset in range(self.num_vcs):
-            queue = self._queues[(self._rotation + offset) % self.num_vcs]
-            head = queue.peek()
-            if head is not None:
-                return head
-        return None
-
     def heads(self) -> List[Request]:
         """Heads of all VCs in round-robin preference order.
 
@@ -126,11 +117,6 @@ class VCBuffer:
         if first:
             return [first[0], second[0]] if second else [first[0]]
         return [second[0]] if second else []
-
-    def pop_next(self) -> Optional[Request]:
-        """Round-robin pop; advances the rotation past the served VC."""
-        head = self.peek_next()
-        return None if head is None else self.pop_matching(head)
 
     def pop_matching(self, request: Request) -> Request:
         """Pop a specific head (after crossbar arbitration granted it).

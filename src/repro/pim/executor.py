@@ -16,9 +16,8 @@ so one busy interval covers the whole channel).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.pim.fu import FunctionalUnit
 
@@ -77,9 +76,6 @@ class PIMExecutor:
         self.busy_until = 0
         self.next_col = 0
         self.stats = PIMStats()
-        # Ops execute lock-step FCFS, so completion cycles are appended in
-        # non-decreasing order: completion pops are always a prefix.
-        self._in_flight: Deque[Tuple[int, "Request"]] = deque()
         # Merged channel-wide busy intervals (each counts all banks busy).
         self.busy_intervals: List[Tuple[int, int]] = []
 
@@ -113,52 +109,42 @@ class PIMExecutor:
         if self._rows_uniform and request.row != self.open_row:
             self._rows_uniform = False
 
-    def invalidate_row_cache(self) -> None:
-        """Force the next ``would_switch_row`` to re-scan the banks.
-
-        For callers that mutate ``bank.state.open_row`` directly (tests,
-        hand-built scenarios) instead of going through the channel/executor.
-        """
-        self._rows_uniform = False
-
-    def in_flight(self) -> int:
-        return len(self._in_flight)
-
-    def drain_complete_cycle(self) -> int:
-        return self.busy_until
-
     # -- execution -----------------------------------------------------------
 
     def issue(self, request: "Request", cycle: int) -> int:
-        """Execute one PIM request on all banks; returns completion cycle."""
+        """Execute one PIM request on all banks; returns completion cycle.
+
+        The op is complete as issued (stamped here): ops run one at a
+        time in issue order, so ``busy_until`` is all in-flight state.
+        """
         if cycle < self.busy_until:
             raise RuntimeError(f"PIM executor busy until {self.busy_until}")
-        op = request.pim_op
-        timings = self.channel.timings
-
-        if op.kind.accesses_dram:
+        stats = self.stats
+        next_col = self.next_col
+        start = cycle if cycle > next_col else next_col
+        if request.pim_dram:
             if self.would_switch_row(request):
-                start = self._switch_row(request.row, cycle, timings)
-            else:
-                start = cycle if cycle > self.next_col else self.next_col
-            duration = timings.tCCDl
+                start = self._switch_row(request.row, cycle, self.channel.timings)
+            end = start + self.channel.timings.tCCDl
         else:
-            start = cycle if cycle > self.next_col else self.next_col
-            duration = 1
-            self.stats.rf_only_ops += 1
-
-        end = start + duration
-        self.next_col = end
-        self.busy_until = end
-        self.stats.ops_executed += 1
-        self.stats.busy_cycles += end - cycle
-        self._note_busy(start, end)
+            end = start + 1
+            stats.rf_only_ops += 1
+        self.next_col = self.busy_until = end
+        stats.ops_executed += 1
+        stats.busy_cycles += end - cycle
+        # Merge into the channel-wide busy intervals.
+        intervals = self.busy_intervals
+        if intervals and start <= intervals[-1][1]:
+            if end > intervals[-1][1]:
+                intervals[-1] = (intervals[-1][0], end)
+        else:
+            intervals.append((start, end))
 
         if self.functional:
             self._execute_functional(request)
 
         request.cycle_issued = cycle
-        self._in_flight.append((end, request))
+        request.cycle_completed = end
         return end
 
     def _switch_row(self, row: int, cycle: int, timings) -> int:
@@ -184,14 +170,6 @@ class PIMExecutor:
             if act_ready > state.act_ready:
                 state.act_ready = act_ready
         return start
-
-    def _note_busy(self, start: int, end: int) -> None:
-        intervals = self.busy_intervals
-        if intervals and start <= intervals[-1][1]:
-            if end > intervals[-1][1]:
-                intervals[-1] = (intervals[-1][0], end)
-        else:
-            intervals.append((start, end))
 
     def sync_banks(self) -> None:
         """Propagate PIM occupancy into the banks' rails.
@@ -223,25 +201,3 @@ class PIMExecutor:
             result = fu.execute(bank_index, op, dram_value)
             if result is not None:
                 self.store.write(channel_index, bank_index, request.row, request.column, result)
-
-    def pop_completed(self, cycle: int) -> List["Request"]:
-        flight = self._in_flight
-        if not flight or flight[0][0] > cycle:
-            return []
-        done: List["Request"] = []
-        while flight and flight[0][0] <= cycle:
-            end, req = flight.popleft()
-            req.cycle_completed = end
-            done.append(req)
-        return done
-
-    def reset(self) -> None:
-        for fu in self.fus:
-            fu.reset()
-        self.open_row = None
-        self._rows_uniform = True
-        self.busy_until = 0
-        self.next_col = 0
-        self.stats = PIMStats()
-        self._in_flight.clear()
-        self.busy_intervals.clear()

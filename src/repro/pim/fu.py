@@ -35,9 +35,6 @@ class RegisterFile:
         self._check(index)
         self._regs[index] = float(value)
 
-    def reset(self) -> None:
-        self._regs = [0.0] * self.size
-
 
 class FunctionalUnit:
     """One bank-pair FU; executes PIM ops functionally on a bank's slice."""
@@ -87,7 +84,3 @@ class FunctionalUnit:
         else:  # pragma: no cover - exhaustiveness guard
             raise NotImplementedError(kind)
         return None
-
-    def reset(self) -> None:
-        for rf in self.rf.values():
-            rf.reset()

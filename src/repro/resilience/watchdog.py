@@ -87,7 +87,7 @@ def stall_diagnostic(system, window: int) -> Dict:
                 "mem_queue": len(controller.mem_queue),
                 "pim_queue": len(controller.pim_queue),
                 "mem_in_flight": controller.channel.mem_in_flight(),
-                "pim_in_flight": controller.pim_exec.in_flight(),
+                "pim_busy_until": controller.pim_exec.busy_until,
                 "switching": controller.is_switching,
                 "oldest_request_age": age,
                 "ingress_queue": len(system.dram_queues[ch]),

@@ -23,8 +23,9 @@ machine size: every inter-stage buffer notifies the engine when it turns
 non-empty or empty (``VCBuffer.watch``), so each stage loop visits only the
 channels/SMs that can make progress this cycle.  Controllers and SMs that
 sleep on a future self-event park on a wake heap and leave the loops
-entirely, and DRAM/PIM completions come due from a heap of
-``(cycle, channel)`` entries instead of being polled.
+entirely, and DRAM completions come due from a heap of
+``(cycle, channel)`` entries instead of being polled.  A PIM op retires
+as it issues: it has no completion event.
 
 A finished system holds no reference cycle, so reference counting frees
 it as soon as the last outside reference goes; no garbage-collector pass
@@ -201,6 +202,9 @@ class GPUSystem:
         self._reply_seq = itertools.count()
         self.replies_sent = 0
         self._kernel_inflight: Dict[int, int] = {}
+        # Per kernel, the cycle its last PIM op lands: PIM ops retire at
+        # issue, so a kernel is done only once this cycle has come too.
+        self._pim_done: Dict[int, int] = {}
         self._injected: Dict[int, int] = {}
         self._awaiting_first = 0  # runs without a first completion yet
         self.timeline = None  # optional metrics.timeline.TimelineSampler
@@ -218,9 +222,11 @@ class GPUSystem:
         # Sleeping controllers (kind 0) / SMs (kind 1) with a self-scheduled
         # future event; entries are lazy-deleted (stale wakes are no-ops).
         self._wake_heap: List[Tuple[int, int, int]] = []
-        # (cycle, channel) entries, one per issued DRAM/PIM operation.
+        # (cycle, channel) entries, one per issued MEM operation.
         # Operations completing on one channel in one cycle share a visit.
         self._completion_heap: List[Tuple[int, int]] = []
+        # Telemetry on: (completion, id, request) per PIM op, folded on landing.
+        self._pim_folds: List[Tuple[int, int, Request]] = []
         for ch in range(config.num_channels):
             self.input_buffers[ch].watch(self._l2_active, ch)
             self.dram_queues[ch].watch(self._ingress_active, ch)
@@ -265,6 +271,7 @@ class GPUSystem:
         self._next_kernel_id += 1
         self.runs.append(run)
         self._kernel_inflight[run.kernel_id] = 0
+        self._pim_done[run.kernel_id] = 0
         self._injected[run.kernel_id] = 0
         self._awaiting_first += 1
         return run
@@ -303,6 +310,9 @@ class GPUSystem:
     def _stage_completions(self) -> None:
         heap = self._completion_heap
         cycle = self.cycle
+        folds = self._pim_folds
+        while folds and folds[0][0] <= cycle:  # telemetry on: PIM ops landed
+            self.telemetry.record_completion(heapq.heappop(folds)[2], cycle)
         if not heap or heap[0][0] > cycle:
             return
         # Every issue queues its own completion cycle, so only the channels
@@ -319,11 +329,12 @@ class GPUSystem:
                 self._handle_completion(ch, request, cycle)
 
     def _handle_completion(self, ch: int, request: Request, cycle: int) -> None:
+        """A MEM operation landed: count a store done, install a fill."""
         if request.is_writeback:
             return
         if self.telemetry is not None:
             self.telemetry.record_completion(request, cycle)
-        if request.is_pim or not request.is_load:
+        if not request.is_load:
             self._kernel_inflight[request.kernel_id] -= 1
             return
         if request.is_l2_fill:
@@ -367,13 +378,27 @@ class GPUSystem:
         completion_heap = self._completion_heap
         for ch in sorted(active):
             controller = controllers[ch]
-            completion = controller.tick(cycle)
-            if completion is not None:
-                heapq.heappush(completion_heap, (completion, ch))
-            if controller._dirty:
-                continue  # must re-evaluate next cycle
-            wake = controller.next_wake_cycle(cycle)
+            # The tick's own wake gate, inlined: a gated tick does nothing.
+            if controller._dirty or cycle >= controller._next_wake:
+                request = controller.tick(cycle)
+                if request is not None:
+                    if request.is_pim:  # retired at issue (see _pim_done)
+                        kernel_id = request.kernel_id
+                        self._kernel_inflight[kernel_id] -= 1
+                        end = request.cycle_completed
+                        if end > self._pim_done[kernel_id]:
+                            self._pim_done[kernel_id] = end
+                        if self.telemetry is not None:
+                            heapq.heappush(self._pim_folds, (end, request.id, request))
+                    else:
+                        heapq.heappush(completion_heap, (request.cycle_completed, ch))
+                if controller._dirty:
+                    continue  # must re-evaluate next cycle
+            wake = controller._next_wake
             if wake <= cycle + 1:
+                wake = controller.next_wake_cycle(cycle)
+            if wake <= cycle + 2:
+                # A gated tick costs less than a wake-heap push and pop.
                 continue
             active.discard(ch)
             if wake < NEVER:
@@ -490,6 +515,8 @@ class GPUSystem:
             if not run.running:
                 continue
             if self._kernel_inflight[run.kernel_id] != 0:
+                continue
+            if cycle < self._pim_done[run.kernel_id]:
                 continue
             if not all(self.sms[i].is_done(cycle) for i in run.sm_indices):
                 continue

@@ -9,6 +9,7 @@ from repro.dram.timings import DRAMTimings
 from repro.pim.executor import PIMExecutor
 from repro.pim.isa import PIMOp, PIMOpKind
 from repro.request import Mode, Request, RequestType
+from tests import engine_harness
 
 
 def make_controller(policy_name="FCFS", num_banks=4, **policy_params):
@@ -34,14 +35,7 @@ def pim_request(row=0, column=0, kernel_id=1):
 
 def drive(ctl, max_cycles=20_000):
     """Tick until all queued work completes; returns completions in order."""
-    completed = []
-    for cycle in range(max_cycles):
-        completed.extend(ctl.pop_completed(cycle))
-        ctl.tick(cycle)
-        if ctl.outstanding() == 0:
-            ctl.finalize(cycle)
-            return completed, cycle
-    raise AssertionError("controller did not drain")
+    return engine_harness.drive(ctl, max_cycles)
 
 
 class TestEnqueue:
@@ -223,7 +217,7 @@ class TestWakeRules:
     def test_completion_leaves_controller_clean(self):
         ctl = make_controller("FCFS")
         ctl.enqueue(mem_request(), cycle=0)
-        due = ctl.tick(0)  # issues the MEM request; returns its completion
+        due = ctl.tick(0).cycle_completed  # issues the MEM request
         ctl.tick(1)  # nothing queued: sleeps
         assert not ctl._dirty
         assert len(ctl.pop_completed(due)) == 1

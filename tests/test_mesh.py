@@ -12,6 +12,7 @@ from repro.pim.isa import PIMOp, PIMOpKind
 from repro.request import Request, RequestType
 from repro.sim.system import GPUSystem
 from repro.workloads.synthetic import GPUKernelProfile, PIMStreamKernel
+from tests.engine_harness import pop_next
 
 
 def mem_request(channel):
@@ -60,7 +61,7 @@ class TestMeshFabric:
             fabric.step(cycle, sms, channels)
             if channels[1]:
                 break
-        assert channels[1].peek_next() is req
+        assert channels[1].heads()[0] is req
         assert fabric.transfers == 1
         assert fabric.in_flight() == 0
 
@@ -74,7 +75,7 @@ class TestMeshFabric:
         for cycle in range(30):
             fabric.step(cycle, sms, channels)
         for channel, req in sent.items():
-            assert channels[channel].peek_next() is req
+            assert channels[channel].heads()[0] is req
 
     def test_one_hop_per_cycle(self):
         fabric, sms, channels = self.make(num_sms=1, num_channels=1)
@@ -135,7 +136,7 @@ class TestMeshFabric:
         for i in range(4):
             items = []
             while True:
-                request = channels[i].pop_next()
+                request = pop_next(channels[i])
                 if request is None:
                     break
                 items.append(request)

@@ -9,6 +9,7 @@ from repro.noc.queues import BoundedQueue
 from repro.noc.vc import VCBuffer
 from repro.pim.isa import PIMOp, PIMOpKind
 from repro.request import Mode, Request, RequestType
+from tests.engine_harness import pop_next
 
 
 def mem_request(channel=0):
@@ -59,8 +60,8 @@ class TestVCBufferVC1:
         buf = VCBuffer(4, num_vcs=1)
         m, p = mem_request(), pim_request()
         assert buf.try_push(m) and buf.try_push(p)
-        assert buf.pop_next() is m
-        assert buf.pop_next() is p
+        assert pop_next(buf) is m
+        assert pop_next(buf) is p
 
     def test_hol_blocking_semantics(self):
         """In VC1 a PIM head blocks MEM requests behind it."""
@@ -97,7 +98,7 @@ class TestVCBufferVC2:
         for _ in range(2):
             buf.try_push(mem_request())
             buf.try_push(pim_request())
-        kinds = [buf.pop_next().is_pim for _ in range(4)]
+        kinds = [pop_next(buf).is_pim for _ in range(4)]
         # Strict alternation between the two VCs.
         assert kinds in ([True, False, True, False], [False, True, False, True])
 
@@ -105,9 +106,9 @@ class TestVCBufferVC2:
         buf = VCBuffer(8, num_vcs=2)
         buf.try_push(mem_request())
         buf.try_push(mem_request())
-        assert not buf.pop_next().is_pim
-        assert not buf.pop_next().is_pim
-        assert buf.pop_next() is None
+        assert not pop_next(buf).is_pim
+        assert not pop_next(buf).is_pim
+        assert pop_next(buf) is None
 
     def test_pop_matching_requires_head(self):
         buf = VCBuffer(8, num_vcs=2)
@@ -229,7 +230,7 @@ def test_vc_buffer_conserves_requests(pushes):
         pushed.append(req)
     popped = []
     while True:
-        req = buf.pop_next()
+        req = pop_next(buf)
         if req is None:
             break
         popped.append(req)

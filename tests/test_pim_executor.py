@@ -125,14 +125,16 @@ class TestExecutorTiming:
         end = ex.issue(pim_request(op=PIMOp(PIMOpKind.EXP, dst=0, src=0)), 0)
         assert end == 1
 
-    def test_pop_completed(self):
+    def test_op_complete_as_issued(self):
         channel, ex = make_executor()
         req = pim_request(row=0)
         end = ex.issue(req, 0)
-        assert ex.pop_completed(end - 1) == []
-        assert ex.pop_completed(end) == [req]
+        assert req.cycle_issued == 0
         assert req.cycle_completed == end
-        assert ex.in_flight() == 0
+        # The executor is the op's only in-flight state.
+        assert ex.busy_until == end
+        assert not ex.can_issue(end - 1)
+        assert ex.can_issue(end)
 
     def test_mem_after_pim_conflicts(self):
         """A PIM phase destroys MEM row locality (Figure 9)."""
@@ -167,15 +169,6 @@ class TestExecutorFunctional:
 
         for bank in range(num_banks):
             assert store.read(0, bank, 2, 0) == pytest.approx(11.0 * bank)
-
-    def test_reset_clears_rf_and_state(self):
-        store = DataStore()
-        channel, ex = make_executor(functional=True, store=store)
-        ex.issue(pim_request(row=0), 0)
-        ex.reset()
-        assert ex.open_row is None
-        assert ex.busy_until == 0
-        assert all(fu.rf[b].read(0) == 0.0 for fu in ex.fus for b in fu.banks)
 
 
 class TestExecutorValidation:

@@ -10,6 +10,7 @@ from repro.dram.timings import DRAMTimings
 from repro.pim.executor import PIMExecutor
 from repro.pim.isa import PIMOp, PIMOpKind
 from repro.request import Mode, Request, RequestType
+from tests.engine_harness import drive
 
 
 def make_controller(policy_name, num_banks=4, queue=64, **params):
@@ -31,17 +32,6 @@ def pim_request(row=0, column=0, kernel_id=1):
     )
     req.channel, req.bank, req.row, req.column = 0, 0, row, column
     return req
-
-
-def drive(ctl, max_cycles=100_000):
-    completed = []
-    for cycle in range(max_cycles):
-        completed.extend(ctl.pop_completed(cycle))
-        ctl.tick(cycle)
-        if ctl.outstanding() == 0:
-            ctl.finalize(cycle)
-            return completed, cycle
-    raise AssertionError("controller did not drain")
 
 
 def pim_block(row, length=8, kernel_id=1):

@@ -10,6 +10,7 @@ from repro.dram.timings import DRAMTimings
 from repro.pim.executor import PIMExecutor
 from repro.pim.isa import PIMOp, PIMOpKind
 from repro.request import Mode, Request, RequestType
+from tests.engine_harness import drive
 
 #: (is_pim, bank, row, column) tuples describing a traffic mix.
 traffic = st.lists(
@@ -49,15 +50,7 @@ def run_controller(policy_name, mix, **params):
     requests = build_requests(mix)
     for request in requests:
         ctl.enqueue(request, 0)
-    completed = []
-    for cycle in range(200_000):
-        completed.extend(ctl.pop_completed(cycle))
-        ctl.tick(cycle)
-        if ctl.outstanding() == 0:
-            ctl.finalize(cycle)
-            break
-    else:
-        raise AssertionError(f"{policy_name} did not drain")
+    completed, _ = drive(ctl, max_cycles=200_000)
     return ctl, requests, completed
 
 

@@ -12,6 +12,7 @@ from repro.pim.executor import PIMExecutor
 from repro.request import Request, RequestType
 from repro.sim.system import GPUSystem
 from repro.workloads.synthetic import GPUKernelProfile
+from tests.engine_harness import drained
 
 
 class TestRefreshTimer:
@@ -73,7 +74,7 @@ class TestControllerRefresh:
         req.channel, req.bank, req.row, req.column = 0, 0, 3, 0
         ctl.enqueue(req, 0)
         cycle = 0
-        while ctl.outstanding() and cycle < 10_000:
+        while not drained(ctl, cycle) and cycle < 10_000:
             ctl.pop_completed(cycle)
             ctl.tick(cycle)
             cycle += 1

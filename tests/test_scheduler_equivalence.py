@@ -53,11 +53,36 @@ SEEDS = range(25)
 # ---------------------------------------------------------------------------
 
 
+def is_row_hit(ctl, request):
+    return ctl.channel.banks[request.bank].open_row == request.row
+
+
+def issuable_mem(ctl, cycle, exclude_conflict_banks=False):
+    """MEM requests whose bank accepts a new request this cycle, by a
+    linear scan of the queue in arrival order."""
+    banks = ctl.channel.banks
+    for request in ctl.mem_queue:
+        bank = banks[request.bank]
+        if not bank.can_accept(cycle):
+            continue
+        if exclude_conflict_banks and bank.state.conflict_bit:
+            continue
+        yield request
+
+
+def mem_requests_by_bank(ctl):
+    """Arrival-ordered requests per bank."""
+    by_bank = {}
+    for request in ctl.mem_queue:
+        by_bank.setdefault(request.bank, []).append(request)
+    return by_bank
+
+
 def scan_frfcfs_pick(ctl, cycle, exclude_conflict_banks=False):
     best_hit = None
     best_any = None
-    for request in ctl.issuable_mem(cycle, exclude_conflict_banks=exclude_conflict_banks):
-        if ctl.channel.is_row_hit(request):
+    for request in issuable_mem(ctl, cycle, exclude_conflict_banks=exclude_conflict_banks):
+        if is_row_hit(ctl, request):
             if best_hit is None or request.mc_seq < best_hit.mc_seq:
                 best_hit = request
         if best_any is None or request.mc_seq < best_any.mc_seq:
@@ -77,13 +102,13 @@ def scan_oldest_overall(ctl):
 def scan_expected_conflict_bits(ctl):
     """Post-update conflict bits per the pre-index FR-FCFS/FR-RR logic."""
     expected = {bank.index: bank.state.conflict_bit for bank in ctl.channel.banks}
-    for bank_index, requests in ctl.mem_requests_by_bank().items():
+    for bank_index, requests in mem_requests_by_bank(ctl).items():
         bank = ctl.channel.banks[bank_index]
         if bank.state.conflict_bit:
             continue
         if not bank.state.issued_since_switch:
             continue
-        if any(bank.is_row_hit(r.row) for r in requests):
+        if any(bank.open_row == r.row for r in requests):
             continue
         if bank.open_row is None:
             continue
@@ -92,7 +117,7 @@ def scan_expected_conflict_bits(ctl):
 
 
 def scan_all_pending_banks_stalled(ctl):
-    pending = ctl.mem_requests_by_bank()
+    pending = mem_requests_by_bank(ctl)
     if not pending:
         return False
     return all(ctl.channel.banks[b].state.conflict_bit for b in pending)
@@ -103,8 +128,8 @@ def scan_bliss_decide(policy, ctl, cycle):
     policy._maybe_clear(cycle)
     best = None
     best_score = None
-    for request in ctl.issuable_mem(cycle):
-        score = policy._score(ctl, request, ctl.channel.is_row_hit(request))
+    for request in issuable_mem(ctl, cycle):
+        score = policy._score(ctl, request, is_row_hit(ctl, request))
         if best_score is None or score < best_score:
             best, best_score = request, score
     if ctl.pim_queue:
@@ -127,8 +152,8 @@ def scan_f3fs_ablation_decide(ctl, cycle):
     """Pre-index F3FS._decide_frfcfs_order (current_mode_first=False)."""
     best = None
     best_key = None
-    for request in ctl.issuable_mem(cycle):
-        key = (not ctl.channel.is_row_hit(request), request.mc_seq)
+    for request in issuable_mem(ctl, cycle):
+        key = (not is_row_hit(ctl, request), request.mc_seq)
         if best_key is None or key < best_key:
             best, best_key = request, key
     if ctl.pim_queue:
@@ -198,8 +223,9 @@ def random_controller(rng, policy_name="FR-FCFS", **params):
         state.accept_at = rng.randrange(0, 3)
         state.conflict_bit = rng.random() < 0.3
         state.issued_since_switch = rng.random() < 0.6
-    # Bank rows were mutated behind the executor's back.
-    pim_exec.invalidate_row_cache()
+    # Bank rows were mutated behind the executor's back: make the next
+    # would_switch_row re-scan the banks.
+    pim_exec._rows_uniform = False
     return ctl
 
 
@@ -288,7 +314,7 @@ class TestIndexInvariants:
         assert list(queue.banks_with_work()) == sorted(by_bank)
         for bank in range(NUM_BANKS):
             requests = by_bank.get(bank, [])
-            assert queue.bank_pending(bank) == len(requests)
+            assert queue._bank_live[bank] == len(requests)
             assert queue.bank_head(bank) is (requests[0] if requests else None)
             for row in range(NUM_ROWS):
                 in_row = [r for r in requests if r.row == row]

@@ -10,6 +10,7 @@ from repro.noc.vc import VCBuffer
 from repro.pim.isa import PIMOp, PIMOpKind
 from repro.request import Request, RequestType
 from repro.sim.system import GPUSystem
+from tests.engine_harness import pop_next
 
 
 def load(addr=0, channel=0):
@@ -112,7 +113,7 @@ class TestSMIssue:
         )
         sm, buffer = make_sm(spec)
         sm.step(0)
-        first = buffer.pop_next()
+        first = pop_next(buffer)
         for cycle in range(1, 5):
             sm.step(cycle)
         assert len(buffer) == 0  # second phase blocked on the reply
@@ -141,14 +142,14 @@ class TestSMIssue:
         sm, buffer = make_sm(spec)
         for cycle in range(4):
             sm.step(cycle)
-        issued = [buffer.pop_next().address for _ in range(4)]
+        issued = [pop_next(buffer).address for _ in range(4)]
         assert issued == [0, 1, 0, 1]
 
     def test_done_when_program_and_replies_finish(self):
         spec = ScriptedKernel(lambda s, w: [Phase(0, [load()])])
         sm, buffer = make_sm(spec)
         sm.step(0)
-        request = buffer.pop_next()
+        request = pop_next(buffer)
         sm.step(1)
         assert not sm.is_done(1)  # outstanding load
         request.warp = 0
@@ -167,7 +168,7 @@ class TestSMIssue:
         sm, buffer = make_sm(spec)
         for cycle in range(5):
             sm.step(cycle)
-        request = buffer.pop_next()
+        request = pop_next(buffer)
         assert request.source == 0
         assert request.warp == 0
         assert request.cycle_created == 3  # phase load time
@@ -189,7 +190,7 @@ class TestReplyWakes:
         # Both loads issued; the warp waits for their replies, so the SM
         # sleeps with no event of its own.
         assert sm.outstanding_loads == 2 and index not in system._sm_active
-        return system, index, sm, sm.output.pop_next(), sm.output.pop_next()
+        return system, index, sm, pop_next(sm.output), pop_next(sm.output)
 
     def test_reply_leaving_warp_waiting_keeps_sm_asleep(self):
         system, index, sm, first, _ = self._parked_system()

@@ -206,6 +206,32 @@ class TestTransparency:
         assert identity["mean_abs_gap"] == 0.0
         assert identity["mean_total_latency"] == identity["mean_hop_sum"]
 
+    def test_pim_folds_are_the_ops_completed_in_the_run(self):
+        """A PIM op retires as it issues, but its hop chain is folded only
+        once it lands: the PIM histograms count exactly the ops that
+        completed by the last simulated cycle, none still in flight."""
+        in_flight_seen = 0
+        for max_cycles in range(900, 912):
+            reset_request_ids()
+            config = SystemConfig.scaled(num_channels=2, num_sms=4)
+            system = GPUSystem(config, PolicySpec("F3FS"), seed=3, scale=0.06)
+            system.enable_telemetry(timeline_interval=None)
+            system.add_kernel(get_gpu_kernel("G17"), num_sms=3, loop=True)
+            system.add_kernel(get_pim_kernel("P1"), num_sms=1, loop=True)
+            system.run(max_cycles=max_cycles, until_all_complete_once=False)
+            # Ops run one at a time per executor: only the last can still
+            # be in flight, and it ends with the last busy interval.
+            in_flight = sum(
+                1
+                for executor in system.pim_execs
+                if executor.busy_intervals and executor.busy_intervals[-1][1] >= system.cycle
+            )
+            executed = sum(executor.stats.ops_executed for executor in system.pim_execs)
+            folded = system.telemetry.stage_hist("pim", "total").total
+            assert folded == executed - in_flight > 0
+            in_flight_seen += in_flight
+        assert in_flight_seen > 0  # some run ended with an op in flight
+
     def test_summary_shape_and_result_plumbing(self):
         system, result, _ = run_corun(telemetry=True)
         summary = result.telemetry

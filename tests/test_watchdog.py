@@ -95,7 +95,11 @@ class TestStallDetection:
         assert diag["cycle"] == system.cycle
         assert len(diag["channels"]) == system.config.num_channels
         for channel in diag["channels"]:
-            assert {"mode", "mem_queue", "pim_queue", "switching"} <= set(channel)
+            assert {
+                "mode", "mem_queue", "pim_queue", "switching", "mem_in_flight", "pim_busy_until"
+            } <= set(channel)
+            # PIM occupancy: the cycle the lock-step executor frees.
+            assert isinstance(channel["pim_busy_until"], int)
         # The dump must be journal-able: plain JSON types only.
         import json
 
