@@ -501,7 +501,7 @@ def cmd_fabric_serve(args) -> int:
         )
         print(
             f"fabric coordinator on http://{coord.address} — "
-            f"{len(coord.cells)} cells ({coord.hits} already warm){recovered}; "
+            f"{len(coord.cells)} cells ({coord.publisher.hits} already warm){recovered}; "
             f"join with: repro fabric work --connect {coord.address}",
             file=sys.stderr,
         )

@@ -132,10 +132,6 @@ class SystemConfig:
         """This configuration with the separate PIM virtual channel added."""
         return replace(self, num_virtual_channels=2)
 
-    @property
-    def with_vc1(self) -> "SystemConfig":
-        return replace(self, num_virtual_channels=1)
-
     def replace(self, **kwargs) -> "SystemConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)

@@ -168,7 +168,6 @@ class MemoryController:
             request.mc_blocked_base = self.mode_cycles_upto(
                 Mode.MEM if request.is_pim else Mode.PIM, cycle
             )
-        self.policy.on_enqueue(request, cycle)
         if self._switch_target is None and not self._dirty and not self._sleeps_on_pim(cycle):
             # A switch drain waits only on in-flight work: an arrival cannot
             # end it sooner, and the decision after it sees the arrival.

@@ -97,9 +97,6 @@ class SchedulingPolicy(abc.ABC):
     def on_switch(self, new_mode: Mode, cycle: int) -> None:
         """Called when a mode switch completes."""
 
-    def on_enqueue(self, request: Request, cycle: int) -> None:
-        """Called when a request enters the controller's queues."""
-
     def next_epoch_cycle(self, cycle: int) -> int:
         """First cycle after ``cycle`` at which time alone can change a
         decision (wake-heap contract).

@@ -76,8 +76,3 @@ class DRAMTimings:
                 raise ValueError(f"{name} must be positive")
         if self.tRAS < self.tRCD:
             raise ValueError("tRAS must cover at least tRCD")
-
-    @property
-    def row_conflict_penalty(self) -> int:
-        """Extra cycles a row-buffer conflict pays over a hit (PRE + ACT)."""
-        return self.tRP + self.tRCD

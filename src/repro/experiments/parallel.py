@@ -45,6 +45,7 @@ from repro.experiments.runner import (
     make_cell,
     outcome_value,
 )
+from repro.obs.status import StatusPublisher
 from repro.resilience import faults as fault_injection
 from repro.resilience.cells import (
     PENDING,
@@ -105,26 +106,34 @@ class GridReport:
     """Outcome of one (possibly sharded/resumed) grid invocation.
 
     ``outcomes`` is aligned with ``tasks``; entries not run by this
-    invocation (other shards, quarantined cells) are ``None``.  ``hits``
-    counts cells (and memoized repeats) satisfied without simulating;
-    ``misses`` counts cells that ran.  ``failed_outcomes`` lists cells
-    quarantined by the supervisor after exhausting their retries (or
-    immediately, for deterministic config/stall failures);
-    ``retry_events`` is the supervisor's retry/suspect history.
+    invocation (other shards, quarantined cells) are ``None``.  ``tally``
+    is the sweep's :class:`~repro.obs.status.StatusPublisher`, the one
+    count of the campaign: ``completed``, ``hits`` (cells and memoized
+    repeats satisfied without simulating) and ``misses`` (cells that
+    ran) read from it.  ``failed_outcomes`` lists cells quarantined after
+    exhausting their retries (or immediately, for deterministic
+    config/stall failures); ``retry_events`` is the retry/suspect history.
     """
 
     tasks: List[GridTask]
     outcomes: List[Optional[object]]
-    hits: int = 0
-    misses: int = 0
+    tally: StatusPublisher
     counters: Optional[object] = None  # EngineCounters when collect_perf
     shard: Optional[Tuple[int, int]] = None
     failed_outcomes: List[CellFailure] = field(default_factory=list)
     retry_events: List[Dict] = field(default_factory=list)
 
     @property
+    def hits(self) -> int:
+        return self.tally.hits
+
+    @property
+    def misses(self) -> int:
+        return self.tally.misses
+
+    @property
     def completed(self) -> int:
-        return sum(1 for outcome in self.outcomes if outcome is not None)
+        return self.tally.completed
 
     @property
     def failed(self) -> int:
@@ -264,14 +273,15 @@ def run_sweep(
     :class:`~repro.resilience.faults.FaultPlan` in every worker (also
     loadable via the ``REPRO_FAULTS`` environment variable).
 
-    With ``store_dir`` set the run also heartbeats: a
-    :class:`repro.obs.status.StatusPublisher` keeps an atomically
-    replaced ``status.json`` in the store root (throttled to
+    Every sweep is counted and closed by one
+    :class:`repro.obs.status.StatusPublisher` (``GridReport.tally``).
+    With ``store_dir`` set it also journals each quarantine and a final
+    ``sweep_summary`` — even when every cell was a warm cache hit, so a
+    100%-hit ``--resume`` still leaves a visible record — and keeps an
+    atomically replaced ``status.json`` in the store root (throttled to
     ``status_interval`` seconds between writes; see
-    ``docs/observability.md`` for the schema), and a final
-    ``sweep_summary`` event is always journaled — even when every cell
-    was a warm cache hit, so a 100%-hit ``--resume`` still leaves a
-    visible record instead of an empty campaign.  The heartbeat is
+    ``docs/observability.md`` for the schema).  Without a store it writes
+    nothing and leaves the process metrics registry alone.  The tally is
     observational only: armed runs compute bit-identical results and
     store fingerprints to unarmed runs.
     """
@@ -297,83 +307,44 @@ def run_sweep(
         watchdog,
     )
 
+    store = None
+    registry = None
+    if store_dir is not None:
+        from repro.obs.metrics import get_registry
+        from repro.store import ResultStore
+
+        store = ResultStore(store_dir)
+        registry = get_registry()
+    tally = StatusPublisher(
+        store,
+        total_cells=len(subset),
+        shard=shard,
+        max_workers=max_workers,
+        interval=status_interval,
+        registry=registry,
+    )
     report = GridReport(
-        tasks=tasks, outcomes=[None] * len(tasks), shard=shard
+        tasks=tasks, outcomes=[None] * len(tasks), tally=tally, shard=shard
     )
     if collect_perf:
         from repro.perf.counters import EngineCounters
 
         report.counters = EngineCounters()
 
-    journal_store = None
-    publisher = None
-    if store_dir is not None:
-        from repro.obs.metrics import get_registry
-        from repro.obs.status import StatusPublisher
-        from repro.store import ResultStore
-
-        journal_store = ResultStore(store_dir)
-        publisher = StatusPublisher(
-            store_dir,
-            total_cells=len(subset),
-            shard=shard,
-            max_workers=max_workers,
-            interval=status_interval,
-            registry=get_registry(),
-        )
-
     def quarantine(failure: CellFailure) -> None:
-        # Rebase the subset-relative index onto the full task list and
-        # record the poisoned cell next to the puts of the cells that
-        # did complete.
+        # Rebase the subset-relative index onto the full task list.
         failure.index = selected[failure.index]
         report.failed_outcomes.append(failure)
-        if journal_store is not None:
-            journal_store.log_event("quarantine", **failure.to_dict())
-        if publisher is not None:
-            publisher.record_quarantine(failure.to_dict())
+        tally.record_quarantine(failure.to_dict())
 
     def completed_cell(position: int, outcome: object, perf: Optional[Dict], how: str) -> None:
-        nonlocal completed
         report.outcomes[selected[position]] = outcome
-        hit = how != "miss"
-        if hit:
-            report.hits += 1
-        else:
-            report.misses += 1
         if report.counters is not None and perf:
             report.counters.merge_snapshot(perf)
-        if publisher is not None:
-            publisher.record_completion(hit=hit)
-        completed += 1
-        if abort_after is not None and completed >= abort_after:
-            raise SweepAborted(completed)
+        tally.record_completion(hit=how != "miss")
+        if abort_after is not None and tally.completed >= abort_after:
+            raise SweepAborted(tally.completed)
 
-    def finalize(state: str) -> None:
-        """Publish the final heartbeat and journal the run's summary line.
-
-        Runs unconditionally at the end of the invocation (``complete``
-        or ``aborted``), so even a sweep whose every cell was a warm
-        cache hit — which journals no ``put`` lines — leaves a visible
-        account of what happened.
-        """
-        if publisher is not None:
-            publisher.finish(state)
-        if journal_store is not None:
-            journal_store.log_event(
-                "sweep_summary",
-                state=state,
-                total=len(subset),
-                completed=report.completed,
-                hits=report.hits,
-                misses=report.misses,
-                failed=report.failed,
-                shard=list(shard) if shard is not None else None,
-            )
-
-    # Each retry reaches status.json from the cell table as it happens.
-    record_retry = publisher.record_retry if publisher is not None else None
-    completed = 0
     # Crash/hang faults must never run in the coordinating process, so
     # any installed fault plan forces the supervised pool path even at
     # max_workers=1 (so does a cell timeout, which needs a killable
@@ -382,7 +353,7 @@ def run_sweep(
     try:
         if not use_pool:
             _init_worker(*init_args)
-            cells = CellTable(retry, on_retry=record_retry, on_quarantine=quarantine)
+            cells = CellTable(retry, on_retry=tally.record_retry, on_quarantine=quarantine)
             try:
                 for position, task in enumerate(subset):
                     cell = cells.add(position, task.label, index=position)
@@ -422,15 +393,14 @@ def run_sweep(
                 labeler=lambda task: task.label,
             )
             supervisor.on_quarantine = quarantine
-            supervisor.on_retry = record_retry
-            if publisher is not None:
-                supervisor.on_heartbeat = publisher.record_in_flight
+            supervisor.on_retry = tally.record_retry
+            supervisor.on_heartbeat = tally.record_in_flight
             supervisor.run(subset, shipped)
             report.retry_events.extend(supervisor.events)
     except BaseException:
-        finalize("aborted")
+        tally.finish("aborted")
         raise
-    finalize("complete")
+    tally.finish("complete")
     return report
 
 

@@ -5,7 +5,9 @@ The coordinator owns one campaign — a grid of
 :class:`~repro.store.ResultStore` — and leases cells to worker processes
 over HTTP (:mod:`repro.fabric.protocol`).  It is the network-layer
 analogue of :func:`repro.experiments.parallel.run_sweep`: the
-same store, the same journal, the same ``status.json`` heartbeat schema,
+same store, the same journal, and the same
+:class:`~repro.obs.status.StatusPublisher` to count the campaign, journal
+its quarantines and closing ``sweep_summary`` and keep ``status.json``,
 so a fabric sweep and a single-process sweep against the same grid leave
 byte-identical ``objects/`` trees behind (the property
 ``tests/test_fabric.py`` and the CI ``fabric-canary`` assert).
@@ -78,7 +80,6 @@ from repro.resilience.cells import (
     LEASED,
     PENDING,
     Cell,
-    CellFailure,
     CellTable,
     RetryPolicy,
 )
@@ -155,8 +156,8 @@ class FabricCoordinator:
             clock=clock,
             wall=wall_clock,
             write_ahead=lambda record: self.ledger.append(epoch=self.epoch, **record),
-            on_retry=self._retried,
-            on_quarantine=self._quarantined,
+            on_retry=lambda event: self.publisher.record_retry(event),
+            on_quarantine=lambda failure: self.publisher.record_quarantine(failure.to_dict()),
         )
         # One cell per fingerprint: duplicate tasks are one unit of work.
         for index, task in enumerate(self.tasks):
@@ -165,8 +166,6 @@ class FabricCoordinator:
                 self.table.add(key, task.label, index, task)
         self.cells = list(self.table.cells.values())
         self._deadlines: Dict[str, float] = {}  # leased cell key -> lease expiry (clock)
-        self.hits = 0
-        self.misses = 0
         self.workers: Dict[str, float] = {}  # worker id -> last seen (clock)
         self.state = "running"
         self.epoch = 1
@@ -179,6 +178,8 @@ class FabricCoordinator:
         self._ticker: Optional[asyncio.Task] = None
         self._done_async: Optional[asyncio.Event] = None
         self.completed_event = threading.Event()
+        #: The campaign's tally (counts, status.json, quarantine and
+        #: sweep_summary journal lines), built once the ledger is replayed.
         self.publisher: Optional[StatusPublisher] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -207,7 +208,7 @@ class FabricCoordinator:
             "quarantined": len(self.table.failures),
         }
         self.publisher = StatusPublisher(
-            self.store.root,
+            self.store,
             total_cells=len(self.cells),
             max_workers=0,
             interval=self.status_interval,
@@ -219,7 +220,7 @@ class FabricCoordinator:
             wal.OP_OPEN, epoch=self.epoch, code=self.code, cells=len(self.cells)
         )
         for failure in self.table.failures:
-            self.publisher.record_quarantine(failure.to_dict())
+            self.publisher.record_quarantine(failure.to_dict(), journal=False)
         now = self._clock()
         for cell in self.cells:
             if cell.state == FAILED:
@@ -229,7 +230,6 @@ class FabricCoordinator:
             # hit writes no record.
             if self.store.get(cell.key, kind=cell.task.kind) is not None:
                 self.table.apply({"op": "complete", "key": cell.key})
-                self.hits += 1
                 self.publisher.record_completion(hit=True)
             elif cell.state == DONE:
                 self.table.apply({"op": "release", "key": cell.key})
@@ -320,14 +320,16 @@ class FabricCoordinator:
         self._check_complete()
 
     def summary(self) -> Dict:
-        """Campaign roll-up (cells are fingerprint-unique units of work)."""
+        """Campaign roll-up (cells are fingerprint-unique units of work),
+        counted by the publisher."""
+        tally = self.publisher
         return {
             "state": self.state,
-            "total": len(self.cells),
-            "completed": self.table.counts[DONE],
-            "hits": self.hits,
-            "misses": self.misses,
-            "failed": len(self.table.failures),
+            "total": tally.total,
+            "completed": tally.completed,
+            "hits": tally.hits,
+            "misses": tally.misses,
+            "failed": len(tally.quarantined),
             "workers": sorted(self.workers),
             "epoch": self.epoch,
             "recoveries": self.recoveries,
@@ -344,13 +346,6 @@ class FabricCoordinator:
         """The quarantine roster, in order."""
         return [failure.to_dict() for failure in self.table.failures]
 
-    def _retried(self, event: Dict) -> None:
-        self.publisher.record_retry(event)
-
-    def _quarantined(self, failure: CellFailure) -> None:
-        self._journal("quarantine", **failure.to_dict())
-        self.publisher.record_quarantine(failure.to_dict())
-
     def _blame(self, cell: Cell, kind: str, message: str) -> None:
         """One failed attempt (the current lease): re-lease with backoff
         or quarantine."""
@@ -360,17 +355,7 @@ class FabricCoordinator:
     def _finalize(self, state: str) -> None:
         self.ledger.append(wal.OP_CLOSE, epoch=self.epoch, state=state)
         self.state = state
-        self.publisher.finish("complete" if state == "complete" else "aborted")
-        self._journal(
-            "sweep_summary",
-            state=state,
-            total=len(self.cells),
-            completed=self.table.counts[DONE],
-            hits=self.hits,
-            misses=self.misses,
-            failed=len(self.table.failures),
-            shard=None,
-        )
+        self.publisher.finish(state)
         if self._done_async is not None:
             self._done_async.set()
         self.completed_event.set()
@@ -601,7 +586,6 @@ class FabricCoordinator:
         # always store-backed, and a crash in between is healed by the
         # warm-store scan on restart.
         self.table.complete(cell.key, lease_id=lease_id, worker=worker)
-        self.misses += 1
         self._journal(
             protocol.EV_COMPLETE,
             key=cell.key,

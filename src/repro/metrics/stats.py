@@ -22,10 +22,6 @@ class BoxSummary:
     q3: float
     maximum: float
 
-    @property
-    def iqr(self) -> float:
-        return self.q3 - self.q1
-
 
 def _quantile(ordered: Sequence[float], q: float) -> float:
     """Linear-interpolation quantile of pre-sorted data."""

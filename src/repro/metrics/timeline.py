@@ -74,35 +74,6 @@ class TimelineSampler:
             return {key: 0.0 for key in counts}
         return {key: value / total for key, value in counts.items()}
 
-    def occupancy_series(self, what: str = "mem") -> List[float]:
-        """Average per-channel queue occupancy over time.
-
-        ``what``: "mem", "pim", or "noc".
-        """
-        attr = {
-            "mem": "mem_queue_occupancy",
-            "pim": "pim_queue_occupancy",
-            "noc": "noc_occupancy",
-        }.get(what)
-        if attr is None:
-            raise ValueError("what must be 'mem', 'pim', or 'noc'")
-        series = []
-        for sample in self.samples:
-            values = getattr(sample, attr)
-            series.append(sum(values) / len(values) if values else 0.0)
-        return series
-
-    def switch_points(self, channel: int = 0) -> List[int]:
-        """Cycles at which the sampled channel changed state."""
-        points = []
-        previous = None
-        for sample in self.samples:
-            state = sample.modes[channel]
-            if previous is not None and state != previous:
-                points.append(sample.cycle)
-            previous = state
-        return points
-
     def render_strip(self, channel: int = 0, width: int = 80) -> str:
         """ASCII strip chart of one channel's mode over time.
 

@@ -80,9 +80,6 @@ class BoundedQueue(Generic[T]):
         if not self.try_push(item):
             raise OverflowError(f"queue {self.name or id(self)} is full")
 
-    def peek(self) -> Optional[T]:
-        return self._items[0] if self._items else None
-
     def pop(self) -> T:
         if not self._items:
             raise IndexError("pop from empty queue")

@@ -1,14 +1,15 @@
-"""Live sweep heartbeat: the atomically-replaced ``status.json``.
+"""The campaign tally and its heartbeat, the atomically-replaced ``status.json``.
 
-A running campaign used to be a black box until it finished; the
-heartbeat makes it observable from outside the process.  Whenever a
-store directory is attached to a sweep,
-:func:`repro.experiments.parallel.run_sweep` keeps a
-:class:`StatusPublisher` updated as cells complete, and the publisher
-writes ``status.json`` into the store root with the same durability rule
-as the store's objects — write a temp file, ``os.replace`` into place —
-so a concurrent reader (``repro status``, the HTTP endpoint, a human
-with ``cat``) never sees a torn document.
+A :class:`StatusPublisher` is the one place a dispatch is counted and
+closed: :func:`repro.experiments.parallel.run_sweep` (in-process loop or
+supervised pool) and :class:`repro.fabric.FabricCoordinator` feed it
+every completion, retry and quarantine, and read their hit/miss counts
+back from it.  Given a :class:`~repro.store.ResultStore`, it journals
+each ``quarantine`` and the closing ``sweep_summary`` record and writes
+``status.json`` into the store root with the same durability rule as the
+store's objects — write a temp file, ``os.replace`` into place — so a
+concurrent reader (``repro status``, the HTTP endpoint, a human with
+``cat``) never sees a torn document.  Without a store it only counts.
 
 Schema (``validate_status`` checks it; version bumps ``STATUS_SCHEMA``)::
 
@@ -41,9 +42,12 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.store import ResultStore
 
 PathLike = Union[str, Path]
 
@@ -150,17 +154,20 @@ def validate_status(doc: Dict) -> List[str]:
 
 
 class StatusPublisher:
-    """Accumulates campaign progress and publishes ``status.json``.
+    """The tally of one dispatch: counts, journals and closes it.
 
-    Purely observational: it is fed by the sweep coordinator *after* each
-    cell's result is folded, touches no engine state, and its counters
-    live in a :class:`~repro.obs.metrics.MetricsRegistry` — so an armed
-    sweep computes exactly what an unarmed one does.
+    Purely observational: it is fed by the dispatcher *after* each cell's
+    result is folded, touches no engine state, and its counters live in
+    a :class:`~repro.obs.metrics.MetricsRegistry` — so an armed sweep
+    computes exactly what an unarmed one does.  ``store`` (a
+    :class:`~repro.store.ResultStore`, or ``None`` to only count) is
+    where the ``quarantine`` and ``sweep_summary`` journal lines and
+    ``status.json`` go.
     """
 
     def __init__(
         self,
-        store_dir: PathLike,
+        store: Optional["ResultStore"],
         total_cells: int,
         shard: Optional[Tuple[int, int]] = None,
         max_workers: int = 1,
@@ -170,7 +177,8 @@ class StatusPublisher:
         epoch: Optional[int] = None,
         clock=time.time,
     ) -> None:
-        self.path = status_path(store_dir)
+        self.store = store
+        self.path = status_path(store.root) if store is not None else None
         self.total = total_cells
         self.shard = list(shard) if shard is not None else None
         self.max_workers = max_workers
@@ -236,7 +244,12 @@ class StatusPublisher:
             self._c_retries.inc()
         self.publish()
 
-    def record_quarantine(self, failure: Dict) -> None:
+    def record_quarantine(self, failure: Dict, journal: bool = True) -> None:
+        """Add a quarantined cell (a :meth:`CellFailure.to_dict`) to the
+        roster, journaling it unless ``journal`` is false — a roster a
+        coordinator replays from its ledger was journaled when it formed."""
+        if journal and self.store is not None:
+            self.store.log_event("quarantine", **failure)
         self.quarantined.append(
             {
                 "label": failure.get("label", "?"),
@@ -255,12 +268,26 @@ class StatusPublisher:
         self.publish()
 
     def finish(self, state: str = "complete") -> None:
+        """Close the campaign: the final heartbeat, then the journal's
+        ``sweep_summary`` — written even when every cell was a warm hit
+        (which journals no ``put`` lines), so any run leaves an account."""
         if state not in _STATES:
             raise ValueError(f"unknown final state {state!r}; expected one of {_STATES}")
         self.state = state
         self.in_flight = []
         self._g_in_flight.set(0)
         self.publish(force=True)
+        if self.store is not None:
+            self.store.log_event(
+                "sweep_summary",
+                state=state,
+                total=self.total,
+                completed=self.completed,
+                hits=self.hits,
+                misses=self.misses,
+                failed=len(self.quarantined),
+                shard=self.shard,
+            )
 
     # -- publish -----------------------------------------------------------
 
@@ -300,7 +327,10 @@ class StatusPublisher:
         return doc
 
     def publish(self, force: bool = False) -> None:
-        """Write ``status.json`` atomically (throttled unless ``force``)."""
+        """Write ``status.json`` atomically (throttled unless ``force``);
+        a publisher without a store writes nothing."""
+        if self.path is None:
+            return
         now = self._clock()
         if not force and now - self._last_write < self.interval:
             return

@@ -47,7 +47,3 @@ class EngineCounters:
     def snapshot(self) -> Dict[str, Dict]:
         """Plain-dict copy of the accumulators, safe to pickle and merge."""
         return {"seconds": dict(self.seconds), "calls": dict(self.calls)}
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.seconds.values())

@@ -36,10 +36,6 @@ class RequestType(enum.Enum):
     def is_pim(self) -> bool:
         return self is RequestType.PIM
 
-    @property
-    def is_mem(self) -> bool:
-        return not self.is_pim
-
 
 class Mode(enum.Enum):
     """Memory-controller servicing mode (Figure 1 arbiter)."""
@@ -159,13 +155,6 @@ class Request:
         self.mode = Mode.PIM if pim else Mode.MEM
         if pim:
             self.pim_dram = self.pim_op.kind.accesses_dram
-
-    @property
-    def queueing_delay(self) -> int:
-        """Cycles spent waiting in the memory controller before issue."""
-        if self.cycle_issued < 0 or self.cycle_mc_arrival < 0:
-            raise ValueError("request has not been issued yet")
-        return self.cycle_issued - self.cycle_mc_arrival
 
     @property
     def total_latency(self) -> int:

@@ -58,14 +58,6 @@ def kernel_to_dict(kernel) -> Dict:
     }
 
 
-def result_from_dict(record: Dict) -> SimResult:
-    """Rebuild a :class:`SimResult` from :func:`result_to_dict` output.
-
-    Derived per-kernel fields (hit rates) are recomputed, not trusted;
-    the roundtrip is exact for every stored field, which is what lets the
-    result store hand back cached runs indistinguishable from fresh ones.
-    """
-    return SimResult.from_payload(record)
 
 
 def save_result_json(result: SimResult, path: PathLike) -> None:

@@ -158,6 +158,3 @@ class TraceKernel(KernelSpec):
 
     def sm_slots(self) -> int:
         return max(sm for sm, _ in self._phases) + 1
-
-    def total_requests(self) -> int:
-        return sum(len(r["requests"]) for records in self._phases.values() for r in records)

@@ -55,7 +55,7 @@ class TestVCHelpers:
         config = SystemConfig.scaled()
         assert config.num_virtual_channels == 1
         assert config.with_vc2.num_virtual_channels == 2
-        assert config.with_vc2.with_vc1.num_virtual_channels == 1
+        assert config.with_vc2.replace(num_virtual_channels=1) == config
 
     def test_replace_preserves_other_fields(self):
         config = SystemConfig.scaled().replace(mem_queue_size=32)

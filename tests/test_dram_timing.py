@@ -29,7 +29,6 @@ class TestTimings:
     def test_paper_defaults(self):
         t = DRAMTimings()
         assert (t.tRCD, t.tRP, t.tRAS, t.tCL) == (12, 12, 28, 12)
-        assert t.row_conflict_penalty == 24
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -105,7 +105,6 @@ class TestStats:
         assert box.median == 3
         assert box.maximum == 5
         assert box.q1 == 2 and box.q3 == 4
-        assert box.iqr == 2
 
     def test_box_single_value(self):
         box = box_summary([7.0])

@@ -41,9 +41,12 @@ class TestBoundedQueue:
 
     def test_peek_and_len(self):
         q = BoundedQueue(4)
-        assert q.peek() is None
+        assert list(q) == []
         q.push("a")
-        assert q.peek() == "a"
+        q.push("b")
+        assert next(iter(q)) == "a"  # the head, still queued
+        assert len(q) == 2
+        q.pop()
         assert len(q) == 1
 
     def test_pop_empty_raises(self):

@@ -70,7 +70,8 @@ class TestMetricsRegistry:
         gauge = reg.gauge("in.flight")
         gauge.set(3)
         gauge.inc()
-        gauge.dec(2)
+        assert gauge.value == 4
+        gauge.set(2)
         assert gauge.value == 2
         hist = reg.histogram("interval.ms", "cadence")
         for value in (10, 20, 4000):
@@ -147,7 +148,9 @@ class TestMetricsRegistry:
 class TestStatusPublisher:
     def make(self, tmp_path, **kwargs):
         kwargs.setdefault("interval", 0.0)  # publish on every feed in tests
-        return StatusPublisher(tmp_path, total_cells=4, registry=MetricsRegistry(), **kwargs)
+        return StatusPublisher(
+            ResultStore(tmp_path), total_cells=4, registry=MetricsRegistry(), **kwargs
+        )
 
     def test_initial_document_valid_and_on_disk(self, tmp_path):
         publisher = self.make(tmp_path)
@@ -200,7 +203,7 @@ class TestStatusPublisher:
     def test_throttle_skips_writes_but_force_lands(self, tmp_path):
         clock = [100.0]
         publisher = StatusPublisher(
-            tmp_path, total_cells=2, registry=MetricsRegistry(),
+            ResultStore(tmp_path), total_cells=2, registry=MetricsRegistry(),
             interval=10.0, clock=lambda: clock[0],
         )
         clock[0] += 1.0  # inside the throttle window
@@ -208,6 +211,35 @@ class TestStatusPublisher:
         assert read_status(tmp_path)["cells"]["completed"] == 0  # throttled
         publisher.finish("complete")  # forced
         assert read_status(tmp_path)["cells"]["completed"] == 1
+
+    def test_journals_quarantines_and_the_closing_summary(self, tmp_path):
+        publisher = self.make(tmp_path, shard=(0, 2))
+        publisher.record_completion(hit=True)
+        publisher.record_completion(hit=False)
+        failure = {"index": 3, "label": "G17|P1|F3FS|vc2", "kind": "crash",
+                   "message": "boom", "attempts": 3}
+        publisher.record_quarantine(failure)
+        # A roster replayed from a coordinator's ledger is not journaled again.
+        publisher.record_quarantine({**failure, "index": 2, "label": "old"}, journal=False)
+        publisher.finish("complete")
+        entries = ResultStore(tmp_path).journal_entries()
+        assert [e["event"] for e in entries] == ["quarantine", "sweep_summary"]
+        assert {k: v for k, v in entries[0].items() if k not in ("event", "ts")} == failure
+        summary = {k: v for k, v in entries[1].items() if k not in ("event", "ts")}
+        assert summary == {
+            "state": "complete", "total": 4, "completed": 2, "hits": 1,
+            "misses": 1, "failed": 2, "shard": [0, 2],
+        }
+        assert read_status(tmp_path)["cells"]["failed"] == 2
+
+    def test_without_a_store_it_only_counts(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        publisher = StatusPublisher(None, total_cells=2, interval=0.0)
+        publisher.record_completion(hit=False)
+        publisher.record_quarantine({"label": "x", "kind": "error"})
+        publisher.finish("complete")
+        assert (publisher.completed, publisher.misses, len(publisher.quarantined)) == (1, 1, 1)
+        assert list(tmp_path.iterdir()) == []
 
     def test_finish_rejects_unknown_state(self, tmp_path):
         with pytest.raises(ValueError):
@@ -235,7 +267,7 @@ class TestStatusPublisher:
         misreport a live sweep as statusless."""
         from repro.obs.status import status_path
 
-        good = StatusPublisher(tmp_path / "donor", total_cells=1).document()
+        good = StatusPublisher(None, total_cells=1).document()
         path = status_path(tmp_path)
         path.parent.mkdir(exist_ok=True)
         path.write_text('{"torn": ')  # half-written document
@@ -278,7 +310,7 @@ class TestStatusServer:
             assert info.value.code == 503
             assert json.loads(info.value.read().decode())["state"] == "unknown"
 
-            StatusPublisher(tmp_path, total_cells=1, registry=reg)
+            StatusPublisher(store, total_cells=1, registry=reg)
             status, ctype, body = _get(server.url + "/status")
             assert status == 200 and "application/json" in ctype
             assert validate_status(json.loads(body)) == []
@@ -345,6 +377,15 @@ class TestSweepHeartbeat:
         assert len(summaries) == 2
         assert all(s["state"] == "complete" for s in summaries)
         assert summaries[-1]["hits"] == 1 and summaries[-1]["misses"] == 0
+
+    def test_storeless_sweep_counts_without_touching_the_registry(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = get_registry().snapshot()
+        report = run_sweep(TINY, tiny_tasks())
+        assert (report.hits, report.misses) == (0, 1)
+        assert report.tally.state == "complete"
+        assert get_registry().snapshot() == before
+        assert list(tmp_path.iterdir()) == []
 
     def test_supervised_sweep_reports_every_retry(self, tmp_path):
         """The pool's retries reach status.json one by one: the final
@@ -414,7 +455,7 @@ class TestSweepHeartbeat:
         from repro.obs.status import StatusPublisher, status_path
 
         store_dir = str(tmp_path)
-        doc = StatusPublisher(tmp_path / "donor", total_cells=1).document()
+        doc = StatusPublisher(None, total_cells=1).document()
         doc["state"] = "complete"
 
         timer = threading.Timer(

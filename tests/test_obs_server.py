@@ -31,10 +31,10 @@ class TestConcurrentReads:
         registry and rewrites status.json: every response parses, every
         status document validates, nothing 500s."""
         registry = MetricsRegistry()
-        publisher = StatusPublisher(
-            tmp_path, total_cells=10_000, interval=0.0, registry=registry
-        )
         store = ResultStore(tmp_path)
+        publisher = StatusPublisher(
+            store, total_cells=10_000, interval=0.0, registry=registry
+        )
         for i in range(5):
             store.log_event("put", key=f"k{i}", label=f"cell-{i}")
 

@@ -38,13 +38,10 @@ class TestRequest:
         request = Request(type=RequestType.MEM_LOAD, address=0)
         with pytest.raises(ValueError):
             _ = request.total_latency
-        with pytest.raises(ValueError):
-            _ = request.queueing_delay
         request.cycle_created = 10
         request.cycle_mc_arrival = 20
         request.cycle_issued = 35
         request.cycle_completed = 60
-        assert request.queueing_delay == 15
         assert request.total_latency == 50
 
     def test_identity_semantics(self):
@@ -55,7 +52,7 @@ class TestRequest:
 
     def test_type_predicates(self):
         store = Request(type=RequestType.MEM_STORE, address=0)
-        assert store.type.is_mem
+        assert store.mode is Mode.MEM
         assert not store.is_load
         assert not store.is_pim
 

@@ -7,7 +7,10 @@ and a fabric campaign (coordinator + one worker).  Every dispatcher
 applies :meth:`~repro.resilience.RetryPolicy.next_retry` and owns the
 cell's only retry budget, so all three must quarantine the same roster
 (label, kind, attempts, message), execute each cell the same number of
-times (2, ``retries + 1`` and 1) and back off by the same delays.
+times (2, ``retries + 1`` and 1) and back off by the same delays.  The
+serial sweep and the fabric campaign run against a store, where both must
+also close the campaign alike: the same ``quarantine`` journal records,
+the same final ``sweep_summary`` and the same ``status.json`` counts.
 """
 
 import functools
@@ -20,7 +23,9 @@ from repro.core.policies import PolicySpec
 from repro.experiments import RetryPolicy, Runner, make_tasks, parallel, run_sweep
 from repro.fabric import FabricWorker
 from repro.fabric import ledger as wal
+from repro.obs import read_status
 from repro.resilience import FaultInjected, Supervisor
+from repro.store import ResultStore
 from tests.fabric_harness import CoordinatorThread
 from tests.test_store_resume import TINY
 
@@ -87,9 +92,9 @@ def delays(events):
 
 def serial_sweep(tmp_path, monkeypatch):
     log_dir = tmp_path / "runs"
-    log_dir.mkdir()
+    log_dir.mkdir(parents=True)
     monkeypatch.setattr(parallel, "Runner", scripted_runner(log_dir))
-    report = run_sweep(TINY, TASKS, retry=RETRY)
+    report = run_sweep(TINY, TASKS, retry=RETRY, store_dir=str(tmp_path / "s"))
     assert report.completed == 1
     failures = [f.to_dict() for f in report.failed_outcomes]
     return runs(log_dir), roster(failures), delays(report.retry_events)
@@ -110,7 +115,7 @@ def pooled_supervisor(tmp_path, monkeypatch):
 
 def fabric_campaign(tmp_path, monkeypatch):
     log_dir = tmp_path / "runs"
-    log_dir.mkdir()
+    log_dir.mkdir(parents=True)
     wall = 1000.0  # a fixed wall clock: each ledger retry deadline is wall + delay
     with CoordinatorThread(
         TINY, TASKS, tmp_path / "s", ttl=30.0, tick=0.02, retry=RETRY,
@@ -155,3 +160,42 @@ def test_same_roster_executions_and_delays(tmp_path, monkeypatch, dispatch):
     assert executions == EXPECTED_RUNS
     assert quarantined == EXPECTED_ROSTER
     assert backoffs == EXPECTED_DELAYS
+
+
+SUMMARY_FIELDS = ("state", "total", "completed", "hits", "misses", "failed")
+
+
+def campaign_account(store_dir: Path):
+    """What a dispatcher journaled and published about its campaign:
+    ``(quarantine records, last sweep_summary, status cells, status retries)``."""
+    entries = ResultStore(store_dir).journal_entries()
+    quarantines = sorted(
+        (
+            {field: value for field, value in entry.items() if field != "ts"}
+            for entry in entries
+            if entry["event"] == "quarantine"
+        ),
+        key=lambda record: record["label"],
+    )
+    summary = [entry for entry in entries if entry["event"] == "sweep_summary"][-1]
+    status = read_status(store_dir)
+    return (
+        quarantines,
+        {field: summary[field] for field in SUMMARY_FIELDS},
+        status["cells"],
+        status["retries"],
+    )
+
+
+def test_serial_and_fabric_close_the_campaign_alike(tmp_path, monkeypatch):
+    serial_sweep(tmp_path / "serial", monkeypatch)
+    fabric_campaign(tmp_path / "fabric", monkeypatch)
+    serial = campaign_account(tmp_path / "serial" / "s")
+    assert campaign_account(tmp_path / "fabric" / "s") == serial
+    quarantines, summary, cells, retries = serial
+    assert roster(quarantines) == EXPECTED_ROSTER
+    assert [record["index"] for record in quarantines] == [1, 2]
+    counts = {"total": 3, "completed": 1, "hits": 0, "misses": 1, "failed": 2}
+    assert summary == {"state": "complete", **counts}
+    assert cells == counts
+    assert retries == len(EXPECTED_DELAYS)

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.request import Mode
-from repro.sim.export import result_from_dict, result_to_dict
+from repro.sim.export import result_to_dict
 from repro.sim.results import KernelResult, SimResult
 from repro.store import CODE_VERSION_ENV, ResultStore, fingerprint
 
@@ -168,13 +168,13 @@ class TestSimResultRoundtrip:
 
     def test_exact_roundtrip(self):
         result = self.make_result()
-        assert result_from_dict(result_to_dict(result)) == result
+        assert SimResult.from_payload(result_to_dict(result)) == result
 
     def test_roundtrip_through_json_and_store(self, store):
         result = self.make_result()
         key = "b" * 64
         store.put(key, result_to_dict(result), meta={"kind": "standalone"})
-        loaded = result_from_dict(store.get(key))
+        loaded = SimResult.from_payload(store.get(key))
         assert loaded == result
         assert loaded.telemetry == result.telemetry
         assert loaded.mode_cycles[Mode.PIM] == 2000

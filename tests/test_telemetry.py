@@ -393,7 +393,7 @@ class TestEngineCounters:
         )
         runner = Runner(scale, perf_counters=True)
         runner.standalone("P1", "pim_sms")
-        assert runner.perf.total_seconds > 0
+        assert sum(runner.perf.seconds.values()) > 0
         assert runner.perf.calls  # stage counters populated
 
     def test_grid_parallel_collects_perf(self):
@@ -406,7 +406,7 @@ class TestEngineCounters:
         tasks = make_tasks(["G17"], ["P1"], [PolicySpec("FR-FCFS")], vc_configs=(1,))
         report = run_sweep(scale, tasks, max_workers=1, collect_perf=True)
         assert report.completed == 1
-        assert report.counters.total_seconds > 0
+        assert sum(report.counters.seconds.values()) > 0
         # Without collect_perf the report carries no counters.
         plain = run_sweep(scale, tasks, max_workers=1)
         assert plain.counters is None and plain.completed == 1
@@ -426,7 +426,7 @@ class TestEngineCounters:
         report = run_sweep(scale, tasks, max_workers=2, collect_perf=True)
         merged = report.counters
         assert report.completed == 2
-        assert merged.total_seconds > 0
+        assert sum(merged.seconds.values()) > 0
         # The merged counters cover both cells: at least as many stage
         # calls as either cell alone produces serially.
         serial_report = run_sweep(scale, tasks[:1], max_workers=1, collect_perf=True)

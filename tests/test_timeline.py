@@ -44,16 +44,18 @@ class TestSampler:
         assert share["pim"] > 0
 
     def test_occupancy_series(self):
-        _, timeline, _ = run_with_timeline()
-        series = timeline.occupancy_series("pim")
-        assert len(series) == len(timeline.samples)
-        assert max(series) > 0  # PIM queue was used
-        with pytest.raises(ValueError):
-            timeline.occupancy_series("bogus")
+        system, timeline, _ = run_with_timeline()
+        channels = system.config.num_channels
+        for sample in timeline.samples:
+            assert len(sample.mem_queue_occupancy) == channels
+            assert len(sample.pim_queue_occupancy) == channels
+        # The PIM queue was used.
+        assert max(max(s.pim_queue_occupancy) for s in timeline.samples) > 0
 
     def test_switch_points_detected(self):
         _, timeline, _ = run_with_timeline(interval=10)
-        assert len(timeline.switch_points(channel=0)) > 0
+        modes = [sample.modes[0] for sample in timeline.samples]
+        assert any(a != b for a, b in zip(modes, modes[1:]))
 
     def test_render_strip(self):
         _, timeline, _ = run_with_timeline(interval=10)

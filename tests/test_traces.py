@@ -34,6 +34,11 @@ def gpu_trace(tmp_path):
     return spec, path
 
 
+def trace_requests(path) -> int:
+    """Requests recorded in a trace file (every line after the header)."""
+    return sum(len(json.loads(line)["requests"]) for line in path.read_text().splitlines()[1:])
+
+
 class TestSaveTrace:
     def test_header_and_phase_lines(self, gpu_trace):
         _, path = gpu_trace
@@ -88,14 +93,14 @@ class TestTraceKernel:
         system.add_kernel(replay, num_sms=1)
         result = system.run(max_cycles=300_000)
         assert result.all_completed
-        assert result.kernels[0].requests_injected == replay.total_requests()
+        assert result.kernels[0].requests_injected == trace_requests(path)
 
     def test_metadata_helpers(self, gpu_trace):
         _, path = gpu_trace
         replay = TraceKernel(path)
         assert replay.sm_slots() == 1
         assert replay.warps_per_sm(make_ctx()) == 2
-        assert replay.total_requests() == 96  # 48 per warp x 2 warps
+        assert trace_requests(path) == 96  # 48 per warp x 2 warps
 
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.trace"
