@@ -37,8 +37,8 @@ import time
 
 from repro.config import SystemConfig
 from repro.core.policies import PolicySpec
-from repro.engine_soa import create_system
 from repro.request import reset_request_ids
+from repro.sim.system import GPUSystem
 from repro.workloads import get_gpu_kernel, get_pim_kernel
 
 #: Window length: long enough to fill the deep paper-scale MEM queues
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
     reset_request_ids()
     config = SystemConfig.paper()
     gpu_sms = config.num_sms * 8 // 10  # the standard GPU-heavy 8:2 split
-    system = create_system(config, PolicySpec("FR-FCFS"), seed=1)
+    system = GPUSystem(config, PolicySpec("FR-FCFS"), seed=1)
     if args.telemetry:
         system.enable_telemetry(timeline_interval=None)
     system.add_kernel(get_gpu_kernel("G17"), num_sms=gpu_sms, loop=True)

@@ -118,9 +118,10 @@ class MemoryController:
         # Arrival sequence numbers (the "age" used by oldest-first).
         self._next_seq = 0
 
-        # Wake-up optimization: skip decision cycles that cannot make
-        # progress.  An enqueue outside a switch drain marks the
-        # controller dirty (see _sleeps_on_pim); completions do not.
+        # The wake contract (docs/performance.md): after a tick, the
+        # controller cannot act before ``_next_wake`` unless an enqueue
+        # outside a switch drain marks it dirty (see _sleeps_on_pim);
+        # completions do not.
         self._next_wake = 0
         self._dirty = True
         self._last_mode_cycle = 0
@@ -292,7 +293,6 @@ class MemoryController:
                 idle_bank_cycles=idle_bank_cycles,
             )
         self.policy.on_switch(target, cycle)
-        self._dirty = True
 
     def _account_mode_cycles(self, cycle: int) -> None:
         self.stats.mode_cycles[self.mode] += cycle - self._last_mode_cycle
@@ -366,7 +366,6 @@ class MemoryController:
         self.pim_exec.busy_until = max(self.pim_exec.busy_until, self._refresh_until)
         self.pim_exec.next_col = max(self.pim_exec.next_col, self._refresh_until)
         self._next_wake = self._refresh_until
-        self._dirty = True
         return True
 
     def tick(self, cycle: int) -> Optional[Request]:
@@ -393,6 +392,9 @@ class MemoryController:
         policy = self.policy
         decision = policy.decide(self, cycle)
         if decision.kind == "idle":
+            if not self.mem_queue and not self.pim_queue:
+                self._next_wake = self._empty_wake(cycle)
+                return None
             # Sleep until the next event that can change the decision.
             # Enqueues mark the controller dirty (but see _sleeps_on_pim);
             # otherwise a decision changes only when a bank frees, the PIM
@@ -437,6 +439,9 @@ class MemoryController:
                 - request.mc_blocked_base
             )
         policy.on_issue(request, cycle)
+        if not self.mem_queue and not self.pim_queue:
+            self._next_wake = self._empty_wake(cycle)
+            return request
         if request.is_pim:
             # No decision issues before the executor frees; unless the
             # policy allows a switch they are all idle (bank frees and
@@ -449,36 +454,19 @@ class MemoryController:
         self._dirty = True
         return request
 
-    def next_wake_cycle(self, cycle: int) -> int:
-        """Earliest cycle at which a future ``tick`` could act (wake-heap
-        contract).
+    def _empty_wake(self, cycle: int) -> int:
+        """The wake of a controller left with both queues empty and no
+        switch in progress.
 
-        Only meaningful right after a ``tick(cycle)`` left the controller
-        clean (``_dirty`` False).  Returns ``cycle + 1`` when the controller
-        must keep ticking every cycle, a future cycle when it sleeps until a
-        self-scheduled event (bank timing, drain, refresh, policy epoch), or
-        ``NEVER`` when only an enqueue can wake it.
-        Ticks in between are exactly the ones the in-tick wake gate would
-        skip, so eliding them is behavior-preserving.
+        Every decision until a request arrives is idle, and an arrival
+        marks the controller dirty, so only refresh can make it act:
+        ``NEVER`` with refresh off, else the next cycle while a refresh is
+        owed, or the cycle the next one accrues.
         """
-        wake = self._next_wake
-        if wake > cycle + 1:
-            return wake
-        if self._switch_target is not None or self.mem_queue or self.pim_queue:
-            # Busy but re-evaluating every cycle (e.g. waiting on a bank
-            # that frees next cycle): cannot skip anything.
-            return cycle + 1
-        # Pure idle: both queues empty and no drain in progress.  decide()
-        # is side-effect free on empty queues, so the only future event the
-        # controller generates on its own is refresh.
-        if not self.refresh.enabled:
+        refresh = self.refresh
+        if not refresh.enabled:
             return NEVER
-        if self.refresh.backlog:
-            return cycle + 1
-        wake = self.refresh.next_due_cycle()
-        if cycle < self._refresh_until < wake:
-            wake = self._refresh_until
-        return wake if wake > cycle else cycle + 1
+        return cycle + 1 if refresh.backlog else refresh.next_due_cycle()
 
     def finalize(self, cycle: int) -> None:
         """Close out time-based accounting at the end of a simulation."""

@@ -104,8 +104,12 @@ class SchedulingPolicy(abc.ABC):
         An idle controller sleeps until its next bank, refresh or enqueue
         event, so a policy whose decisions depend on the cycle itself (an
         epoch or interval boundary) must report the next such boundary
-        here.  The default, ``NEVER``, suits policies that read only the
-        queues, the banks and their own issue/switch counters.
+        here.  A controller with both queues empty does not wake for it:
+        its next decision follows an arrival, so the policy must catch up
+        on the boundaries passed then (key its state to the cycle, as
+        BLISS and Dyn-F3FS do).  The default, ``NEVER``, suits policies
+        that read only the queues, the banks and their own issue/switch
+        counters.
         """
         return NEVER
 

@@ -52,8 +52,10 @@ class BLISS(SchedulingPolicy):
         # Clears are aligned to absolute clear_interval epochs (not to the
         # cycle of the previous clear), so the schedule does not depend on
         # which cycles the controller happened to decide in.  A clear is
-        # observable, so an idle controller wakes at the next boundary
-        # (``next_epoch_cycle``).  Part of the engine's wake-heap contract.
+        # observable, so an idle controller with queued requests wakes at
+        # the next boundary (``next_epoch_cycle``); one with both queues
+        # empty clears at its next decision, the first a clear can change.
+        # Part of the engine's wake-heap contract.
         epoch = cycle // self.clear_interval
         if epoch != self._last_epoch:
             if self.blacklist:

@@ -74,11 +74,12 @@ class DynamicF3FS(F3FS):
         # rather than to the previous adaptation cycle.  At a boundary the
         # issued deltas are the last epoch's, not zero, so an adaptation
         # can move the CAPs and with them this very decision: an idle
-        # controller wakes at every boundary (``next_epoch_cycle``).  A
-        # controller that decides nothing across several boundaries (a
-        # switch drain) issues nothing in between either, so adapting once
-        # at its next decision gives the same CAPs.  Part of the engine's
-        # wake-heap contract.
+        # controller with queued requests wakes at every boundary
+        # (``next_epoch_cycle``).  A controller that decides nothing
+        # across several boundaries (a switch drain, or both queues empty)
+        # issues nothing in between either, so adapting once at its next
+        # decision gives the same CAPs.  Part of the engine's wake-heap
+        # contract.
         epoch = cycle // self.epoch
         if epoch != self._epoch_index:
             self._epoch_index = epoch

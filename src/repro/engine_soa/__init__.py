@@ -1,11 +1,14 @@
 """Compatibility entry point for building a simulated system.
 
 The object engine (:class:`repro.sim.system.GPUSystem`) is the only
-engine.  This module stays because the figure-grid benchmark under
-``benchmarks/suite/`` imports ``create_system`` from here and wraps it
-for its ``sim`` spans; the experiment runner calls it here so those
-spans see every system built.  New code should
-build :class:`~repro.sim.system.GPUSystem` directly.
+engine.  This module serves the figure-grid benchmark under
+``benchmarks/suite/``: its set-up snippet builds a system through
+``create_system``, and its traced pass wraps ``create_system`` for the
+``sim`` spans and the ``sim.builds`` count.  The experiment runner still
+calls it here so that those spans see every system a sweep builds; it
+can build :class:`~repro.sim.system.GPUSystem` directly once the traced
+pass counts builds some other way.  Everything else builds
+:class:`~repro.sim.system.GPUSystem` directly.
 """
 
 from __future__ import annotations

@@ -19,18 +19,24 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_left
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
 from repro.core.policies.base import NEVER
-from repro.gpu.kernel import KernelInstance, Phase
+from repro.gpu.kernel import KernelInstance
 from repro.noc.vc import VCBuffer
 from repro.request import Request
 
 
 class WarpState:
-    """Execution state of one warp."""
+    """Execution state of one warp.
+
+    ``due`` is the cycle of the warp's next phase boundary (a phase to
+    advance, or a compute window whose end makes its requests issuable);
+    ``NEVER`` while the warp is issuable, blocked on replies or done.
+    ``issuable`` is set while the warp has requests and its compute
+    window has ended.
+    """
 
     __slots__ = (
         "index",
@@ -40,6 +46,8 @@ class WarpState:
         "waiting_replies",
         "wait_for_replies",
         "done",
+        "due",
+        "issuable",
     )
 
     def __init__(self, index: int, program) -> None:
@@ -50,9 +58,8 @@ class WarpState:
         self.waiting_replies = 0
         self.wait_for_replies = False
         self.done = False
-
-    def blocked_on_replies(self) -> bool:
-        return self.wait_for_replies and self.waiting_replies > 0 and not self.pending
+        self.due = 0
+        self.issuable = False
 
 
 class SM:
@@ -83,17 +90,11 @@ class SM:
         self._issue_rotation = 0
         self.requests_injected = 0
         self.finish_cycle: Optional[int] = None
-        # Wake-up optimization: skip cycles where no warp can progress.
+        # The wake contract (docs/performance.md): after a step, the SM
+        # cannot act before ``_next_wake`` unless ``receive_reply`` marks
+        # it dirty.
         self._next_wake = 0
         self._dirty = True
-        # Per-warp event batching: instead of scanning every warp each
-        # step, warps park on a due heap of (cycle, warp_index) entries —
-        # compute-phase ends and reply unblocks — and move into the
-        # issuable set (pending requests, compute done) when their entry
-        # comes due.  Entries are lazy: a popped entry re-checks the
-        # warp's state, so duplicates are harmless no-ops.
-        self._due: List[Tuple[int, int]] = []
-        self._issuable: set = set()
 
     # -- kernel binding ---------------------------------------------------
 
@@ -106,11 +107,8 @@ class SM:
         self.warps = [WarpState(w, instance.warp_program(sm_slot, w)) for w in range(warps)]
         self._live_warps = len(self.warps)
         for warp in self.warps:
-            warp.compute_until = cycle
-        # Every warp must advance its first phase: seed one due entry each.
-        # (Ascending warp index at equal cycles is already a valid heap.)
-        self._due = [(cycle, w) for w in range(warps)]
-        self._issuable = set()
+            # Every warp must advance its first phase.
+            warp.compute_until = warp.due = cycle
         self.outstanding_loads = 0
         self.finish_cycle = None
         self._next_wake = cycle
@@ -135,153 +133,122 @@ class SM:
         """Advance due warps and issue up to ``issue_width`` requests.
 
         Returns the number of requests pushed into the output buffer.
-        The stage only visits warps with a due event (phase boundary,
-        compute-phase end, reply unblock) plus the issuable set; warps
-        deep in a compute phase or blocked on replies cost nothing.  The
-        visit order — due warps by (cycle, index), issuable warps in
-        round-robin order from ``_issue_rotation`` — matches the previous
-        all-warp scan exactly, so issue sequences are bit-identical.
+        Warps whose ``due`` has come advance first, in warp order: a phase
+        advance builds the phase's requests, and the global request-id
+        stream follows that order.  Then one round-robin pass from
+        ``_issue_rotation`` issues from the issuable warps and sets
+        ``_next_wake``: the next cycle while a warp issued or is still
+        issuable, else the earliest warp ``due`` or pending L1 local
+        reply (``NEVER`` if there is none).
         """
         if self.instance is None:
             return 0
-        if self._local_replies:
-            self._deliver_local_replies(cycle)
         if not self._dirty and cycle < self._next_wake:
             return 0
+        local = self._local_replies
+        if local and local[0][0] <= cycle:
+            self._deliver_local_replies(cycle)
         self._dirty = False
-        due = self._due
-        if due and due[0][0] <= cycle:
-            self._advance_due_warps(cycle)
+        warps = self.warps
+        for warp in warps:
+            if warp.due <= cycle:
+                self._advance(warp, cycle)
         issued = 0  # requests injected into the NoC (returned to caller)
         slots = 0  # issue slots consumed, including L1-hit loads
-        issuable = self._issuable
-        if issuable:
-            num_warps = len(self.warps)
-            base = self._issue_rotation
-            # Round-robin over the issuable warps only: ascending index,
-            # split circularly at the rotation point.  Non-issuable warps
-            # were skipped by the old scan, so the candidate order is
-            # unchanged.
-            order = sorted(issuable)
-            if base:
-                split = bisect_left(order, base)
-                order = order[split:] + order[:split]
-            warps = self.warps
-            width = self.issue_width
-            l1 = self.l1
-            lanes = self.output.lanes
-            for warp_index in order:
-                if slots >= width:
-                    break
-                warp = warps[warp_index]
-                request = warp.pending[0]
-                if request.is_load and self.outstanding_loads >= self.max_outstanding:
-                    continue
-                l1_hit = l1 is not None and request.is_load and l1.lookup_load(request.address)
-                lane = lanes[request.is_pim]
-                items = lane._items
-                if not l1_hit and len(items) >= lane.capacity:
-                    continue
-                warp.pending.popleft()
-                if request.cycle_created < 0:
-                    request.cycle_created = cycle
-                request.source = self.index
-                request.warp = warp_index
-                if l1_hit:
-                    # Satisfied locally after the L1 hit latency; no NoC trip.
+        wake = NEVER
+        num_warps = len(warps)
+        width = self.issue_width
+        l1 = self.l1
+        lanes = self.output.lanes
+        base = self._issue_rotation
+        # Negative indices wrap: this visits base, ..., num_warps - 1, 0,
+        # ..., base - 1 without building a rotated list.
+        for position in range(base - num_warps, base):
+            warp = warps[position]
+            if not warp.issuable:
+                if warp.due < wake:
+                    wake = warp.due
+                continue
+            # Issuing now, or blocked on buffer space / the outstanding-load
+            # limit: either way, step again next cycle.
+            wake = cycle + 1
+            if slots >= width:
+                continue
+            request = warp.pending[0]
+            if request.is_load and self.outstanding_loads >= self.max_outstanding:
+                continue
+            l1_hit = l1 is not None and request.is_load and l1.lookup_load(request.address)
+            lane = lanes[request.is_pim]
+            items = lane._items
+            if not l1_hit and len(items) >= lane.capacity:
+                continue
+            warp.pending.popleft()
+            if request.cycle_created < 0:
+                request.cycle_created = cycle
+            request.source = self.index
+            request.warp = warp.index
+            if l1_hit:
+                # Satisfied locally after the L1 hit latency; no NoC trip.
+                self.outstanding_loads += 1
+                if warp.wait_for_replies:
+                    warp.waiting_replies += 1
+                heapq.heappush(local, (cycle + self.l1_latency, next(self._local_seq), request))
+            else:
+                if l1 is not None and request.type.value == "mem_store":
+                    l1.note_store(request.address)
+                request.cycle_noc_entry = cycle
+                # The space was checked above: push without a second
+                # test (BoundedQueue.try_push's append and push hook).
+                items.append(request)
+                if len(items) == 1 and lane.on_push is not None:
+                    lane.on_push()
+                if request.is_load:
                     self.outstanding_loads += 1
                     if warp.wait_for_replies:
                         warp.waiting_replies += 1
-                    heapq.heappush(
-                        self._local_replies,
-                        (cycle + self.l1_latency, next(self._local_seq), request),
-                    )
-                else:
-                    if l1 is not None and request.type.value == "mem_store":
-                        l1.note_store(request.address)
-                    request.cycle_noc_entry = cycle
-                    # The space was checked above: push without a second
-                    # test (BoundedQueue.try_push's append and push hook).
-                    items.append(request)
-                    if len(items) == 1 and lane.on_push is not None:
-                        lane.on_push()
-                    if request.is_load:
-                        self.outstanding_loads += 1
-                        if warp.wait_for_replies:
-                            warp.waiting_replies += 1
-                    issued += 1
-                slots += 1
-                self._issue_rotation = (warp_index + 1) % num_warps
-                if not warp.pending:
-                    issuable.remove(warp_index)
-                    if not (warp.wait_for_replies and warp.waiting_replies > 0):
-                        # Phase complete and not blocked: advance the next
-                        # phase once the compute window (or next step) comes.
-                        heapq.heappush(
-                            due,
-                            (warp.compute_until if warp.compute_until > cycle else cycle + 1, warp_index),
-                        )
-        if slots or issuable:
-            # Actively issuing, or an issuable warp is blocked on buffer
-            # space / the outstanding-load limit — retry next cycle.
-            self._next_wake = cycle + 1
-        else:
-            # All warps are computing, waiting on replies, or done: sleep
-            # until the next due event; a reply that re-arms a warp (via
-            # receive_reply) marks the SM dirty.
-            self._next_wake = due[0][0] if due else NEVER
+                issued += 1
+            slots += 1
+            self._issue_rotation = (warp.index + 1) % num_warps
+            if not warp.pending:
+                warp.issuable = False
+                if not (warp.wait_for_replies and warp.waiting_replies):
+                    # Phase complete and not blocked: advance the next
+                    # phase once the compute window (or next step) comes.
+                    until = warp.compute_until
+                    warp.due = until if until > cycle else cycle + 1
+        if local and local[0][0] < wake:
+            wake = local[0][0]
+        self._next_wake = wake
         return issued
 
-    def _advance_due_warps(self, cycle: int) -> None:
-        """Process due events: phase advances and issuable transitions.
-
-        Each popped entry re-checks the warp, so stale duplicates are
-        no-ops.  At most one phase is advanced per warp per step (the
-        refreshed due entry is at ``cycle + 1`` or later), matching the
-        previous per-step scan.
-        """
-        due = self._due
-        warps = self.warps
-        while due and due[0][0] <= cycle:
-            _, warp_index = heapq.heappop(due)
-            warp = warps[warp_index]
-            if warp.done:
-                continue
-            if warp.pending:
-                if cycle >= warp.compute_until:
-                    self._issuable.add(warp_index)
-                else:
-                    heapq.heappush(due, (warp.compute_until, warp_index))
-                continue
-            if warp.blocked_on_replies():
-                continue  # receive_reply re-arms the warp
+    def _advance(self, warp: WarpState, cycle: int) -> None:
+        """Handle a warp whose ``due`` has come: at most one phase advance
+        per step (a refreshed ``due`` lies after ``cycle``)."""
+        warp.due = NEVER
+        if not warp.pending:
+            if warp.wait_for_replies and warp.waiting_replies:
+                return  # blocked: receive_reply re-arms the warp
             if cycle < warp.compute_until:
-                heapq.heappush(due, (warp.compute_until, warp_index))
-                continue
+                warp.due = warp.compute_until
+                return
             phase = next(warp.program, None)
             if phase is None:
                 warp.done = True
                 self._live_warps -= 1
-                continue
-            self._load_phase(warp, phase, cycle)
-            if warp.pending:
-                if cycle >= warp.compute_until:
-                    self._issuable.add(warp_index)
-                else:
-                    heapq.heappush(due, (warp.compute_until, warp_index))
-            else:
+                return
+            warp.compute_until = cycle + phase.compute_cycles
+            warp.wait_for_replies = phase.wait_for_replies
+            warp.pending.extend(phase.requests)
+            if not warp.pending:
                 # Pure-compute phase: advance again when it ends (at the
-                # earliest next step, preserving one-phase-per-step).
-                heapq.heappush(
-                    due,
-                    (warp.compute_until if warp.compute_until > cycle else cycle + 1, warp_index),
-                )
-
-    @staticmethod
-    def _load_phase(warp: WarpState, phase: Phase, cycle: int) -> None:
-        warp.compute_until = cycle + phase.compute_cycles
-        warp.wait_for_replies = phase.wait_for_replies
-        warp.pending.extend(phase.requests)
+                # earliest next step, preserving one phase per step).
+                until = warp.compute_until
+                warp.due = until if until > cycle else cycle + 1
+                return
+        if cycle >= warp.compute_until:
+            warp.issuable = True
+        else:
+            warp.due = warp.compute_until
 
     def _deliver_local_replies(self, cycle: int) -> None:
         heap = self._local_replies
@@ -310,25 +277,11 @@ class SM:
         if warp.done or warp.pending:
             return False
         # Fully unblocked: re-arm the warp's phase advance.  Replies are
-        # delivered before this cycle's SM stage runs, so an entry at
-        # ``cycle`` advances the warp this very step — exactly when the
-        # old all-warp scan would have.
-        heapq.heappush(
-            self._due,
-            (warp.compute_until if warp.compute_until > cycle else cycle, request.warp),
-        )
+        # delivered before this cycle's SM stage runs, so a ``due`` of
+        # ``cycle`` advances the warp this very step.
+        until = warp.compute_until
+        due = until if until > cycle else cycle
+        if due < warp.due:
+            warp.due = due
         self._dirty = True
         return True
-
-    def next_event_cycle(self) -> int:
-        """Wake-heap contract: earliest cycle a future ``step`` could act.
-
-        Valid when the SM is clean (``_dirty`` False): the in-step wake gate
-        skips every cycle before ``_next_wake``, and pending L1-hit replies
-        (delivered ahead of that gate) are the only earlier self-events.
-        """
-        wake = self._next_wake
-        local = self._local_replies
-        if local and local[0][0] < wake:
-            return local[0][0]
-        return wake

@@ -395,8 +395,6 @@ class GPUSystem:
                 if controller._dirty:
                     continue  # must re-evaluate next cycle
             wake = controller._next_wake
-            if wake <= cycle + 1:
-                wake = controller.next_wake_cycle(cycle)
             if wake <= cycle + 2:
                 # A gated tick costs less than a wake-heap push and pop.
                 continue
@@ -502,7 +500,7 @@ class GPUSystem:
                 kernel_id = sm.instance.kernel_id
                 self._injected[kernel_id] += issued
                 self._kernel_inflight[kernel_id] += issued
-            wake = sm.next_event_cycle()
+            wake = sm._next_wake
             if wake <= cycle + 1:
                 continue
             active.discard(i)

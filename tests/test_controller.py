@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.core.controller import MemoryController
-from repro.core.policies import make_policy
+from repro.core.policies import PolicySpec, make_policy
+from repro.core.policies.base import NEVER
 from repro.dram.channel import Channel
 from repro.dram.timings import DRAMTimings
 from repro.pim.executor import PIMExecutor
 from repro.pim.isa import PIMOp, PIMOpKind
 from repro.request import Mode, Request, RequestType
+from repro.sim.system import GPUSystem
+from repro.workloads import get_pim_kernel
 from tests import engine_harness
 
 
@@ -197,7 +201,7 @@ class TestWakeRules:
         assert ctl.pim_exec.would_switch_row(ctl.pim_queue[0])
         assert all(bank.state.accept_at <= cycle for bank in ctl.channel.banks)
         assert ctl.pim_exec.busy_until > cycle + 1
-        assert ctl.next_wake_cycle(cycle) == ctl.pim_exec.busy_until
+        assert ctl._next_wake == ctl.pim_exec.busy_until
 
     def test_switch_drain_ignores_arrivals(self):
         ctl = make_controller("FCFS")
@@ -208,11 +212,10 @@ class TestWakeRules:
         drain = ctl.channel.drain_complete_cycle()
         assert ctl.is_switching and drain > 3
         assert not ctl._dirty
-        assert ctl.next_wake_cycle(1) == drain
+        assert ctl._next_wake == drain
         ctl.enqueue(mem_request(bank=1, row=0), cycle=2)
         assert not ctl._dirty
-        assert ctl.next_wake_cycle(2) == drain
-
+        assert ctl._next_wake == drain
 
     def test_completion_leaves_controller_clean(self):
         ctl = make_controller("FCFS")
@@ -247,6 +250,30 @@ class TestWakeRules:
                 ctl.tick(cycle)
         assert ticked == [drain]
         assert ctl.mode is Mode.PIM and ctl.stats.switches_to_pim == 1
+
+    @pytest.mark.parametrize("refresh", [False, True], ids=["refresh-off", "refresh-on"])
+    @pytest.mark.parametrize("kind", ["mem", "pim"])
+    def test_emptied_controller_parks_until_an_arrival(self, kind, refresh):
+        config = SystemConfig.scaled(num_channels=2, num_sms=2).replace(refresh_enabled=refresh)
+        system = GPUSystem(config, PolicySpec("FCFS"))
+        kernel_id = system.add_kernel(get_pim_kernel("P2"), 1).kernel_id
+        make = pim_request if kind == "pim" else mem_request
+        ctl = system.controllers[0]
+        ctl.enqueue(make(kernel_id=kernel_id), cycle=0)
+        while ctl.stats.mem_issued + ctl.stats.pim_issued == 0:
+            system.step()
+        # Issuing the last queued request left nothing to decide: only a
+        # refresh or an arrival can make the controller act.
+        assert not ctl.mem_queue and not ctl.pim_queue and not ctl._dirty
+        due = ctl.refresh.next_due_cycle() if refresh else NEVER
+        assert ctl._next_wake == due > system.cycle + 2
+        assert 0 not in system._mc_active
+        parked = [entry for entry in system._wake_heap if entry[1:] == (0, 0)]
+        assert parked == ([(due, 0, 0)] if refresh else [])
+        mode = Mode.PIM if kind == "pim" else Mode.MEM
+        assert system.dram_queues[0].queue(mode).try_push(make(kernel_id=kernel_id))
+        system._stage_mc_ingress()
+        assert ctl._dirty and 0 in system._mc_active
 
 
 class TestPolicyValidation:

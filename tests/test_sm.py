@@ -207,7 +207,7 @@ class TestReplyWakes:
         system.cycle = 6
         system._stage_replies()
         assert sm._dirty and index in system._sm_active
-        assert sm._due[0] == (6, 0)
+        assert sm.warps[0].due == 6
 
 
 class TestKernelInstance:

@@ -17,7 +17,6 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.core.policies import PolicySpec
-from repro.engine_soa import create_system
 from repro.experiments.runner import ExperimentScale, Runner
 from repro.gpu.kernel import KernelInstance, LaunchContext
 from repro.gpu.warp_traces import (
@@ -28,6 +27,7 @@ from repro.gpu.warp_traces import (
 )
 from repro.pim.program import vector_add_program
 from repro.request import Request, reset_request_ids
+from repro.sim.system import GPUSystem
 from repro.workloads import PIM_SUITE, RODINIA, llm_kernels
 from repro.workloads.synthetic import GPUKernelProfile
 from repro.workloads.traces import TraceKernel, save_trace
@@ -203,14 +203,14 @@ def test_systems_of_one_runner_share_records():
     second.run(max_cycles=200_000)
     assert runner.traces.hits == runner.traces.recorded
     # A system built without a cache gets its own.
-    alone = create_system(scale.config(1), PolicySpec("FR-FCFS"), seed=1, scale=0.02)
+    alone = GPUSystem(scale.config(1), PolicySpec("FR-FCFS"), seed=1, scale=0.02)
     assert alone.traces is not runner.traces
 
 
 def _corun(telemetry=False):
     reset_request_ids()
     config = SystemConfig.scaled(num_channels=2, num_sms=3, noc_queue_size=16)
-    system = create_system(config, PolicySpec("FR-FCFS"), seed=2, scale=0.03)
+    system = GPUSystem(config, PolicySpec("FR-FCFS"), seed=2, scale=0.03)
     system.add_kernel(RODINIA["G17"], num_sms=2, loop=True)
     system.add_kernel(PIM_SUITE["P1"], num_sms=1, loop=True)
     if telemetry:
