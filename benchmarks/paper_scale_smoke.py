@@ -11,13 +11,15 @@ size, and that nothing in the engine breaks at 8x the SM count and 4x
 the channel count of the configs the tests sweep.
 
 Both kernels loop on a GPU-heavy 8:2 SM split, so every channel sees
-mixed MEM+PIM traffic.
+mixed MEM+PIM traffic.  The window runs once per policy in
+:data:`EXPECTED_ISSUED`: FR-FCFS, and BLISS and F3FS, whose MEM picks scan
+the paper-scale queues, the deepest the repo simulates.
 The window is deliberately short — this is a "does it complete" gate
 with a loose wall-clock ceiling, not a benchmark.  At the default window
 it also gates bit identity at a machine size the figure-grid digests do
-not cover: the MEM and PIM issue counts must equal
+not cover: each policy's MEM and PIM issue counts must equal its entry in
 :data:`EXPECTED_ISSUED` exactly (a deliberate model change updates them).
-With ``--telemetry`` the same window runs with telemetry on: the counts
+With ``--telemetry`` the same windows run with telemetry on: the counts
 must not move, and the PIM hop histograms must hold exactly the PIM ops
 that completed within the window (a PIM op retires as it issues, but is
 folded only once it lands).
@@ -45,10 +47,14 @@ from repro.workloads import get_gpu_kernel, get_pim_kernel
 #: and cross several kernel-launch boundaries, short enough for CI.
 DEFAULT_MAX_CYCLES = 5_000
 
-#: (MEM, PIM) requests issued over the default window.
-EXPECTED_ISSUED = (4533, 32686)
+#: (MEM, PIM) requests issued over the default window, per policy.
+EXPECTED_ISSUED = {
+    "FR-FCFS": (4533, 32686),
+    "BLISS": (3552, 29961),
+    "F3FS": (3537, 33754),
+}
 
-#: Loose wall-clock ceiling (seconds).  The window takes a few seconds
+#: Loose wall-clock ceiling (seconds) per window.  A window takes a few seconds
 #: on a laptop core; the ceiling only catches pathological blow-ups
 #: (an accidental O(machine-size) scan per cycle), not runner noise.
 DEFAULT_BUDGET = 600.0
@@ -61,7 +67,7 @@ def main(argv=None) -> int:
         "--budget-seconds",
         type=float,
         default=DEFAULT_BUDGET,
-        help="fail if the window takes longer than this",
+        help="fail if a window takes longer than this",
     )
     parser.add_argument(
         "--telemetry",
@@ -69,11 +75,18 @@ def main(argv=None) -> int:
         help="run with telemetry on and check the folded PIM op count",
     )
     args = parser.parse_args(argv)
+    ok = True
+    for policy in EXPECTED_ISSUED:
+        ok = run_window(policy, args) and ok
+    return 0 if ok else 1
 
+
+def run_window(policy: str, args) -> bool:
+    """Run the window under ``policy``; print one verdict line."""
     reset_request_ids()
     config = SystemConfig.paper()
     gpu_sms = config.num_sms * 8 // 10  # the standard GPU-heavy 8:2 split
-    system = GPUSystem(config, PolicySpec("FR-FCFS"), seed=1)
+    system = GPUSystem(config, PolicySpec(policy), seed=1)
     if args.telemetry:
         system.enable_telemetry(timeline_interval=None)
     system.add_kernel(get_gpu_kernel("G17"), num_sms=gpu_sms, loop=True)
@@ -85,17 +98,17 @@ def main(argv=None) -> int:
 
     ok = True
     if result.cycles != args.max_cycles:
-        print(f"FAIL: simulated {result.cycles} cycles, expected {args.max_cycles}")
+        print(f"FAIL: {policy} simulated {result.cycles} cycles, expected {args.max_cycles}")
         ok = False
     issued = sum(c.stats.mem_issued for c in system.controllers)
     pim = sum(c.stats.pim_issued for c in system.controllers)
     if issued == 0 or pim == 0:
-        print(f"FAIL: no traffic issued (mem={issued}, pim={pim})")
+        print(f"FAIL: {policy} issued no traffic (mem={issued}, pim={pim})")
         ok = False
-    elif args.max_cycles == DEFAULT_MAX_CYCLES and (issued, pim) != EXPECTED_ISSUED:
-        mem_expected, pim_expected = EXPECTED_ISSUED
+    elif args.max_cycles == DEFAULT_MAX_CYCLES and (issued, pim) != EXPECTED_ISSUED[policy]:
+        mem_expected, pim_expected = EXPECTED_ISSUED[policy]
         print(
-            f"FAIL: issued mem={issued}, pim={pim}; the {DEFAULT_MAX_CYCLES}-cycle "
+            f"FAIL: {policy} issued mem={issued}, pim={pim}; the {DEFAULT_MAX_CYCLES}-cycle "
             f"window issues mem={mem_expected}, pim={pim_expected}"
         )
         ok = False
@@ -111,15 +124,15 @@ def main(argv=None) -> int:
         folded = system.telemetry.stage_hist("pim", "total").total
         if folded != executed - in_flight:
             print(
-                f"FAIL: telemetry folded {folded} PIM ops; "
+                f"FAIL: {policy} telemetry folded {folded} PIM ops; "
                 f"{executed - in_flight} of {executed} completed in the window"
             )
             ok = False
     if wall > args.budget_seconds:
-        print(f"FAIL: {wall:.1f}s exceeds the {args.budget_seconds:.0f}s budget")
+        print(f"FAIL: {policy} took {wall:.1f}s, over the {args.budget_seconds:.0f}s budget")
         ok = False
     status = "PASS" if ok else "FAIL"
-    label = "paper-scale"
+    label = f"paper-scale {policy}"
     if args.telemetry:
         label += f", telemetry: {folded} PIM ops folded"
     print(
@@ -127,7 +140,7 @@ def main(argv=None) -> int:
         f"{config.num_sms}SM window of {result.cycles} cycles in {wall:.1f}s "
         f"({result.cycles / wall:,.0f} cyc/s; mem={issued}, pim={pim})"
     )
-    return 0 if ok else 1
+    return ok
 
 
 if __name__ == "__main__":

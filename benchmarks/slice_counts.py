@@ -16,8 +16,13 @@ baselines simulate, and counts the work the engine does:
 * ``islip_steps``: ``ISlipArbiter.step`` calls;
 * ``ingress_visits``: channels visited by ``_stage_mc_ingress``.
 
-The counts do not depend on the host, so two trees can be compared
-exactly where their timings would drown in run-to-run noise.  The
+It also records the MEM-queue length a policy scans: at each decision
+(``mem_q@decision``) and at each ``SchedulingPolicy.frfcfs_pick`` call
+(``mem_q@pick``), as mean, p90 and max.  A change that deepens the
+queues shows up there.
+
+The counts and lengths do not depend on the host, so two trees can be
+compared exactly where their timings would drown in run-to-run noise.  The
 ``table`` line is a digest of the 36 sweep rows: two trees that simulate
 alike print the same one.
 
@@ -36,6 +41,7 @@ import types
 from collections import Counter
 
 from repro.core.controller import MemoryController
+from repro.core.policies.base import SchedulingPolicy
 from repro.experiments import (
     ExperimentScale,
     default_grid_tasks,
@@ -67,10 +73,12 @@ def _count_calls(cls, name: str, counts: Counter, key: str) -> None:
     setattr(cls, name, counted)
 
 
-def install() -> Counter:
+def install():
     """Wrap the counted engine methods (for this process only) and return
-    the counts they add to."""
+    the counts they add to, and the MEM-queue length histograms (length
+    -> occurrences) at decisions and at ``frfcfs_pick``."""
     counts = Counter()
+    lengths = {"decision": Counter(), "pick": Counter()}
     _count_calls(GPUSystem, "step", counts, "cycles")
     _count_calls(SM, "step", counts, "sm_steps")
     _count_calls(ISlipArbiter, "step", counts, "islip_steps")
@@ -80,9 +88,18 @@ def install() -> Counter:
     def counted_tick(self, cycle):
         if self._dirty or cycle >= self._next_wake:
             counts["decisions"] += 1
+            lengths["decision"][len(self.mem_queue)] += 1
         return tick(self, cycle)
 
     MemoryController.tick = counted_tick
+
+    pick = SchedulingPolicy.frfcfs_pick
+
+    def counted_pick(ctl, *args, **kwargs):
+        lengths["pick"][len(ctl.mem_queue)] += 1
+        return pick(ctl, *args, **kwargs)
+
+    SchedulingPolicy.frfcfs_pick = staticmethod(counted_pick)
 
     ingress = GPUSystem._stage_mc_ingress
 
@@ -112,11 +129,27 @@ def install() -> Counter:
     shim.__dict__.update(heapq.__dict__)
     shim.heappush = heappush
     system_module.heapq = shim
-    return counts
+    return counts, lengths
+
+
+def summarize(histogram: Counter) -> str:
+    """Mean, nearest-rank p90 and max of a length histogram."""
+    total = sum(histogram.values())
+    if not total:
+        return "no samples"
+    mean = sum(length * n for length, n in histogram.items()) / total
+    rank = -(-total * 9 // 10)
+    seen = 0
+    for length in sorted(histogram):
+        seen += histogram[length]
+        if seen >= rank:
+            p90 = length
+            break
+    return f"mean {mean:.2f}  p90 {p90}  max {max(histogram)}"
 
 
 def main() -> int:
-    counts = install()
+    counts, lengths = install()
     start = time.perf_counter()
     table = []
     for vcs in VCS:
@@ -131,6 +164,8 @@ def main() -> int:
     for key in ("cycles", "sm_steps", "decisions", "wake_pushes", "islip_steps",
                 "ingress_visits"):
         print(f"{key:15s} {counts[key]:>10,d}")
+    for key, histogram in lengths.items():
+        print(f"{'mem_q@' + key:15s} {summarize(histogram)}")
     digest = hashlib.sha256("\n".join(sorted(table)).encode()).hexdigest()[:16]
     print(f"{'table':15s} {digest} ({len(table)} rows)")
     print(f"{'wall_s':15s} {wall:10.1f}  (counted, so slower than a plain run)")

@@ -21,7 +21,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
-from repro.core.memq import BankIndexedMemQueue
 from repro.core.policies.base import NEVER, SchedulingPolicy
 from repro.dram.channel import Channel
 from repro.dram.refresh import RefreshTimer
@@ -49,8 +48,6 @@ class ControllerStats:
     pim_arrivals: int = 0
     mem_issued: int = 0
     pim_issued: int = 0
-    mem_rejected: int = 0  # enqueue attempts bounced off a full queue
-    pim_rejected: int = 0
     switches: int = 0
     switches_to_pim: int = 0
     switch_records: List[SwitchRecord] = field(default_factory=list)
@@ -97,11 +94,9 @@ class MemoryController:
         )
         self._refresh_until = 0
 
-        # MEM requests live in a per-bank index (arrival order per bank and
-        # per open row) so FR-FCFS-family decisions cost O(banks with work)
-        # instead of O(queue).  It is list-compatible for read access:
-        # truthiness, len(), [0], and arrival-order iteration.
-        self.mem_queue = BankIndexedMemQueue(len(channel.banks))
+        # Both queues are in arrival order, which is also ``mc_seq`` order:
+        # policies scan ``mem_queue`` oldest first.
+        self.mem_queue: List[Request] = []
         self.pim_queue: Deque[Request] = deque()
         self.mode: Mode = Mode.MEM
         self.stats = ControllerStats()
@@ -134,16 +129,10 @@ class MemoryController:
 
     # -- queue admission -----------------------------------------------------
 
-    def can_accept(self, request: Request) -> bool:
-        if request.is_pim:
-            return len(self.pim_queue) < self.pim_queue_size
-        return len(self.mem_queue) < self.mem_queue_size
-
     def enqueue(self, request: Request, cycle: int) -> bool:
         """Admit a request into the MEM or PIM queue; False if full."""
         if request.is_pim:
             if len(self.pim_queue) >= self.pim_queue_size:
-                self.stats.pim_rejected += 1
                 return False
             request.mc_seq = self._next_seq
             self._next_seq += 1
@@ -154,7 +143,6 @@ class MemoryController:
             k[request.kernel_id] = k.get(request.kernel_id, 0) + 1
         else:
             if len(self.mem_queue) >= self.mem_queue_size:
-                self.stats.mem_rejected += 1
                 return False
             request.mc_seq = self._next_seq
             self._next_seq += 1
@@ -190,7 +178,7 @@ class MemoryController:
     # -- views used by policies ----------------------------------------------
 
     def oldest_overall(self) -> Optional[Request]:
-        mem_head = self.mem_queue.head()
+        mem_head = self.mem_queue[0] if self.mem_queue else None
         pim_head = self.pim_queue[0] if self.pim_queue else None
         if mem_head is None:
             return pim_head

@@ -147,32 +147,56 @@ class SchedulingPolicy(abc.ABC):
     def frfcfs_pick(ctl: "MemoryController", cycle: int, exclude_conflict_banks: bool = False) -> Optional[Request]:
         """Row-hit-first, then oldest-first pick among issuable MEM requests.
 
-        Consumes the controller's per-bank index: per issuable bank, the
-        oldest request is the bank-deque head and the oldest row hit is the
-        head of the open row's deque, so the pick costs O(banks with work)
-        instead of O(queue).  ``mc_seq`` is unique per controller, so the
-        global minima — and therefore the decision — are identical to a
-        linear scan of the queue (``tests/test_scheduler_equivalence.py``).
+        ``ctl.mem_queue`` is in arrival (``mc_seq``) order, so one pass
+        returns the first issuable row hit, else the first issuable
+        request (``tests/test_scheduler_equivalence.py`` checks it against
+        a minimum-finding scan).
         """
-        mem_queue = ctl.mem_queue
         banks = ctl.channel.banks
-        best_hit: Optional[Request] = None
-        best_any: Optional[Request] = None
-        for bank_index in mem_queue.banks_with_work():
-            state = banks[bank_index].state
+        first: Optional[Request] = None
+        for request in ctl.mem_queue:
+            state = banks[request.bank].state
             if cycle < state.accept_at:
                 continue
             if exclude_conflict_banks and state.conflict_bit:
                 continue
-            head = mem_queue.bank_head(bank_index)
-            if best_any is None or head.mc_seq < best_any.mc_seq:
-                best_any = head
-            open_row = state.open_row
-            if open_row is not None:
-                hit = mem_queue.row_head(bank_index, open_row)
-                if hit is not None and (best_hit is None or hit.mc_seq < best_hit.mc_seq):
-                    best_hit = hit
-        return best_hit if best_hit is not None else best_any
+            if state.open_row == request.row:
+                return request
+            if first is None:
+                first = request
+        return first
+
+    @staticmethod
+    def stall_conflict_banks(ctl: "MemoryController") -> bool:
+        """Set the conflict bit of each bank whose pending requests all
+        conflict with its open row; True when every bank with pending
+        requests has stalled.
+
+        A bank gets one activation per mode phase (its bit stays clear
+        until it issued since the switch), and a bank with no open row
+        misses rather than conflicts.  FR-FCFS and FR-RR-FCFS switch modes
+        once this returns True (Section III-D).
+        """
+        banks = ctl.channel.banks
+        pending = set()
+        hits = set()
+        for request in ctl.mem_queue:
+            bank = request.bank
+            pending.add(bank)
+            if banks[bank].state.open_row == request.row:
+                hits.add(bank)
+        if not pending:
+            return False
+        stalled = True
+        for bank in pending:
+            state = banks[bank].state
+            if state.conflict_bit:
+                continue
+            if state.issued_since_switch and state.open_row is not None and bank not in hits:
+                state.conflict_bit = True
+            else:
+                stalled = False
+        return stalled
 
     @staticmethod
     def fallback_when_empty(ctl: "MemoryController") -> Optional[Decision]:

@@ -73,49 +73,20 @@ class BLISS(SchedulingPolicy):
         self._maybe_clear(cycle)
         best: Optional[Request] = None
         best_score = None
-        # Per-bank candidates from the controller's index.  For the score
-        # (blacklisted, not-hit, age) the per-bank minimum is always among:
-        # the oldest non-blacklisted request, the oldest non-blacklisted
-        # hit on the open row, or — when the whole bank is blacklisted —
-        # the unfiltered equivalents.  With an empty blacklist both
-        # lookups are O(1) deque heads, matching FR-FCFS cost.
+        # The queue is in age order, so the first issuable request of each
+        # (blacklisted, not-hit) class is that class's oldest, and a
+        # non-blacklisted row hit cannot be beaten by a later one.
         blacklist = self.blacklist
-        mem_queue = ctl.mem_queue
         banks = ctl.channel.banks
-        pred = None
-        if blacklist:
-            pred = lambda r: r.kernel_id not in blacklist  # noqa: E731
-        for bank_index in mem_queue.banks_with_work():
-            state = banks[bank_index].state
+        for request in ctl.mem_queue:
+            state = banks[request.bank].state
             if cycle < state.accept_at:
                 continue
-            open_row = state.open_row
-            cand_any = mem_queue.bank_oldest(bank_index, pred)
-            if cand_any is not None:
-                cand_hit = (
-                    mem_queue.row_oldest(bank_index, open_row, pred)
-                    if open_row is not None
-                    else None
-                )
-            else:
-                # Every pending request in this bank is blacklisted.
-                cand_any = mem_queue.bank_head(bank_index)
-                cand_hit = (
-                    mem_queue.row_head(bank_index, open_row)
-                    if open_row is not None
-                    else None
-                )
-            if cand_hit is not None:
-                score = (cand_hit.kernel_id in blacklist, False, cand_hit.mc_seq)
-                if best_score is None or score < best_score:
-                    best, best_score = cand_hit, score
-            score = (
-                cand_any.kernel_id in blacklist,
-                cand_any.row != open_row,
-                cand_any.mc_seq,
-            )
+            score = (request.kernel_id in blacklist, state.open_row != request.row, request.mc_seq)
             if best_score is None or score < best_score:
-                best, best_score = cand_any, score
+                best, best_score = request, score
+                if not (score[0] or score[1]):
+                    break
         if ctl.pim_queue:
             head = ctl.pim_queue[0]
             head_hit = not ctl.pim_exec.would_switch_row(head)
@@ -138,11 +109,11 @@ class BLISS(SchedulingPolicy):
         # A MEM request must beat the PIM head's score.  Every MEM score is
         # at least (False, False, oldest MEM age), or (True, ...) once each
         # kernel that ever sent this controller MEM work is blacklisted.
-        mem_head = ctl.mem_queue.head()
-        if mem_head is None or not ctl.pim_queue:
-            return mem_head is not None
+        mem_queue = ctl.mem_queue
+        if not mem_queue or not ctl.pim_queue:
+            return bool(mem_queue)
         head = ctl.pim_queue[0]
-        floor = (self.blacklist.issuperset(ctl.stats.kernel_mem_arrivals), False, mem_head.mc_seq)
+        floor = (self.blacklist.issuperset(ctl.stats.kernel_mem_arrivals), False, mem_queue[0].mc_seq)
         return self._score(ctl, head, not ctl.pim_exec.would_switch_row(head)) > floor
 
     def on_issue(self, request, cycle):

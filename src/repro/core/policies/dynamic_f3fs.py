@@ -20,9 +20,8 @@ issued requests exceeds the target by more than ``margin``, halve the MEM
 CAP and double the PIM CAP (bounded to [min_cap, max_cap]); symmetrically
 in the other direction.
 
-Request selection is inherited from :class:`F3FS`, so every decision runs
-against the controller's per-bank index (O(banks with work), not
-O(queue)); the adaptation layer itself is O(1) per epoch boundary.
+Request selection is inherited from :class:`F3FS`; the adaptation layer
+itself is O(1) per epoch boundary.
 """
 
 from __future__ import annotations

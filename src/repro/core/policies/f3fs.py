@@ -60,7 +60,7 @@ class F3FS(SchedulingPolicy):
     def _other_oldest(ctl) -> Optional[Request]:
         if ctl.mode is Mode.MEM:
             return ctl.pim_queue[0] if ctl.pim_queue else None
-        return ctl.mem_queue.head()
+        return ctl.mem_queue[0] if ctl.mem_queue else None
 
     def _cap_reached(self, ctl) -> bool:
         return self._bypasses >= self.caps[ctl.mode]
@@ -90,29 +90,13 @@ class F3FS(SchedulingPolicy):
     def _decide_frfcfs_order(self, ctl, cycle):
         """Ablation stage: hit-first/oldest-first across modes, CAP kept.
 
-        Per issuable bank, the minimum of (not-hit, age) is either the
-        bank's oldest request or — when that one misses — the oldest hit
-        on the bank's open row, both O(1) heads of the controller's index.
+        The minimum of (not-hit, age) over the issuable MEM requests is
+        the FR-FCFS pick: the first issuable row hit, else the oldest.
         """
-        mem_queue = ctl.mem_queue
-        banks = ctl.channel.banks
-        best: Optional[Request] = None
+        best: Optional[Request] = self.frfcfs_pick(ctl, cycle)
         best_key = None
-        for bank_index in mem_queue.banks_with_work():
-            state = banks[bank_index].state
-            if cycle < state.accept_at:
-                continue
-            open_row = state.open_row
-            head = mem_queue.bank_head(bank_index)
-            key = (head.row != open_row, head.mc_seq)
-            if best_key is None or key < best_key:
-                best, best_key = head, key
-            if open_row is not None and key[0]:
-                hit = mem_queue.row_head(bank_index, open_row)
-                if hit is not None:
-                    hit_key = (False, hit.mc_seq)
-                    if hit_key < best_key:
-                        best, best_key = hit, hit_key
+        if best is not None:
+            best_key = (ctl.channel.banks[best.bank].state.open_row != best.row, best.mc_seq)
         if ctl.pim_queue:
             head = ctl.pim_queue[0]
             key = (ctl.pim_exec.would_switch_row(head), head.mc_seq)

@@ -31,5 +31,7 @@ class FCFS(SchedulingPolicy):
 
     def may_switch_from_pim(self, ctl, cycle):
         # Only an older MEM request takes the controller out of PIM mode.
-        head = ctl.mem_queue.head()
-        return head is not None and (not ctl.pim_queue or head.mc_seq < ctl.pim_queue[0].mc_seq)
+        mem_queue = ctl.mem_queue
+        return bool(mem_queue) and (
+            not ctl.pim_queue or mem_queue[0].mc_seq < ctl.pim_queue[0].mc_seq
+        )

@@ -38,8 +38,7 @@ class FRFCFS(SchedulingPolicy):
         oldest_is_other = oldest is not None and oldest.mode is Mode.PIM
 
         if oldest_is_other:
-            self._update_conflict_bits(ctl, cycle)
-            if self._all_pending_banks_stalled(ctl):
+            if self.stall_conflict_banks(ctl):
                 return Decision.switch(Mode.PIM)
         else:
             ctl.clear_conflict_bits()
@@ -48,38 +47,6 @@ class FRFCFS(SchedulingPolicy):
         # issued since the switch are allowed their one activation.
         pick = self.frfcfs_pick(ctl, cycle, exclude_conflict_banks=True)
         return Decision.mem(pick) if pick is not None else IDLE
-
-    def _update_conflict_bits(self, ctl, cycle) -> None:
-        """Set the conflict bit on banks whose best request is a conflict.
-
-        A bank has a pending row hit iff the per-bank index holds a live
-        request for its open row — an O(1) lookup per bank, equivalent to
-        scanning the bank's pending requests.
-        """
-        banks = ctl.channel.banks
-        mem_queue = ctl.mem_queue
-        for bank_index in mem_queue.banks_with_work():
-            state = banks[bank_index].state
-            if state.conflict_bit:
-                continue
-            if not state.issued_since_switch:
-                continue  # the bank gets one activation per mode phase
-            open_row = state.open_row
-            if open_row is None:
-                continue  # a miss, not a conflict
-            if mem_queue.row_head(bank_index, open_row) is not None:
-                continue  # a pending hit: the bank is not stalled
-            state.conflict_bit = True
-
-    @staticmethod
-    def _all_pending_banks_stalled(ctl) -> bool:
-        banks = ctl.channel.banks
-        pending = False
-        for bank_index in ctl.mem_queue.banks_with_work():
-            pending = True
-            if not banks[bank_index].state.conflict_bit:
-                return False
-        return pending
 
     # -- PIM mode -----------------------------------------------------------
 
@@ -98,8 +65,8 @@ class FRFCFS(SchedulingPolicy):
 
     def may_switch_from_pim(self, ctl, cycle):
         # _decide_pim's trigger (or the empty-queue fallback).
-        mem_head = ctl.mem_queue.head()
-        if mem_head is None or not ctl.pim_queue:
-            return mem_head is not None
+        mem_queue = ctl.mem_queue
+        if not mem_queue or not ctl.pim_queue:
+            return bool(mem_queue)
         head = ctl.pim_queue[0]
-        return mem_head.mc_seq < head.mc_seq and ctl.pim_exec.would_switch_row(head)
+        return mem_queue[0].mc_seq < head.mc_seq and ctl.pim_exec.would_switch_row(head)

@@ -37,7 +37,6 @@ class FRFCFSCap(SchedulingPolicy):
         fallback = self.fallback_when_empty(ctl)
         if fallback is not None:
             return fallback
-        # oldest_overall is O(1) against the controller's age index.
         oldest = ctl.oldest_overall()
         self._note_oldest(oldest)
         if oldest is None:
@@ -66,10 +65,10 @@ class FRFCFSCap(SchedulingPolicy):
     def may_switch_from_pim(self, ctl, cycle):
         # Only a reached cap switches, toward an older MEM request; decide()
         # restarts the count when the oldest request changed.
-        mem_head = ctl.mem_queue.head()
-        if mem_head is None or not ctl.pim_queue:
-            return mem_head is not None
-        seq = mem_head.mc_seq
+        mem_queue = ctl.mem_queue
+        if not mem_queue or not ctl.pim_queue:
+            return bool(mem_queue)
+        seq = mem_queue[0].mc_seq
         cap_hit = seq == self._oldest_seq and self._bypasses >= self.cap
         return seq < ctl.pim_queue[0].mc_seq and cap_hit
 

@@ -54,46 +54,12 @@ class FRRRFCFS(SchedulingPolicy):
         if not ctl.mem_queue:
             return IDLE
         if ctl.pim_queue and self._served_since_switch:
-            self._update_conflict_bits(ctl)
-            if self._all_pending_banks_stalled(ctl):
+            if self.stall_conflict_banks(ctl):
                 return Decision.switch(Mode.PIM)
         else:
             ctl.clear_conflict_bits()
         pick = self.frfcfs_pick(ctl, cycle, exclude_conflict_banks=True)
         return Decision.mem(pick) if pick is not None else IDLE
-
-    @staticmethod
-    def _update_conflict_bits(ctl) -> None:
-        """Stall banks whose best pending request is a row conflict.
-
-        Same O(banks-with-work) index walk as FR-FCFS: the bank has a
-        pending hit iff the per-bank index holds a live request for its
-        open row.
-        """
-        banks = ctl.channel.banks
-        mem_queue = ctl.mem_queue
-        for bank_index in mem_queue.banks_with_work():
-            state = banks[bank_index].state
-            if state.conflict_bit:
-                continue
-            if not state.issued_since_switch:
-                continue  # the bank gets one activation per mode phase
-            open_row = state.open_row
-            if open_row is None:
-                continue  # a miss, not a conflict
-            if mem_queue.row_head(bank_index, open_row) is not None:
-                continue
-            state.conflict_bit = True
-
-    @staticmethod
-    def _all_pending_banks_stalled(ctl) -> bool:
-        banks = ctl.channel.banks
-        pending = False
-        for bank_index in ctl.mem_queue.banks_with_work():
-            pending = True
-            if not banks[bank_index].state.conflict_bit:
-                return False
-        return pending
 
     # -- PIM mode -----------------------------------------------------------
 

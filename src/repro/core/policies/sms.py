@@ -11,9 +11,8 @@ switch.  This implementation exists to demonstrate exactly that.
 Adaptation to the MEM/PIM setting: batches are per mode, at most
 ``batch_size`` requests each; the batch scheduler alternates between modes
 whenever the other mode has traffic (round-robin at batch granularity).
-Within a MEM batch requests are serviced in FR-FCFS order (via the
-indexed ``frfcfs_pick``, O(banks with work) per decision); PIM batches
-are FCFS as always.
+Within a MEM batch requests are serviced in FR-FCFS order (via
+``frfcfs_pick``); PIM batches are FCFS as always.
 """
 
 from __future__ import annotations

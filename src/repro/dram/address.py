@@ -153,8 +153,8 @@ class AddressMapper:
         """Decode ``request.address`` into the request's coordinate fields.
 
         This is the *only* place request coordinates are derived; every
-        downstream consumer (L2 slicing, the controller's per-bank index,
-        DRAM issue) reads the cached fields.
+        downstream consumer (L2 slicing, the scheduling policies, DRAM
+        issue) reads the cached fields.
         """
         address = request.address
         if address < 0:

@@ -673,17 +673,6 @@ class FabricCoordinator:
     def _handle_status(self) -> Tuple[int, Dict]:
         return 200, self.publisher.document()
 
-    def _handle_journal(self, query: Dict) -> Tuple[int, object]:
-        try:
-            count = int(query.get("n", ["50"])[0])
-        except ValueError:
-            return 400, {"error": "n must be an integer"}
-        from repro.obs.server import JOURNAL_LIMIT
-
-        count = max(0, min(count, JOURNAL_LIMIT))
-        # [-0:] would be the whole journal, not none of it.
-        return 200, self.store.journal_entries()[-count:] if count else []
-
     def _dispatch(
         self, method: str, target: str, body: Dict, headers: Optional[Dict] = None
     ) -> Tuple[int, object, str]:
@@ -717,7 +706,9 @@ class FabricCoordinator:
                     "text/plain; version=0.0.4; charset=utf-8",
                 )
             if path == "/journal":
-                return (*self._handle_journal(query), "application/json")
+                from repro.obs.server import journal_view
+
+                return (*journal_view(self.store, query), "application/json")
         elif method == "POST":
             if path == "/lease":
                 return (*self._handle_lease(body), "application/json")

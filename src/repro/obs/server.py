@@ -26,7 +26,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -36,6 +36,20 @@ PathLike = Union[str, Path]
 
 #: Hard cap on journal events returned by one ``/journal`` request.
 JOURNAL_LIMIT = 1000
+
+
+def journal_view(store, query: Dict[str, List[str]]) -> Tuple[int, object]:
+    """The ``/journal`` response for a parsed query string: the last
+    ``n`` (default 50, clamped to ``[0, JOURNAL_LIMIT]``) events of
+    ``store``'s journal, or a 400 when ``n`` is not an integer.  The
+    status server and the fabric coordinator both serve it."""
+    try:
+        count = int(query.get("n", ["50"])[0])
+    except ValueError:
+        return 400, {"error": "n must be an integer"}
+    count = max(0, min(count, JOURNAL_LIMIT))
+    # [-0:] would be the whole journal, not none of it.
+    return 200, store.journal_entries()[-count:] if count else []
 
 
 class PortInUseError(OSError):
@@ -88,17 +102,10 @@ class _StatusHandler(BaseHTTPRequestHandler):
             body = self.server.registry.render_prometheus().encode()
             self._send(200, body, "text/plain; version=0.0.4; charset=utf-8")
         elif parsed.path == "/journal":
-            try:
-                count = int(parse_qs(parsed.query).get("n", ["50"])[0])
-            except ValueError:
-                self._send_json(400, {"error": "n must be an integer"})
-                return
-            count = max(0, min(count, JOURNAL_LIMIT))
             from repro.store import ResultStore
 
             store = ResultStore(self.server.store_dir)
-            # [-0:] would be the whole journal, not none of it.
-            self._send_json(200, store.journal_entries()[-count:] if count else [])
+            self._send_json(*journal_view(store, parse_qs(parsed.query)))
         else:
             self._send_json(404, {"error": f"unknown path {parsed.path!r}"})
 

@@ -57,7 +57,7 @@ def reset_request_ids() -> None:
     _request_ids = itertools.count()
 
 
-@dataclass(eq=False, slots=True)  # identity semantics: a request is a unique entity
+@dataclass(eq=False, slots=True)  # identity: a request is a unique entity (list.remove relies on it)
 class Request:
     """A single memory request flowing through the simulated system.
 
@@ -90,7 +90,7 @@ class Request:
     id: int = field(default_factory=lambda: next(_request_ids))
 
     # Decoded address fields (filled once by dram.address.AddressMapper;
-    # the controller's per-bank index keys on bank/row without re-decoding).
+    # the scheduling policies read bank/row without re-decoding).
     channel: int = -1
     bank: int = -1
     row: int = -1
@@ -134,11 +134,6 @@ class Request:
     is_pim: bool = field(init=False, default=False)
     is_load: bool = field(init=False, default=False)
     mode: Mode = field(init=False, default=None)  # type: ignore[assignment]
-
-    # Membership flag for the controller's per-bank MEM index: requests are
-    # tombstoned on removal and lazily dropped from the index deques (see
-    # repro.core.memq).
-    in_mem_queue: bool = field(init=False, default=False)
 
     # Cached ``pim_op.kind.accesses_dram`` (two attribute hops on the PIM
     # issue path); False for MEM requests.  Filled in __post_init__.

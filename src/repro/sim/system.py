@@ -412,9 +412,8 @@ class GPUSystem:
             queue = self.dram_queues[ch]
             controller = self.controllers[ch]
             for head in queue.heads():
-                if controller.can_accept(head):
+                if controller.enqueue(head, cycle):
                     queue.pop_matching(head)
-                    controller.enqueue(head, cycle)
                     if controller._dirty:  # not while a switch drains
                         self._mc_active.add(ch)
                     break

@@ -47,8 +47,10 @@ class TestEnqueue:
         ctl = make_controller()
         for i in range(8):
             assert ctl.enqueue(mem_request(bank=i % 4), cycle=0)
-        assert not ctl.enqueue(mem_request(), cycle=0)
-        assert ctl.stats.mem_rejected == 1
+        rejected = mem_request()
+        assert not ctl.enqueue(rejected, cycle=0)
+        assert len(ctl.mem_queue) == ctl.stats.mem_arrivals == 8
+        assert all(r is not rejected for r in ctl.mem_queue)
 
     def test_pim_queue_separate(self):
         ctl = make_controller()

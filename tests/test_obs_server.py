@@ -1,7 +1,8 @@
 """`repro.obs.server` under load and at the edges.
 
 Thread-safety smoke (concurrent /status + /metrics + /journal readers
-against a registry being mutated by a live publisher), /journal bounds,
+against a registry being mutated by a live publisher), /journal bounds
+on the status server and on a fabric coordinator,
 and the friendly port-in-use failure (``PortInUseError``) both at the
 server layer and through ``repro sweep --serve-status``.
 """
@@ -18,6 +19,8 @@ from repro.cli import main as cli_main
 from repro.obs import MetricsRegistry, StatusPublisher, validate_status
 from repro.obs.server import JOURNAL_LIMIT, PortInUseError, StatusServer
 from repro.store import ResultStore
+from tests.fabric_harness import CoordinatorThread
+from tests.test_store_resume import TINY, tiny_tasks
 
 
 def _get(url):
@@ -84,34 +87,52 @@ class TestConcurrentReads:
         assert mutator_error == []
 
 
-class TestJournalBounds:
-    @pytest.fixture()
-    def server(self, tmp_path):
-        store = ResultStore(tmp_path)
-        for i in range(4):
-            store.log_event("put", key=f"k{i}")
-        with StatusServer(tmp_path, port=0) as server:
-            yield server
+def _log_puts(store_dir):
+    store = ResultStore(store_dir)
+    for i in range(4):
+        store.log_event("put", key=f"k{i}")
 
-    def test_n_zero_returns_empty_list(self, server):
-        status, body = _get(server.url + "/journal?n=0")
+
+class TestJournalBounds:
+    """``/journal?n=`` bounds on the status server; the subclass below runs
+    the same cases against a fabric coordinator, which serves the same
+    view (``journal_view``)."""
+
+    @pytest.fixture()
+    def url(self, tmp_path):
+        _log_puts(tmp_path)
+        with StatusServer(tmp_path, port=0) as server:
+            yield server.url
+
+    def test_n_zero_returns_empty_list(self, url):
+        status, body = _get(url + "/journal?n=0")
         assert status == 200 and json.loads(body) == []
 
-    def test_n_past_journal_length_returns_everything(self, server):
-        status, body = _get(server.url + f"/journal?n={JOURNAL_LIMIT + 999}")
+    def test_n_past_journal_length_returns_everything(self, url, tmp_path):
+        status, body = _get(url + f"/journal?n={JOURNAL_LIMIT + 999}")
         assert status == 200
         events = json.loads(body)
-        assert [e["key"] for e in events] == ["k0", "k1", "k2", "k3"]
+        assert events == ResultStore(tmp_path).journal_entries()
+        puts = [e["key"] for e in events if e["event"] == "put"]
+        assert puts == ["k0", "k1", "k2", "k3"]
 
-    def test_negative_n_clamps_to_empty(self, server):
-        status, body = _get(server.url + "/journal?n=-7")
+    def test_negative_n_clamps_to_empty(self, url):
+        status, body = _get(url + "/journal?n=-7")
         assert status == 200 and json.loads(body) == []
 
-    def test_non_integer_n_is_400(self, server):
+    def test_non_integer_n_is_400(self, url):
         with pytest.raises(urllib.error.HTTPError) as info:
-            urllib.request.urlopen(server.url + "/journal?n=loads", timeout=5)
+            urllib.request.urlopen(url + "/journal?n=loads", timeout=5)
         assert info.value.code == 400
         assert "integer" in json.loads(info.value.read().decode())["error"]
+
+
+class TestCoordinatorJournalBounds(TestJournalBounds):
+    @pytest.fixture()
+    def url(self, tmp_path):
+        _log_puts(tmp_path)
+        with CoordinatorThread(TINY, tiny_tasks(), tmp_path) as coord:
+            yield f"http://{coord.address}"
 
 
 class TestPortInUse:

@@ -1,25 +1,32 @@
-"""Indexed scheduler == linear-scan reference (randomized equivalence).
+"""One-pass scheduler scans == minimum-finding reference (randomized).
 
-The per-bank index (``repro.core.memq.BankIndexedMemQueue``) replaced the
-flat-list scans the FR-FCFS-family policies used to run every decision
-cycle.  The claim is *bit-identical decisions*: the index only changes
-how the minima are found, never which request wins.  This suite checks
-that claim two ways:
+The MEM queue (``MemoryController.mem_queue``) is a plain list in arrival
+order, which is also ``mc_seq`` order, so the FR-FCFS-family policies pick
+by one pass that stops early: the first issuable row hit, else the first
+issuable request.  The claim is *bit-identical decisions* against the
+straight-line scans below, which take the minimum of each policy's key
+over the whole queue.  This suite checks that claim three ways:
 
+* **Queue invariant** — after seeded random enqueues and ``tick`` issues,
+  the MEM queue holds exactly the MEM requests enqueued and not yet
+  issued, in strictly increasing ``mc_seq`` order: the order every
+  one-pass scan relies on.
 * **Primitive equivalence** — seeded random controller states (random
-  banks/rows/ages, tombstoned entries, random open rows, accept windows,
-  conflict bits) where each indexed query is compared against a
-  straight-line scan reference copied from the pre-index implementation.
+  banks/rows/ages, removed entries, random open rows, accept windows,
+  conflict bits), in a small shape and in the paper's (16 banks, up to
+  64 queued requests), where each policy lookup is compared against the
+  minimum-finding reference.
 * **End-to-end equivalence** — full co-run simulations where the policy's
-  indexed lookups are overridden with the scan reference; the simulation
-  fingerprints (cycles, per-controller issue counts, per-kernel
-  injection counts, mode switches) must match exactly for every
-  FR-FCFS-family policy, across modes and CAP settings.
+  lookups are overridden with the reference; the simulation fingerprints
+  (cycles, per-controller issue counts, per-kernel injection counts, mode
+  switches) must match exactly for every FR-FCFS-family policy, across
+  modes and CAP settings.
 
 ``mc_seq`` is unique per controller, so all the minima compared here have
 unique keys and "same request" is well-defined (object identity).
 """
 
+import itertools
 import random
 
 import pytest
@@ -49,7 +56,7 @@ SEEDS = range(25)
 
 
 # ---------------------------------------------------------------------------
-# Scan reference implementations (the pre-index behaviour, verbatim).
+# Scan reference implementations (minimum-finding, kept verbatim).
 # ---------------------------------------------------------------------------
 
 
@@ -100,7 +107,7 @@ def scan_oldest_overall(ctl):
 
 
 def scan_expected_conflict_bits(ctl):
-    """Post-update conflict bits per the pre-index FR-FCFS/FR-RR logic."""
+    """Post-update conflict bits per the FR-FCFS/FR-RR trigger."""
     expected = {bank.index: bank.state.conflict_bit for bank in ctl.channel.banks}
     for bank_index, requests in mem_requests_by_bank(ctl).items():
         bank = ctl.channel.banks[bank_index]
@@ -124,7 +131,7 @@ def scan_all_pending_banks_stalled(ctl):
 
 
 def scan_bliss_decide(policy, ctl, cycle):
-    """Pre-index BLISS.decide (scan over issuable requests)."""
+    """BLISS.decide as a minimum over every issuable request."""
     policy._maybe_clear(cycle)
     best = None
     best_score = None
@@ -149,7 +156,8 @@ def scan_bliss_decide(policy, ctl, cycle):
 
 
 def scan_f3fs_ablation_decide(ctl, cycle):
-    """Pre-index F3FS._decide_frfcfs_order (current_mode_first=False)."""
+    """F3FS._decide_frfcfs_order (current_mode_first=False) as a minimum
+    over every issuable request."""
     best = None
     best_key = None
     for request in issuable_mem(ctl, cycle):
@@ -193,17 +201,29 @@ def pim_request(row, column=0, kernel_id=1):
     return req
 
 
-def random_controller(rng, policy_name="FR-FCFS", **params):
-    channel = Channel(0, NUM_BANKS, DRAMTimings())
-    pim_exec = PIMExecutor(channel, fus_per_channel=NUM_BANKS // 2, rf_entries_per_bank=8)
-    ctl = MemoryController(
+def make_controller(policy_name="FR-FCFS", num_banks=NUM_BANKS, queue_size=256, **params):
+    channel = Channel(0, num_banks, DRAMTimings())
+    pim_exec = PIMExecutor(channel, fus_per_channel=num_banks // 2, rf_entries_per_bank=8)
+    return MemoryController(
         channel, pim_exec, make_policy(policy_name, **params),
-        mem_queue_size=256, pim_queue_size=256,
+        mem_queue_size=queue_size, pim_queue_size=queue_size,
     )
+
+
+#: Controller shapes for the primitive checks: a small one, and the
+#: paper's (Table I: 16 banks, 64-entry queues) filled up to its depth.
+SMALL = {"num_banks": NUM_BANKS, "max_mem": 39, "queue_size": 256}
+PAPER = {"num_banks": 16, "max_mem": 64, "queue_size": 64}
+
+
+def random_controller(rng, policy_name="FR-FCFS", shape=SMALL, **params):
+    num_banks = shape["num_banks"]
+    ctl = make_controller(policy_name, num_banks, shape["queue_size"], **params)
+    channel = ctl.channel
     live = []
-    for _ in range(rng.randrange(0, 40)):
+    for _ in range(rng.randrange(0, shape["max_mem"] + 1)):
         req = mem_request(
-            bank=rng.randrange(NUM_BANKS),
+            bank=rng.randrange(num_banks),
             row=rng.randrange(NUM_ROWS),
             kernel_id=rng.randrange(3),
         )
@@ -211,7 +231,7 @@ def random_controller(rng, policy_name="FR-FCFS", **params):
         live.append(req)
     for _ in range(rng.randrange(0, 8)):
         ctl.enqueue(pim_request(row=rng.randrange(NUM_ROWS)), cycle=0)
-    # Tombstone a random subset, as issue does mid-simulation.
+    # Remove a random subset, as issue does mid-simulation.
     rng.shuffle(live)
     for req in live[: rng.randrange(0, len(live) + 1) if live else 0]:
         ctl.mem_queue.remove(req)
@@ -225,7 +245,7 @@ def random_controller(rng, policy_name="FR-FCFS", **params):
         state.issued_since_switch = rng.random() < 0.6
     # Bank rows were mutated behind the executor's back: make the next
     # would_switch_row re-scan the banks.
-    pim_exec._rows_uniform = False
+    ctl.pim_exec._rows_uniform = False
     return ctl
 
 
@@ -235,11 +255,13 @@ def random_controller(rng, policy_name="FR-FCFS", **params):
 
 
 class TestPrimitivesMatchScan:
+    SHAPE = SMALL
+
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("exclude", [False, True])
     def test_frfcfs_pick(self, seed, exclude):
         rng = random.Random(seed)
-        ctl = random_controller(rng)
+        ctl = random_controller(rng, shape=self.SHAPE)
         for cycle in (0, 1, 2):
             expected = scan_frfcfs_pick(ctl, cycle, exclude)
             actual = ctl.policy.frfcfs_pick(ctl, cycle, exclude_conflict_banks=exclude)
@@ -248,81 +270,99 @@ class TestPrimitivesMatchScan:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_oldest_overall(self, seed):
         rng = random.Random(seed)
-        ctl = random_controller(rng)
+        ctl = random_controller(rng, shape=self.SHAPE)
         assert ctl.oldest_overall() is scan_oldest_overall(ctl)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("policy_cls", [FRFCFS, FRRRFCFS])
     def test_conflict_bit_update(self, seed, policy_cls):
         rng = random.Random(seed)
-        ctl = random_controller(rng, policy_name=policy_cls.name)
+        ctl = random_controller(rng, policy_name=policy_cls.name, shape=self.SHAPE)
         expected = scan_expected_conflict_bits(ctl)
-        if policy_cls is FRFCFS:
-            ctl.policy._update_conflict_bits(ctl, cycle=1)
-        else:
-            ctl.policy._update_conflict_bits(ctl)
+        ctl.policy.stall_conflict_banks(ctl)
         actual = {bank.index: bank.state.conflict_bit for bank in ctl.channel.banks}
         assert actual == expected
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_all_pending_banks_stalled(self, seed):
         rng = random.Random(seed)
-        ctl = random_controller(rng)
-        assert ctl.policy._all_pending_banks_stalled(ctl) == scan_all_pending_banks_stalled(ctl)
+        ctl = random_controller(rng, shape=self.SHAPE)
+        stalled = ctl.policy.stall_conflict_banks(ctl)
+        # The verdict is taken over the bits the same scan just set.
+        assert stalled == scan_all_pending_banks_stalled(ctl)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("mode", [Mode.MEM, Mode.PIM])
     def test_bliss_decide(self, seed, mode):
         rng = random.Random(seed)
-        ctl = random_controller(rng, policy_name="BLISS")
+        ctl = random_controller(rng, policy_name="BLISS", shape=self.SHAPE)
         ctl.mode = mode
         policy = ctl.policy
-        for kernel in range(3):
-            if rng.random() < 0.4:
-                policy.blacklist.add(kernel)
-        expected = scan_bliss_decide(policy, ctl, cycle=1)
-        actual = policy.decide(ctl, cycle=1)
-        assert decisions_equal(actual, expected)
+        # Every blacklist over the three kernels, at three cycles (each
+        # frees a different set of banks).
+        for blacklisted in itertools.product((False, True), repeat=3):
+            for cycle in (0, 1, 2):
+                policy.blacklist.clear()
+                policy.blacklist.update(k for k in range(3) if blacklisted[k])
+                expected = scan_bliss_decide(policy, ctl, cycle)
+                actual = policy.decide(ctl, cycle)
+                assert decisions_equal(actual, expected)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("mode", [Mode.MEM, Mode.PIM])
     def test_f3fs_ablation_order(self, seed, mode):
         rng = random.Random(seed)
-        ctl = random_controller(rng, policy_name="F3FS", current_mode_first=False)
+        ctl = random_controller(
+            rng, policy_name="F3FS", shape=self.SHAPE, current_mode_first=False
+        )
         ctl.mode = mode
         expected = scan_f3fs_ablation_decide(ctl, cycle=1)
         actual = ctl.policy._decide_frfcfs_order(ctl, cycle=1)
         assert decisions_equal(actual, expected)
 
 
+class TestPrimitivesMatchScanPaperShape(TestPrimitivesMatchScan):
+    """The same checks at the paper's bank count and queue depth."""
+
+    SHAPE = PAPER
+
+
 class TestIndexInvariants:
-    """BankIndexedMemQueue vs a plain-list model under random mutation."""
+    """The order every one-pass scan relies on, under the controller's
+    own enqueues and issues."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_list_model(self, seed):
         rng = random.Random(seed)
-        ctl = random_controller(rng)
-        queue = ctl.mem_queue
-        model = [r for r in queue]
-        assert len(queue) == len(model)
-        assert bool(queue) == bool(model)
-        assert [r.mc_seq for r in queue] == sorted(r.mc_seq for r in model)
-        assert queue.head() is (min(model, key=lambda r: r.mc_seq) if model else None)
-        by_bank = {}
-        for r in model:
-            by_bank.setdefault(r.bank, []).append(r)
-        assert list(queue.banks_with_work()) == sorted(by_bank)
-        for bank in range(NUM_BANKS):
-            requests = by_bank.get(bank, [])
-            assert queue._bank_live[bank] == len(requests)
-            assert queue.bank_head(bank) is (requests[0] if requests else None)
-            for row in range(NUM_ROWS):
-                in_row = [r for r in requests if r.row == row]
-                assert queue.row_head(bank, row) is (in_row[0] if in_row else None)
+        policy_name = rng.choice(["FCFS", "FR-FCFS", "FR-RR-FCFS", "FR-FCFS-Cap", "BLISS", "F3FS"])
+        ctl = make_controller(policy_name, queue_size=16)
+        model = []  # MEM requests enqueued and not yet issued, in arrival order
+        issued_mem = 0
+        for cycle in range(600):
+            if rng.random() < 0.6:
+                if rng.random() < 0.7:
+                    req = mem_request(
+                        bank=rng.randrange(NUM_BANKS),
+                        row=rng.randrange(NUM_ROWS),
+                        kernel_id=rng.randrange(3),
+                    )
+                else:
+                    req = pim_request(row=rng.randrange(NUM_ROWS))
+                if ctl.enqueue(req, cycle) and not req.is_pim:
+                    model.append(req)
+            ctl.pop_completed(cycle)
+            issued = ctl.tick(cycle)
+            if issued is not None and not issued.is_pim:
+                model.remove(issued)
+                issued_mem += 1
+            seqs = [r.mc_seq for r in ctl.mem_queue]
+            assert all(a < b for a, b in zip(seqs, seqs[1:]))
+            assert seqs == [r.mc_seq for r in model]
+        assert issued_mem > 0
 
 
 # ---------------------------------------------------------------------------
-# End-to-end equivalence: scan-backed policies vs indexed policies.
+# End-to-end equivalence: scan-backed policies vs the one-pass policies.
 # ---------------------------------------------------------------------------
 
 
@@ -331,26 +371,19 @@ class _ScanPickMixin:
     def frfcfs_pick(ctl, cycle, exclude_conflict_banks=False):
         return scan_frfcfs_pick(ctl, cycle, exclude_conflict_banks)
 
-
-class ScanFRFCFS(_ScanPickMixin, FRFCFS):
-    def _update_conflict_bits(self, ctl, cycle):
+    @staticmethod
+    def stall_conflict_banks(ctl):
         for bank_index, hit in scan_expected_conflict_bits(ctl).items():
             ctl.channel.banks[bank_index].state.conflict_bit = hit
-
-    @staticmethod
-    def _all_pending_banks_stalled(ctl):
         return scan_all_pending_banks_stalled(ctl)
+
+
+class ScanFRFCFS(_ScanPickMixin, FRFCFS):
+    pass
 
 
 class ScanFRRR(_ScanPickMixin, FRRRFCFS):
-    @staticmethod
-    def _update_conflict_bits(ctl):
-        for bank_index, hit in scan_expected_conflict_bits(ctl).items():
-            ctl.channel.banks[bank_index].state.conflict_bit = hit
-
-    @staticmethod
-    def _all_pending_banks_stalled(ctl):
-        return scan_all_pending_banks_stalled(ctl)
+    pass
 
 
 class ScanF3FS(_ScanPickMixin, F3FS):
@@ -383,7 +416,7 @@ class _FactorySpec:
         self.create = factory
 
     def label(self):  # pragma: no cover - debugging aid
-        return "scan-vs-indexed"
+        return "scan-vs-one-pass"
 
 
 PAIRS = [
@@ -428,6 +461,6 @@ def run_fingerprint(factory):
 
 
 class TestEndToEndEquivalence:
-    @pytest.mark.parametrize("name,indexed,scan", PAIRS, ids=[p[0] for p in PAIRS])
-    def test_simulation_fingerprint_identical(self, name, indexed, scan):
-        assert run_fingerprint(indexed) == run_fingerprint(scan)
+    @pytest.mark.parametrize("name,one_pass,scan", PAIRS, ids=[p[0] for p in PAIRS])
+    def test_simulation_fingerprint_identical(self, name, one_pass, scan):
+        assert run_fingerprint(one_pass) == run_fingerprint(scan)
