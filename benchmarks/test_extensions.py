@@ -13,43 +13,16 @@
 
 from conftest import experiment_scale, write_result
 
-from repro.core.policies import PolicySpec
-from repro.experiments import format_table, make_tasks, run_cells
-from repro.metrics import arithmetic_mean
-
-GPU_SUBSET = ["G17", "G19"]
-PIM_SUBSET = ["P1", "P2"]
-
-
-def _grid(scale, spec, store_dir, num_vcs=2):
-    tasks = make_tasks(GPU_SUBSET, PIM_SUBSET, [spec], (num_vcs,))
-    return list(run_cells(scale, tasks, store_dir).values())
+from repro.experiments import figure_table, format_table
 
 
 def test_extension_policies(store_dir, benchmark, results_dir):
-    def run():
-        specs = {
-            "F3FS": PolicySpec("F3FS"),
-            "Dyn-F3FS": PolicySpec("Dyn-F3FS", initial_cap=64),
-            "SMS": PolicySpec("SMS", batch_size=32),
-        }
-        rows = []
-        for name, spec in specs.items():
-            outcomes = _grid(experiment_scale(), spec, store_dir)
-            rows.append(
-                {
-                    "policy": name,
-                    "fairness": arithmetic_mean([o.fairness for o in outcomes]),
-                    "throughput": arithmetic_mean([o.throughput for o in outcomes]),
-                    "switches": arithmetic_mean([o.mode_switches for o in outcomes]),
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_result(
-        results_dir, "extensions_policies", format_table(rows, ["policy", "fairness", "throughput", "switches"])
+    _, rows, columns = benchmark.pedantic(
+        lambda: figure_table("ext_policies", experiment_scale(), store_dir=store_dir),
+        rounds=1,
+        iterations=1,
     )
+    write_result(results_dir, "extensions_policies", format_table(rows, columns))
     by_name = {row["policy"]: row for row in rows}
     # SMS pays batch-boundary switches: at least as many switches as F3FS.
     assert by_name["SMS"]["switches"] >= by_name["F3FS"]["switches"]
@@ -104,24 +77,12 @@ def test_mesh_topology(benchmark, results_dir):
 
 
 def test_refresh_perturbation(store_dir, benchmark, results_dir):
-    def run():
-        spec = PolicySpec("F3FS")
-        rows = []
-        for refresh in (False, True):
-            outcomes = _grid(experiment_scale(refresh_enabled=refresh), spec, store_dir)
-            rows.append(
-                {
-                    "refresh": "on" if refresh else "off",
-                    "fairness": arithmetic_mean([o.fairness for o in outcomes]),
-                    "throughput": arithmetic_mean([o.throughput for o in outcomes]),
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_result(
-        results_dir, "extensions_refresh", format_table(rows, ["refresh", "fairness", "throughput"])
+    _, rows, columns = benchmark.pedantic(
+        lambda: figure_table("ext_refresh", experiment_scale(), store_dir=store_dir),
+        rounds=1,
+        iterations=1,
     )
+    write_result(results_dir, "extensions_refresh", format_table(rows, columns))
     off, on = rows[0], rows[1]
     # Refresh costs a few percent of throughput, not a regime change.
     assert on["throughput"] > 0.8 * off["throughput"]

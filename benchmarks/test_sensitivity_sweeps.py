@@ -11,23 +11,16 @@
 
 from conftest import experiment_scale, write_result
 
-from repro.experiments import format_table
-from repro.experiments.sweep import sweep_f3fs_caps, sweep_policy_parameter
-
-GPU_SUBSET = ["G17", "G19"]
-PIM_SUBSET = ["P1", "P2"]
+from repro.experiments import figure_table, format_table
 
 
 def test_frfcfs_cap_sweep(store_dir, benchmark, results_dir):
-    rows = benchmark.pedantic(
-        lambda: sweep_policy_parameter(
-            experiment_scale(), "FR-FCFS-Cap", "cap", [4, 32, 256], GPU_SUBSET, PIM_SUBSET,
-            num_vcs=2, store_dir=store_dir,
-        ),
+    _, rows, columns = benchmark.pedantic(
+        lambda: figure_table("sweep_frfcfs_cap", experiment_scale(), store_dir=store_dir),
         rounds=1,
         iterations=1,
     )
-    write_result(results_dir, "sweep_frfcfs_cap", format_table(rows, ["value", "fairness", "throughput"]))
+    write_result(results_dir, "sweep_frfcfs_cap", format_table(rows, columns))
     by_cap = {row["value"]: row for row in rows}
     # A very large CAP degenerates toward FR-FCFS: throughput at least as
     # high as the tight-CAP point, which buys fairness instead.
@@ -35,15 +28,12 @@ def test_frfcfs_cap_sweep(store_dir, benchmark, results_dir):
 
 
 def test_bliss_threshold_sweep(store_dir, benchmark, results_dir):
-    rows = benchmark.pedantic(
-        lambda: sweep_policy_parameter(
-            experiment_scale(), "BLISS", "threshold", [2, 4, 16], GPU_SUBSET, PIM_SUBSET,
-            num_vcs=2, store_dir=store_dir,
-        ),
+    _, rows, columns = benchmark.pedantic(
+        lambda: figure_table("sweep_bliss_threshold", experiment_scale(), store_dir=store_dir),
         rounds=1,
         iterations=1,
     )
-    write_result(results_dir, "sweep_bliss_threshold", format_table(rows, ["value", "fairness", "throughput"]))
+    write_result(results_dir, "sweep_bliss_threshold", format_table(rows, columns))
     by_threshold = {row["value"]: row for row in rows}
     # The paper: "BLISS performs best with a lower threshold, indicating
     # its tendency to converge toward FR-FCFS."  A low threshold
@@ -55,19 +45,12 @@ def test_bliss_threshold_sweep(store_dir, benchmark, results_dir):
 
 
 def test_f3fs_cap_pair_sweep(store_dir, benchmark, results_dir):
-    pairs = [(32, 32), (256, 256), (256, 64)]
-    rows = benchmark.pedantic(
-        lambda: sweep_f3fs_caps(
-            experiment_scale(), pairs, GPU_SUBSET, PIM_SUBSET, num_vcs=2, store_dir=store_dir
-        ),
+    _, rows, columns = benchmark.pedantic(
+        lambda: figure_table("sweep_f3fs_caps", experiment_scale(), store_dir=store_dir),
         rounds=1,
         iterations=1,
     )
-    write_result(
-        results_dir,
-        "sweep_f3fs_caps",
-        format_table(rows, ["mem_cap", "pim_cap", "fairness", "throughput"]),
-    )
+    write_result(results_dir, "sweep_f3fs_caps", format_table(rows, columns))
     by_pair = {(row["mem_cap"], row["pim_cap"]): row for row in rows}
     # Asymmetric CAPs (favoring MEM) shift service toward the GPU kernel,
     # costing competitive fairness relative to the symmetric setting

@@ -7,14 +7,14 @@ Examples::
     python -m repro collaborative --policy FR-FCFS --vcs 2
     python -m repro figure fig11 --policies FR-FCFS F3FS
     python -m repro figure fig8 --gpus G6 G17 --pims P1 P2
+    python -m repro figure sweep_f3fs_caps
     python -m repro figure all --cache-dir store --fail-on-miss
     python -m repro trace --gpu G19 --pim P1 --policy F3FS --vcs 2 --out trace.json
 
 Figure commands print the same tables the benchmark harness writes to
 ``benchmarks/results/`` — at their default subsets, byte for byte — from
-the one definition per figure in ``repro.experiments.figures.FIGURES``.
-Figure 14b is the exception: it sweeps one scale per NoC queue size, so
-only ``benchmarks/test_fig14b_queue_sensitivity.py`` builds it.  With
+the one definition per figure in ``repro.experiments.figures.FIGURES``
+(the sensitivity and extension tables among them).  With
 ``--cache-dir`` a figure's cells go through the result store, so a second
 render reads them back and simulates nothing.
 

@@ -62,7 +62,6 @@ class SystemConfig:
     # --- L2 cache ---
     l2_size_bytes: int = 6 * 1024 * 1024
     l2_assoc: int = 16
-    l2_line_bytes: int = 128
     l2_latency: int = 30
     l2_mshrs_per_slice: int = 32
 

@@ -1,4 +1,4 @@
-"""Experiment harnesses: runners, per-figure sweeps, sensitivity studies."""
+"""Experiment harnesses: runners, sweeps, and the figure and sensitivity tables."""
 
 from repro._exports import lazy_exports
 
@@ -6,7 +6,6 @@ _EXPORTS = {
     "ABLATION_STAGES": "figures",
     "FIGURES": "figures",
     "collaborative_policy": "figures",
-    "fig14b_queue_sensitivity": "figures",
     "figure_table": "figures",
     "figure_tables": "figures",
     "format_table": "figures",
@@ -32,8 +31,6 @@ _EXPORTS = {
     "telemetry_section": "report",
     "default_grid_tasks": "sweep",
     "run_cells": "sweep",
-    "sweep_f3fs_caps": "sweep",
-    "sweep_policy_parameter": "sweep",
     "sweep_rows": "sweep",
 }
 

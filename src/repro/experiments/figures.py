@@ -4,6 +4,8 @@ Each table/figure of the paper's evaluation (see DESIGN.md's experiment
 index) is a list of the cells (:class:`~repro.experiments.runner.GridTask`)
 it reads plus a pure reduction of ``{cell: outcome}`` into plain data; both
 take the (GPU, PIM, policy) subsets, and ignore those they do not vary.
+The sensitivity studies and extension tables are point tables
+(:func:`points_figure`): one row per policy and scale variant.
 ``FIGURES`` turns each into its table — default subsets, rows and columns —
 once, for ``repro figure``, ``repro report`` and the committed
 ``benchmarks/results/`` tables; :func:`figure_tables` runs their cells as
@@ -285,7 +287,7 @@ def fig11_llm_speedup(
 
 
 # ---------------------------------------------------------------------------
-# Figure 14 — F3FS ablation (14a) and queue-size sensitivity (14b)
+# Figure 14a — F3FS ablation
 # ---------------------------------------------------------------------------
 
 #: The ablation ladder (Section VII-C): each stage adds one F3FS component.
@@ -336,23 +338,6 @@ def fig14a_ablation(
     ]
 
 
-def fig14b_queue_sensitivity(
-    scale: ExperimentScale, queue_sizes: Sequence[int], gpus, pims, store_dir: Optional[str] = None
-) -> Dict[int, Dict[str, float]]:
-    """F3FS sensitivity to NoC queue size under VC2 (Figure 14b): one sweep
-    of the F3FS/VC2 grid per queue size, on ``scale`` with that size.
-
-    Queue sizes are the scaled analog of the paper's 256/512/1024 sweep
-    around the 512-entry baseline.
-    """
-    cells = _grid(gpus, pims, ["F3FS"], (2,))
-    out: Dict[int, Dict[str, float]] = {}
-    for size in queue_sizes:
-        outcomes = run_cells(replace(scale, noc_queue_size=size), cells, store_dir)
-        out[size] = fairness_throughput([outcomes[cell] for cell in cells])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Figure tables — the one definition ``repro figure``, ``repro report`` and
 # ``benchmarks/test_fig*.py`` render from
@@ -388,6 +373,56 @@ def _by_policy(data: Mapping[int, Mapping[str, object]]) -> List[Tuple[str, str,
         for policy, value in by_policy.items()
     ]
 
+
+# ---------------------------------------------------------------------------
+# Point tables — Figure 14b, the sensitivity studies and the extensions
+# ---------------------------------------------------------------------------
+
+#: One row of a point table: its fields, its policy, and the scale variant
+#: (``GridTask.scale_params``) its cells run at.
+Point = Tuple[Dict[str, object], PolicySpec, Tuple[Tuple[str, object], ...]]
+
+
+def points_figure(points: Sequence[Point], columns: Sequence[str]) -> Figure:
+    """A table with one row per point: its fields plus the mean fairness,
+    throughput and mode switches of its VC2 competitive grid, on G17/G19 x
+    P1/P2 by default."""
+
+    def grid(gpus, pims, spec, scale_params) -> List[GridTask]:
+        tasks = make_tasks(gpus, pims, [spec], (2,))
+        return [replace(task, scale_params=scale_params) for task in tasks]
+
+    def cells(gpus, pims, policies=()) -> List[GridTask]:
+        return [cell for _, *point in points for cell in grid(gpus, pims, *point)]
+
+    def reduce(outcomes: Outcomes, gpus, pims, policies=()) -> List[Dict]:
+        rows = []
+        for fields, *point in points:
+            runs = [outcomes[cell] for cell in grid(gpus, pims, *point)]
+            switches = _mean(run.mode_switches for run in runs)
+            rows.append({**fields, **fairness_throughput(runs), "switches": switches})
+        return rows
+
+    return Figure(
+        cells, reduce, rows=list, columns=lambda gpus: list(columns),
+        gpus=("G17", "G19"), pims=("P1", "P2"),
+    )
+
+
+def _parameter_points(policy: str, parameter: str, values: Sequence) -> List[Point]:
+    """One point per value of one policy constructor parameter."""
+    return [({"value": v}, PolicySpec(policy, **{parameter: v}), ()) for v in values]
+
+
+#: Figure 14b's NoC queue sizes: the scaled analog of the paper's
+#: 256/512/1024 sweep around the 512-entry baseline.
+FIG14B_QUEUE_SIZES: Tuple[int, ...] = (32, 64, 128)
+
+#: The extension study's policies: hand-tuned F3FS, its runtime-adaptive
+#: variant (Section VII's future work) and the SMS baseline (Section VIII).
+EXTENSION_POLICIES = (
+    PolicySpec("F3FS"), PolicySpec("Dyn-F3FS", initial_cap=64), PolicySpec("SMS", batch_size=32)
+)
 
 FIGURES: Dict[str, Figure] = {
     "fig4": Figure(
@@ -464,6 +499,40 @@ FIGURES: Dict[str, Figure] = {
         fig14a_ablation,
         rows=list,
         columns=lambda gpus: ["label", "fairness", "throughput", "llm_speedup"],
+    ),
+    "fig14b": points_figure(
+        [
+            ({"queue_size": size}, PolicySpec("F3FS"), (("noc_queue_size", size),))
+            for size in FIG14B_QUEUE_SIZES
+        ],
+        ["queue_size", "fairness", "throughput"],
+    ),
+    # Section VI-A: FR-FCFS-Cap's CAP and BLISS's blacklist threshold.
+    "sweep_frfcfs_cap": points_figure(
+        _parameter_points("FR-FCFS-Cap", "cap", (4, 32, 256)), ["value", "fairness", "throughput"]
+    ),
+    "sweep_bliss_threshold": points_figure(
+        _parameter_points("BLISS", "threshold", (2, 4, 16)), ["value", "fairness", "throughput"]
+    ),
+    # Section VII-B: the F3FS (MEM CAP, PIM CAP) pair.
+    "sweep_f3fs_caps": points_figure(
+        [
+            ({"mem_cap": mem, "pim_cap": pim}, PolicySpec("F3FS", mem_cap=mem, pim_cap=pim), ())
+            for mem, pim in ((32, 32), (256, 256), (256, 64))
+        ],
+        ["mem_cap", "pim_cap", "fairness", "throughput"],
+    ),
+    "ext_policies": points_figure(
+        [({"policy": spec.name}, spec, ()) for spec in EXTENSION_POLICIES],
+        ["policy", "fairness", "throughput", "switches"],
+    ),
+    # DRAM refresh (a fidelity extension) off, then on.
+    "ext_refresh": points_figure(
+        [
+            ({"refresh": "on" if on else "off"}, PolicySpec("F3FS"), (("refresh_enabled", on),))
+            for on in (False, True)
+        ],
+        ["refresh", "fairness", "throughput"],
     ),
 }
 

@@ -247,7 +247,7 @@ def run_sweep(
 ) -> GridReport:
     """Run a (resumable, shardable) grid sweep over ``tasks``.
 
-    The one sweep entry point: the CLI, the sensitivity sweeps and the
+    The one sweep entry point: the CLI, the figure tables and the
     benchmark all call it.  With ``max_workers > 1`` (or a cell timeout,
     or a fault plan) cells run in a supervised process pool; otherwise
     they run in this process.  With ``collect_perf=True`` every cell

@@ -19,7 +19,7 @@ remainder for the GPU kernel under co-execution (72 SMs → ``gpu_sms_corun``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 from repro.config import SystemConfig
@@ -94,11 +94,11 @@ class ExperimentScale:
                 f"ExperimentScale.workload_scale must be > 0 (got {scale!r})"
             )
 
-    def config(self, num_vcs: int = 1, noc_queue_size: Optional[int] = None) -> SystemConfig:
+    def config(self, num_vcs: int = 1) -> SystemConfig:
         base = SystemConfig.scaled(
             num_channels=self.num_channels,
             num_sms=self.gpu_sms_full,
-            noc_queue_size=noc_queue_size or self.noc_queue_size,
+            noc_queue_size=self.noc_queue_size,
         )
         return base.replace(
             num_virtual_channels=num_vcs, refresh_enabled=self.refresh_enabled
@@ -168,6 +168,9 @@ CELL_KINDS = tuple(_LOADERS)
 #: The :class:`ExperimentScale` SM-allocation fields a standalone cell may name.
 STANDALONE_SMS = ("gpu_sms_full", "gpu_sms_corun", "pim_sms")
 
+#: The :class:`ExperimentScale` fields a cell's ``scale_params`` may name.
+SCALE_FIELDS = frozenset(f.name for f in fields(ExperimentScale))
+
 
 def outcome_value(outcome) -> Dict:
     """A cell outcome as its (JSON) store document value."""
@@ -194,6 +197,10 @@ class GridTask:
     workload id) alone under the baseline policy, on the SMs that the
     :class:`ExperimentScale` field ``sms`` names (``gpu_sms_full``,
     ``gpu_sms_corun`` or ``pim_sms``).
+
+    ``scale_params`` names a scale variant: sorted ``(ExperimentScale
+    field, value)`` pairs the cell runs with in place of the sweep's
+    (Figure 14b's queue sizes, the refresh table's refresh switch).
     """
 
     gpu_id: str
@@ -203,6 +210,7 @@ class GridTask:
     num_vcs: int = 1
     kind: str = "competitive"
     sms: str = ""
+    scale_params: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in CELL_KINDS:
@@ -211,6 +219,9 @@ class GridTask:
             raise ValueError(
                 f"standalone cell needs sms in {list(STANDALONE_SMS)}, not {self.sms!r}"
             )
+        for name, _ in self.scale_params:
+            if name not in SCALE_FIELDS:
+                raise ValueError(f"unknown scale field {name!r} in scale_params")
 
     @property
     def policy(self) -> PolicySpec:
@@ -221,15 +232,17 @@ class GridTask:
         """Human-readable cell name (journal, failures, store meta).
 
         A policy with parameters names them in their stored order, e.g.
-        ``G17|P2|F3FS(current_mode_first=False)|vc2``, so cells that differ
-        only in parameters have distinct labels.
+        ``G17|P2|F3FS(current_mode_first=False)|vc2``, and a scale variant
+        appends its pairs, e.g. ``G17|P1|F3FS|vc2|noc_queue_size=32``, so
+        cells that differ only in parameters have distinct labels.
         """
+        variant = "".join(f"|{k}={v}" for k, v in self.scale_params)
         if self.kind == "standalone":
-            return f"standalone:{self.gpu_id}|{self.sms}|vc{self.num_vcs}"
+            return f"standalone:{self.gpu_id}|{self.sms}|vc{self.num_vcs}{variant}"
         policy = self.policy_name
         if self.policy_params:
             policy += "(" + ",".join(f"{k}={v}" for k, v in self.policy_params) + ")"
-        label = f"{self.gpu_id}|{self.pim_id}|{policy}|vc{self.num_vcs}"
+        label = f"{self.gpu_id}|{self.pim_id}|{policy}|vc{self.num_vcs}{variant}"
         return label if self.kind == "competitive" else f"{self.kind}:{label}"
 
 
@@ -255,11 +268,18 @@ def kernel_spec(kernel_id: str) -> KernelSpec:
     return get_gpu_kernel(kernel_id)
 
 
+def cell_scale(scale: ExperimentScale, task: GridTask) -> ExperimentScale:
+    """The scale ``task`` runs at: ``scale`` with its ``scale_params``."""
+    return replace(scale, **dict(task.scale_params)) if task.scale_params else scale
+
+
 def cell_key(scale: ExperimentScale, task: GridTask) -> str:
     """Content address of one cell (see :mod:`repro.store`), computable
-    without a Runner: the one key every dispatcher and the store use."""
+    without a Runner: the one key every dispatcher and the store use.  A
+    scale variant is keyed as its plain cell at the variant's scale."""
     from repro.store import store_key
 
+    scale = cell_scale(scale, task)
     if task.kind == "standalone":
         return store_key(
             "standalone",
@@ -329,13 +349,18 @@ class Runner:
         self.traces = WarpTraceCache()
         #: cell -> (outcome, "hit" or "miss": how it was first found).
         self._memo: Dict[GridTask, Tuple[object, str]] = {}
+        #: scale -> the child Runner that runs scale-variant cells there.
+        self._variants: Dict[ExperimentScale, Runner] = {}
 
     # -- the cell executor -------------------------------------------------
 
     def run(self, task: GridTask) -> Tuple[object, str]:
         """Execute any cell: ``(outcome, how)``, where ``how`` says how it
         was satisfied — ``"memo"`` (this runner's memory), ``"hit"`` (the
-        result store) or ``"miss"`` (simulated now)."""
+        result store) or ``"miss"`` (simulated now).  A scale variant runs
+        as its plain cell on :meth:`at_scale` of its scale."""
+        if task.scale_params:
+            return self.at_scale(cell_scale(self.scale, task)).run(replace(task, scale_params=()))
         entry = self._memo.get(task)
         if entry is not None:
             return entry[0], "memo"
@@ -346,6 +371,19 @@ class Runner:
         else:
             self._cached(task)
         return self._memo[task]
+
+    def at_scale(self, scale: ExperimentScale) -> Runner:
+        """The Runner for ``scale``: this one if it is this runner's scale,
+        else one child per scale sharing the store, traces, counters and
+        watchdog, so a variant's baselines simulate at the variant's scale."""
+        if scale == self.scale:
+            return self
+        child = self._variants.get(scale)
+        if child is None:
+            child = Runner(scale, store=self.store, watchdog_window=self.watchdog_window)
+            child.perf, child.traces = self.perf, self.traces
+            self._variants[scale] = child
+        return child
 
     def _cached(self, task: GridTask):
         """The cell's outcome from memory, else the store, else a fresh

@@ -1,14 +1,9 @@
-"""Parameter sweeps (sensitivity studies) and the one way to run a cell list.
+"""The default grid, its sweep rows, and the one way to run a cell list.
 
-The paper reports several sensitivity studies: the FR-FCFS-Cap CAP, the
-BLISS blacklist threshold (Section VI-A), the F3FS CAP pair (Section
-VII-B), and the interconnect queue size (Figure 14b).  These helpers run
-small competitive grids across a parameter range and report the mean
-fairness/throughput for each point.
-
-Every figure and sweep gets its outcomes from :func:`run_cells`: one
-:func:`~repro.experiments.parallel.run_sweep` over its cells (all points
-at once, so they share standalone baselines), optionally against a
+Every figure table (:data:`~repro.experiments.figures.FIGURES`, the
+sensitivity studies among them) gets its outcomes from :func:`run_cells`:
+one :func:`~repro.experiments.parallel.run_sweep` over its cells (all
+rows at once, so they share standalone baselines), optionally against a
 result store that later calls then read instead of simulating.
 """
 
@@ -106,54 +101,3 @@ def fairness_throughput(runs: Sequence[CompetitiveOutcome]) -> Dict[str, float]:
         "fairness": arithmetic_mean([r.fairness for r in runs]),
         "throughput": arithmetic_mean([r.throughput for r in runs]),
     }
-
-
-def _point_rows(scale, points, gpu_subset, pim_subset, num_vcs, store_dir) -> List[Dict]:
-    """One row per ``(row fields, PolicySpec)`` point: the fields plus
-    :func:`fairness_throughput` of the point's competitive grid, all
-    points' cells run as one sweep."""
-    grids = [make_tasks(gpu_subset, pim_subset, [spec], (num_vcs,)) for _, spec in points]
-    outcomes = run_cells(scale, [task for grid in grids for task in grid], store_dir)
-    return [
-        {**fields, **fairness_throughput([outcomes[task] for task in grid])}
-        for (fields, _), grid in zip(points, grids)
-    ]
-
-
-def sweep_policy_parameter(
-    scale: ExperimentScale,
-    policy_name: str,
-    parameter: str,
-    values: Sequence,
-    gpu_subset: Sequence[str],
-    pim_subset: Sequence[str],
-    num_vcs: int = 2,
-    base_params: Optional[Dict] = None,
-    store_dir: Optional[str] = None,
-) -> List[Dict[str, float]]:
-    """Sweep one constructor parameter of a policy over a competitive grid.
-
-    Returns one row per value with mean fairness and throughput.
-    """
-    points = [
-        ({"value": value}, PolicySpec(policy_name, **{**(base_params or {}), parameter: value}))
-        for value in values
-    ]
-    return _point_rows(scale, points, gpu_subset, pim_subset, num_vcs, store_dir)
-
-
-def sweep_f3fs_caps(
-    scale: ExperimentScale,
-    cap_pairs: Sequence[tuple],
-    gpu_subset: Sequence[str],
-    pim_subset: Sequence[str],
-    num_vcs: int = 1,
-    store_dir: Optional[str] = None,
-) -> List[Dict[str, float]]:
-    """Sweep (MEM CAP, PIM CAP) pairs for F3FS (Section VII-B tuning)."""
-    points = [
-        ({"mem_cap": mem_cap, "pim_cap": pim_cap},
-         PolicySpec("F3FS", mem_cap=mem_cap, pim_cap=pim_cap))
-        for mem_cap, pim_cap in cap_pairs
-    ]
-    return _point_rows(scale, points, gpu_subset, pim_subset, num_vcs, store_dir)

@@ -708,7 +708,7 @@ class FabricCoordinator:
             if path == "/journal":
                 from repro.obs.server import journal_view
 
-                return (*journal_view(self.store, query), "application/json")
+                return (*journal_view(self.store.root, query), "application/json")
         elif method == "POST":
             if path == "/lease":
                 return (*self._handle_lease(body), "application/json")

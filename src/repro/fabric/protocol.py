@@ -68,7 +68,8 @@ from repro.store.fingerprint import checksum
 #: Protocol schema version; bumped on any wire-incompatible change.
 #: 2: fencing epochs on grants/completions, /resume, /drain, token auth.
 #: 3: lease tasks carry the cell ``kind`` and ``sms`` (any cell kind).
-FABRIC_SCHEMA = 3
+#: 4: lease tasks carry ``scale_params`` (scale-variant cells).
+FABRIC_SCHEMA = 4
 
 #: Default lease time-to-live (seconds).  A worker heartbeats at TTL/3,
 #: so one missed heartbeat never kills a healthy lease.
@@ -157,7 +158,8 @@ def validate_documents(documents) -> List[str]:
 
 def lease_task_fields(task) -> Dict:
     """The GridTask fields a lease carries over the wire (JSON encodes the
-    parameter pairs as lists), the cell's ``kind`` and ``sms`` among them."""
+    parameter pairs as lists), the cell's ``kind``, ``sms`` and
+    ``scale_params`` among them."""
     return dataclasses.asdict(task)
 
 
@@ -165,5 +167,8 @@ def task_from_fields(fields: Dict):
     """Rebuild a GridTask from :func:`lease_task_fields` output."""
     from repro.experiments.runner import GridTask
 
-    params = tuple((str(k), v) for k, v in fields["policy_params"])
-    return GridTask(**{**fields, "policy_params": params, "num_vcs": int(fields["num_vcs"])})
+    pairs = {
+        name: tuple((str(k), v) for k, v in fields[name])
+        for name in ("policy_params", "scale_params")
+    }
+    return GridTask(**{**fields, **pairs, "num_vcs": int(fields["num_vcs"])})

@@ -70,14 +70,13 @@ class SM:
         index: int,
         output: VCBuffer,
         max_outstanding: int = 64,
-        issue_width: int = 1,
         l1=None,
         l1_latency: int = 28,
     ) -> None:
         self.index = index
         self.output = output
         self.max_outstanding = max_outstanding
-        self.issue_width = issue_width
+        self.issue_width = 1  # set per launch by attach
         self.l1 = l1  # optional repro.cache.l1.L1Cache
         self.l1_latency = l1_latency
         self._local_replies: List[Tuple[int, int, Request]] = []
@@ -89,7 +88,6 @@ class SM:
         self.outstanding_loads = 0
         self._issue_rotation = 0
         self.requests_injected = 0
-        self.finish_cycle: Optional[int] = None
         # The wake contract (docs/performance.md): after a step, the SM
         # cannot act before ``_next_wake`` unless ``receive_reply`` marks
         # it dirty.
@@ -110,7 +108,6 @@ class SM:
             # Every warp must advance its first phase.
             warp.compute_until = warp.due = cycle
         self.outstanding_loads = 0
-        self.finish_cycle = None
         self._next_wake = cycle
         self._dirty = True
         if instance.cycle_launched is None:

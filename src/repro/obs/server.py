@@ -38,18 +38,21 @@ PathLike = Union[str, Path]
 JOURNAL_LIMIT = 1000
 
 
-def journal_view(store, query: Dict[str, List[str]]) -> Tuple[int, object]:
+def journal_view(store_dir: PathLike, query: Dict[str, List[str]]) -> Tuple[int, object]:
     """The ``/journal`` response for a parsed query string: the last
-    ``n`` (default 50, clamped to ``[0, JOURNAL_LIMIT]``) events of
-    ``store``'s journal, or a 400 when ``n`` is not an integer.  The
-    status server and the fabric coordinator both serve it."""
+    ``n`` (default 50, clamped to ``[0, JOURNAL_LIMIT]``) events of the
+    journal in ``store_dir``, or a 400 when ``n`` is not an integer.  The
+    status server and the fabric coordinator both serve it; it reads the
+    journal file only, so it creates nothing in ``store_dir``."""
+    from repro.store.disk import read_journal
+
     try:
         count = int(query.get("n", ["50"])[0])
     except ValueError:
         return 400, {"error": "n must be an integer"}
     count = max(0, min(count, JOURNAL_LIMIT))
     # [-0:] would be the whole journal, not none of it.
-    return 200, store.journal_entries()[-count:] if count else []
+    return 200, read_journal(store_dir)[-count:] if count else []
 
 
 class PortInUseError(OSError):
@@ -102,10 +105,7 @@ class _StatusHandler(BaseHTTPRequestHandler):
             body = self.server.registry.render_prometheus().encode()
             self._send(200, body, "text/plain; version=0.0.4; charset=utf-8")
         elif parsed.path == "/journal":
-            from repro.store import ResultStore
-
-            store = ResultStore(self.server.store_dir)
-            self._send_json(*journal_view(store, parse_qs(parsed.query)))
+            self._send_json(*journal_view(self.server.store_dir, parse_qs(parsed.query)))
         else:
             self._send_json(404, {"error": f"unknown path {parsed.path!r}"})
 

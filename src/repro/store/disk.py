@@ -68,6 +68,26 @@ class StoreEntry:
     size: int = 0
 
 
+def read_journal(root: PathLike) -> List[Dict]:
+    """The events of the journal in store directory ``root``, oldest first
+    (``[]`` if it has none).  It only reads: a read-only view (``/journal``)
+    creates nothing, not even a missing ``root``."""
+    path = Path(root) / ResultStore.JOURNAL
+    if not path.exists():
+        return []
+    entries = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                entries.append(json.loads(line))
+            except json.JSONDecodeError:  # torn tail line from a crash
+                continue
+    return entries
+
+
 class ResultStore:
     """Content-addressed store of simulation results.
 
@@ -183,19 +203,7 @@ class ResultStore:
         self._journal({"event": event, **fields})
 
     def journal_entries(self) -> List[Dict]:
-        if not self.journal_path.exists():
-            return []
-        entries = []
-        with open(self.journal_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entries.append(json.loads(line))
-                except json.JSONDecodeError:  # torn tail line from a crash
-                    continue
-        return entries
+        return read_journal(self.root)
 
     # -- maintenance -------------------------------------------------------
 

@@ -6,8 +6,11 @@ two-worker supervised pool and a fabric campaign (one coordinator, one
 worker).  All three must hand back equal outcomes and leave
 byte-identical ``objects/`` trees: the executor (:meth:`Runner.run`) and
 the cell key (:func:`cell_key`) are the same whichever way a cell is
-dispatched.
+dispatched.  A scale-variant cell (``GridTask.scale_params``) runs and
+keys as its plain cell at the variant's scale, whichever way it goes.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.experiments.runner import (
     CELL_KINDS,
     LLM_STAGES,
     GridTask,
+    Runner,
     cell_key,
     make_cell,
 )
@@ -89,3 +93,67 @@ def test_unknown_kind_refused():
         make_cell("standalone", "G17")
     with pytest.raises(ValueError, match="standalone cell needs sms"):
         make_cell("standalone", "G17", sms="max_cycles")
+
+
+# -- scale variants ----------------------------------------------------------
+
+PLAIN = make_cell("competitive", "G17", "P2", PolicySpec("F3FS"), 2)
+VARIANT = replace(PLAIN, scale_params=(("noc_queue_size", 16),))
+
+
+def test_variant_key_is_the_plain_cell_at_its_scale():
+    assert cell_key(TINY, VARIANT) == cell_key(replace(TINY, noc_queue_size=16), PLAIN)
+    assert cell_key(TINY, VARIANT) != cell_key(TINY, PLAIN)
+
+
+def test_variant_label_names_its_scale():
+    assert VARIANT.label == "G17|P2|F3FS|vc2|noc_queue_size=16"
+
+
+def test_unknown_scale_field_refused():
+    with pytest.raises(ValueError, match="'queue_size'"):
+        replace(PLAIN, scale_params=(("queue_size", 16),))
+
+
+def test_variant_lease_fields_round_trip():
+    assert protocol.task_from_fields(protocol.lease_task_fields(VARIANT)) == VARIANT
+
+
+def test_variant_at_the_runner_scale_reuses_its_memo():
+    runner = Runner(TINY)
+    outcome, how = runner.run(PLAIN)
+    assert how == "miss"
+    same = replace(PLAIN, scale_params=(("noc_queue_size", TINY.noc_queue_size),))
+    assert runner.run(same) == (outcome, "memo")
+    assert runner.at_scale(TINY) is runner
+
+
+def test_variant_runs_on_one_child_per_scale(tmp_path):
+    from repro.store import ResultStore
+
+    runner = Runner(TINY, store=ResultStore(tmp_path))
+    outcome, how = runner.run(VARIANT)
+    child = runner.at_scale(replace(TINY, noc_queue_size=16))
+    assert child is not runner and runner.at_scale(child.scale) is child
+    assert (child.store, child.traces, child.perf) == (runner.store, runner.traces, runner.perf)
+    assert how == "miss" and runner.run(VARIANT) == (outcome, "memo")
+    assert outcome == Runner(child.scale).run(PLAIN)[0]
+    # The variant's baselines ran at its scale: a fresh runner there hits them.
+    assert Runner(child.scale, store=ResultStore(tmp_path)).run(PLAIN)[1] == "hit"
+
+
+def test_three_dispatchers_agree_on_variants(tmp_path):
+    # A smaller workload changes the outcome, which TINY's queue sizes do not.
+    cells = [PLAIN, VARIANT, replace(PLAIN, scale_params=(("workload_scale", 0.03),))]
+    serial = run_sweep(TINY, cells, store_dir=str(tmp_path / "serial"))
+    pooled = run_sweep(TINY, cells, store_dir=str(tmp_path / "pooled"), max_workers=2)
+    with CoordinatorThread(TINY, cells, tmp_path / "fabric", ttl=30.0) as coord:
+        FabricWorker("w", coord.address, tmp_path / "scratch", poll=0.02).run()
+        coord.wait(timeout=60)
+    fabric = collect_from_store(TINY, cells, str(tmp_path / "fabric"))
+    assert serial.failed == pooled.failed == 0
+    assert serial.outcomes == pooled.outcomes == fabric
+    assert serial.outcomes[0] != serial.outcomes[2]
+    reference = store_object_bytes(tmp_path / "serial")
+    assert store_object_bytes(tmp_path / "pooled") == reference
+    assert store_object_bytes(tmp_path / "fabric") == reference

@@ -22,6 +22,12 @@ COMMITTED_TABLES = {
     "fig11": "fig11_llm_speedup",
     "fig13": "fig13_intensity_extremes",
     "fig14a": "fig14a_ablation",
+    "fig14b": "fig14b_queue_sensitivity",
+    "sweep_frfcfs_cap": "sweep_frfcfs_cap",
+    "sweep_bliss_threshold": "sweep_bliss_threshold",
+    "sweep_f3fs_caps": "sweep_f3fs_caps",
+    "ext_policies": "extensions_policies",
+    "ext_refresh": "extensions_refresh",
 }
 
 TINY_FIGURE_ARGS = [

@@ -1,5 +1,7 @@
 """Tests for the experiment runner, figure harnesses, and sweeps."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.policies import PolicySpec, make_policy
@@ -9,8 +11,8 @@ from repro.experiments import (
     ExperimentScale,
     Runner,
     collaborative_policy,
+    figure_table,
     format_table,
-    sweep_policy_parameter,
 )
 from repro.experiments.runner import make_cell
 
@@ -39,7 +41,7 @@ class TestExperimentScale:
         assert config.num_sms == 4
 
     def test_queue_override(self):
-        assert TINY.config(noc_queue_size=16).noc_queue_size == 16
+        assert replace(TINY, noc_queue_size=16).config().noc_queue_size == 16
 
 
 class TestPolicyHelpers:
@@ -106,18 +108,9 @@ class TestRunner:
 
 
 class TestSweeps:
-    def test_policy_parameter_sweep(self, runner):
-        rows = sweep_policy_parameter(
-            TINY,
-            "FR-FCFS-Cap",
-            "cap",
-            [8, 64],
-            gpu_subset=["G17"],
-            pim_subset=["P2"],
-            num_vcs=2,
-        )
-        assert len(rows) == 2
-        assert {row["value"] for row in rows} == {8, 64}
+    def test_policy_parameter_sweep(self):
+        _, rows, _ = figure_table("sweep_frfcfs_cap", TINY, ["G17"], ["P2"])
+        assert [row["value"] for row in rows] == [4, 32, 256]
         for row in rows:
             assert 0 <= row["fairness"] <= 1
 

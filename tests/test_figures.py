@@ -10,7 +10,6 @@ import pytest
 from repro.experiments import (
     FIGURES,
     ExperimentScale,
-    fig14b_queue_sensitivity,
     figure_table,
     run_cells,
     run_sweep,
@@ -129,10 +128,10 @@ class TestFig14:
         assert len(reduce(store, "fig14a", ["G17", "G11"])) == 4
 
     def test_queue_sensitivity(self, store):
-        data = fig14b_queue_sensitivity(TINY, (16, 32), GPUS, PIMS, store_dir=store)
-        assert set(data) == {16, 32}
-        for metrics in data.values():
-            assert 0 <= metrics["fairness"] <= 1
+        rows = reduce(store, "fig14b", GPUS, PIMS)
+        assert [row["queue_size"] for row in rows] == [32, 64, 128]
+        for row in rows:
+            assert 0 <= row["fairness"] <= 1
 
 
 class TestFigureTables:

@@ -135,6 +135,17 @@ class TestCoordinatorJournalBounds(TestJournalBounds):
             yield f"http://{coord.address}"
 
 
+class TestReadOnlyJournal:
+    def test_missing_store_is_left_missing(self, tmp_path):
+        """``/journal`` only reads: on a directory that does not exist it
+        answers ``[]`` and creates nothing (no store, no ``objects/``)."""
+        missing = tmp_path / "no-store"
+        with StatusServer(missing, port=0) as server:
+            status, body = _get(server.url + "/journal?n=3")
+        assert status == 200 and json.loads(body) == []
+        assert not missing.exists()
+
+
 class TestPortInUse:
     def test_port_in_use_raises_named_error(self, tmp_path):
         blocker = socket.socket()

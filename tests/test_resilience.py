@@ -26,7 +26,7 @@ from repro.experiments import (
 )
 from repro.experiments.parallel import GridTask, make_tasks
 from repro.experiments.runner import cell_key
-from repro.experiments.sweep import sweep_f3fs_caps
+from repro.experiments.figures import FIGURES, figure_table, points_figure
 from repro.resilience import FaultInjected, FaultPlan, FaultSpec, Supervisor
 from repro.resilience import faults as fault_injection
 from repro.resilience.faults import corrupt_store_object
@@ -447,17 +447,14 @@ class TestSerialQuarantine:
         assert failure.index == 0
         assert "mem_cap" in failure.message
 
-    def test_sweep_point_raises_on_failure(self, tmp_path):
-        """A sensitivity-sweep point needs every cell for its mean, so a
+    def test_sweep_point_raises_on_failure(self, tmp_path, monkeypatch):
+        """A point table's row needs every cell for its mean, so a
         quarantined cell raises instead of degrading gracefully."""
+        bad = PolicySpec("F3FS", mem_cap=0, pim_cap=1)  # a config error in every cell
+        table = points_figure([({"mem_cap": 0}, bad, ())], ["mem_cap", "fairness"])
+        monkeypatch.setitem(FIGURES, "bad_caps", table)
         with pytest.raises(RuntimeError, match="failed after retries"):
-            sweep_f3fs_caps(
-                TINY,
-                [(0, 1)],  # mem_cap=0: a config error in every cell
-                ["G17"],
-                ["P1"],
-                store_dir=str(tmp_path / "s"),
-            )
+            figure_table("bad_caps", TINY, ["G17"], ["P1"], store_dir=str(tmp_path / "s"))
 
 
 class TestConfigValidation:
