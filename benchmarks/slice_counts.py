@@ -16,6 +16,11 @@ baselines simulate, and counts the work the engine does:
 * ``islip_steps``: ``ISlipArbiter.step`` calls;
 * ``ingress_visits``: channels visited by ``_stage_mc_ingress``.
 
+The first five are also printed per policy x VC class.  A cell's
+standalone baselines count for the class of the first cell in its sweep
+that needs them (``Runner.run`` simulates them inside that cell), so the
+split is deterministic.
+
 It also records the MEM-queue length a policy scans: at each decision
 (``mem_q@decision``) and at each ``SchedulingPolicy.frfcfs_pick`` call
 (``mem_q@pick``), as mean, p90 and max.  A change that deepens the
@@ -26,19 +31,26 @@ compared exactly where their timings would drown in run-to-run noise.  The
 ``table`` line is a digest of the 36 sweep rows: two trees that simulate
 alike print the same one.
 
+Everything but the ``wall_s`` line is compared with the committed
+``slice_counts.expected``; any difference is printed and the script exits
+1.  A change that moves a count on purpose re-records the file with
+``--update`` and says why.
+
 Usage::
 
-    PYTHONPATH=src python benchmarks/slice_counts.py
+    PYTHONPATH=src python benchmarks/slice_counts.py [--update]
 """
 
 from __future__ import annotations
 
+import difflib
 import hashlib
 import heapq
 import sys
 import time
 import types
-from collections import Counter
+from collections import Counter, defaultdict
+from pathlib import Path
 
 from repro.core.controller import MemoryController
 from repro.core.policies.base import SchedulingPolicy
@@ -48,6 +60,7 @@ from repro.experiments import (
     run_sweep,
     sweep_rows,
 )
+from repro.experiments.runner import Runner
 from repro.gpu.sm import SM
 from repro.noc.islip import ISlipArbiter
 from repro.sim import system as system_module
@@ -62,32 +75,51 @@ POLICIES = (
 VCS = (1, 2)
 SCALE = ExperimentScale(num_channels=8, workload_scale=0.05, seed=1, starvation_factor=15)
 
-
-def _count_calls(cls, name: str, counts: Counter, key: str) -> None:
-    method = getattr(cls, name)
-
-    def counted(self, *args, **kwargs):
-        counts[key] += 1
-        return method(self, *args, **kwargs)
-
-    setattr(cls, name, counted)
+#: The counts printed per class, then as slice totals with ``ingress_visits``.
+CLASS_KEYS = ("cycles", "sm_steps", "decisions", "wake_pushes", "islip_steps")
+EXPECTED = Path(__file__).with_name("slice_counts.expected")
 
 
 def install():
     """Wrap the counted engine methods (for this process only) and return
-    the counts they add to, and the MEM-queue length histograms (length
-    -> occurrences) at decisions and at ``frfcfs_pick``."""
-    counts = Counter()
+    the counts they add to, per class (``"FR-FCFS vc2"``), and the
+    MEM-queue length histograms (length -> occurrences) at decisions and
+    at ``frfcfs_pick``."""
+    classes = defaultdict(Counter)
+    # The running cell's class's counts (``Runner.run`` swaps them in).
+    cell = {"counts": Counter()}
     lengths = {"decision": Counter(), "pick": Counter()}
-    _count_calls(GPUSystem, "step", counts, "cycles")
-    _count_calls(SM, "step", counts, "sm_steps")
-    _count_calls(ISlipArbiter, "step", counts, "islip_steps")
+
+    run = Runner.run
+
+    def attributed_run(self, task):
+        outer = cell["counts"]
+        cell["counts"] = classes[f"{task.policy_name} vc{task.num_vcs}"]
+        try:
+            return run(self, task)
+        finally:
+            cell["counts"] = outer
+
+    Runner.run = attributed_run
+
+    def count_calls(cls, name: str, key: str) -> None:
+        method = getattr(cls, name)
+
+        def counted(self, *args, **kwargs):
+            cell["counts"][key] += 1
+            return method(self, *args, **kwargs)
+
+        setattr(cls, name, counted)
+
+    count_calls(GPUSystem, "step", "cycles")
+    count_calls(SM, "step", "sm_steps")
+    count_calls(ISlipArbiter, "step", "islip_steps")
 
     tick = MemoryController.tick
 
     def counted_tick(self, cycle):
         if self._dirty or cycle >= self._next_wake:
-            counts["decisions"] += 1
+            cell["counts"]["decisions"] += 1
             lengths["decision"][len(self.mem_queue)] += 1
         return tick(self, cycle)
 
@@ -104,7 +136,7 @@ def install():
     ingress = GPUSystem._stage_mc_ingress
 
     def counted_ingress(self):
-        counts["ingress_visits"] += len(self._ingress_active)
+        cell["counts"]["ingress_visits"] += len(self._ingress_active)
         return ingress(self)
 
     GPUSystem._stage_mc_ingress = counted_ingress
@@ -122,14 +154,14 @@ def install():
 
     def heappush(heap, item):
         if id(heap) in wake_heaps:
-            counts["wake_pushes"] += 1
+            cell["counts"]["wake_pushes"] += 1
         heapq.heappush(heap, item)
 
     shim = types.ModuleType("heapq")
     shim.__dict__.update(heapq.__dict__)
     shim.heappush = heappush
     system_module.heapq = shim
-    return counts, lengths
+    return classes, lengths
 
 
 def summarize(histogram: Counter) -> str:
@@ -148,8 +180,24 @@ def summarize(histogram: Counter) -> str:
     return f"mean {mean:.2f}  p90 {p90}  max {max(histogram)}"
 
 
-def main() -> int:
-    counts, lengths = install()
+def report_lines(classes, lengths, table) -> list:
+    """The deterministic report: per-class counts, slice totals, queue
+    lengths and the table digest."""
+    lines = [f"{'class':15s}" + "".join(f"{key:>12s}" for key in CLASS_KEYS)]
+    for name, counts in classes.items():
+        lines.append(f"{name:15s}" + "".join(f"{counts[key]:>12,d}" for key in CLASS_KEYS))
+    totals = sum(classes.values(), Counter())
+    for key in (*CLASS_KEYS, "ingress_visits"):
+        lines.append(f"{key:15s} {totals[key]:>10,d}")
+    for key, histogram in lengths.items():
+        lines.append(f"{'mem_q@' + key:15s} {summarize(histogram)}")
+    digest = hashlib.sha256("\n".join(sorted(table)).encode()).hexdigest()[:16]
+    lines.append(f"{'table':15s} {digest} ({len(table)} rows)")
+    return lines
+
+
+def main(argv) -> int:
+    classes, lengths = install()
     start = time.perf_counter()
     table = []
     for vcs in VCS:
@@ -161,16 +209,22 @@ def main() -> int:
             report = run_sweep(SCALE, tasks)
             table.extend(map(repr, sweep_rows(report.completed_outcomes())))
     wall = time.perf_counter() - start
-    for key in ("cycles", "sm_steps", "decisions", "wake_pushes", "islip_steps",
-                "ingress_visits"):
-        print(f"{key:15s} {counts[key]:>10,d}")
-    for key, histogram in lengths.items():
-        print(f"{'mem_q@' + key:15s} {summarize(histogram)}")
-    digest = hashlib.sha256("\n".join(sorted(table)).encode()).hexdigest()[:16]
-    print(f"{'table':15s} {digest} ({len(table)} rows)")
+    lines = report_lines(classes, lengths, table)
+    print("\n".join(lines))
     print(f"{'wall_s':15s} {wall:10.1f}  (counted, so slower than a plain run)")
+    if "--update" in argv:
+        EXPECTED.write_text("\n".join(lines) + "\n")
+        print(f"recorded {EXPECTED.name}")
+        return 0
+    expected = EXPECTED.read_text().splitlines()
+    if lines != expected:
+        diff = difflib.unified_diff(expected, lines, EXPECTED.name, "this run", lineterm="")
+        print("\n".join(diff), file=sys.stderr)
+        print(f"FAIL: counts differ from {EXPECTED.name}", file=sys.stderr)
+        return 1
+    print(f"counts match {EXPECTED.name}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

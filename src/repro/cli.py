@@ -160,6 +160,11 @@ def _non_negative(value) -> None:
         raise ValueError("must be >= 0")
 
 
+def _port(value) -> None:
+    if not 0 <= value <= 65535:
+        raise ValueError("must be a port number in 0..65535")
+
+
 def _power_of_two(value) -> None:
     if value < 1 or value & (value - 1):
         raise ValueError("must be a power of two")
@@ -179,6 +184,8 @@ _SETTING_CHECKS = {
     "--resume-grace": _non_negative,
     "--interval": _positive,
     "--ring-capacity": _positive,
+    "--port": _port,
+    "--serve-status": _port,
 }
 
 
@@ -478,6 +485,7 @@ def cmd_status(args) -> int:
 def cmd_fabric_serve(args) -> int:
     """Coordinate a distributed sweep: lease cells to fabric workers."""
     from repro.fabric import FabricCoordinator, run_campaign
+    from repro.obs.server import PortInUseError
 
     scale, tasks, retry = _grid(args)
     coordinator = FabricCoordinator(
@@ -506,7 +514,10 @@ def cmd_fabric_serve(args) -> int:
             file=sys.stderr,
         )
 
-    summary = run_campaign(coordinator, linger=args.linger, announce=announce)
+    try:
+        summary = run_campaign(coordinator, linger=args.linger, announce=announce)
+    except PortInUseError as exc:
+        raise SystemExit(str(exc))
     print(
         f"campaign {summary['state']}: {summary['completed']}/{summary['total']} cells "
         + _tally(summary["hits"], summary["misses"], summary["failed"])

@@ -45,21 +45,24 @@ rebuilds by replaying that ledger.  What is the coordinator's own:
 
 Everything mutates inside one event loop — handlers never await between
 reading and writing campaign state, so there are no locks and no
-interleaving hazards.  The HTTP layer is a deliberately small HTTP/1.1
-reader over ``asyncio.start_server`` (stdlib only, connection-per-request).
+interleaving hazards.  The HTTP layer is the repository's one server,
+:class:`~repro.obs.server.HttpServer`: the coordinator answers the token
+check, ``GET /grid`` and the POST lease protocol, and hands every other
+request to :func:`~repro.obs.server.campaign_view` (``/status``,
+``/metrics``, ``/journal``), the views ``repro sweep --serve-status``
+serves too.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import signal
 import threading
 import time
 from dataclasses import asdict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-from urllib.parse import parse_qs, urlparse
+from typing import Dict, List, Optional, Sequence, Tuple
+from urllib.parse import urlparse
 
 from repro.experiments.runner import ExperimentScale, GridTask, cell_key
 from repro.fabric import ledger as wal
@@ -73,6 +76,7 @@ from repro.fabric.protocol import (
     validate_documents,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.server import JSON, HttpServer, campaign_view
 from repro.obs.status import StatusPublisher
 from repro.resilience.cells import (
     DONE,
@@ -84,14 +88,6 @@ from repro.resilience.cells import (
     RetryPolicy,
 )
 from repro.store import ResultStore, code_version
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    401: "Unauthorized",
-    404: "Not Found",
-    503: "Service Unavailable",
-}
 
 #: How long a worker should wait before re-polling /lease when everything
 #: runnable is currently leased or backing off.
@@ -173,8 +169,18 @@ class FabricCoordinator:
         self.draining = False
         self.drained = False
         self._lease_seq = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._clients: Set[asyncio.Task] = set()  # running _handle_client tasks
+        self._http: Optional[HttpServer] = None
+        #: The lease protocol; any other request is a read-only campaign
+        #: view (``/status``, ``/metrics``, ``/journal``).
+        self._routes = {
+            ("GET", "/grid"): lambda body: self._handle_grid(),
+            ("POST", "/lease"): self._handle_lease,
+            ("POST", "/heartbeat"): self._handle_heartbeat,
+            ("POST", "/complete"): self._handle_complete,
+            ("POST", "/fail"): self._handle_fail,
+            ("POST", "/resume"): self._handle_resume,
+            ("POST", "/drain"): lambda body: self._handle_drain(),
+        }
         self._ticker: Optional[asyncio.Task] = None
         self._done_async: Optional[asyncio.Event] = None
         self.completed_event = threading.Event()
@@ -185,17 +191,31 @@ class FabricCoordinator:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Replay the ledger, bind the port, absorb warm store hits,
-        start the expiry ticker.
+        """Bind the port, replay the ledger, absorb warm store hits, start
+        the expiry ticker.
 
-        A first run opens epoch 1 on a fresh ledger; a restart replays
-        the write-ahead ledger (raising
+        The port is bound first, so a busy one raises
+        :class:`~repro.obs.server.PortInUseError` before the ledger or
+        ``status.json`` is written.  A first run opens epoch 1 on a fresh
+        ledger; a restart replays the write-ahead ledger (raising
         :class:`~repro.fabric.ledger.LedgerCorrupt` on damage — never a
         silent wrong state), bumps the fencing epoch, and restores retry
         counts, backoff deadlines, the quarantine roster, and in-flight
         leases (which get ``resume_grace`` to be re-presented by their
         surviving workers before expiring like dead ones).
         """
+        self._http = HttpServer(self.host, self._requested_port, self._dispatch)
+        try:
+            self._open_campaign()
+        except BaseException:
+            await self._http.close()
+            self._http = None
+            raise
+        await self._http.start()
+        self._ticker = asyncio.get_running_loop().create_task(self._tick_loop())
+        self._check_complete()
+
+    def _open_campaign(self) -> None:
         self._done_async = asyncio.Event()
         replayed = self.ledger.replay(self.table)
         self.epoch = replayed.epoch + 1
@@ -242,16 +262,11 @@ class FabricCoordinator:
                 torn_tail=replayed.torn_tail,
                 **recovered,
             )
-        self._server = await asyncio.start_server(
-            self._handle_client, host=self.host, port=self._requested_port
-        )
-        self._ticker = asyncio.get_running_loop().create_task(self._tick_loop())
-        self._check_complete()
 
     @property
     def port(self) -> int:
-        assert self._server is not None, "coordinator not started"
-        return self._server.sockets[0].getsockname()[1]
+        assert self._http is not None, "coordinator not started"
+        return self._http.port
 
     @property
     def address(self) -> str:
@@ -262,25 +277,15 @@ class FabricCoordinator:
         await self._done_async.wait()
 
     async def _shutdown(self) -> None:
-        """Stop the ticker, close the server, and end open connections.
-
-        ``Server.wait_closed()`` does not wait for connection handlers on
-        Python 3.11, so the ones still running are cancelled and awaited
-        here; left alone they would be destroyed after the loop closes.
-        """
+        """Stop the ticker, close the server, and end open connections."""
         if self._ticker is not None:
             self._ticker.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._ticker
             self._ticker = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        clients = list(self._clients)
-        for task in clients:
-            task.cancel()
-        await asyncio.gather(*clients, return_exceptions=True)
+        if self._http is not None:
+            await self._http.close()
+            self._http = None
 
     async def stop(self) -> None:
         """Tear the server down; an unfinished campaign journals ``aborted``."""
@@ -670,124 +675,23 @@ class FabricCoordinator:
         self.begin_drain("request")
         return 200, {"draining": True, "leased": self.table.counts[LEASED]}
 
-    def _handle_status(self) -> Tuple[int, Dict]:
-        return 200, self.publisher.document()
-
     def _dispatch(
-        self, method: str, target: str, body: Dict, headers: Optional[Dict] = None
+        self, method: str, target: str, body: Dict, headers: Dict[str, str]
     ) -> Tuple[int, object, str]:
-        parsed = urlparse(target)
-        path, query = parsed.path, parse_qs(parsed.query)
-        if self.token:
-            presented = (headers or {}).get(TOKEN_HEADER.lower())
-            if presented != self.token:
-                detail = "presented no token" if not presented else "presented a different token"
-                return (
-                    401,
-                    {
-                        "error": (
-                            f"fabric token mismatch: coordinator requires a shared "
-                            f"secret and the client {detail} (set "
-                            f"{protocol.TOKEN_ENV} or pass --token)"
-                        ),
-                        "reason": protocol.REJECT_UNAUTHORIZED,
-                    },
-                    "application/json",
-                )
-        if method == "GET":
-            if path == "/grid":
-                return (*self._handle_grid(), "application/json")
-            if path == "/status":
-                return (*self._handle_status(), "application/json")
-            if path == "/metrics":
-                return (
-                    200,
-                    self.registry.render_prometheus(),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            if path == "/journal":
-                from repro.obs.server import journal_view
-
-                return (*journal_view(self.store.root, query), "application/json")
-        elif method == "POST":
-            if path == "/lease":
-                return (*self._handle_lease(body), "application/json")
-            if path == "/heartbeat":
-                return (*self._handle_heartbeat(body), "application/json")
-            if path == "/complete":
-                return (*self._handle_complete(body), "application/json")
-            if path == "/fail":
-                return (*self._handle_fail(body), "application/json")
-            if path == "/resume":
-                return (*self._handle_resume(body), "application/json")
-            if path == "/drain":
-                return (*self._handle_drain(), "application/json")
-        return 404, {"error": f"unknown endpoint {method} {path!r}"}, "application/json"
-
-    # -- HTTP plumbing ------------------------------------------------------
-
-    async def _handle_client(self, reader: asyncio.StreamReader, writer) -> None:
-        task = asyncio.current_task()
-        self._clients.add(task)
-        try:
-            await self._serve_client(reader, writer)
-        finally:
-            self._clients.discard(task)
-
-    async def _serve_client(self, reader: asyncio.StreamReader, writer) -> None:
-        try:
-            request = await asyncio.wait_for(reader.readline(), timeout=30)
-            if not request:
-                return
-            parts = request.decode("latin-1").split()
-            if len(parts) < 2:
-                return
-            method, target = parts[0].upper(), parts[1]
-            length = 0
-            headers: Dict[str, str] = {}
-            while True:
-                line = await asyncio.wait_for(reader.readline(), timeout=30)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-                if name.strip().lower() == "content-length":
-                    length = int(value.strip())
-            raw = await reader.readexactly(length) if length else b""
-            try:
-                body = json.loads(raw) if raw else {}
-                if not isinstance(body, dict):
-                    raise ValueError("body must be a JSON object")
-            except (json.JSONDecodeError, ValueError) as exc:
-                status, payload, ctype = 400, {"error": f"bad request body: {exc}"}, "application/json"
-            else:
-                status, payload, ctype = self._dispatch(method, target, body, headers)
-            blob = (
-                payload.encode()
-                if isinstance(payload, str)
-                else json.dumps(payload).encode()
+        presented = headers.get(TOKEN_HEADER.lower())
+        if self.token and presented != self.token:
+            detail = "presented no token" if not presented else "presented a different token"
+            error = (
+                f"fabric token mismatch: coordinator requires a shared secret and the "
+                f"client {detail} (set {protocol.TOKEN_ENV} or pass --token)"
             )
-            writer.write(
-                (
-                    f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-                    f"Content-Type: {ctype}\r\n"
-                    f"Content-Length: {len(blob)}\r\n"
-                    "Connection: close\r\n\r\n"
-                ).encode()
-                + blob
-            )
-            await writer.drain()
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.TimeoutError,
-            ConnectionError,
-            UnicodeDecodeError,
-        ):
-            pass
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+            return 401, {"error": error, "reason": protocol.REJECT_UNAUTHORIZED}, JSON
+        handler = self._routes.get((method, urlparse(target).path))
+        if handler is not None:
+            return (*handler(body), JSON)
+        return campaign_view(
+            method, target, self.publisher.document, self.registry, self.store.root
+        )
 
 
 def run_campaign(

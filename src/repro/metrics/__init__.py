@@ -1,38 +1,23 @@
 """Metrics: fairness/throughput (Section III-C) and summary statistics."""
 
 from repro.metrics.fairness import (
-    CoexecutionMetrics,
     collaborative_speedup,
     fairness_index,
-    harmonic_mean_speedup,
     ideal_collaborative_speedup,
     speedup,
     system_throughput,
-    weighted_speedup,
 )
-from repro.metrics.stats import (
-    BoxSummary,
-    arithmetic_mean,
-    box_summary,
-    geometric_mean,
-    normalize,
-)
+from repro.metrics.stats import arithmetic_mean, geometric_mean
 from repro.metrics.timeline import TimelineSample, TimelineSampler
 
 __all__ = [
-    "BoxSummary",
-    "CoexecutionMetrics",
     "arithmetic_mean",
-    "box_summary",
     "collaborative_speedup",
     "fairness_index",
     "geometric_mean",
-    "harmonic_mean_speedup",
     "ideal_collaborative_speedup",
-    "normalize",
     "speedup",
     "system_throughput",
     "TimelineSample",
     "TimelineSampler",
-    "weighted_speedup",
 ]

@@ -7,8 +7,7 @@ co-executing kernels' speedups, and System Throughput their sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def speedup(standalone_cycles: int, contended_cycles: int) -> float:
@@ -41,37 +40,6 @@ def system_throughput(speedups: Iterable[float]) -> float:
             raise ValueError("speedups must be non-negative")
         total += value
     return total
-
-
-def weighted_speedup(speedups: Sequence[float]) -> float:
-    """Alias of system throughput for two-kernel workloads (literature name)."""
-    return system_throughput(speedups)
-
-
-def harmonic_mean_speedup(speedups: Sequence[float]) -> float:
-    """Balanced fairness+throughput metric (used in ablation discussion)."""
-    values = list(speedups)
-    if not values:
-        raise ValueError("need at least one speedup")
-    if any(v <= 0 for v in values):
-        return 0.0
-    return len(values) / sum(1.0 / v for v in values)
-
-
-@dataclass(frozen=True)
-class CoexecutionMetrics:
-    """Fairness/throughput summary of one competitive co-execution."""
-
-    gpu_speedup: float
-    pim_speedup: float
-
-    @property
-    def fairness(self) -> float:
-        return fairness_index(self.gpu_speedup, self.pim_speedup)
-
-    @property
-    def throughput(self) -> float:
-        return system_throughput((self.gpu_speedup, self.pim_speedup))
 
 
 def collaborative_speedup(

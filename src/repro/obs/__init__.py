@@ -24,9 +24,9 @@ On top of the simulated-machine pillars, the package carries the
 (:mod:`repro.obs.metrics` — counters, gauges, streaming histograms, JSON
 snapshot and Prometheus exposition), the sweep heartbeat
 (:mod:`repro.obs.status` — atomically-replaced ``status.json`` in the
-store dir), and the stdlib HTTP endpoint serving both plus recent store
-journal events (:mod:`repro.obs.server`, wired to
-``repro sweep --serve-status`` / ``repro status``).
+store dir), and the repository's one HTTP server, which serves both plus
+recent store journal events for ``repro sweep --serve-status`` and the
+fabric coordinator (:mod:`repro.obs.server`).
 
 See ``docs/observability.md`` for the architecture and a walkthrough.
 """
@@ -35,7 +35,7 @@ from repro._exports import lazy_exports
 
 #: Export name -> defining submodule.  Resolved on first access (PEP 562),
 #: so importing one submodule — the engine imports ``repro.obs.events`` —
-#: does not load the others (``server`` pulls in the stdlib HTTP stack).
+#: does not load the others (``server`` pulls in asyncio).
 _EXPORTS = {
     "EventRing": "events",
     "TraceEvent": "events",

@@ -283,6 +283,9 @@ class TestCommands:
             (["status", "--watch", "--interval", "-1"], "--interval"),
             (["trace", "--interval", "0"], "--interval"),
             (["trace", "--ring-capacity", "0"], "--ring-capacity"),
+            (["sweep", "--serve-status", "70000"], "--serve-status"),
+            (["fabric", "serve", "--port", "70000"], "--port"),
+            (["fabric", "serve", "--port", "-1"], "--port"),
         ],
     )
     def test_bad_dispatch_setting_refused_in_one_line(self, tmp_path, argv, flag):

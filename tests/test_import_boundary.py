@@ -3,8 +3,8 @@
 A process that only reads results — ``import repro``, a warm
 ``repro sweep --fail-on-miss``, a ``--merge-only`` merge, ``repro store
 verify``, a warm ``repro figure --fail-on-miss`` — must not load numpy,
-the stdlib HTTP/TLS stack, the cycle engine or the process pool: together
-they were most of such a process's start-up.  The package exports
+asyncio and TLS (the HTTP server's stack), the cycle engine or the
+process pool: together they were most of such a process's start-up.  The package exports
 resolve lazily (PEP 562), so importing a package loads none of its
 submodules.  A process that simulates loads no numpy either: the warps
 draw from ``repro.rng.Stream``, a pure Python copy of numpy's generator,
@@ -24,11 +24,12 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-#: Modules a process that does not simulate must leave unloaded: numpy
-#: and the HTTP/TLS stack, the cycle engine, and the process pool.
+#: Modules a process that does not simulate must leave unloaded: numpy,
+#: asyncio and TLS (the HTTP server's stack), the cycle engine, and the
+#: process pool.
 HEAVY = (
     "numpy",
-    "http.server",
+    "asyncio",
     "ssl",
     "repro.sim.system",
     "repro.core.controller",

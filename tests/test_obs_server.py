@@ -1,10 +1,12 @@
 """`repro.obs.server` under load and at the edges.
 
 Thread-safety smoke (concurrent /status + /metrics + /journal readers
-against a registry being mutated by a live publisher), /journal bounds
-on the status server and on a fabric coordinator,
-and the friendly port-in-use failure (``PortInUseError``) both at the
-server layer and through ``repro sweep --serve-status``.
+against a registry being mutated by a live publisher), the read-only
+views and /journal bounds on the status server and on a fabric
+coordinator, and the friendly port-in-use failure (``PortInUseError``)
+at the server layer, in a fabric coordinator (which then writes
+nothing) and through ``repro sweep --serve-status`` and ``repro fabric
+serve``.
 """
 
 import json
@@ -16,16 +18,22 @@ import urllib.request
 import pytest
 
 from repro.cli import main as cli_main
+from repro.fabric import protocol
 from repro.obs import MetricsRegistry, StatusPublisher, validate_status
 from repro.obs.server import JOURNAL_LIMIT, PortInUseError, StatusServer
 from repro.store import ResultStore
-from tests.fabric_harness import CoordinatorThread
+from tests.fabric_harness import CoordinatorThread, journal
 from tests.test_store_resume import TINY, tiny_tasks
 
 
 def _get(url):
-    with urllib.request.urlopen(url, timeout=5) as resp:
-        return resp.status, resp.read().decode()
+    """``(status, body)`` of a GET, error statuses included."""
+    try:
+        with urllib.request.urlopen(url, timeout=5) as resp:
+            return resp.status, resp.read().decode()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.read().decode()
 
 
 class TestConcurrentReads:
@@ -135,6 +143,57 @@ class TestCoordinatorJournalBounds(TestJournalBounds):
             yield f"http://{coord.address}"
 
 
+class TestReadOnlyViews:
+    """The views both servers answer through ``campaign_view``."""
+
+    @pytest.fixture(params=["status-server", "coordinator"])
+    def served(self, request, tmp_path):
+        registry = MetricsRegistry()
+        registry.counter("probe_total", "a counter the test set").inc(3)
+        if request.param == "status-server":
+            with StatusServer(tmp_path, port=0, registry=registry) as server:
+                yield request.param, server.url
+        else:
+            with CoordinatorThread(TINY, tiny_tasks(), tmp_path, registry=registry) as coord:
+                yield request.param, f"http://{coord.address}"
+
+    def test_status_metrics_and_errors(self, served):
+        kind, url = served
+        status, body = _get(url + "/status")
+        if kind == "status-server":
+            # No sweep has published a heartbeat into this store yet.
+            assert (status, json.loads(body)) == (503, {"state": "unknown"})
+        else:
+            assert status == 200 and validate_status(json.loads(body)) == []
+        with urllib.request.urlopen(url + "/metrics", timeout=5) as resp:
+            assert resp.status == 200
+            assert resp.headers["Content-Type"].startswith("text/plain; version=0.0.4")
+            assert "probe_total 3" in resp.read().decode()
+        for path, code in (("/nope", 404), ("/journal?n=loads", 400)):
+            status, body = _get(url + path)
+            assert status == code and "error" in json.loads(body)
+
+    @pytest.mark.parametrize(
+        "length,body",
+        [("nope", b""), ("-1", b""), ("3", b"[1]"), ("1", b"{")],
+    )
+    def test_bad_request_body_is_400(self, served, length, body):
+        """A body that is not a JSON object, or a bad ``Content-Length``,
+        is answered 400 by the one request reader both servers share."""
+        _, url = served
+        host, port = url[len("http://"):].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as conn:
+            conn.sendall(
+                f"POST /lease HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode() + body
+            )
+            reply = b""
+            while chunk := conn.recv(4096):
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request")
+        assert "bad request body" in json.loads(payload)["error"]
+
+
 class TestReadOnlyJournal:
     def test_missing_store_is_left_missing(self, tmp_path):
         """``/journal`` only reads: on a directory that does not exist it
@@ -163,6 +222,27 @@ class TestPortInUse:
         finally:
             blocker.close()
 
+    def test_coordinator_binds_before_writing(self, tmp_path):
+        """A busy port stops a coordinator before it writes its ledger or
+        ``status.json``, so the next start is a first session, not a
+        recovery."""
+        blocker = socket.socket()
+        blocker.bind(("127.0.0.1", 0))
+        blocker.listen(1)
+        port = blocker.getsockname()[1]
+        try:
+            refused = CoordinatorThread(TINY, tiny_tasks(), tmp_path, port=port)
+            before = sorted(tmp_path.rglob("*"))
+            with pytest.raises(PortInUseError):
+                refused.start()
+            assert sorted(tmp_path.rglob("*")) == before
+        finally:
+            blocker.close()
+        with CoordinatorThread(TINY, tiny_tasks(), tmp_path) as coord:
+            assert coord.coordinator.recoveries == 0
+            assert coord.coordinator.epoch == 1
+        assert not any(e["event"] == protocol.EV_RECOVER for e in journal(tmp_path))
+
     def test_free_port_still_binds(self, tmp_path):
         with StatusServer(tmp_path, port=0) as server:
             assert server.port > 0  # happy path unchanged by the guard
@@ -186,6 +266,31 @@ class TestPortInUse:
             assert str(port) in str(info.value)
         finally:
             blocker.close()
+
+    def test_fabric_cli_reports_port_not_traceback(self, tmp_path):
+        """``repro fabric serve`` refuses a busy port with the one line
+        ``repro sweep --serve-status`` prints, and leaves no ledger and no
+        ``status.json`` behind."""
+        blocker = socket.socket()
+        blocker.bind(("127.0.0.1", 0))
+        blocker.listen(1)
+        port = blocker.getsockname()[1]
+        grid = ["--gpus", "G17", "--pims", "P1", "--policies", "FR-FCFS", "--vcs", "1"]
+        store = tmp_path / "store"
+        try:
+            with pytest.raises(SystemExit) as sweep:
+                cli_main(["sweep", *grid, "--cache-dir", str(store), "--serve-status", str(port)])
+            with pytest.raises(SystemExit) as fabric:
+                cli_main(
+                    ["fabric", "serve", *grid, "--cache-dir", str(store), "--port", str(port)]
+                )
+        finally:
+            blocker.close()
+        message = fabric.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message == sweep.value.code and f"port {port} is already in use" in message
+        assert not (store / "fabric_ledger.jsonl").exists()
+        assert not (store / "status.json").exists()
 
     def test_sweep_cli_serves_on_free_port(self, tmp_path, capsys):
         argv = [
