@@ -14,9 +14,11 @@ baselines simulate, and counts the work the engine does:
   gate (the controller was dirty or its wake had come);
 * ``wake_pushes``: entries pushed onto a system's wake heap;
 * ``islip_steps``: ``ISlipArbiter.step`` calls;
-* ``ingress_visits``: channels visited by ``_stage_mc_ingress``.
+* ``ingress_visits``: channels visited by ``_stage_mc_ingress``;
+* ``heads``: ``VCBuffer.heads`` calls (crossbar and L2-side arbitration).
 
-The first five are also printed per policy x VC class.  A cell's
+All but ``ingress_visits`` are printed per policy x VC class, and all but
+``heads`` as slice totals.  A cell's
 standalone baselines count for the class of the first cell in its sweep
 that needs them (``Runner.run`` simulates them inside that cell), so the
 split is deterministic.
@@ -63,6 +65,7 @@ from repro.experiments import (
 from repro.experiments.runner import Runner
 from repro.gpu.sm import SM
 from repro.noc.islip import ISlipArbiter
+from repro.noc.vc import VCBuffer
 from repro.sim import system as system_module
 from repro.sim.system import GPUSystem
 
@@ -75,8 +78,9 @@ POLICIES = (
 VCS = (1, 2)
 SCALE = ExperimentScale(num_channels=8, workload_scale=0.05, seed=1, starvation_factor=15)
 
-#: The counts printed per class, then as slice totals with ``ingress_visits``.
-CLASS_KEYS = ("cycles", "sm_steps", "decisions", "wake_pushes", "islip_steps")
+#: The counts printed per class, and those printed as slice totals.
+CLASS_KEYS = ("cycles", "sm_steps", "decisions", "wake_pushes", "islip_steps", "heads")
+TOTAL_KEYS = ("cycles", "sm_steps", "decisions", "wake_pushes", "islip_steps", "ingress_visits")
 EXPECTED = Path(__file__).with_name("slice_counts.expected")
 
 
@@ -114,6 +118,7 @@ def install():
     count_calls(GPUSystem, "step", "cycles")
     count_calls(SM, "step", "sm_steps")
     count_calls(ISlipArbiter, "step", "islip_steps")
+    count_calls(VCBuffer, "heads", "heads")
 
     tick = MemoryController.tick
 
@@ -187,7 +192,7 @@ def report_lines(classes, lengths, table) -> list:
     for name, counts in classes.items():
         lines.append(f"{name:15s}" + "".join(f"{counts[key]:>12,d}" for key in CLASS_KEYS))
     totals = sum(classes.values(), Counter())
-    for key in (*CLASS_KEYS, "ingress_visits"):
+    for key in TOTAL_KEYS:
         lines.append(f"{key:15s} {totals[key]:>10,d}")
     for key, histogram in lengths.items():
         lines.append(f"{'mem_q@' + key:15s} {summarize(histogram)}")

@@ -12,11 +12,12 @@ so a fabric sweep and a single-process sweep against the same grid leave
 byte-identical ``objects/`` trees behind (the property
 ``tests/test_fabric.py`` and the CI ``fabric-canary`` assert).
 
-Each cell's state, failure count, backoff and lease live in a
-:class:`~repro.resilience.cells.CellTable` (the lifecycle the local sweep
-shares; see ``docs/resilience.md``) whose records are written ahead to
-the :mod:`~repro.fabric.ledger` before they apply, and which a restart
-rebuilds by replaying that ledger.  What is the coordinator's own:
+Each cell's state, failure count, backoff, lease and lease deadline
+live in a :class:`~repro.resilience.cells.CellTable` (the lifecycle the
+local sweep shares; see ``docs/resilience.md``) whose records are written
+ahead to the :mod:`~repro.fabric.ledger` — each with its journal line,
+by one function — before they apply, and which a restart rebuilds by
+replaying that ledger.  What is the coordinator's own:
 
 * **Dedupe by fingerprint.**  Cells are grouped by their content address
   (:func:`~repro.experiments.runner.cell_key`); duplicate tasks
@@ -93,6 +94,15 @@ from repro.store import ResultStore, code_version
 #: runnable is currently leased or backing off.
 EMPTY_RETRY_AFTER = 0.2
 
+#: The journal event of each ledger op that is also journaled.
+_JOURNALED = {
+    wal.OP_LEASE: protocol.EV_LEASE,
+    wal.OP_COMPLETE: protocol.EV_COMPLETE,
+    wal.OP_READOPT: protocol.EV_READOPT,
+    wal.OP_REJECT: protocol.EV_REJECT,
+    wal.OP_DRAIN: protocol.EV_DRAIN,
+}
+
 
 class FabricCoordinator:
     """One campaign's lease service (see module docstring).
@@ -151,7 +161,7 @@ class FabricCoordinator:
             self.retry,
             clock=clock,
             wall=wall_clock,
-            write_ahead=lambda record: self.ledger.append(epoch=self.epoch, **record),
+            write_ahead=self._write,
             on_retry=lambda event: self.publisher.record_retry(event),
             on_quarantine=lambda failure: self.publisher.record_quarantine(failure.to_dict()),
         )
@@ -161,7 +171,6 @@ class FabricCoordinator:
             if key not in self.table.cells:
                 self.table.add(key, task.label, index, task)
         self.cells = list(self.table.cells.values())
-        self._deadlines: Dict[str, float] = {}  # leased cell key -> lease expiry (clock)
         self.workers: Dict[str, float] = {}  # worker id -> last seen (clock)
         self.state = "running"
         self.epoch = 1
@@ -236,12 +245,9 @@ class FabricCoordinator:
             recoveries=self.recoveries,
             epoch=self.epoch,
         )
-        self.ledger.append(
-            wal.OP_OPEN, epoch=self.epoch, code=self.code, cells=len(self.cells)
-        )
+        self._write({"op": wal.OP_OPEN, "code": self.code, "cells": len(self.cells)})
         for failure in self.table.failures:
             self.publisher.record_quarantine(failure.to_dict(), journal=False)
-        now = self._clock()
         for cell in self.cells:
             if cell.state == FAILED:
                 continue
@@ -254,7 +260,7 @@ class FabricCoordinator:
             elif cell.state == DONE:
                 self.table.apply({"op": "release", "key": cell.key})
             elif cell.state == LEASED:
-                self._deadlines[cell.key] = now + self.resume_grace
+                self.table.renew(cell.key, self.resume_grace)
         if self.recoveries:
             self._journal(
                 protocol.EV_RECOVER,
@@ -314,14 +320,8 @@ class FabricCoordinator:
         """
         if self.draining or self.state != "running":
             return
-        self.ledger.append(wal.OP_DRAIN, epoch=self.epoch, source=source)
+        self._write({"op": wal.OP_DRAIN, "source": source, "leased": self.table.counts[LEASED]})
         self.draining = True
-        self._journal(
-            protocol.EV_DRAIN,
-            epoch=self.epoch,
-            source=source,
-            leased=self.table.counts[LEASED],
-        )
         self._check_complete()
 
     def summary(self) -> Dict:
@@ -346,6 +346,19 @@ class FabricCoordinator:
     def _journal(self, event: str, **fields) -> None:
         self.store.log_event(event, **fields)
 
+    def _write(self, record: Dict) -> Dict:
+        """Write one campaign transition: its ledger record, stamped with
+        the epoch, then — for the ops in :data:`_JOURNALED` — its journal
+        line with the same fields.  It is the cell table's ``write_ahead``
+        hook, so every ledger record takes this one path."""
+        record = self.ledger.append(epoch=self.epoch, **record)
+        event = _JOURNALED.get(record["op"])
+        if event is not None:
+            self._journal(
+                event, **{k: v for k, v in record.items() if k not in ("seq", "op", "check")}
+            )
+        return record
+
     @property
     def failures(self) -> List[Dict]:
         """The quarantine roster, in order."""
@@ -358,7 +371,7 @@ class FabricCoordinator:
         self._check_complete()
 
     def _finalize(self, state: str) -> None:
-        self.ledger.append(wal.OP_CLOSE, epoch=self.epoch, state=state)
+        self._write({"op": wal.OP_CLOSE, "state": state})
         self.state = state
         self.publisher.finish(state)
         if self._done_async is not None:
@@ -382,10 +395,7 @@ class FabricCoordinator:
         """Expire overdue leases and refresh the in-flight heartbeat view."""
         while True:
             await asyncio.sleep(self.tick)
-            now = self._clock()
-            for cell in self.cells:
-                if cell.state != LEASED or self._deadlines[cell.key] > now:
-                    continue
+            for cell in self.table.overdue():
                 self._journal(
                     protocol.EV_EXPIRE,
                     key=cell.key,
@@ -405,23 +415,12 @@ class FabricCoordinator:
                         f"(worker {cell.worker} stopped heartbeating)"
                     )
                 self._blame(cell, "expired", message)
-            self._publish_in_flight(now)
+            self._publish_in_flight()
             self._check_complete()
 
-    def _publish_in_flight(self, now: float) -> None:
+    def _publish_in_flight(self) -> None:
         self.publisher.max_workers = max(len(self.workers), 1)
-        self.publisher.record_in_flight(
-            [
-                {
-                    "label": cell.label,
-                    "attempts": cell.attempts,
-                    "seconds": round(now - cell.leased_at, 3),
-                    "worker": cell.worker,
-                }
-                for cell in self.cells
-                if cell.state == LEASED
-            ]
-        )
+        self.publisher.record_in_flight(self.table.in_flight())
 
     # -- request handlers ---------------------------------------------------
 
@@ -440,8 +439,7 @@ class FabricCoordinator:
         worker = body.get("worker")
         if not isinstance(worker, str) or not worker:
             return 400, {"error": "lease request must name a worker"}
-        now = self._clock()
-        self.workers[worker] = now
+        self.workers[worker] = self._clock()
         if self.state != "running":
             return 200, {"done": True, "summary": self.summary()}
         if self.draining:
@@ -453,19 +451,9 @@ class FabricCoordinator:
             return 200, {"empty": True, "retry_after": EMPTY_RETRY_AFTER}
         lease_seq = self._lease_seq + 1
         lease_id = f"L{lease_seq:05d}-{cell.key[:8]}"
-        self.table.lease(cell.key, lease_seq=lease_seq, lease_id=lease_id, worker=worker)
+        self.table.lease(cell.key, self.ttl, lease_seq=lease_seq, lease_id=lease_id, worker=worker)
         self._lease_seq = lease_seq
-        self._deadlines[cell.key] = now + self.ttl
-        self._journal(
-            protocol.EV_LEASE,
-            key=cell.key,
-            label=cell.label,
-            worker=worker,
-            lease_id=lease_id,
-            attempt=cell.attempts,
-            epoch=self.epoch,
-        )
-        self._publish_in_flight(now)
+        self._publish_in_flight()
         return 200, {
             "lease": {
                 "lease_id": lease_id,
@@ -483,10 +471,9 @@ class FabricCoordinator:
         lease_ids = body.get("lease_ids")
         if not isinstance(worker, str) or not isinstance(lease_ids, list):
             return 400, {"error": "heartbeat must carry worker and lease_ids"}
-        now = self._clock()
-        self.workers[worker] = now
+        self.workers[worker] = self._clock()
         renewed, lost = [], []
-        live = {cell.lease_id: cell for cell in self.cells if cell.state == LEASED}
+        live = {cell.lease_id: cell for cell in self.table.leased.values()}
         body_epoch = body.get("epoch")
         for lease_id in lease_ids:
             cell = live.get(lease_id)
@@ -496,7 +483,7 @@ class FabricCoordinator:
                 and cell.lease_epoch == self.epoch
                 and body_epoch == self.epoch
             ):
-                self._deadlines[cell.key] = now + self.ttl
+                self.table.renew(cell.key, self.ttl)
                 renewed.append(lease_id)
             else:
                 # Pre-restart-epoch leases renew only after /resume
@@ -534,21 +521,15 @@ class FabricCoordinator:
             reason = protocol.REJECT_STALE_EPOCH
         else:
             return cell, None
-        self.ledger.append(
-            wal.OP_REJECT,
-            epoch=self.epoch,
-            key=key if isinstance(key, str) else "?",
-            lease_id=lease_id if isinstance(lease_id, str) else "?",
-            reason=reason,
-        )
-        self._journal(
-            protocol.EV_REJECT,
-            key=key if isinstance(key, str) else "?",
-            lease_id=lease_id if isinstance(lease_id, str) else "?",
-            worker=worker if isinstance(worker, str) else "?",
-            reason=reason,
-        )
+        self._reject(key, lease_id, worker, reason)
         return cell, reason
+
+    def _reject(self, key, lease_id, worker, reason: str, **extra) -> None:
+        """Record a refused /complete or /fail (fields that are not
+        strings are written ``"?"``)."""
+        named = {"key": key, "lease_id": lease_id, "worker": worker}
+        named = {name: v if isinstance(v, str) else "?" for name, v in named.items()}
+        self._write({"op": wal.OP_REJECT, **named, "reason": reason, **extra})
 
     def _handle_complete(self, body: Dict) -> Tuple[int, Dict]:
         cell, reason = self._resolve_lease(body)
@@ -566,21 +547,7 @@ class FabricCoordinator:
             # A structurally bad payload blames the lease like a failure:
             # re-leasing a cell to a worker that keeps shipping garbage
             # must converge to quarantine, not loop forever.
-            self.ledger.append(
-                wal.OP_REJECT,
-                epoch=self.epoch,
-                key=cell.key,
-                lease_id=lease_id,
-                reason=reason,
-            )
-            self._journal(
-                protocol.EV_REJECT,
-                key=cell.key,
-                lease_id=lease_id,
-                worker=worker,
-                reason=reason,
-                errors=errors[:3],
-            )
+            self._reject(cell.key, lease_id, worker, reason, errors=errors[:3])
             self._blame(cell, "error", f"rejected completion: {reason}")
             return 200, {"accepted": False, "reason": reason, "errors": errors[:3]}
         stored = []
@@ -590,14 +557,7 @@ class FabricCoordinator:
         # Puts land before the ledger record: a "complete" in the WAL is
         # always store-backed, and a crash in between is healed by the
         # warm-store scan on restart.
-        self.table.complete(cell.key, lease_id=lease_id, worker=worker)
-        self._journal(
-            protocol.EV_COMPLETE,
-            key=cell.key,
-            label=cell.label,
-            worker=worker,
-            lease_id=lease_id,
-        )
+        self.table.complete(cell.key, label=cell.label, lease_id=lease_id, worker=worker)
         self.publisher.record_completion(hit=False)
         self._check_complete()
         return 200, {"accepted": True, "stored": stored, "done": self.state != "running"}
@@ -633,8 +593,7 @@ class FabricCoordinator:
         held = body.get("held")
         if not isinstance(worker, str) or not worker or not isinstance(held, list):
             return 400, {"error": "resume must carry worker and held leases"}
-        now = self._clock()
-        self.workers[worker] = now
+        self.workers[worker] = self._clock()
         readopted, abandon = [], []
         for item in held:
             lease_id = item.get("lease_id") if isinstance(item, dict) else None
@@ -650,17 +609,15 @@ class FabricCoordinator:
                 continue
             if cell.lease_epoch != self.epoch:
                 self.table.commit(
-                    {"op": wal.OP_READOPT, "key": cell.key, "lease_id": lease_id, "worker": worker}
+                    {
+                        "op": wal.OP_READOPT,
+                        "key": cell.key,
+                        "label": cell.label,
+                        "lease_id": lease_id,
+                        "worker": worker,
+                    }
                 )
-                self._journal(
-                    protocol.EV_READOPT,
-                    key=cell.key,
-                    label=cell.label,
-                    worker=worker,
-                    lease_id=lease_id,
-                    epoch=self.epoch,
-                )
-            self._deadlines[cell.key] = now + self.ttl
+            self.table.renew(cell.key, self.ttl)
             readopted.append(
                 {
                     "lease_id": lease_id,

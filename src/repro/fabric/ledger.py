@@ -38,13 +38,21 @@ Record operations (fields beyond ``seq``/``op``/``epoch``/``check``)::
 
     open        code, cells           new session, new epoch
     lease       lease_seq, key, label, lease_id, worker, attempt
-    readopt     key, lease_id, worker      re-adopted at this epoch
-    complete    key, lease_id, worker      accepted; store puts landed first
-    reject      key, lease_id, reason      refused reply (no state change)
+    readopt     key, label, lease_id, worker   re-adopted at this epoch
+    complete    key, label, lease_id, worker   accepted; store puts landed first
+    reject      key, lease_id, worker, reason[, errors]   refused reply
     retry       key, kind, attempts, not_before_wall   requeued w/ backoff
     quarantine  key, index, label, kind, message, attempts
-    drain       source                graceful shutdown began
+    drain       source, leased        graceful shutdown began
     close       state                 campaign finalized (complete/aborted)
+
+The coordinator writes ``lease``, ``readopt``, ``complete``, ``reject``
+and ``drain`` records together with their ``fabric_<op>`` journal line,
+which carries the same fields (:mod:`repro.fabric.protocol`).  Replay
+reads only the fields a transition needs and ignores the rest (records
+of older ledgers lack ``label``, ``worker`` and ``leased``).  Lease
+deadlines are monotonic-clock state and are never recorded: a replayed
+in-flight lease gets the coordinator's resume grace.
 
 Backoff deadlines are persisted as *wall-clock* times (the coordinator's
 scheduling clock is monotonic and does not survive a restart); replay

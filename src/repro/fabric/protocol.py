@@ -83,15 +83,19 @@ TOKEN_HEADER = "X-Fabric-Token"
 TOKEN_ENV = "REPRO_FABRIC_TOKEN"
 
 # -- journal event names (store journal.jsonl) ---------------------------
+#
+# The first five are written with their ledger record and carry its
+# fields (all but ``seq``/``op``/``check``); the last three are
+# journal-only.
 
-EV_LEASE = "fabric_lease"  # lease granted: {key, label, worker, lease_id, attempt, epoch}
-EV_COMPLETE = "fabric_complete"  # completion accepted: {key, label, worker, lease_id}
-EV_REJECT = "fabric_reject"  # completion/fail refused: {key, lease_id, reason}
-EV_EXPIRE = "fabric_expire"  # lease TTL ran out: {key, label, worker, lease_id}
-EV_FAIL = "fabric_fail"  # worker-reported failure: {key, lease_id, kind, message}
-EV_RECOVER = "fabric_recover"  # coordinator replayed its ledger: {epoch, ...counts}
-EV_READOPT = "fabric_readopt"  # pre-restart lease re-adopted: {key, lease_id, worker, epoch}
+EV_LEASE = "fabric_lease"  # {key, label, worker, lease_id, attempt, epoch, lease_seq}
+EV_COMPLETE = "fabric_complete"  # accepted: {key, label, worker, lease_id, epoch}
+EV_READOPT = "fabric_readopt"  # re-adopted: {key, label, worker, lease_id, epoch}
+EV_REJECT = "fabric_reject"  # refused: {key, lease_id, worker, reason, epoch[, errors]}
 EV_DRAIN = "fabric_drain"  # graceful shutdown began: {epoch, source, leased}
+EV_EXPIRE = "fabric_expire"  # lease deadline passed: {key, label, worker, lease_id}
+EV_FAIL = "fabric_fail"  # /fail accepted: {key, label, worker, lease_id, kind, message}
+EV_RECOVER = "fabric_recover"  # ledger replayed: {epoch, torn_tail, ...counts}
 
 #: Reasons a /complete or /fail can be refused.  ``stale-lease``,
 #: ``stale-epoch``, and ``already-complete`` are benign races (the work

@@ -29,18 +29,19 @@ quarantined.  A cell therefore runs at most ``retries + 1`` times,
 fabric or local.
 
 **Coordinator loss is survivable.**  A worker does not die on
-disconnect: every coordinator-facing call retries behind a capped
-exponential backoff (bounded by ``max_connect_failures``), and once the
-coordinator answers again the worker re-presents any lease it still
-holds via ``POST /resume`` — the restarted coordinator either re-adopts
-it at the recovered fencing epoch (the cell completes normally, no work
-lost) or instructs abandonment (the cell was re-leased or finished
-elsewhere; our documents stay pending and ride along later).  A
-``/complete`` rejected ``stale-epoch`` triggers the same resync and is
-retried exactly once at the new epoch.  The heartbeat thread likewise
+disconnect: every coordinator call (``/grid``, ``/lease``,
+``/complete``, ``/fail``) goes through one method, :meth:`FabricWorker._call`,
+which backs off through connection failures (capped exponential,
+bounded by ``max_connect_failures``).  A restarted coordinator answers a
+held lease's ``/complete`` or ``/fail`` ``stale-epoch``; the worker then
+re-presents the lease via ``POST /resume`` — the coordinator either
+re-adopts it at the recovered fencing epoch and the call is sent once
+more at that epoch (the cell completes or fails normally, no work lost),
+or instructs abandonment (the cell was re-leased or finished elsewhere;
+our documents stay pending and ride along later).  The heartbeat thread
 treats send failures as transient — it retries at ``ttl/12`` instead of
 silently letting the lease expire while the simulation keeps running —
-and a ``lost`` verdict on a held lease triggers the resume path.
+and a ``lost`` verdict on a held lease triggers the same resume.
 
 Test hooks: ``lease_hook`` lets the harness abandon a lease mid-flight
 (raise :class:`WorkerAbandoned` — the worker goes silent on that cell
@@ -232,7 +233,7 @@ class FabricWorker:
         and splitting the cache — so a mismatched fleet is refused here,
         loudly, before any cell runs.
         """
-        grid = self.client.get("/grid")
+        grid = self._call("GET", "/grid")
         if grid.get("schema") != FABRIC_SCHEMA:
             raise FabricProtocolError(
                 f"fabric schema mismatch: coordinator speaks "
@@ -299,49 +300,60 @@ class FabricWorker:
             self._current_lease_id = lease_id
             self._current_key = key
 
-    def _resync(self) -> Dict:
-        """``POST /resume``: re-present held leases after a reconnect.
+    def _resync(self) -> bool:
+        """``POST /resume``: re-present the held lease, if any.
 
         Updates our view of the coordinator's fencing epoch and counts
-        re-adoptions.  Leases the coordinator tells us to abandon need no
-        local action — their completions would be rejected as stale, and
-        their documents stay pending to ride along with the next
-        accepted completion.
+        re-adoptions; returns whether the held lease was re-adopted.  A
+        lease the coordinator tells us to abandon needs no local action —
+        its completion is rejected as stale, and its documents stay
+        pending to ride along with the next accepted completion.
         """
         with self._lease_lock:
             lease_id, key = self._current_lease_id, self._current_key
         held = [{"lease_id": lease_id, "key": key}] if lease_id else []
         reply = self.client.post("/resume", {"worker": self.worker_id, "held": held})
         self.epoch = int(reply.get("epoch", self.epoch))
-        self.readopted += len(reply.get("readopted", []))
-        return reply
+        readopted = reply.get("readopted", [])
+        self.readopted += len(readopted)
+        return any(item.get("lease_id") == lease_id for item in readopted)
 
-    def _reconnect_delay(self, failures: int) -> float:
-        """Capped exponential backoff for coordinator unavailability."""
-        return min(self.poll * (2 ** min(failures - 1, 6)), max(self.ttl / 4.0, self.poll))
+    def _call(self, method: str, path: str, lease: Optional[Dict] = None, **fields) -> Dict:
+        """One coordinator call: a ``GET`` carries no body; a ``POST`` sends
+        ``{"worker", **fields}`` — plus the lease's id, key and our current
+        epoch when it reports on ``lease``.
 
-    def _post_resilient(self, path: str, body: Dict) -> Dict:
-        """POST with reconnect: back off through coordinator outages.
-
-        After an outage the coordinator we reach may be a restarted one;
-        the caller re-presents held leases (``/resume``) and handles
-        ``stale-epoch`` rejections — this helper only survives the
-        socket-level gap.  Raises once ``max_connect_failures``
-        consecutive attempts fail.
+        Connection failures back off (capped exponential) and raise once
+        ``max_connect_failures`` attempts in a row fail.  A ``stale-epoch``
+        reply means the coordinator restarted under the lease: it is
+        re-presented via ``/resume``, and the call is sent once more at
+        the new epoch if the lease was re-adopted.
         """
         failures = 0
+        resynced = False
         while True:
             try:
-                reply = self.client.post(path, body)
+                body = None
+                if method == "POST":
+                    body = {"worker": self.worker_id, **fields}
+                    if lease is not None:
+                        body.update(lease_id=lease["lease_id"], key=lease["key"], epoch=self.epoch)
+                reply = self.client.request(method, path, body)
+                if resynced or reply.get("reason") != REJECT_STALE_EPOCH:
+                    break
+                resynced = True
+                if not self._resync():
+                    break
             except FabricConnectionError:
                 failures += 1
                 if failures > self.max_connect_failures:
                     raise
-                self._sleep(self._reconnect_delay(failures))
-                continue
-            if failures:
-                self.reconnects += 1
-            return reply
+                self._sleep(
+                    min(self.poll * 2 ** min(failures - 1, 6), max(self.ttl / 4.0, self.poll))
+                )
+        if failures:
+            self.reconnects += 1
+        return reply
 
     # -- cell execution ----------------------------------------------------
 
@@ -352,71 +364,24 @@ class FabricWorker:
             self.store.pend(lease["key"])
         except Exception as exc:  # noqa: BLE001 - the coordinator decides
             self.fails_reported += 1
-            self._post_resilient(
-                "/fail",
-                {
-                    "worker": self.worker_id,
-                    "lease_id": lease["lease_id"],
-                    "key": lease["key"],
-                    "epoch": self.epoch,
-                    "kind": classify_failure(exc),
-                    "message": str(exc),
-                },
-            )
+            self._call("POST", "/fail", lease, kind=classify_failure(exc), message=str(exc))
             return
-        resynced = False
-        while True:
-            documents = list(self.store.documents.values())
-            reply = self._post_resilient(
-                "/complete",
-                {
-                    "worker": self.worker_id,
-                    "lease_id": lease["lease_id"],
-                    "key": lease["key"],
-                    "epoch": self.epoch,
-                    "documents": documents,
-                },
-            )
-            if reply.get("accepted"):
-                self.completes_accepted += 1
-                for key in reply.get("stored", []):
-                    self.store.documents.pop(key, None)
-                return
-            if reply.get("reason") == REJECT_STALE_EPOCH and not resynced:
-                # The coordinator restarted under us.  Re-present the
-                # lease; if it is re-adopted at the recovered epoch the
-                # completion goes through exactly once — otherwise fall
-                # through to an ordinary rejection.
-                resynced = True
-                try:
-                    resume = self._resync()
-                except (FabricConnectionError, FabricProtocolError):
-                    resume = {}
-                if any(
-                    item.get("lease_id") == lease["lease_id"]
-                    for item in resume.get("readopted", [])
-                ):
-                    continue
+        reply = self._call("POST", "/complete", lease, documents=list(self.store.documents.values()))
+        if not reply.get("accepted"):
             # Stale or duplicate lease: the shared store already has (or
             # will get) this cell from whoever holds the live lease.  Our
             # unacked documents stay pending for the next completion.
             self.completes_rejected += 1
             return
+        self.completes_accepted += 1
+        for key in reply.get("stored", []):
+            self.store.documents.pop(key, None)
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> Dict:
         """Work the campaign to completion; returns a summary dict."""
-        connect_failures = 0
-        while True:
-            try:
-                self.handshake()
-                break
-            except FabricConnectionError:
-                connect_failures += 1
-                if connect_failures > self.max_connect_failures:
-                    raise
-                self._sleep(self._reconnect_delay(connect_failures))
+        self.handshake()
         if self.heartbeat_enabled:
             self._heartbeat_thread = threading.Thread(
                 target=self._heartbeat_loop,
@@ -425,26 +390,8 @@ class FabricWorker:
             )
             self._heartbeat_thread.start()
         try:
-            connect_failures = 0
             while True:
-                try:
-                    reply = self.client.post("/lease", {"worker": self.worker_id})
-                except FabricConnectionError:
-                    connect_failures += 1
-                    if connect_failures > self.max_connect_failures:
-                        raise
-                    self._sleep(self._reconnect_delay(connect_failures))
-                    continue
-                if connect_failures:
-                    # The coordinator came back — possibly a restarted
-                    # one.  Refresh our epoch (and re-present anything we
-                    # hold, which between leases is nothing).
-                    self.reconnects += 1
-                    connect_failures = 0
-                    try:
-                        self._resync()
-                    except (FabricConnectionError, FabricProtocolError):
-                        pass
+                reply = self._call("POST", "/lease")
                 if reply.get("done"):
                     break
                 if reply.get("empty") or reply.get("draining"):

@@ -206,7 +206,9 @@ class StatusServer:
     ) -> None:
         self.store_dir = Path(store_dir)
         registry = registry if registry is not None else get_registry()
-        status = partial(read_status, self.store_dir)
+        # One read per request: a retry's sleep would hold up every other
+        # request on this loop, and a missing heartbeat is a 503 at once.
+        status = partial(read_status, self.store_dir, attempts=1)
         self._http = HttpServer(
             host,
             port,

@@ -72,11 +72,13 @@ def read_status(
     store directory behaves like a local POSIX one (NFS renames, overlay
     mounts, Windows shares can expose a transient window where the path
     is briefly missing or the open races the replace).  A watcher
-    (``repro status --watch``, the HTTP endpoint) polling exactly inside
-    that window would misreport a live sweep as having no status — so a
-    failed read is retried ``attempts`` times with a short pause before
-    giving up.  A store no sweep has ever touched still returns ``None``
-    (after the retries; the pause is milliseconds)."""
+    (``repro status --watch``) polling exactly inside that window would
+    misreport a live sweep as having no status — so a failed read is
+    retried ``attempts`` times with a short pause before giving up.  A
+    store no sweep has ever touched still returns ``None`` (after the
+    retries; the pause is milliseconds).  The HTTP ``/status`` view reads
+    once (``attempts=1``): its event loop serves other requests, and a
+    client polls again anyway."""
     path = status_path(store_dir)
     for attempt in range(max(1, attempts)):
         try:

@@ -22,6 +22,12 @@ record changes a cell, for live transitions and for
 alike.  A table's ``write_ahead`` hook sees every live record before it
 applies (the coordinator's write-ahead ledger append).
 
+A leased cell also carries a deadline on the table's clock — the
+Supervisor's cell timeout, the coordinator's TTL or resume grace — which
+no record holds: :meth:`CellTable.renew` sets it, :meth:`CellTable.overdue`
+lists the leases past it, and :meth:`CellTable.in_flight` is the liveness
+view both dispatchers publish.
+
 Attempts: ``failures`` counts blamed attempts; :attr:`Cell.attempts`
 adds the attempt a live lease is running, so a ``lease`` record's
 ``attempt`` is failures so far + 1 and a ``retry`` or ``quarantine``
@@ -30,6 +36,7 @@ record's ``attempts`` is the failure count including the one it blames.
 
 from __future__ import annotations
 
+import math
 import time
 import zlib
 from dataclasses import dataclass
@@ -146,6 +153,7 @@ class Cell:
     worker: Optional[str] = None
     lease_epoch: int = 0  # fencing epoch of the grant or last re-adoption
     leased_at: float = 0.0  # table clock at the lease
+    deadline: float = math.inf  # when a live lease is overdue (table clock)
 
     @property
     def attempts(self) -> int:
@@ -183,6 +191,7 @@ class CellTable:
         self.failures: List[CellFailure] = []  # the quarantine roster, in order
         self.counts = {PENDING: 0, LEASED: 0, DONE: 0, FAILED: 0}
         self._pending: Dict[Hashable, Cell] = {}  # lease order: first ready wins
+        self.leased: Dict[Hashable, Cell] = {}  # live leases, in lease order
 
     def add(self, key: Hashable, label: str = "", index: int = 0, task: object = None) -> Cell:
         cell = self.cells[key] = self._pending[key] = Cell(key, label, index, task)
@@ -197,6 +206,7 @@ class CellTable:
         for key in foreign:
             self.counts[self.cells.pop(key).state] -= 1
             self._pending.pop(key, None)
+            self.leased.pop(key, None)
         self.failures = [f for f in self.failures if f.key in keys]
         return len(foreign)
 
@@ -218,6 +228,27 @@ class CellTable:
         """Earliest backoff deadline among pending cells (table clock)."""
         return min(cell.not_before for cell in self._pending.values())
 
+    def overdue(self) -> List[Cell]:
+        """Live leases whose deadline has passed."""
+        now = self._clock()
+        return [cell for cell in self.leased.values() if cell.deadline <= now]
+
+    def in_flight(self) -> List[Dict]:
+        """``[{"label", "attempts", "seconds"}]`` per live lease (seconds
+        since the lease; plus the ``worker`` holding a fabric lease)."""
+        now = self._clock()
+        view = []
+        for cell in self.leased.values():
+            entry = {
+                "label": cell.label,
+                "attempts": cell.attempts,
+                "seconds": round(now - cell.leased_at, 3),
+            }
+            if cell.worker is not None:
+                entry["worker"] = cell.worker
+            view.append(entry)
+        return view
+
     # -- transitions -------------------------------------------------------
 
     def commit(self, record: Dict) -> Dict:
@@ -227,11 +258,19 @@ class CellTable:
         self.apply(record)
         return record
 
-    def lease(self, key: Hashable, **fields) -> Dict:
+    def lease(self, key: Hashable, ttl: Optional[float] = None, **fields) -> Dict:
+        """Lease the cell, overdue ``ttl`` seconds from now (never if None)."""
         cell = self.cells[key]
-        return self.commit(
+        record = self.commit(
             {"op": "lease", "key": key, "label": cell.label, "attempt": cell.failures + 1, **fields}
         )
+        if ttl is not None:
+            self.renew(key, ttl)
+        return record
+
+    def renew(self, key: Hashable, ttl: float) -> None:
+        """Push a live lease's deadline to ``ttl`` seconds from now."""
+        self.cells[key].deadline = self._clock() + ttl
 
     def complete(self, key: Hashable, **fields) -> Dict:
         return self.commit({"op": "complete", "key": key, **fields})
@@ -293,6 +332,7 @@ class CellTable:
             cell.worker = record.get("worker")
             cell.lease_epoch = record.get("epoch", 0)
             cell.leased_at = self._clock()
+            cell.deadline = math.inf
             cell.not_before = cell.not_before_wall = 0.0
         elif op == "complete":
             state = DONE
@@ -319,8 +359,11 @@ class CellTable:
             )
         else:
             raise ValueError(f"unknown cell transition {op!r}")
-        if state != LEASED:
+        if state == LEASED:
+            self.leased[key] = cell
+        else:
             cell.lease_id = cell.worker = None
+            self.leased.pop(key, None)
         self.counts[cell.state] -= 1
         self.counts[state] += 1
         cell.state = state

@@ -17,10 +17,11 @@ What is the Supervisor's own:
   Innocent bystanders never accumulate failure attempts.  A pool that
   breaks between a wait and the next submission refuses the submit;
   that counts as the same crash, with the refused cell in the cohort.
-* **Timeouts.**  Each submitted cell carries a wall-clock deadline
-  (submission is capped at pool width, so a submitted cell is a running
-  cell).  An expired cell is blamed, the pool is killed and respawned,
-  and unexpired cells are released without blame.
+* **Timeouts.**  Each submitted cell's lease carries a deadline
+  ``cell_timeout`` out, kept by the cell table (submission is capped at
+  pool width, so a submitted cell is a running cell).  An overdue cell is
+  blamed, the pool is killed and respawned, and unexpired cells are
+  released without blame.
 
 A blamed cell is retried after backoff or quarantined by
 :meth:`CellTable.fail <repro.resilience.cells.CellTable.fail>`.
@@ -178,7 +179,7 @@ class Supervisor:
                         break
                     if pool is None:
                         pool = self._spawn()
-                    cells.lease(cell.key)
+                    cells.lease(cell.key, self.cell_timeout)
                     try:
                         future = pool.executor.submit(self.worker_fn, cell.task)
                     except BrokenExecutor:
@@ -199,17 +200,7 @@ class Supervisor:
                     self._sleep(max(cells.wake() - self._clock(), self.tick * 0.1))
                     continue
                 if self.on_heartbeat is not None:
-                    now = self._clock()
-                    self.on_heartbeat(
-                        [
-                            {
-                                "label": cell.label,
-                                "attempts": cell.attempts,
-                                "seconds": round(now - cell.leased_at, 3),
-                            }
-                            for cell in in_flight.values()
-                        ]
-                    )
+                    self.on_heartbeat(cells.in_flight())
                 done, _ = wait(list(in_flight), timeout=self.tick, return_when=FIRST_COMPLETED)
                 crashed: List[Cell] = []
                 for future in done:
@@ -236,27 +227,18 @@ class Supervisor:
                     self._crashed(crashed)
                     self._teardown(pool, kill=True)
                     pool = None
-                elif self.cell_timeout is not None and in_flight:
-                    now = self._clock()
-                    expired = [
-                        future
-                        for future, cell in in_flight.items()
-                        if now - cell.leased_at > self.cell_timeout
-                    ]
-                    if expired:
-                        for future in expired:
-                            self._blame(
-                                in_flight.pop(future),
-                                "timeout",
-                                f"cell exceeded {self.cell_timeout:g}s wall clock",
-                            )
-                        # Unexpired cells die with the pool through no
-                        # fault of their own: release them without blame.
-                        for cell in in_flight.values():
-                            cells.release(cell.key)
-                        in_flight.clear()
-                        self._teardown(pool, kill=True)
-                        pool = None
+                elif overdue := cells.overdue():
+                    for cell in overdue:
+                        self._blame(
+                            cell, "timeout", f"cell exceeded {self.cell_timeout:g}s wall clock"
+                        )
+                    # Unexpired cells die with the pool through no fault
+                    # of their own: release them without blame.
+                    for key in list(cells.leased):
+                        cells.release(key)
+                    in_flight.clear()
+                    self._teardown(pool, kill=True)
+                    pool = None
         except BaseException:
             # Abort (SweepAborted, Ctrl-C, ...): kill outstanding workers
             # so a hung cell cannot block the teardown, then re-raise.

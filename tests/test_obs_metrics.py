@@ -327,10 +327,12 @@ class TestStatusServer:
 
             with pytest.raises(urllib.error.HTTPError) as info:
                 urllib.request.urlopen(server.url + "/nope", timeout=5)
-            assert info.value.code == 404
+            with info.value:
+                assert info.value.code == 404
             with pytest.raises(urllib.error.HTTPError) as info:
                 urllib.request.urlopen(server.url + "/journal?n=many", timeout=5)
-            assert info.value.code == 400
+            with info.value:
+                assert info.value.code == 400
 
     def test_ephemeral_port_and_close(self, tmp_path):
         server = StatusServer(tmp_path, port=0)

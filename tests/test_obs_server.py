@@ -11,7 +11,9 @@ serve``.
 
 import json
 import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -192,6 +194,23 @@ class TestReadOnlyViews:
         head, _, payload = reply.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 Bad Request")
         assert "bad request body" in json.loads(payload)["error"]
+
+
+class TestStatusDoesNotBlock:
+    def test_missing_heartbeat_answers_503_at_once(self, tmp_path):
+        """Before a sweep's first heartbeat, ``/status`` reads ``status.json``
+        once and answers 503: no retry sleeps on the loop that serves every
+        other request.  The retry sleeps alone cost 60 ms per GET, so a
+        median of 5 GETs under 30 ms shows they are gone and leaves
+        headroom for a loaded host."""
+        with StatusServer(tmp_path, port=0) as server:
+            seconds = []
+            for _ in range(5):
+                start = time.perf_counter()
+                status, _ = _get(server.url + "/status")
+                seconds.append(time.perf_counter() - start)
+                assert status == 503
+        assert statistics.median(seconds) < 0.030, seconds
 
 
 class TestReadOnlyJournal:
