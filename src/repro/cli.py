@@ -156,7 +156,7 @@ def _positive(value) -> None:
 
 
 def _non_negative(value) -> None:
-    if value < 0:
+    if not value >= 0:  # also refuses nan
         raise ValueError("must be >= 0")
 
 

@@ -18,10 +18,10 @@ the remainder; ``shard=(i, n)`` splits a grid across machines that share
 (or later merge) a store; :func:`collect_from_store` reassembles the
 full table without running anything.
 
-Execution is fault tolerant (see ``docs/resilience.md``): worker pools
-run under a :class:`repro.resilience.Supervisor` that survives worker
-death (``BrokenProcessPool`` → respawn) and enforces per-cell wall-clock
-timeouts; both the pool and the in-process loop keep their cells in a
+Execution is fault tolerant (see ``docs/resilience.md``): worker
+processes run under a :class:`repro.resilience.Supervisor`, which blames
+a dead or overdue worker's one cell and replaces only that worker; both
+the Supervisor and the in-process loop keep their cells in a
 :class:`~repro.resilience.cells.CellTable`, which retries a failed cell
 after capped exponential backoff and after repeated failure quarantines
 it to ``GridReport.failed_outcomes`` (journaled in the store) so one poisoned
@@ -112,7 +112,7 @@ class GridReport:
     repeats satisfied without simulating) and ``misses`` (cells that
     ran) read from it.  ``failed_outcomes`` lists cells quarantined after
     exhausting their retries (or immediately, for deterministic
-    config/stall failures); ``retry_events`` is the retry/suspect history.
+    config/stall failures); ``retry_events`` is the retry history.
     """
 
     tasks: List[GridTask]
@@ -179,8 +179,8 @@ def _init_worker(
 def _apply_pre_fault(task: GridTask) -> None:
     """Trigger any injected fault scheduled for this cell (test-only).
 
-    ``crash`` kills the worker process outright (exercising the
-    supervisor's BrokenProcessPool path), ``hang`` sleeps past the cell
+    ``crash`` kills the worker process outright (the supervisor blames
+    the cell that worker held), ``hang`` sleeps past the cell
     timeout, ``error`` raises a retryable exception.  ``corrupt`` is
     applied *after* the run (see :func:`_apply_post_fault`).
     """

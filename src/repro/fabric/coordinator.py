@@ -133,9 +133,9 @@ class FabricCoordinator:
         clock=time.monotonic,
         wall_clock=time.time,
     ) -> None:
-        if ttl <= 0:
+        if not ttl > 0:  # also refuses nan
             raise ValueError(f"lease ttl must be positive (got {ttl})")
-        if resume_grace is not None and resume_grace < 0:
+        if resume_grace is not None and not resume_grace >= 0:
             raise ValueError(f"resume grace must be >= 0 (got {resume_grace})")
         self.scale = scale
         self.tasks = list(tasks)

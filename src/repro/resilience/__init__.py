@@ -4,9 +4,9 @@ Three pillars, over one cell lifecycle
 (:mod:`repro.resilience.cells` — pending, leased, done, retried after
 backoff or quarantined — shared by every grid dispatcher):
 
-* :mod:`repro.resilience.supervisor` — a supervised worker pool that
-  survives worker crashes (``BrokenProcessPool``), enforces per-cell
-  wall-clock timeouts by killing and respawning the pool, retries failed
+* :mod:`repro.resilience.supervisor` — supervised worker processes, one
+  cell each, so a worker crash or a per-cell wall-clock timeout (the
+  overdue worker is killed) blames exactly that cell; it retries failed
   cells with capped exponential backoff + deterministic jitter, and
   quarantines cells that keep failing so the sweep degrades gracefully
   instead of dying at cell 900/1000.
@@ -21,7 +21,7 @@ backoff or quarantined — shared by every grid dispatcher):
 
 from repro._exports import lazy_exports
 
-#: The supervisor imports the process pool, so only a pooled sweep loads it.
+#: The supervisor imports multiprocessing, so only a pooled sweep loads it.
 _EXPORTS = {
     "CellFailure": "cells",
     "CellTable": "cells",

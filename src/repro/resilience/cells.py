@@ -14,8 +14,8 @@ cell is always in exactly one state::
 
 The transitions are the :mod:`repro.fabric.ledger` records — ``lease``,
 ``readopt``, ``complete``, ``retry``, ``quarantine`` — plus ``release``,
-which requeues a cell without blame (a crash cohort or timeout bystander
-in the Supervisor's pool; no ledger ever holds one).  Each is a dict
+which requeues a cell without blame (a recovering coordinator's ``done``
+cell whose store object is gone; no ledger ever holds one).  Each is a dict
 with ``op`` and ``key``; :meth:`CellTable.apply` is the one place a
 record changes a cell, for live transitions and for
 :meth:`FabricLedger.replay <repro.fabric.ledger.FabricLedger.replay>`
@@ -71,9 +71,9 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError(f"RetryPolicy.retries must be >= 0 (got {self.retries})")
-        if self.backoff_base < 0:
+        if not self.backoff_base >= 0:  # also refuses nan
             raise ValueError(f"RetryPolicy.backoff_base must be >= 0 (got {self.backoff_base})")
-        if self.backoff_cap < self.backoff_base:
+        if not self.backoff_cap >= self.backoff_base:
             raise ValueError(
                 f"RetryPolicy.backoff_cap must be >= backoff_base (got {self.backoff_cap})"
             )
@@ -216,11 +216,11 @@ class CellTable:
         """Every cell is done or quarantined."""
         return not (self.counts[PENDING] or self.counts[LEASED])
 
-    def next_ready(self, among: Optional[Iterable[Hashable]] = None) -> Optional[Cell]:
-        """The first pending cell past its backoff (only keys in ``among``, if given)."""
+    def next_ready(self) -> Optional[Cell]:
+        """The first pending cell past its backoff."""
         now = self._clock()
         for cell in self._pending.values():
-            if cell.not_before <= now and (among is None or cell.key in among):
+            if cell.not_before <= now:
                 return cell
         return None
 
@@ -274,9 +274,6 @@ class CellTable:
 
     def complete(self, key: Hashable, **fields) -> Dict:
         return self.commit({"op": "complete", "key": key, **fields})
-
-    def release(self, key: Hashable) -> Dict:
-        return self.commit({"op": "release", "key": key})
 
     def fail(
         self, key: Hashable, kind: str, message: str, diagnostic: Optional[Dict] = None

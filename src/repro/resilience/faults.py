@@ -4,10 +4,10 @@ A :class:`FaultPlan` maps grid-cell labels (``GridTask.label``, e.g.
 ``"G17|P1|F3FS|vc1"``) to a :class:`FaultSpec` describing what goes wrong
 there and how many attempts it affects:
 
-* ``crash``   — the worker process dies mid-cell (``os._exit``), which the
-  supervisor sees as ``BrokenProcessPool``;
+* ``crash``   — the worker process dies mid-cell (``os._exit``), and the
+  supervisor blames the cell that worker held;
 * ``hang``    — the worker sleeps past any sane cell timeout, proving the
-  timeout/kill/respawn path;
+  path that kills and replaces the overdue worker;
 * ``error``   — a transient :class:`FaultInjected` exception, proving
   retry-with-backoff;
 * ``corrupt`` — the cell completes but its store object is overwritten
@@ -15,8 +15,8 @@ there and how many attempts it affects:
   into a recomputed miss on resume.
 
 Trigger counts persist in ``state_dir`` (one file per cell, one byte
-appended per trigger), so "crash twice then heal" survives worker
-respawns and process boundaries, and a resumed sweep sees the same
+appended per trigger), so "crash twice then heal" survives replaced
+workers and process boundaries, and a resumed sweep sees the same
 deterministic schedule.  Workers activate a plan either explicitly
 (passed through the pool initializer) or via the ``REPRO_FAULTS``
 environment variable naming a JSON plan file — the hook the CI

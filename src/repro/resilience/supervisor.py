@@ -1,71 +1,76 @@
-"""Supervised worker pool: crash/timeout tolerant fan-out with retries.
+"""Supervised worker processes: crash/timeout tolerant fan-out with retries.
 
-``ProcessPoolExecutor`` alone is brittle for thousand-cell sweeps: one
-segfaulting worker raises ``BrokenProcessPool`` and aborts the whole
-grid, and a hung cell stalls it forever.  :class:`Supervisor` runs the
-pool; each cell's state, failure count and backoff live in a
+:class:`Supervisor` runs up to ``max_workers`` worker processes, and each
+holds at most one cell at a time, so every failure has exactly one owner.
+Each cell's state, failure count and backoff live in a
 :class:`~repro.resilience.cells.CellTable`, the lifecycle the serial
 sweep loop and the fabric coordinator share (``docs/resilience.md``).
 What is the Supervisor's own:
 
-* **Crash recovery.**  When the pool breaks, the dead executor is torn
-  down and a fresh one spawned.  A crash with one cell in flight is
-  attributed to that cell; with several in flight it cannot be (every
-  future sees the same ``BrokenProcessPool``), so the whole cohort is
-  released *without blame* and marked suspect, and suspects re-run one
-  at a time — where a repeat crash identifies the guilty cell exactly.
-  Innocent bystanders never accumulate failure attempts.  A pool that
-  breaks between a wait and the next submission refuses the submit;
-  that counts as the same crash, with the refused cell in the cohort.
-* **Timeouts.**  Each submitted cell's lease carries a deadline
-  ``cell_timeout`` out, kept by the cell table (submission is capped at
-  pool width, so a submitted cell is a running cell).  An overdue cell is
-  blamed, the pool is killed and respawned, and unexpired cells are
-  released without blame.
+* **Crash attribution.**  A worker that dies blames the cell it held as
+  ``crash``; only that worker is replaced.
+* **Timeouts.**  Each cell's lease carries a deadline ``cell_timeout``
+  out, kept by the cell table.  An overdue cell is blamed as ``timeout``,
+  and the worker holding it is killed and replaced.
 
-A blamed cell is retried after backoff or quarantined by
-:meth:`CellTable.fail <repro.resilience.cells.CellTable.fail>`.
+Cells on the other workers keep running: a failure never releases or
+re-runs a neighbour.  A blamed cell is retried after backoff or
+quarantined by :meth:`CellTable.fail <repro.resilience.cells.CellTable.fail>`.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from multiprocessing.connection import wait
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.resilience.cells import Cell, CellFailure, CellTable, RetryPolicy, classify_failure
 
 __all__ = ["CellFailure", "RetryPolicy", "Supervisor", "classify_failure"]
 
 
-class _PoolHandle:
-    """An executor plus the ability to kill its workers outright."""
+def _serve(conn, worker_fn: Callable, initializer: Optional[Callable], initargs: Tuple) -> None:
+    """A worker process: run the initializer once, then one cell per message
+    until ``None`` or end of file, replying ``(ok, result or exception)``."""
+    if initializer is not None:
+        initializer(*initargs)
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        try:
+            reply = (True, worker_fn(task))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except Exception as exc:  # the reply does not pickle; nothing was sent
+            conn.send((False, RuntimeError(f"cell reply does not pickle: {exc}")))
 
-    def __init__(self, executor: ProcessPoolExecutor) -> None:
-        self.executor = executor
 
-    def kill_workers(self) -> None:
-        """Kill worker processes so shutdown cannot block on a hung cell."""
-        for process in list(getattr(self.executor, "_processes", {}).values()):
-            try:
-                process.kill()
-            except OSError:  # pragma: no cover - already reaped
-                pass
+class _Worker:
+    """One worker process, the parent's end of its pipe, and the cell it holds."""
 
-    def shutdown(self, kill: bool = False) -> None:
-        if kill:
-            self.kill_workers()
-        self.executor.shutdown(wait=True, cancel_futures=True)
+    __slots__ = ("process", "conn", "cell")
+
+    def __init__(self, process, conn) -> None:
+        self.process = process
+        self.conn = conn
+        self.cell: Optional[Cell] = None
 
 
 class Supervisor:
     """Run ``worker_fn`` over items with crash/timeout/retry supervision.
 
     ``on_result(index, result)`` is invoked in completion order; it may
-    raise (e.g. ``SweepAborted``) to abort — the pool is torn down (any
-    hung workers killed) and the exception propagates.  After
+    raise (e.g. ``SweepAborted``) to abort — every worker is stopped (a
+    busy one killed) and joined, and the exception propagates.  After
     :meth:`run` returns, ``failures`` lists quarantined cells and
-    ``events`` the retry/suspect history.
+    ``events`` the retry history.
     """
 
     def __init__(
@@ -84,7 +89,7 @@ class Supervisor:
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be positive (got {max_workers})")
-        if cell_timeout is not None and cell_timeout <= 0:
+        if cell_timeout is not None and not cell_timeout > 0:  # also refuses nan
             raise ValueError(f"cell_timeout must be positive (got {cell_timeout})")
         self.worker_fn = worker_fn
         self.max_workers = max_workers
@@ -98,8 +103,6 @@ class Supervisor:
         self._sleep = sleep
         self.table = CellTable(self.retry, clock=clock)
         self.events: List[Dict] = []
-        self.respawns = 0
-        self._suspects: Set[int] = set()  # cells marked suspect and not yet resolved
         self.on_quarantine: Optional[Callable[[CellFailure], None]] = None
         #: Called with each retry event as the cell table schedules it.
         self.on_retry: Optional[Callable[[Dict], None]] = None
@@ -114,44 +117,60 @@ class Supervisor:
         """Quarantined cells, in quarantine order."""
         return self.table.failures
 
-    # -- pool lifecycle ----------------------------------------------------
-
-    def _spawn(self) -> _PoolHandle:
-        return _PoolHandle(
-            ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=self.initializer,
-                initargs=self.initargs,
-            )
-        )
-
-    def _teardown(self, pool: Optional[_PoolHandle], kill: bool) -> None:
-        if pool is not None:
-            pool.shutdown(kill=kill)
-            self.respawns += 1
-
-    # -- failure bookkeeping ----------------------------------------------
-
     def _retried(self, event: Dict) -> None:
         self.events.append(event)
         if self.on_retry is not None:
             self.on_retry(event)
 
-    def _blame(self, cell: Cell, kind: str, message: str, diagnostic=None) -> None:
-        """One failed attempt: the cell table retries or quarantines it."""
-        self._suspects.discard(cell.key)
-        self.table.fail(cell.key, kind, message, diagnostic)
+    # -- worker lifecycle --------------------------------------------------
 
-    def _crashed(self, cohort: List[Cell]) -> None:
-        """A broken pool took ``cohort`` down: blame a lone cell, or release
-        a larger cohort unblamed as suspects, to be isolated one by one."""
-        if len(cohort) == 1:
-            self._blame(cohort[0], "crash", "worker process died")
+    def _start(self) -> _Worker:
+        conn, child = multiprocessing.Pipe()
+        process = multiprocessing.Process(
+            target=_serve, args=(child, self.worker_fn, self.initializer, self.initargs)
+        )
+        process.start()
+        child.close()
+        return _Worker(process, conn)
+
+    @staticmethod
+    def _stop(worker: _Worker) -> None:
+        """Ask an idle worker to exit, or kill a busy one; then join it."""
+        if worker.cell is None:
+            try:
+                worker.conn.send(None)
+            except OSError:  # already dead
+                pass
+        else:
+            worker.process.kill()
+        worker.process.join()
+        worker.process.close()
+        worker.conn.close()
+
+    def _lose(self, worker: _Worker, workers: List[_Worker], kind: str, message: str) -> None:
+        """The worker died or overran its cell: kill and join it, and blame
+        the cell it held (the next cell for that slot starts a new one)."""
+        workers.remove(worker)
+        self._stop(worker)
+        self.table.fail(worker.cell.key, kind, message)
+
+    def _reply(self, worker: _Worker, workers: List[_Worker], on_result: Callable) -> None:
+        """Read the held cell's ``(ok, value)`` reply and apply it."""
+        try:
+            ok, value = worker.conn.recv()
+        except (EOFError, OSError):
+            self._lose(worker, workers, "crash", "worker process died")
             return
-        for cell in cohort:
-            self.table.release(cell.key)
-            self._suspects.add(cell.key)
-            self.events.append({"kind": "suspect", "label": cell.label, "failure": "crash"})
+        except Exception as exc:  # a reply that does not unpickle here
+            ok, value = False, RuntimeError(f"cell reply does not unpickle: {exc}")
+        cell, worker.cell = worker.cell, None
+        if ok:
+            self.table.complete(cell.key)
+            on_result(cell.index, value)
+        else:
+            self.table.fail(
+                cell.key, classify_failure(value), str(value), getattr(value, "diagnostic", None)
+            )
 
     # -- scheduling --------------------------------------------------------
 
@@ -164,88 +183,46 @@ class Supervisor:
         )
         for i, item in enumerate(items):
             cells.add(i, self.labeler(item), index=i, task=item)
-        in_flight: Dict[object, Cell] = {}
-        pool: Optional[_PoolHandle] = None
-        self._suspects = set()
+        workers: List[_Worker] = []
         try:
             while not cells.settled():
-                # While any cell is suspect, run one cell at a time so a
-                # repeat crash is attributable (see _crashed).
-                window = 1 if self._suspects else self.max_workers
-                refused: List[Cell] = []
-                while len(in_flight) < window:
-                    cell = cells.next_ready(self._suspects or None)
+                # Hand the next ready cell to each free slot, starting a
+                # process for a slot that has none (or lost its own).
+                while True:
+                    free = next((w for w in workers if w.cell is None), None)
+                    if free is None and len(workers) == self.max_workers:
+                        break
+                    cell = cells.next_ready()
                     if cell is None:
                         break
-                    if pool is None:
-                        pool = self._spawn()
+                    if free is None:
+                        free = self._start()
+                        workers.append(free)
                     cells.lease(cell.key, self.cell_timeout)
+                    free.cell = cell
                     try:
-                        future = pool.executor.submit(self.worker_fn, cell.task)
-                    except BrokenExecutor:
-                        # The pool broke since the last wait: a crash of
-                        # everything in flight and of the cell just leased.
-                        refused = [*in_flight.values(), cell]
-                        break
-                    in_flight[future] = cell
-                if refused:
-                    in_flight.clear()
-                    self._crashed(refused)
-                    self._teardown(pool, kill=True)
-                    pool = None
-                    continue
-                if not in_flight:
+                        free.conn.send(cell.task)
+                    except OSError:  # the worker died while idle
+                        self._lose(free, workers, "crash", "worker process died")
+                busy = [w for w in workers if w.cell is not None]
+                if not busy:
                     # Everything runnable is backing off; sleep to the
                     # earliest eligibility instead of spinning.
                     self._sleep(max(cells.wake() - self._clock(), self.tick * 0.1))
                     continue
                 if self.on_heartbeat is not None:
                     self.on_heartbeat(cells.in_flight())
-                done, _ = wait(list(in_flight), timeout=self.tick, return_when=FIRST_COMPLETED)
-                crashed: List[Cell] = []
-                for future in done:
-                    cell = in_flight.pop(future)
-                    try:
-                        result = future.result()
-                    except BrokenExecutor:
-                        crashed.append(cell)
-                    except Exception as exc:  # worker-raised, pool still healthy
-                        self._blame(
-                            cell,
-                            classify_failure(exc),
-                            str(exc),
-                            diagnostic=getattr(exc, "diagnostic", None),
-                        )
-                    else:
-                        self._suspects.discard(cell.key)
-                        cells.complete(cell.key)
-                        on_result(cell.index, result)
-                if crashed:
-                    # The break dooms everything still in flight too.
-                    crashed.extend(in_flight.values())
-                    in_flight.clear()
-                    self._crashed(crashed)
-                    self._teardown(pool, kill=True)
-                    pool = None
-                elif overdue := cells.overdue():
-                    for cell in overdue:
-                        self._blame(
-                            cell, "timeout", f"cell exceeded {self.cell_timeout:g}s wall clock"
-                        )
-                    # Unexpired cells die with the pool through no fault
-                    # of their own: release them without blame.
-                    for key in list(cells.leased):
-                        cells.release(key)
-                    in_flight.clear()
-                    self._teardown(pool, kill=True)
-                    pool = None
-        except BaseException:
-            # Abort (SweepAborted, Ctrl-C, ...): kill outstanding workers
-            # so a hung cell cannot block the teardown, then re-raise.
-            if pool is not None:
-                pool.shutdown(kill=True)
-                pool = None
-            raise
+                handles = [w.conn for w in busy] + [w.process.sentinel for w in busy]
+                ready = wait(handles, timeout=self.tick)
+                for worker in busy:
+                    if worker.conn in ready or worker.process.sentinel in ready:
+                        self._reply(worker, workers, on_result)
+                for cell in cells.overdue():
+                    worker = next(w for w in workers if w.cell is cell)
+                    message = f"cell exceeded {self.cell_timeout:g}s wall clock"
+                    self._lose(worker, workers, "timeout", message)
         finally:
-            if pool is not None:
-                pool.shutdown(kill=bool(in_flight))
+            # Normal end, abort (SweepAborted, Ctrl-C, ...) alike: no worker
+            # outlives the run.
+            for worker in workers:
+                self._stop(worker)

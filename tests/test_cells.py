@@ -64,7 +64,7 @@ def test_live_table_and_ledger_replay_agree(tmp_path_factory, steps):
             epoch[0] += 1
             ledger.append(wal.OP_OPEN, epoch=epoch[0], code="c", cells=len(KEYS))
             continue
-        if live.next_ready([key]) is cell:
+        if cell.state == PENDING and cell.not_before <= now[0]:
             leases[key] += 1
             n = sum(leases.values())
             live.lease(key, lease_seq=n, lease_id=f"L{n}", worker="w")
@@ -95,13 +95,14 @@ def test_live_table_and_ledger_replay_agree(tmp_path_factory, steps):
 
 
 def test_release_charges_no_attempt():
-    """An unblamed release (crash cohort, timeout bystander) requeues the
-    cell at once with its failure count untouched."""
+    """An unblamed release (a recovering coordinator's done cell whose
+    store object is gone) requeues the cell at once with its failure count
+    untouched."""
     table = CellTable(RetryPolicy(retries=1, backoff_base=0.0))
     table.add(0, "a")
     table.lease(0)
     assert table.cells[0].attempts == 1
-    table.release(0)
+    table.apply({"op": "release", "key": 0})
     assert (table.cells[0].state, table.cells[0].attempts) == (PENDING, 0)
     table.lease(0)
     assert table.fail(0, "crash", "boom")["attempt"] == 1

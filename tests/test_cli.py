@@ -259,9 +259,10 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["sweep", "--merge-only"])
 
-    def test_sweep_rejects_bad_retry_settings(self):
+    @pytest.mark.parametrize("argv", [["--retries", "-1"], ["--backoff", "nan"]])
+    def test_sweep_rejects_bad_retry_settings(self, argv):
         with pytest.raises(SystemExit, match="retry"):
-            main(["sweep", "--retries", "-1"])
+            main(["sweep", *argv])
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -272,6 +273,7 @@ class TestCommands:
             (["sweep", "--watchdog", "0"], "--watchdog"),
             (["fabric", "serve", "--ttl", "0"], "--ttl"),
             (["fabric", "serve", "--resume-grace", "-1"], "--resume-grace"),
+            (["fabric", "serve", "--resume-grace", "nan"], "--resume-grace"),
             (["fabric", "work", "--connect", "127.0.0.1:1", "--watchdog", "0"], "--watchdog"),
             (["run", "--scale", "-1"], "--scale"),
             (["sweep", "--scale", "0"], "--scale"),

@@ -466,6 +466,22 @@ class TestProtocolUnits:
         rebuilt = protocol.task_from_fields(protocol.lease_task_fields(task))
         assert rebuilt == task
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"ttl": 0}, "ttl"),
+            ({"ttl": float("nan")}, "ttl"),
+            ({"resume_grace": -1.0}, "resume grace"),
+            ({"resume_grace": float("nan")}, "resume grace"),
+        ],
+    )
+    def test_bad_lease_deadline_refused(self, tmp_path, kwargs, match):
+        from repro.fabric.coordinator import FabricCoordinator
+
+        with pytest.raises(ValueError, match=match):
+            FabricCoordinator(TINY, tiny_tasks(), tmp_path / "s", **kwargs)
+        assert not (tmp_path / "s").exists()
+
 
 class TestRecovery:
     def test_kill_restart_byte_identical(self, tmp_path):

@@ -6,12 +6,12 @@ quarantines only the truly poisoned ones, journals them, and — resumed
 fault-free — produces a merged table byte-identical to a clean run.
 """
 
-import itertools
+import functools
 import json
+import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -27,10 +27,10 @@ from repro.experiments import (
 from repro.experiments.parallel import GridTask, make_tasks
 from repro.experiments.runner import cell_key
 from repro.experiments.figures import FIGURES, figure_table, points_figure
+from repro.obs import read_status
 from repro.resilience import FaultInjected, FaultPlan, FaultSpec, Supervisor
 from repro.resilience import faults as fault_injection
 from repro.resilience.faults import corrupt_store_object
-from repro.resilience.supervisor import _PoolHandle
 from repro.store import ResultStore
 from tests.test_store_resume import TINY, table_bytes, tiny_tasks
 
@@ -60,6 +60,8 @@ class TestRetryPolicy:
             {"backoff_base": -0.1},
             {"backoff_base": 2.0, "backoff_cap": 1.0},
             {"jitter": 1.5},
+            {"backoff_base": float("nan")},
+            {"backoff_cap": float("nan")},
         ],
     )
     def test_invalid_policy_rejected(self, kwargs):
@@ -71,7 +73,7 @@ class TestFaultPlan:
     def test_claim_counts_persist_on_disk(self, tmp_path):
         p = plan(tmp_path, {"a": FaultSpec("error", times=2)})
         assert p.claim("a") == "error"
-        # A fresh deserialized plan (a respawned worker) sees the count.
+        # A fresh deserialized plan (a replaced worker) sees the count.
         q = FaultPlan.from_payload(p.to_payload())
         assert q.triggered("a") == 1
         assert q.claim("a") == "error"
@@ -131,36 +133,10 @@ class TestSupervisorUnit:
         assert failure.kind == "config"
         assert failure.attempts == 1  # no retries burned on determinism
 
-
-    def test_refused_submit_counts_as_a_crash_of_the_cohort(self):
-        """A pool that breaks between a wait and the next refill refuses
-        the submit.  That is a crash of the cells in flight plus the one
-        being leased, not a BrokenProcessPool escaping the sweep."""
-        submits = itertools.count(1)
-
-        class RefusesSecondSubmit(ThreadPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                if next(submits) == 2:
-                    raise BrokenProcessPool("pool broke before this submit")
-                return super().submit(fn, *args, **kwargs)
-
-        class ThreadSupervisor(Supervisor):
-            def _spawn(self):
-                return _PoolHandle(RefusesSecondSubmit(max_workers=self.max_workers))
-
-        supervisor = ThreadSupervisor(_echo, max_workers=2, retry=FAST)
-        results = {}
-        supervisor.run(["a", "b", "c"], lambda i, r: results.__setitem__(i, r))
-        assert results == {0: "ok:a", 1: "ok:b", 2: "ok:c"}
-        assert not supervisor.failures
-        # Two cells went down together: released unblamed as suspects.
-        suspects = sorted(e["label"] for e in supervisor.events if e["kind"] == "suspect")
-        assert suspects == ["a", "b"]
-        assert supervisor.respawns == 1
-
-
-def _echo(label):
-    return f"ok:{label}"
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    def test_bad_cell_timeout_refused(self, timeout):
+        with pytest.raises(ValueError, match="cell_timeout"):
+            Supervisor(_always_fails, cell_timeout=timeout)
 
 
 def _flaky_twice(label, _dir={"n": 0}):  # noqa: B006 - intentional shared state
@@ -237,6 +213,40 @@ class TestFaultySweepEndToEnd:
         merged = collect_from_store(TINY, tasks, store_dir)
         assert table_bytes(merged) == table_bytes(reference.completed_outcomes())
 
+    def test_fault_accounting_is_deterministic(self, tmp_path):
+        """A permanent crash, a one-shot error and a permanent hang on two
+        workers give the same retry count and roster on every run.  The
+        first two cells start together, so the error's one attempt runs
+        beside the crash; it must be blamed on the error cell however the
+        two interleave."""
+        tasks = make_tasks(
+            ["G17"], ["P1", "P2"], [PolicySpec("FR-FCFS"), PolicySpec("F3FS")], (1,)
+        )
+        schedule = {
+            "G17|P1|FR-FCFS|vc1": FaultSpec("crash", times=-1),
+            "G17|P2|FR-FCFS|vc1": FaultSpec("error", times=1),
+            "G17|P2|F3FS|vc1": FaultSpec("hang", times=-1),
+        }
+        for run in range(3):
+            store_dir = str(tmp_path / f"s{run}")
+            report = run_sweep(
+                TINY,
+                tasks,
+                store_dir=store_dir,
+                max_workers=2,
+                cell_timeout=1.0,
+                retry=RetryPolicy(retries=1, backoff_base=0.0),
+                faults=plan(tmp_path / f"f{run}", schedule, hang_seconds=30.0),
+            )
+            doc = read_status(store_dir)
+            assert doc["retries"] == 3, run
+            roster = sorted((f["label"], f["kind"], f["attempts"]) for f in doc["quarantined"])
+            assert roster == [
+                ("G17|P1|FR-FCFS|vc1", "crash", 2),
+                ("G17|P2|F3FS|vc1", "timeout", 2),
+            ]
+            assert report.completed == 2
+
     def test_transient_error_retries_to_success(self, tmp_path):
         tasks = tiny_tasks()[:2]
         faults = plan(tmp_path, {tasks[0].label: FaultSpec("error", times=2)})
@@ -309,52 +319,146 @@ def _fault_driven(label):
     return f"ok:{label}"
 
 
-def _crash_or_nap(label):
-    # Worker fn: crash if the installed plan says so, else nap briefly so
-    # cells overlap in the pool.
-    plan_ = fault_injection.active()
-    if plan_ is not None and plan_.claim(label) == "crash":
+def _logged(log_dir, label):
+    """Worker fn: log this execution's pid to the cell's file, then act on
+    the label: ``crash*`` dies, ``hang*`` sleeps, ``pickle*`` returns a
+    reply that does not pickle, ``unpickle*`` raises an exception that
+    does not unpickle, and anything else naps briefly and succeeds."""
+    with (Path(log_dir) / label).open("a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    if label.startswith("crash"):
+        time.sleep(0.1)
         fault_injection.crash_worker()
-    time.sleep(0.3)
+    if label.startswith("hang"):
+        time.sleep(60)
+    if label.startswith("pickle"):
+        return threading.Lock()
+    if label.startswith("unpickle"):
+        raise _TwoArgError(label, "no")
+    time.sleep(0.4)
     return f"ok:{label}"
 
 
-class TestSuspectIsolation:
-    def test_window_returns_to_max_workers_after_suspects_resolve(self, tmp_path):
-        """An unattributable crash isolates its cohort one cell at a time;
-        once every suspect has resolved the pool runs full width again."""
-        fault_plan = plan(tmp_path, {"a": FaultSpec("crash", times=1)})
-        timeline = []  # ("hb", in-flight labels) / ("ok", label), in order
-        supervisor = Supervisor(
-            _crash_or_nap,
-            max_workers=2,
-            retry=FAST,
-            tick=0.02,
-            initializer=_install_plan,
-            initargs=(fault_plan.to_payload(),),
+class _TwoArgError(Exception):
+    """Pickles as ``(cls, (label,))``, so unpickling it raises TypeError."""
+
+    def __init__(self, label, why):
+        super().__init__(label)
+
+
+def executions(log_dir):
+    """``{label: [pid per execution]}`` from :func:`_logged`'s files."""
+    return {
+        path.name: [int(pid) for pid in path.read_text().split()]
+        for path in Path(log_dir).iterdir()
+    }
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def bounded_run(supervisor, items, on_result, timeout=60):
+    """``supervisor.run`` on a thread with a deadline, so a run that never
+    returns fails the test instead of hanging it; re-raises what it raised."""
+    raised = []
+
+    def target():
+        try:
+            supervisor.run(items, on_result)
+        except BaseException as exc:  # handed to the test thread below
+            raised.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "Supervisor.run did not return"
+    if raised:
+        raise raised[0]
+
+
+class TestPerWorkerAttribution:
+    """Each worker process holds one cell, so a crash or a timeout blames
+    exactly that cell and never re-runs a neighbour."""
+
+    def supervisor(self, tmp_path, **kwargs):
+        log_dir = tmp_path / "runs"
+        log_dir.mkdir()
+        kwargs.setdefault("retry", RetryPolicy(retries=1, backoff_base=0.0))
+        return log_dir, Supervisor(
+            functools.partial(_logged, str(log_dir)), max_workers=2, tick=0.02, **kwargs
         )
-        supervisor.on_heartbeat = lambda cells: timeline.append(
-            ("hb", tuple(sorted(c["label"] for c in cells)))
+
+    def test_crash_blames_only_its_own_cell(self, tmp_path):
+        log_dir, supervisor = self.supervisor(tmp_path)
+        in_flight_at_quarantine = []
+        supervisor.on_quarantine = lambda failure: in_flight_at_quarantine.append(
+            [cell["label"] for cell in supervisor.table.in_flight()]
         )
-        # On a thread with a deadline: a suspect count that never drains
-        # keeps the pool in isolation forever, which must fail, not hang.
-        run = threading.Thread(
-            target=supervisor.run,
-            args=(list("abcdef"), lambda i, r: timeline.append(("ok", r.split(":")[1]))),
-            daemon=True,
+        results = {}
+        bounded_run(supervisor, ["crash", "nap"], results.__setitem__)
+        assert results == {1: "ok:nap"}
+        (failure,) = supervisor.failures
+        assert (failure.label, failure.kind, failure.attempts) == ("crash", "crash", 2)
+        # The neighbour was in flight through both crashes and ran once.
+        assert in_flight_at_quarantine == [["nap"]]
+        assert [e["label"] for e in supervisor.events] == ["crash"]
+        runs = executions(log_dir)
+        assert len(runs["nap"]) == 1
+        assert len(set(runs["crash"])) == 2  # each crash replaced its worker
+
+    def test_timeout_kills_only_the_overdue_worker(self, tmp_path):
+        log_dir, supervisor = self.supervisor(
+            tmp_path, cell_timeout=1.5, retry=RetryPolicy(retries=0, backoff_base=0.0)
         )
-        run.start()
-        run.join(60)
-        assert not run.is_alive(), "suspect isolation never ended"
-        assert not supervisor.failures
-        suspects = {e["label"] for e in supervisor.events if e["kind"] == "suspect"}
-        assert suspects == {"a", "b"}  # the crash took both in-flight cells
-        resolved_at = max(
-            i for i, (event, label) in enumerate(timeline)
-            if event == "ok" and label in suspects
+        in_flight_at_quarantine = []
+        supervisor.on_quarantine = lambda failure: in_flight_at_quarantine.extend(
+            cell["label"] for cell in supervisor.table.in_flight()
         )
-        widths = [len(cells) for event, cells in timeline[resolved_at:] if event == "hb"]
-        assert max(widths) == 2
+        naps = [f"nap{i}" for i in range(5)]  # 2 s of work on the other worker
+        results = {}
+        bounded_run(supervisor, ["hang", *naps], results.__setitem__)
+        assert sorted(results.values()) == [f"ok:{label}" for label in naps]
+        (failure,) = supervisor.failures
+        assert (failure.label, failure.kind, failure.attempts) == ("hang", "timeout", 1)
+        runs = executions(log_dir)
+        assert all(len(runs[label]) == 1 for label in naps)
+        # The nap running when the hang was killed finished on the worker
+        # that ran the first nap: the kill never touched that process.
+        (bystander,) = in_flight_at_quarantine
+        assert runs[bystander] == runs[naps[0]] != runs["hang"]
+
+    @pytest.mark.parametrize("label", ["pickle", "unpickle"])
+    def test_reply_that_does_not_pickle_is_an_error(self, tmp_path, label):
+        log_dir, supervisor = self.supervisor(tmp_path)
+        bounded_run(supervisor, [label, "nap"], lambda i, r: None)
+        (failure,) = supervisor.failures
+        assert (failure.label, failure.kind, failure.attempts) == (label, "error", 2)
+        assert f"does not {label}" in failure.message
+        assert len(executions(log_dir)["nap"]) == 1
+
+    def test_no_worker_outlives_run(self, tmp_path):
+        log_dir, supervisor = self.supervisor(tmp_path)
+        bounded_run(supervisor, ["nap0", "nap1", "nap2"], lambda i, r: None)
+        pids = {pid for runs in executions(log_dir).values() for pid in runs}
+        assert len(pids) == 2 and not any(alive(pid) for pid in pids)
+
+    def test_no_worker_outlives_an_abort(self, tmp_path):
+        """An abort from ``on_result`` kills the worker still running a
+        hung cell and joins it before the exception propagates."""
+        log_dir, supervisor = self.supervisor(tmp_path)
+
+        def abort(index, result):
+            raise SweepAborted(1)
+
+        with pytest.raises(SweepAborted):
+            bounded_run(supervisor, ["hang", "nap"], abort, timeout=30)
+        pids = {pid for runs in executions(log_dir).values() for pid in runs}
+        assert len(pids) == 2 and not any(alive(pid) for pid in pids)
 
 
 class TestHeartbeatQuarantineInteraction:
