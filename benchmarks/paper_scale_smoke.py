@@ -18,7 +18,9 @@ The window is deliberately short — this is a "does it complete" gate
 with a loose wall-clock ceiling, not a benchmark.  At the default window
 it also gates bit identity at a machine size the figure-grid digests do
 not cover: each policy's MEM and PIM issue counts must equal its entry in
-:data:`EXPECTED_ISSUED` exactly (a deliberate model change updates them).
+:data:`EXPECTED_ISSUED` exactly (a deliberate model change updates them),
+and the system's always-armed stall guard must have scanned at least
+once (it is armed, and its window fits the run).
 With ``--telemetry`` the same windows run with telemetry on: the counts
 must not move, and the PIM hop histograms must hold exactly the PIM ops
 that completed within the window (a PIM op retires as it issues, but is
@@ -110,6 +112,13 @@ def run_window(policy: str, args) -> bool:
         print(
             f"FAIL: {policy} issued mem={issued}, pim={pim}; the {DEFAULT_MAX_CYCLES}-cycle "
             f"window issues mem={mem_expected}, pim={pim_expected}"
+        )
+        ok = False
+    if args.max_cycles == DEFAULT_MAX_CYCLES and system.watchdog.stalls_checked < 1:
+        # Every system arms its stall guard; its window must fit this run.
+        print(
+            f"FAIL: {policy} stall guard never scanned in {result.cycles} cycles "
+            f"(window {system.watchdog.window})"
         )
         ok = False
     if args.telemetry:

@@ -39,7 +39,7 @@ from repro.experiments import (
     figure_tables,
     format_table,
 )
-from repro.resilience import Watchdog
+from repro.resilience.watchdog import SimulationStalled
 from repro.workloads import PIM_SUITE, RODINIA, pim_ids, rodinia_ids
 
 
@@ -171,7 +171,7 @@ def _power_of_two(value) -> None:
 
 
 #: Numeric flags checked before any command runs, each with the check the
-#: code it configures applies (the stall watchdog checks its own window).
+#: code it configures applies.
 _SETTING_CHECKS = {
     "--scale": _positive,
     "--channels": _power_of_two,
@@ -179,7 +179,6 @@ _SETTING_CHECKS = {
     "--max-cycles": _positive,
     "--workers": _positive,
     "--cell-timeout": _positive,
-    "--watchdog": Watchdog,
     "--ttl": _positive,
     "--resume-grace": _non_negative,
     "--interval": _positive,
@@ -272,7 +271,7 @@ def cmd_trace(args) -> int:
     from pathlib import Path
 
     from repro.experiments.figures import latency_breakdown_rows
-    from repro.obs.trace import validate_trace, write_stats, write_trace
+    from repro.obs.trace import write_stats, write_trace
 
     cell = Runner(_scale(args)).competitive_system(
         args.gpu, args.pim, PolicySpec(args.policy), num_vcs=args.vcs
@@ -285,11 +284,6 @@ def cmd_trace(args) -> int:
 
     out = Path(args.out)
     doc = write_trace(system, out)
-    errors = validate_trace(doc)
-    if errors:  # pragma: no cover - write_trace validates already
-        for error in errors:
-            print(f"invalid trace: {error}", file=sys.stderr)
-        return 1
     stats_path = out.with_name(out.stem + "_stats.json")
     write_stats(result.telemetry, stats_path)
 
@@ -323,17 +317,6 @@ def _parse_shard(text: Optional[str]):
     if count < 1 or not 0 <= index < count:
         raise SystemExit(f"invalid --shard {text!r}; need 0 <= i < n")
     return index, count
-
-
-def _announce_failures(report) -> None:
-    """Print one FAILED line per quarantined cell (stderr)."""
-    for failure in report.failed_outcomes:
-        plural = "attempt" if failure.attempts == 1 else "attempts"
-        print(
-            f"FAILED {failure.label}: {failure.kind} after "
-            f"{failure.attempts} {plural} — {failure.message}",
-            file=sys.stderr,
-        )
 
 
 def cmd_sweep(args) -> int:
@@ -384,11 +367,10 @@ def cmd_sweep(args) -> int:
                 cell_timeout=args.cell_timeout,
                 retry=retry,
                 faults=faults,
-                watchdog=args.watchdog,
             )
             hits, misses = report.hits, report.misses
             failures = report.failed_outcomes
-            _announce_failures(report)
+            _print_quarantined(failure.to_dict() for failure in failures)
             if shard is not None:
                 ran = report.completed
                 tally = _tally(hits, misses, len(failures))
@@ -425,10 +407,14 @@ def _tally(hits: int, misses: int, failed: int) -> str:
 
 
 def _print_quarantined(failures) -> None:
+    """One ``FAILED`` line per quarantined cell (stderr), from
+    ``CellFailure.to_dict()``-shaped dicts: a sweep's report, a
+    heartbeat's roster or a fabric coordinator's."""
     for failure in failures:
+        attempts = failure["attempts"]
         print(
-            f"  quarantined {failure['label']}: {failure['kind']} "
-            f"after {failure['attempts']} attempt(s)",
+            f"FAILED {failure['label']}: {failure['kind']} after {attempts} "
+            f"attempt{'' if attempts == 1 else 's'} — {failure['message']}",
             file=sys.stderr,
         )
 
@@ -548,7 +534,6 @@ def cmd_fabric_work(args) -> int:
         scratch,
         token=args.token,
         crash_after_lease=args.crash_after_lease,
-        watchdog_window=args.watchdog,
     )
     try:
         summary = worker.run()
@@ -772,13 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 2 if any cell was quarantined (default: degrade gracefully)",
     )
     sweep.add_argument(
-        "--watchdog",
-        type=int,
-        default=None,
-        metavar="CYCLES",
-        help="arm the in-engine stall watchdog with this no-progress window",
-    )
-    sweep.add_argument(
         "--faults",
         default=None,
         metavar="FILE",
@@ -888,13 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="local scratch store (default: a fresh temp directory)",
     )
     work.add_argument(
-        "--watchdog",
-        type=int,
-        default=None,
-        metavar="CYCLES",
-        help="arm the in-engine stall watchdog with this no-progress window",
-    )
-    work.add_argument(
         "--crash-after-lease",
         type=int,
         default=None,
@@ -968,6 +939,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             profiler.dump_stats(args.profile_out)
             print(f"profile written to {args.profile_out}", file=sys.stderr)
         return status
+    except SimulationStalled as exc:
+        # A single-cell command (run, trace, collaborative) that livelocks;
+        # sweeps and figures quarantine or name a stalled cell themselves.
+        print(f"stalled: {exc}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         # Completed cells are already persisted (atomic store puts, whole
         # journal lines), so Ctrl-C loses at most in-flight work; re-run

@@ -54,7 +54,6 @@ from repro.resilience.cells import (
     RetryPolicy,
     classify_failure,
 )
-from repro.resilience.watchdog import Watchdog
 
 
 def make_tasks(
@@ -155,7 +154,6 @@ def _init_worker(
     store_dir: Optional[str] = None,
     fresh: bool = False,
     fault_payload: Optional[Dict] = None,
-    watchdog: Optional[int] = None,
 ) -> None:
     """Process-pool initializer: build this worker's Runner once."""
     global _WORKER_RUNNER
@@ -172,7 +170,6 @@ def _init_worker(
         ExperimentScale(**scale_fields),
         perf_counters=perf_counters,
         store=store,
-        watchdog_window=watchdog,
     )
 
 
@@ -242,7 +239,6 @@ def run_sweep(
     cell_timeout: Optional[float] = None,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[fault_injection.FaultPlan] = None,
-    watchdog: Optional[int] = None,
     status_interval: float = 1.0,
 ) -> GridReport:
     """Run a (resumable, shardable) grid sweep over ``tasks``.
@@ -267,9 +263,7 @@ def run_sweep(
     deterministically (config ``ValueError``, ``SimulationStalled``) —
     are quarantined into ``GridReport.failed_outcomes`` (journaled in
     the store when ``store_dir`` is set) and the sweep completes every
-    healthy cell.  ``watchdog`` arms the in-engine stall detector with
-    the given cycle window (a bad window raises ``ValueError`` before
-    any cell runs); ``faults`` installs a test-only
+    healthy cell.  ``faults`` installs a test-only
     :class:`~repro.resilience.faults.FaultPlan` in every worker (also
     loadable via the ``REPRO_FAULTS`` environment variable).
 
@@ -287,8 +281,6 @@ def run_sweep(
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be positive (got {max_workers})")
-    if watchdog is not None:
-        Watchdog(watchdog)  # the watchdog's own window check
     retry = retry or RetryPolicy()
     if faults is None:
         faults = fault_injection.load_env()
@@ -304,7 +296,6 @@ def run_sweep(
         store_dir,
         fresh,
         fault_payload,
-        watchdog,
     )
 
     store = None

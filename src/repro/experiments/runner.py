@@ -20,7 +20,7 @@ remainder for the GPU kernel under co-execution (72 SMs → ``gpu_sms_corun``).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Tuple
 
 from repro.config import SystemConfig
 from repro.core.policies import PolicySpec
@@ -322,16 +322,8 @@ class Runner:
         scale: ExperimentScale = ExperimentScale(),
         perf_counters: bool = False,
         store=None,
-        watchdog_window: Optional[int] = None,
     ):
         self.scale = scale
-        #: With a window set, every system this runner builds gets a
-        #: no-progress watchdog: a livelocked cell raises a structured
-        #: SimulationStalled (quarantined by the sweep supervisor) instead
-        #: of burning its whole cycle budget.  Observe-only — results are
-        #: bit-identical with or without it, so it stays out of the
-        #: result-store fingerprint.
-        self.watchdog_window = watchdog_window
         #: Shared EngineCounters across every system this runner builds
         #: (engine wall-clock per stage, aggregated over all runs).
         self.perf = None
@@ -374,13 +366,13 @@ class Runner:
 
     def at_scale(self, scale: ExperimentScale) -> Runner:
         """The Runner for ``scale``: this one if it is this runner's scale,
-        else one child per scale sharing the store, traces, counters and
-        watchdog, so a variant's baselines simulate at the variant's scale."""
+        else one child per scale sharing the store, traces and counters,
+        so a variant's baselines simulate at the variant's scale."""
         if scale == self.scale:
             return self
         child = self._variants.get(scale)
         if child is None:
-            child = Runner(scale, store=self.store, watchdog_window=self.watchdog_window)
+            child = Runner(scale, store=self.store)
             child.perf, child.traces = self.perf, self.traces
             self._variants[scale] = child
         return child
@@ -418,8 +410,6 @@ class Runner:
         )
         if self.perf is not None:
             system.perf = self.perf
-        if self.watchdog_window is not None:
-            system.enable_watchdog(self.watchdog_window)
         return system
 
     # -- standalone runs ---------------------------------------------------

@@ -72,7 +72,6 @@ from repro.fabric.protocol import (
 )
 from repro.resilience.faults import CRASH_EXIT_CODE
 from repro.resilience.cells import classify_failure
-from repro.resilience.watchdog import Watchdog
 from repro.store import ResultStore, code_version
 
 
@@ -188,11 +187,8 @@ class FabricWorker:
         crash_after_lease: Optional[int] = None,
         lease_hook: Optional[Callable] = None,
         runner_factory: Optional[Callable] = None,
-        watchdog_window: Optional[int] = None,
         sleep=time.sleep,
     ) -> None:
-        if watchdog_window is not None:
-            Watchdog(watchdog_window)  # the watchdog's own check, before any lease
         self.worker_id = worker_id
         self.client = FabricClient(address, token=token)
         self.scratch_dir = Path(scratch_dir)
@@ -202,7 +198,6 @@ class FabricWorker:
         self.crash_after_lease = crash_after_lease
         self.lease_hook = lease_hook
         self.runner_factory = runner_factory
-        self.watchdog_window = watchdog_window
         self._sleep = sleep
 
         self.store: Optional[_RecordingStore] = None
@@ -252,9 +247,7 @@ class FabricWorker:
         if self.runner_factory is not None:
             self.runner = self.runner_factory(scale, self.store)
         else:
-            self.runner = Runner(
-                scale, store=self.store, watchdog_window=self.watchdog_window
-            )
+            self.runner = Runner(scale, store=self.store)
         return grid
 
     # -- heartbeat ---------------------------------------------------------

@@ -10,8 +10,9 @@ backoff or quarantined — shared by every grid dispatcher):
   cells with capped exponential backoff + deterministic jitter, and
   quarantines cells that keep failing so the sweep degrades gracefully
   instead of dying at cell 900/1000.
-* :mod:`repro.resilience.watchdog` — a cheap in-engine guard that turns
-  "this cell will never finish" from a mystery timeout into a structured
+* :mod:`repro.resilience.watchdog` — a cheap in-engine guard, armed in
+  every system, that turns "this cell will never finish" from a mystery
+  timeout or a plausible "starved" row into a structured
   :class:`SimulationStalled` with a diagnostic dump of the stuck machine.
 * :mod:`repro.resilience.faults` — a deterministic, test-only
   fault-injection harness (worker crashes, hangs, transient exceptions,

@@ -2,10 +2,10 @@
 
 A livelocked configuration (e.g. an arbiter that never grants) spins the
 engine forever: cycles advance, nothing retires, and from the outside the
-cell is indistinguishable from one that is merely slow.  The watchdog
-rides the engine's existing zero-cost observability pattern (``if
-watchdog is not None`` plus one integer compare per step) and every
-``window`` cycles takes a *progress signature* — a tuple of monotonic
+cell is indistinguishable from one that is merely slow (or, cut off by
+its cycle budget, scores as a plausible "starved" kernel).  The watchdog
+costs the engine one integer compare per step, and every ``window``
+cycles takes a *progress signature* — a tuple of monotonic
 counters that increase whenever the system does real work (requests
 retired, warps issued, DRAM commands, PIM ops, NoC transfers, mode
 switches, kernel completions).  If the signature is unchanged across a
@@ -15,21 +15,43 @@ raises :class:`SimulationStalled` carrying a diagnostic dump (queue
 depths, per-channel mode, oldest request age) instead of spinning until
 the cell's wall-clock timeout kills the worker with no explanation.
 
-The watchdog observes but never schedules: an enabled run is
-bit-identical to a disabled one (``tests/test_watchdog.py``), and
+Every :class:`~repro.sim.system.GPUSystem` arms one in its constructor,
+with the window :func:`stall_window` derives from its configuration, so
+a livelocked cell fails the same way whichever path runs it.  The
+watchdog observes but never schedules: results are bit-identical to an
+unwatched run (``tests/test_watchdog.py``), and
 ``tests/test_dormant_hooks.py`` checks that nothing here runs inside the
-cycle loop but an armed ``Watchdog.scan``, once per window.
+cycle loop but ``Watchdog.scan``, once per window.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-#: Default no-progress window in cycles.  Large enough that every latency
-#: in the model (DRAM timings, PIM ops, refresh, reply latency: all well
-#: under 10k cycles) fires many times over before a healthy system could
-#: look frozen, small enough to beat any practical per-cell timeout.
-DEFAULT_WINDOW = 100_000
+#: Window length in units of the configuration's longest single blocking
+#: latency.  A healthy system changes its progress signature at least once
+#: per such latency (measured gaps: docs/resilience.md), so a window this
+#: many latencies long leaves a wide margin and still fits several times
+#: into the shortest competitive cycle budget of the setup of record.
+LATENCIES_PER_WINDOW = 16
+
+
+def stall_window(config) -> int:
+    """The no-progress window, in cycles, for a :class:`SystemConfig`.
+
+    A fixed multiple of the longest wait in which nothing may retire:
+    an all-bank refresh (tRFC), a PIM row switch (precharge no sooner
+    than tRAS after the activate, then tRP + tRCD), the reply path and
+    the L2 lookup.
+    """
+    timings = config.timings
+    longest = max(
+        timings.tRFC,
+        timings.tRAS + timings.tRP + timings.tRCD,
+        config.reply_latency,
+        config.l2_latency,
+    )
+    return LATENCIES_PER_WINDOW * longest
 
 
 class SimulationStalled(RuntimeError):
@@ -108,11 +130,11 @@ def stall_diagnostic(system, window: int) -> Dict:
 
 
 class Watchdog:
-    """Per-system stall detector; attach via ``GPUSystem.enable_watchdog``."""
+    """Per-system stall detector; every ``GPUSystem`` arms one at cycle 0."""
 
     __slots__ = ("window", "next_check", "_signature", "stalls_checked")
 
-    def __init__(self, window: int = DEFAULT_WINDOW) -> None:
+    def __init__(self, window: int) -> None:
         if not isinstance(window, int) or isinstance(window, bool) or window < 1:
             raise ValueError(f"watchdog window must be a positive integer (got {window!r})")
         self.window = window

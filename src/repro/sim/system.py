@@ -56,6 +56,7 @@ from repro.noc.vc import VCBuffer
 from repro.obs import events as obs_events
 from repro.pim.executor import PIMExecutor
 from repro.request import Mode, Request
+from repro.resilience.watchdog import Watchdog, stall_window
 from repro.sim.results import KernelResult, SimResult
 
 #: Words (32 B DRAM accesses) per modelled L2 entry.  The slice caches
@@ -236,9 +237,8 @@ class GPUSystem:
         # -- observability (repro.perf / repro.obs) ------------------------
         self.perf = None  # optional repro.perf.counters.EngineCounters
         self.telemetry = None  # optional repro.obs.telemetry.Telemetry
-        # Optional repro.resilience.watchdog.Watchdog (no-progress guard);
-        # dormant cost is one None check + one int compare per step.
-        self.watchdog = None
+        # The no-progress guard, always armed: one int compare per step.
+        self.watchdog = Watchdog(stall_window(config))
 
     @property
     def steps_executed(self) -> int:
@@ -572,29 +572,9 @@ class GPUSystem:
                 start = clock()
                 getattr(self, method)()
                 add(name, clock() - start)
-        watchdog = self.watchdog
-        if watchdog is not None and cycle >= watchdog.next_check:
-            watchdog.scan(self)
+        if cycle >= self.watchdog.next_check:
+            self.watchdog.scan(self)
         self.cycle = cycle + 1
-
-    def enable_watchdog(self, window: Optional[int] = None) -> "Watchdog":
-        """Attach the no-forward-progress guard (see :mod:`repro.resilience`).
-
-        Every ``window`` cycles the watchdog compares a signature of the
-        engine's monotonic progress counters; if nothing moved while work
-        is outstanding it raises
-        :class:`~repro.resilience.watchdog.SimulationStalled` with a
-        diagnostic dump instead of spinning to the cycle budget.  The
-        watchdog observes but never schedules, so enabled runs are
-        bit-identical to disabled ones.  Idempotent per system.
-        """
-        if self.watchdog is not None:
-            return self.watchdog
-        from repro.resilience.watchdog import DEFAULT_WINDOW, Watchdog
-
-        self.watchdog = Watchdog(DEFAULT_WINDOW if window is None else window)
-        self.watchdog.next_check = self.cycle + self.watchdog.window
-        return self.watchdog
 
     def enable_perf_counters(self) -> "EngineCounters":
         """Attach per-stage wall-clock counters (see :mod:`repro.perf`)."""

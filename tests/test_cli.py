@@ -270,11 +270,9 @@ class TestCommands:
             (["sweep", "--workers", "0"], "--workers"),
             (["sweep", "--cell-timeout", "0"], "--cell-timeout"),
             (["sweep", "--cell-timeout", "-1"], "--cell-timeout"),
-            (["sweep", "--watchdog", "0"], "--watchdog"),
             (["fabric", "serve", "--ttl", "0"], "--ttl"),
             (["fabric", "serve", "--resume-grace", "-1"], "--resume-grace"),
             (["fabric", "serve", "--resume-grace", "nan"], "--resume-grace"),
-            (["fabric", "work", "--connect", "127.0.0.1:1", "--watchdog", "0"], "--watchdog"),
             (["run", "--scale", "-1"], "--scale"),
             (["sweep", "--scale", "0"], "--scale"),
             (["run", "--seed", "-1"], "--seed"),
@@ -349,6 +347,12 @@ class TestCommands:
         assert "FAILED G17|P2|FR-FCFS|vc1: error" in captured.err
         assert "1 failed" in captured.out
         assert "F3FS" in captured.out  # healthy cell's row still printed
+        # `repro status` prints the heartbeat's roster with the same printer.
+        failed = [line for line in captured.err.splitlines() if line.startswith("FAILED ")]
+        assert main(["status", "--cache-dir", str(tmp_path / "store")]) == 0
+        assert failed == [
+            line for line in capsys.readouterr().err.splitlines() if line.startswith("FAILED ")
+        ]
 
         assert main(argv + ["--strict"]) == 2
         captured = capsys.readouterr()

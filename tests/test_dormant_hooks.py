@@ -10,9 +10,10 @@
   The audit runs four grid cells, with a store attached, under a profile
   hook that is active only inside ``GPUSystem.run``, and names every
   function under ``repro/{obs,store,perf,resilience}/`` that runs there.
-  The one allowed visitor is an armed watchdog's ``Watchdog.scan``, at
-  most once per window.  A per-cycle call into one of those packages
-  fails here by name, however little time it costs.
+  The one allowed visitor is the always-armed watchdog's
+  ``Watchdog.scan``, at most once per window (the derived one, and a
+  100-cycle one).  A per-cycle call into one of those packages fails
+  here by name, however little time it costs.
 """
 
 import os
@@ -30,7 +31,7 @@ from repro.gpu.sm import WarpState
 from repro.noc.queues import BoundedQueue
 from repro.noc.vc import VCBuffer
 from repro.request import Request
-from repro.resilience.watchdog import Watchdog
+from repro.resilience.watchdog import Watchdog, stall_window
 from repro.sim.system import GPUSystem
 from repro.store import ResultStore
 
@@ -60,7 +61,7 @@ class RunAudit:
         self.prefixes = tuple(os.path.join(root, name) + os.sep for name in DORMANT_PACKAGES)
         self.scan = Watchdog.scan.__code__
         self.calls = Counter()  # "package/module.py:function" -> calls
-        self.runs = []  # (scan calls, cycles) per GPUSystem.run
+        self.runs = []  # (scan calls, cycles, window) per GPUSystem.run
         self._dormant = {}  # code object -> lies under a dormant package
 
     def _is_dormant(self, code) -> bool:
@@ -94,19 +95,19 @@ class RunAudit:
                 result = run(system, *args, **kwargs)
             finally:
                 sys.setprofile(previous)
-            self.runs.append((scans, result.cycles))
+            self.runs.append((scans, result.cycles, system.watchdog.window))
             return result
 
         return audited_run
 
 
-@pytest.mark.parametrize("watchdog_window", [None, 100], ids=["dormant", "watchdog100"])
-def test_dormant_hooks_stay_out_of_the_cycle_loop(tmp_path, monkeypatch, watchdog_window):
+@pytest.mark.parametrize("window", [None, 100], ids=["derived", "watchdog100"])
+def test_dormant_hooks_stay_out_of_the_cycle_loop(tmp_path, monkeypatch, window):
     audit = RunAudit()
     monkeypatch.setattr(GPUSystem, "run", audit.wrap(GPUSystem.run))
-    runner = Runner(
-        SCALE, store=ResultStore(tmp_path / "store"), watchdog_window=watchdog_window
-    )
+    if window is not None:
+        monkeypatch.setattr("repro.sim.system.stall_window", lambda config: window)
+    runner = Runner(SCALE, store=ResultStore(tmp_path / "store"))
     for policy in ("FR-FCFS", "F3FS"):
         for num_vcs in (1, 2):
             runner.competitive("G17", "P2", PolicySpec(policy), num_vcs=num_vcs)
@@ -114,8 +115,8 @@ def test_dormant_hooks_stay_out_of_the_cycle_loop(tmp_path, monkeypatch, watchdo
 
     assert not audit.calls, f"dormant packages ran inside GPUSystem.run: {dict(audit.calls)}"
     assert audit.runs
-    for scans, cycles in audit.runs:
-        if watchdog_window is None:
-            assert scans == 0
-        else:
-            assert 0 < scans <= cycles // watchdog_window + 1
+    for scans, cycles, armed in audit.runs:
+        assert armed == (window or stall_window(SCALE.config()))
+        assert scans == (cycles - 1) // armed
+    if window is not None:  # the derived window outlasts these short runs
+        assert sum(scans for scans, _, _ in audit.runs) > 0

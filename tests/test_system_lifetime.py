@@ -15,6 +15,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.core.policies import PolicySpec
+from repro.resilience.watchdog import Watchdog
 from repro.sim.system import GPUSystem
 from repro.workloads import get_gpu_kernel, get_pim_kernel
 
@@ -26,8 +27,8 @@ def _run(variant: str) -> None:
     elif variant == "refresh":
         config = config.replace(refresh_enabled=True)
     system = GPUSystem(config, PolicySpec("Dyn-F3FS", epoch=97), seed=3, scale=0.04)
-    if variant == "watchdog":
-        system.enable_watchdog()
+    if variant == "watchdog":  # every system is armed; this one scans in the run
+        system.watchdog = Watchdog(500)
     elif variant == "perf":
         system.enable_perf_counters()
     elif variant == "telemetry":

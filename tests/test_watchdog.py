@@ -2,23 +2,26 @@
 
 The watchdog's contract has two halves: a livelocked system raises
 ``SimulationStalled`` with a useful diagnostic within two windows, and a
-healthy system is *bit-identical* with the watchdog on or off — it
-observes, it never schedules.
+healthy system is *bit-identical* however often the watchdog scans — it
+observes, it never schedules.  Every system arms one with its derived
+window; a test that needs a short window assigns ``system.watchdog``.
 """
 
 import pickle
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.core.policies import PolicySpec
 from repro.resilience.watchdog import (
-    DEFAULT_WINDOW,
     SimulationStalled,
     Watchdog,
     progress_signature,
+    stall_window,
 )
 from repro.sim.system import GPUSystem
+from repro.workloads import get_gpu_kernel, get_pim_kernel
 from repro.workloads.synthetic import GPUKernelProfile
 
 WINDOW = 3000
@@ -41,6 +44,7 @@ def tiny_system(num_vcs=1, **kwargs):
     defaults.update(kwargs)
     config = SystemConfig.scaled(**defaults).replace(num_virtual_channels=num_vcs)
     system = GPUSystem(config, PolicySpec("FR-FCFS"))
+    system.watchdog = Watchdog(WINDOW)
     system.add_kernel(
         GPUKernelProfile(name="wd-gpu", accesses_per_warp=96, compute_per_phase=10),
         num_sms=2,
@@ -73,7 +77,6 @@ class TestStallDetection:
         # says, so the checks fire on schedule either way.
         monkeypatch.setenv("REPRO_FAST_FORWARD", fast_forward)
         system = tiny_system()
-        system.enable_watchdog(WINDOW)
         livelock(system)
         frozen_at = system.cycle
         with pytest.raises(SimulationStalled) as excinfo:
@@ -84,7 +87,6 @@ class TestStallDetection:
 
     def test_diagnostic_dump_contents(self):
         system = tiny_system()
-        system.enable_watchdog(WINDOW)
         livelock(system)
         with pytest.raises(SimulationStalled) as excinfo:
             for _ in range(2 * WINDOW + 10):
@@ -107,7 +109,6 @@ class TestStallDetection:
 
     def test_stall_pickles_across_process_boundary(self):
         system = tiny_system()
-        system.enable_watchdog(WINDOW)
         livelock(system)
         with pytest.raises(SimulationStalled) as excinfo:
             for _ in range(2 * WINDOW + 10):
@@ -121,7 +122,6 @@ class TestStallDetection:
 
         system = tiny_system()
         system.enable_telemetry()
-        system.enable_watchdog(WINDOW)
         livelock(system)
         with pytest.raises(SimulationStalled):
             for _ in range(2 * WINDOW + 10):
@@ -133,59 +133,52 @@ class TestHealthyRuns:
     def test_no_false_positive_on_completing_kernel(self):
         # Window far below the kernel's duration: many checks, no stall.
         system = tiny_system()
-        watchdog = system.enable_watchdog(500)
+        system.watchdog = watchdog = Watchdog(500)
         result = system.run(max_cycles=200_000)
         assert result.all_completed
         assert watchdog.stalls_checked > 0
 
-    @pytest.mark.parametrize("fast_forward", ["0", "1"])
-    def test_bit_identical_with_watchdog_on_or_off(self, tmp_path, monkeypatch, fast_forward):
-        """Armed vs unarmed sweeps produce the same bytes AND the same
-        store fingerprints (the window lives outside ExperimentScale)."""
-        monkeypatch.setenv("REPRO_FAST_FORWARD", fast_forward)
-        from repro.experiments import run_sweep
-        from tests.test_store_resume import TINY, table_bytes, tiny_tasks
-
-        tasks = tiny_tasks()
-        plain = run_sweep(TINY, tasks, store_dir=str(tmp_path / "s"))
-        armed = run_sweep(TINY, tasks, store_dir=str(tmp_path / "s"), watchdog=2000)
-        assert armed.hits == len(tasks)  # same fingerprints: pure cache hits
-        assert table_bytes(armed.completed_outcomes()) == table_bytes(
-            plain.completed_outcomes()
-        )
+    @pytest.mark.parametrize("refresh", [False, True])
+    def test_bit_identical_however_often_it_scans(self, refresh):
+        """A system that never scans, one on its derived window and one
+        scanning every 50 cycles run to the same result."""
+        results = []
+        for window in (10**12, None, 50):
+            config = SystemConfig.scaled(num_channels=4, num_sms=4).replace(
+                num_virtual_channels=2, refresh_enabled=refresh
+            )
+            system = GPUSystem(config, PolicySpec("F3FS"), seed=1, scale=0.05)
+            if window is not None:
+                system.watchdog = Watchdog(window)
+            system.add_kernel(get_gpu_kernel("G17"), num_sms=3, loop=True)
+            system.add_kernel(get_pim_kernel("P2"), num_sms=1, loop=True)
+            result = system.run(max_cycles=200_000)
+            assert result.all_completed
+            assert system.watchdog.stalls_checked == (result.cycles - 1) // system.watchdog.window
+            results.append(asdict(result))
+        assert results[0] == results[1] == results[2]
 
 
 class TestWatchdogObject:
-    def test_enable_is_idempotent(self):
-        system = tiny_system()
-        first = system.enable_watchdog(WINDOW)
-        assert system.enable_watchdog(123) is first
-        assert first.window == WINDOW
+    def test_every_system_is_armed_with_its_derived_window(self):
+        config = SystemConfig.scaled(num_channels=4, num_sms=4)
+        watchdog = GPUSystem(config, PolicySpec("FR-FCFS")).watchdog
+        assert watchdog.window == watchdog.next_check == stall_window(config)
 
-    def test_default_window(self):
-        system = tiny_system()
-        assert system.enable_watchdog().window == DEFAULT_WINDOW
+    def test_window_is_a_multiple_of_the_longest_blocking_latency(self):
+        config = SystemConfig.scaled()
+        assert stall_window(config) == 16 * config.timings.tRFC  # 3520 cycles
+        slow = config.replace(timings=replace(config.timings, tRFC=400))
+        assert stall_window(slow) == 16 * 400
+        # Without a long refresh the PIM row switch (tRAS + tRP + tRCD) rules.
+        fast = config.replace(timings=replace(config.timings, tRFC=10))
+        timings = fast.timings
+        assert stall_window(fast) == 16 * (timings.tRAS + timings.tRP + timings.tRCD)
 
     @pytest.mark.parametrize("window", [0, -5, 2.5, True, "big"])
     def test_bad_window_rejected(self, window):
         with pytest.raises(ValueError, match="watchdog window"):
             Watchdog(window)
-
-    @pytest.mark.parametrize("window", [0, -5])
-    def test_dispatchers_refuse_bad_window_before_any_cell(self, tmp_path, window):
-        """A bad window is refused up front instead of quarantining every
-        cell as ``config`` and reporting an empty table."""
-        from repro.experiments import run_sweep
-        from repro.fabric import FabricWorker
-        from tests.test_store_resume import TINY, tiny_tasks
-
-        tasks = tiny_tasks()[:1]
-        store = tmp_path / "s"
-        with pytest.raises(ValueError, match="watchdog window"):
-            run_sweep(TINY, tasks, store_dir=str(store), watchdog=window)
-        assert not store.exists()  # nothing dispatched, nothing journaled
-        with pytest.raises(ValueError, match="watchdog window"):
-            FabricWorker("w", "127.0.0.1:1", tmp_path / "scratch", watchdog_window=window)
 
     def test_signature_moves_on_healthy_system(self):
         system = tiny_system()
