@@ -15,10 +15,11 @@ baselines simulate, and counts the work the engine does:
 * ``wake_pushes``: entries pushed onto a system's wake heap;
 * ``islip_steps``: ``ISlipArbiter.step`` calls;
 * ``ingress_visits``: channels visited by ``_stage_mc_ingress``;
-* ``heads``: ``VCBuffer.heads`` calls (crossbar and L2-side arbitration).
+* ``xbar_transfers``: requests the crossbar moved
+  (``ISlipArbiter.transfers``).
 
 All but ``ingress_visits`` are printed per policy x VC class, and all but
-``heads`` as slice totals.  A cell's
+``xbar_transfers`` as slice totals.  A cell's
 standalone baselines count for the class of the first cell in its sweep
 that needs them (``Runner.run`` simulates them inside that cell), so the
 split is deterministic.
@@ -65,7 +66,6 @@ from repro.experiments import (
 from repro.experiments.runner import Runner
 from repro.gpu.sm import SM
 from repro.noc.islip import ISlipArbiter
-from repro.noc.vc import VCBuffer
 from repro.sim import system as system_module
 from repro.sim.system import GPUSystem
 
@@ -79,7 +79,9 @@ VCS = (1, 2)
 SCALE = ExperimentScale(num_channels=8, workload_scale=0.05, seed=1, starvation_factor=15)
 
 #: The counts printed per class, and those printed as slice totals.
-CLASS_KEYS = ("cycles", "sm_steps", "decisions", "wake_pushes", "islip_steps", "heads")
+CLASS_KEYS = (
+    "cycles", "sm_steps", "decisions", "wake_pushes", "islip_steps", "xbar_transfers",
+)
 TOTAL_KEYS = ("cycles", "sm_steps", "decisions", "wake_pushes", "islip_steps", "ingress_visits")
 EXPECTED = Path(__file__).with_name("slice_counts.expected")
 
@@ -117,8 +119,19 @@ def install():
 
     count_calls(GPUSystem, "step", "cycles")
     count_calls(SM, "step", "sm_steps")
-    count_calls(ISlipArbiter, "step", "islip_steps")
-    count_calls(VCBuffer, "heads", "heads")
+
+    arbitrate = ISlipArbiter.step
+
+    def counted_arbitrate(self, *args, **kwargs):
+        counts = cell["counts"]
+        before = self.transfers
+        counts["islip_steps"] += 1
+        try:
+            return arbitrate(self, *args, **kwargs)
+        finally:
+            counts["xbar_transfers"] += self.transfers - before
+
+    ISlipArbiter.step = counted_arbitrate
 
     tick = MemoryController.tick
 
@@ -188,9 +201,12 @@ def summarize(histogram: Counter) -> str:
 def report_lines(classes, lengths, table) -> list:
     """The deterministic report: per-class counts, slice totals, queue
     lengths and the table digest."""
-    lines = [f"{'class':15s}" + "".join(f"{key:>12s}" for key in CLASS_KEYS)]
+    widths = [max(12, len(key) + 1) for key in CLASS_KEYS]
+    lines = [f"{'class':15s}" + "".join(f"{k:>{w}s}" for k, w in zip(CLASS_KEYS, widths))]
     for name, counts in classes.items():
-        lines.append(f"{name:15s}" + "".join(f"{counts[key]:>12,d}" for key in CLASS_KEYS))
+        lines.append(
+            f"{name:15s}" + "".join(f"{counts[k]:>{w},d}" for k, w in zip(CLASS_KEYS, widths))
+        )
     totals = sum(classes.values(), Counter())
     for key in TOTAL_KEYS:
         lines.append(f"{key:15s} {totals[key]:>10,d}")

@@ -592,11 +592,7 @@ def cmd_fabric_ledger(args) -> int:
             f"({lease['lease_id']}, epoch {lease['epoch']}, "
             f"attempt {lease['attempt']})"
         )
-    for failure in summary["quarantined"]:
-        print(
-            f"  quarantined: {failure['label']} ({failure['kind']} "
-            f"after {failure['attempts']} attempt(s))"
-        )
+    _print_quarantined(summary["quarantined"])
     return 0
 
 

@@ -11,15 +11,14 @@ One arbitration iteration per cycle:
 2. **Grant**: every output (channel link) grants one requesting input,
    chosen by a per-output round-robin pointer.
 3. **Accept**: every input accepts at most one grant, preferring its VC
-   rotation order; pointers advance only on accepted grants (the iSlip
-   "slip" that de-synchronizes the pointers).
+   ``order``; pointers advance only on accepted grants (the iSlip "slip"
+   that de-synchronizes the pointers).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.noc.queues import BoundedQueue
 from repro.noc.vc import VCBuffer
 from repro.request import Request
 
@@ -53,68 +52,54 @@ class ISlipArbiter:
         if len(inputs) != self.num_inputs or len(outputs) != self.num_outputs:
             raise ValueError("input/output count mismatch")
 
-        # Request phase: collect per-output proposals, remembering each
-        # input's preference rank for the accept phase.  The credit check
-        # reads the target VC queue (``VCBuffer.lanes``) directly, and the
-        # accept phase pushes onto that queue.
+        # Request and grant phases in one pass: every input offers each
+        # VC head, in its ``order``, whose target lane (``VCBuffer.lanes``)
+        # has room; each output keeps the requester nearest its round-robin
+        # pointer.  Distances to one pointer are distinct, so visiting the
+        # inputs in any order grants the same input.
         num_inputs = self.num_inputs
         num_outputs = self.num_outputs
-        proposals: Dict[int, List[int]] = {}
-        offered: Dict[int, List[Tuple[int, Request, BoundedQueue]]] = {}
-        candidates = range(num_inputs) if active_inputs is None else active_inputs
-        for i in candidates:
-            heads = inputs[i].heads()
-            if not heads:
-                continue
-            ranked = []
-            for head in heads:
-                out = head.channel
+        grant_ptr = self._grant_ptr
+        best: Dict[int, int] = {}  # output -> distance of its grant
+        granted: Dict[int, int] = {}  # output -> granted input
+        for i in range(num_inputs) if active_inputs is None else active_inputs:
+            for lane in inputs[i].order:
+                items = lane._items
+                if not items:
+                    continue
+                out = items[0].channel
                 if not 0 <= out < num_outputs:
                     raise ValueError(f"request targets unknown output {out}")
-                lane = outputs[out].lanes[head.is_pim]
-                if len(lane._items) >= lane.capacity:
+                target = outputs[out].lanes[items[0].is_pim]
+                if len(target._items) >= target.capacity:
                     continue
-                requesters = proposals.get(out)
-                if requesters is None:
-                    proposals[out] = [i]
-                else:
-                    requesters.append(i)
-                ranked.append((out, head, lane))
-            if ranked:
-                offered[i] = ranked
-        if not offered:
+                distance = (i - grant_ptr[out]) % num_inputs
+                if distance < best.get(out, num_inputs):
+                    best[out] = distance
+                    granted[out] = i
+        if not granted:
             return []
 
-        # Grant phase: one grant per output, round-robin from the pointer.
-        grants: Dict[int, List[int]] = {}  # input -> granted outputs
-        grant_ptr = self._grant_ptr
-        for out, requesters in proposals.items():
-            chosen = requesters[0]
-            if len(requesters) > 1:
-                pointer = grant_ptr[out]
-                best = (chosen - pointer) % num_inputs
-                for i in requesters[1:]:
-                    distance = (i - pointer) % num_inputs
-                    if distance < best:
-                        best = distance
-                        chosen = i
-            granted = grants.get(chosen)
-            if granted is None:
-                grants[chosen] = [out]
-            else:
-                granted.append(out)
-
-        # Accept phase: each input takes the grant matching its most
-        # preferred offered head.
+        # Accept phase: each granted input takes the grant matching its
+        # most preferred offered head; pointers advance on acceptance.
         moved: List[Tuple[int, Request]] = []
-        for i, granted in grants.items():
-            for out, head, lane in offered[i]:
-                if out in granted:
-                    request = inputs[i].pop_matching(head)
-                    if not lane.try_push(request):  # pragma: no cover
-                        raise RuntimeError(f"output {out} overflowed after grant")
-                    grant_ptr[out] = (i + 1) % num_inputs
-                    moved.append((out, request))
-                    break
+        for i in set(granted.values()):
+            buffer = inputs[i]
+            for lane in buffer.order:
+                items = lane._items
+                if not items:
+                    continue
+                out = items[0].channel
+                if granted.get(out) != i:
+                    continue
+                target = outputs[out].lanes[items[0].is_pim]
+                if len(target._items) >= target.capacity:
+                    continue  # not offered: another VC's head won the grant
+                request = buffer.pop(lane)
+                if not target.try_push(request):  # pragma: no cover
+                    raise RuntimeError(f"output {out} overflowed after grant")
+                grant_ptr[out] = (i + 1) % num_inputs
+                moved.append((out, request))
+                break
         self.transfers += len(moved)
         return moved

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.noc.queues import BoundedQueue
 from repro.noc.vc import VCBuffer
 from repro.request import Request
 
@@ -166,9 +167,10 @@ class MeshFabric:
 
     def _plan_moves(
         self, cycle: int, channel_buffers
-    ) -> List[Tuple[int, str, Request, str]]:
-        """Pick at most one flit per (router, output port), by RR."""
-        moves: List[Tuple[int, str, Request, str]] = []
+    ) -> List[Tuple[VCBuffer, BoundedQueue, int, str]]:
+        """Pick at most one flit per (router, output port), by RR: each
+        move names the input buffer and the lane whose head moves."""
+        moves: List[Tuple[VCBuffer, BoundedQueue, int, str]] = []
         # Capacity claims this cycle, so two flits don't target one slot.
         claimed: Dict[Tuple[int, str, bool], int] = {}
         port_order = self._rr_ports(cycle)
@@ -176,9 +178,10 @@ class MeshFabric:
             used_outputs = set()
             for in_port in port_order:
                 buffer = router.ports[in_port]
-                if not buffer:
-                    continue
-                for head in buffer.heads():
+                for lane in buffer.order:
+                    if not lane._items:
+                        continue
+                    head = lane._items[0]
                     dest_node = self._channel_node[head.channel]
                     direction = self._route(router.node, dest_node)
                     if direction in used_outputs:
@@ -187,7 +190,7 @@ class MeshFabric:
                         router.node, direction, head, channel_buffers, claimed
                     ):
                         continue
-                    moves.append((router.node, in_port, head, direction))
+                    moves.append((buffer, lane, router.node, direction))
                     used_outputs.add(direction)
                     key = self._claim_key(router.node, direction, head)
                     claimed[key] = claimed.get(key, 0) + 1
@@ -222,10 +225,10 @@ class MeshFabric:
         ejected: List[Tuple[int, Request]] = []
         # Pop all moving flits first (two-phase: decisions were made
         # against cycle-start state), then push.
-        popped: List[Tuple[Request, int, str]] = []
-        for node, in_port, head, direction in moves:
-            request = self.routers[node].ports[in_port].pop_matching(head)
-            popped.append((request, node, direction))
+        popped = [
+            (buffer.pop(lane), node, direction)
+            for buffer, lane, node, direction in moves
+        ]
         for request, node, direction in popped:
             if direction == LOCAL:
                 channel = self._node_channel[node]
@@ -248,11 +251,10 @@ class MeshFabric:
                 continue
             router = self.routers[self._sm_node[sm_index]]
             local = router.ports[LOCAL]
-            for head in buffer.heads():
-                if local.queue_for(head).full:
+            for lane in buffer.order:
+                if not lane._items or local.queue_for(lane._items[0]).full:
                     continue
-                request = buffer.pop_matching(head)
-                local.try_push(request)
+                local.try_push(buffer.pop(lane))
                 self.occupancy += 1
                 break  # one injection per SM per cycle
 

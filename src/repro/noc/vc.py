@@ -12,7 +12,7 @@ requests before the memory controller.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Optional
 
 from repro.noc.queues import BoundedQueue
 from repro.request import Mode, Request
@@ -28,7 +28,7 @@ def _discard_unless_busy(active_set, key: int, sibling: Deque[Request]) -> None:
 class VCBuffer:
     """One or two virtual-channel FIFOs with round-robin service."""
 
-    __slots__ = ("num_vcs", "name", "_queues", "lanes", "_rotation")
+    __slots__ = ("num_vcs", "name", "_queues", "lanes", "order")
 
     def __init__(self, total_capacity: int, num_vcs: int, name: str = "") -> None:
         if num_vcs not in (1, 2):
@@ -51,7 +51,10 @@ class VCBuffer:
         #: (VC1: the shared queue twice).  Hot paths that have checked a
         #: lane's space push onto it directly: one call per push.
         self.lanes = (self._queues[0], self._queues[-1])
-        self._rotation = 0  # index of the VC to serve next (VC2 only)
+        #: The lanes in service-preference order: the modified iSlip's VC
+        #: *not* served last comes first (Section V-A).  VC1:
+        #: ``(shared,)``; VC2: ``(mem, pim)`` or ``(pim, mem)``.
+        self.order = tuple(self._queues)
 
     def watch(self, active_set, key: int) -> None:
         """Keep ``key`` in ``active_set`` exactly while this buffer holds a
@@ -101,38 +104,20 @@ class VCBuffer:
 
     # -- consumer side ------------------------------------------------------
 
-    def heads(self) -> List[Request]:
-        """Heads of all VCs in round-robin preference order.
+    def pop(self, lane: BoundedQueue) -> Request:
+        """Pop ``lane``'s head; under VC2 the other VC is preferred next.
 
-        Used by crossbar arbitration: the first entry is the head the
-        modified-iSlip arbiter prefers for this link (the VC *not* served
-        last, per the paper's Section V-A).
+        Consumers walk ``order`` and read ``lane._items[0]``; this pops
+        the deque itself rather than calling ``BoundedQueue.pop``: one
+        call per pop on the engine's hot path.
         """
-        if self.num_vcs == 1:
-            queue = self._queues[0]._items
-            return [queue[0]] if queue else []
-        rotation = self._rotation
-        first = self._queues[rotation]._items
-        second = self._queues[1 - rotation]._items
-        if first:
-            return [first[0], second[0]] if second else [first[0]]
-        return [second[0]] if second else []
-
-    def pop_matching(self, request: Request) -> Request:
-        """Pop a specific head (after crossbar arbitration granted it).
-
-        Pops the VC's deque itself rather than calling
-        ``BoundedQueue.pop``: one call per pop on the engine's hot path.
-        """
-        queue = self.lanes[request.is_pim]
-        items = queue._items
-        if not items or items[0] is not request:
-            raise ValueError("request is not at the head of its VC")
-        if self.num_vcs == 2:
-            self._rotation = 0 if request.is_pim else 1
-        items.popleft()
-        if not items and queue.on_pop is not None:
-            queue.on_pop()
+        items = lane._items
+        request = items.popleft()
+        order = self.order
+        if lane is order[0] and self.num_vcs == 2:
+            self.order = (order[1], lane)
+        if not items and lane.on_pop is not None:
+            lane.on_pop()
         return request
 
     # -- stats -----------------------------------------------------------

@@ -411,9 +411,9 @@ class GPUSystem:
         for ch in sorted(active):
             queue = self.dram_queues[ch]
             controller = self.controllers[ch]
-            for head in queue.heads():
-                if controller.enqueue(head, cycle):
-                    queue.pop_matching(head)
+            for lane in queue.order:
+                if lane._items and controller.enqueue(lane._items[0], cycle):
+                    queue.pop(lane)
                     if controller._dirty:  # not while a switch drains
                         self._mc_active.add(ch)
                     break
@@ -429,21 +429,24 @@ class GPUSystem:
             buffer = self.input_buffers[ch]
             slice_ = self.l2_slices[ch]
             mem_lane, pim_lane = self.dram_queues[ch].lanes
-            for head in buffer.heads():
+            for lane in buffer.order:
+                if not lane._items:
+                    continue
+                head = lane._items[0]
                 if head.is_pim:
-                    if not pim_lane.full:
-                        buffer.pop_matching(head)
+                    if len(pim_lane._items) < pim_lane.capacity:
+                        buffer.pop(lane)
                         if telemetry is not None:
                             head.cycle_l2_arrival = cycle
                         pim_lane.try_push(head)
                         break
                     continue  # PIM VC blocked; try the other VC's head
                 # MEM request: a miss/forward will need L2->DRAM space.
-                if not mem_lane.full:
+                if len(mem_lane._items) < mem_lane.capacity:
                     outcome = slice_.lookup(head)
                     if outcome == LookupResult.BLOCKED:
                         continue  # MSHRs full: leave at head, try other VC
-                    buffer.pop_matching(head)
+                    buffer.pop(lane)
                     if telemetry is not None:
                         head.cycle_l2_arrival = cycle
                     if outcome == LookupResult.HIT:
@@ -478,7 +481,7 @@ class GPUSystem:
             if self._xbar_active or self.mesh.occupancy:
                 self.mesh.step(self.cycle, self.sm_buffers, self.input_buffers)
         elif self._xbar_active:
-            self.crossbar.step(self.sm_buffers, self.input_buffers, sorted(self._xbar_active))
+            self.crossbar.step(self.sm_buffers, self.input_buffers, self._xbar_active)
 
     def _stage_sms(self) -> None:
         active = self._sm_active

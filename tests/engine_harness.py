@@ -44,5 +44,7 @@ def drive(ctl, max_cycles=100_000):
 def pop_next(buffer):
     """Pop the head a ``VCBuffer``'s round-robin prefers (None if empty),
     the way the crossbar pops a granted head."""
-    heads = buffer.heads()
-    return buffer.pop_matching(heads[0]) if heads else None
+    for lane in buffer.order:
+        if lane._items:
+            return buffer.pop(lane)
+    return None

@@ -142,6 +142,32 @@ class TestReplayRoundTrip:
         assert summary["draining"] is True and summary["closed"] is None
         assert summary["rejects"] == 1 and summary["torn_tail"] is False
 
+    def test_cli_prints_leases_and_quarantined_cells(self, tmp_path, capsys):
+        from repro.cli import main
+
+        build_ledger(tmp_path / wal.LEDGER_FILENAME)
+        assert main(["fabric", "ledger", "--cache-dir", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert "epoch 2, 2 session(s)" in out
+        assert "draining" in out
+        assert (
+            "  in-flight: cell-2 held by w2 (L00003-k2, epoch 2, attempt 2)\n"
+            in out
+        )
+        assert "quarantined" not in out
+        # The one quarantine format every command shares (on stderr).
+        assert err == "FAILED cell-3: stall after 3 attempts — livelock\n"
+
+        assert main(["fabric", "ledger", "--cache-dir", str(tmp_path), "--json"]) == 0
+        out, err = capsys.readouterr()
+        summary = json.loads(out)
+        assert err == ""
+        assert summary == ledger_summary(tmp_path / wal.LEDGER_FILENAME)
+        assert [lease["label"] for lease in summary["in_flight"]] == ["cell-2"]
+        assert [(f["label"], f["message"]) for f in summary["quarantined"]] == [
+            ("cell-3", "livelock")
+        ]
+
     def test_empty_and_missing_ledger(self, tmp_path):
         state = FabricLedger(tmp_path / "absent.jsonl").replay()
         assert state.epoch == 0 and state.records == 0

@@ -61,7 +61,7 @@ class TestMeshFabric:
             fabric.step(cycle, sms, channels)
             if channels[1]:
                 break
-        assert channels[1].heads()[0] is req
+        assert pop_next(channels[1]) is req
         assert fabric.transfers == 1
         assert fabric.in_flight() == 0
 
@@ -75,7 +75,7 @@ class TestMeshFabric:
         for cycle in range(30):
             fabric.step(cycle, sms, channels)
         for channel, req in sent.items():
-            assert channels[channel].heads()[0] is req
+            assert pop_next(channels[channel]) is req
 
     def test_one_hop_per_cycle(self):
         fabric, sms, channels = self.make(num_sms=1, num_channels=1)

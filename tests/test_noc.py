@@ -24,6 +24,11 @@ def pim_request(channel=0):
     return req
 
 
+def visible_heads(buf):
+    """The heads a consumer walking ``buf.order`` sees, in that order."""
+    return [lane._items[0] for lane in buf.order if lane._items]
+
+
 class TestBoundedQueue:
     def test_fifo_order(self):
         q = BoundedQueue(4)
@@ -72,7 +77,7 @@ class TestVCBufferVC1:
         p, m = pim_request(), mem_request()
         buf.try_push(p)
         buf.try_push(m)
-        assert buf.heads() == [p]  # only the PIM head is visible
+        assert visible_heads(buf) == [p]  # only the PIM head is visible
 
     def test_capacity_shared(self):
         buf = VCBuffer(2, num_vcs=1)
@@ -88,7 +93,7 @@ class TestVCBufferVC2:
         buf.try_push(p)
         buf.try_push(m)
         # Both heads visible: PIM cannot block MEM.
-        assert set(buf.heads()) == {p, m}
+        assert set(visible_heads(buf)) == {p, m}
 
     def test_half_capacity_each(self):
         buf = VCBuffer(4, num_vcs=2)
@@ -113,14 +118,27 @@ class TestVCBufferVC2:
         assert not pop_next(buf).is_pim
         assert pop_next(buf) is None
 
-    def test_pop_matching_requires_head(self):
+    def test_pop_returns_lane_head_and_swaps_order(self):
         buf = VCBuffer(8, num_vcs=2)
-        first, second = mem_request(), mem_request()
-        buf.try_push(first)
-        buf.try_push(second)
-        with pytest.raises(ValueError):
-            buf.pop_matching(second)
-        assert buf.pop_matching(first) is first
+        mem_lane, pim_lane = buf.lanes
+        assert buf.order == (mem_lane, pim_lane)
+        first, second, p = mem_request(), mem_request(), pim_request()
+        for req in (first, second, p):
+            buf.try_push(req)
+        assert buf.pop(mem_lane) is first
+        assert buf.order == (pim_lane, mem_lane)  # the other VC next
+        assert buf.pop(mem_lane) is second  # the less preferred lane
+        assert buf.order == (pim_lane, mem_lane)  # still the other VC
+        assert buf.pop(pim_lane) is p
+        assert buf.order == (mem_lane, pim_lane)
+
+    def test_vc1_order_is_the_shared_lane(self):
+        buf = VCBuffer(4, num_vcs=1)
+        m = mem_request()
+        buf.try_push(m)
+        assert buf.order == (buf.lanes[0],)
+        assert buf.pop(buf.lanes[0]) is m
+        assert buf.order == (buf.lanes[0],)
 
     def test_occupancy_by_mode(self):
         buf = VCBuffer(8, num_vcs=2)
@@ -144,7 +162,7 @@ class TestISlip:
         inputs[0].try_push(req)
         moved = arbiter.step(inputs, outputs)
         assert moved == [(1, req)]
-        assert outputs[1].heads() == [req]
+        assert visible_heads(outputs[1]) == [req]
 
     def test_one_grant_per_output(self):
         arbiter = ISlipArbiter(3, 1)
